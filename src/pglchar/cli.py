@@ -12,15 +12,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
-from . import formulas, involutions, oracle, params, symchar
+from . import formulas, involutions, oracle, params
 from .dualgroup import q_context
-from .errors import CapacityError, InvariantViolation
+from .errors import CapacityError, InvariantViolation, check_limit
 from .formulas import Subgroup
-
-CACHE_ENV_VAR = "PGLCHAR_CHI_CACHE"
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,15 +48,8 @@ def _emit_csv(headers: list[str], rows: list[list], footers: list[str] = ()) -> 
         print(f"#{line}")
 
 
-def _load_cache(args) -> None:
-    path = args.cache or os.environ.get(CACHE_ENV_VAR)
-    if path:
-        symchar.load_cache(path)
-
-
 def cmd_decompose(args) -> int:
     ctx = q_context(args.q)
-    _load_cache(args)
     subgroup = Subgroup.parse(args.subgroup)
     with_degrees = not args.no_degrees
     if args.label:
@@ -106,7 +96,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    _load_cache(args)
     results = involutions.check_identities(args.max_size)
     failures = 0
     rows = []
@@ -138,9 +127,10 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_cross_check(args) -> int:
     ctx = q_context(args.q)
-    _load_cache(args)
     if args.tier == "fast" and args.n > 2:
         raise CapacityError(f"n = {args.n} needs --tier slow")
+    # The involution route meets the block 0/1:[n], which every n has.
+    check_limit("ZINV_SIZE_BOUND", args.n, "block size n")
     labels = params.enumerate_labels(ctx, args.n, True)
     mismatches = []
     rows = []
@@ -245,13 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unipotent-only", action="store_true")
     p.add_argument("--include-zeros", action="store_true")
     p.add_argument("--no-degrees", action="store_true", help="skip the degree column")
-    p.add_argument("--cache", help=f"character table cache path (or ${CACHE_ENV_VAR})")
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify-identities", help="check the combinatorial identities")
     p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--cache", help=f"character table cache path (or ${CACHE_ENV_VAR})")
     _add_common(p)
     p.set_defaults(func=cmd_verify_identities)
 
@@ -259,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=_even_positive, required=True)
     p.add_argument("--tier", choices=["fast", "slow"], default="fast")
-    p.add_argument("--cache", help=f"character table cache path (or ${CACHE_ENV_VAR})")
     _add_common(p)
     p.set_defaults(func=cmd_cross_check)
 

@@ -19,9 +19,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Mapping
 
-from .errors import CapacityError, InvariantViolation
-
-ORBIT_ELEMENT_BUDGET = 2_000_000
+from .errors import InvariantViolation, check_limit
 
 IDENTITY = Fraction(0)
 # Unique element of order 2 fixed by sigma: q odd makes denominator 2 legal.
@@ -165,17 +163,12 @@ def orbit_data(ctx: QContext, x) -> OrbitData:
     return OrbitData(canonical_rep(ctx, x), m, nx, -1 if t % 2 else 1)
 
 
-def orbits_up_to(
-    ctx: QContext, n: int, *, element_budget: int = ORBIT_ELEMENT_BUDGET
-) -> list[OrbitData]:
+def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
     """All sigma-orbits with m_xi <= n, once each, sorted by representative."""
     if n < 1:
         raise ValueError("n must be >= 1")
     estimate = sum(ctx.q**e for e in range(1, n + 1))
-    if estimate > element_budget:
-        raise CapacityError(
-            f"enumerating ~{estimate} dual elements exceeds the budget {element_budget}"
-        )
+    check_limit("ORBIT_ELEMENT_BUDGET", estimate, f"dual elements to list at q={ctx.q}, n={n}")
     seen: set[Fraction] = set()
     out: list[OrbitData] = []
     for e in range(1, n + 1):

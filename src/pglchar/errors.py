@@ -1,10 +1,31 @@
-"""Shared exception types.
+"""Shared exception types and the capacity limits.
 
 Argument errors are plain ValueError.  The two classes here separate "the
 request is too big for the desk-scale envelope" from "an exact identity the
 implementation relies on failed", because callers (notably the CLI) map them
 to different exit codes.
+
+LIMITS is the one table of capacity limits.  Each is checked through
+check_limit() before the work it guards starts, except LABEL_BUDGET, which
+enumerate_labels checks as it keeps each label.
 """
+
+LIMITS = {
+    # dual-group elements of order dividing q^e - 1, e <= n, listed by orbits_up_to
+    "ORBIT_ELEMENT_BUDGET": 2_000_000,
+    # labels kept by enumerate_labels
+    "LABEL_BUDGET": 250_000,
+    # |nu| for enumerating involutions commuting with w_nu
+    "ZINV_SIZE_BOUND": 9,
+    # m for the full character table of S_m
+    "CHARACTER_TABLE_BOUND": 14,
+    # m for listing the partitions of m
+    "PARTITIONS_OF_BOUND": 30,
+    # |PGL_n(F_q)| for the matrix oracle
+    "GROUP_ORDER_BUDGET": 1_000_000,
+    # matrices scanned by the matrix oracle
+    "MATRIX_SCAN_BUDGET": 5_000_000,
+}
 
 
 class CapacityError(Exception):
@@ -13,3 +34,10 @@ class CapacityError(Exception):
 
 class InvariantViolation(Exception):
     """An exact internal invariant failed; indicates a bug, never bad input."""
+
+
+def check_limit(name: str, value: int, what: str) -> None:
+    """Raise CapacityError naming the limit if value exceeds LIMITS[name]."""
+    limit = LIMITS[name]
+    if value > limit:
+        raise CapacityError(f"{what}: {value} exceeds {name} = {limit}")

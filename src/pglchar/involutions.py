@@ -20,11 +20,9 @@ from itertools import product as iter_product
 from typing import Sequence
 
 from . import params, symchar
-from .errors import CapacityError, InvariantViolation
+from .errors import InvariantViolation, check_limit
 from .params import MultiPartition
 from .partitions import Partition, partitions_of
-
-ZINV_SIZE_BOUND = 9
 
 
 @dataclass(frozen=True)
@@ -179,17 +177,14 @@ def _zinv_consecutive(nu_parts: tuple[int, ...]) -> tuple[CentralizerInvolution,
     )
 
 
-def enumerate_zinv(
-    nu, *, base: tuple[int, ...] | None = None, bound: int = ZINV_SIZE_BOUND
-) -> tuple[CentralizerInvolution, ...]:
+def enumerate_zinv(nu, *, base: tuple[int, ...] | None = None) -> tuple[CentralizerInvolution, ...]:
     """All involutions commuting with w_nu (the identity included), with stats.
 
     ``base`` overrides the fixed w_nu by any permutation of the same cycle
     type; the statistics, and in particular the count, do not depend on it.
     """
     nu = Partition(nu)
-    if nu.size() > bound:
-        raise CapacityError(f"|nu| = {nu.size()} exceeds the involution bound {bound}")
+    check_limit("ZINV_SIZE_BOUND", nu.size(), "|nu|")
     if base is None:
         return _zinv_consecutive(tuple(nu))
     cycles = _cycles_of(base)
@@ -200,27 +195,25 @@ def enumerate_zinv(
     )
 
 
-def count_fixed_point_free(nu, *, bound: int = ZINV_SIZE_BOUND) -> int:
-    return sum(1 for w in enumerate_zinv(nu, bound=bound) if w.is_fixed_point_free)
+def count_fixed_point_free(nu) -> int:
+    return sum(1 for w in enumerate_zinv(nu) if w.is_fixed_point_free)
 
 
-def weight_sum_all(nu, *, bound: int = ZINV_SIZE_BOUND) -> int:
+def weight_sum_all(nu) -> int:
     """Sum of (-2)^ell1 over all of Z_inv(nu)."""
-    return sum((-2) ** w.ell1 for w in enumerate_zinv(nu, bound=bound))
+    return sum((-2) ** w.ell1 for w in enumerate_zinv(nu))
 
 
-def weight_sum_even_type1(nu, *, bound: int = ZINV_SIZE_BOUND) -> int:
+def weight_sum_even_type1(nu) -> int:
     """Sum of (-2)^ell1 over involutions with no odd-length type-1 cycle."""
-    return sum(
-        (-2) ** w.ell1 for w in enumerate_zinv(nu, bound=bound) if w.ell1_odd == 0
-    )
+    return sum((-2) ** w.ell1 for w in enumerate_zinv(nu) if w.ell1_odd == 0)
 
 
-def weight_sum_signed(nu, *, bound: int = ZINV_SIZE_BOUND) -> int:
+def weight_sum_signed(nu) -> int:
     """Sum of (-1)^ell1_2mod4 (-2)^ell1 over involutions with no odd type-1 cycle."""
     return sum(
         (-1) ** w.ell1_2mod4 * (-2) ** w.ell1
-        for w in enumerate_zinv(nu, bound=bound)
+        for w in enumerate_zinv(nu)
         if w.ell1_odd == 0
     )
 
@@ -230,51 +223,48 @@ def weight_sum_signed(nu, *, bound: int = ZINV_SIZE_BOUND) -> int:
 # side failing would invalidate the formula modules, so both are exposed.
 
 
-def identity_ff_count(nu, *, bound: int = ZINV_SIZE_BOUND) -> IdentityCheckResult:
+def identity_ff_count(nu) -> IdentityCheckResult:
     """#(fixed-point-free involutions in Z_inv) = sum of chi over even rho."""
     nu = Partition(nu)
-    return IdentityCheckResult(
-        "ff-count", nu, count_fixed_point_free(nu, bound=bound), symchar.sum_chi_even(nu)
-    )
+    return IdentityCheckResult("ff-count", nu, count_fixed_point_free(nu), symchar.sum_chi_even(nu))
 
 
-def identity_weight_all(nu, *, bound: int = ZINV_SIZE_BOUND) -> IdentityCheckResult:
+def identity_weight_all(nu) -> IdentityCheckResult:
     """Sum of (-2)^ell1 = (-1)^|nu| * sum over rho of prod(m_i+1) chi."""
     nu = Partition(nu)
     rhs = (-1) ** nu.size() * symchar.sum_chi_weighted(nu)
-    return IdentityCheckResult("weight-all", nu, weight_sum_all(nu, bound=bound), rhs)
+    return IdentityCheckResult("weight-all", nu, weight_sum_all(nu), rhs)
 
 
-def identity_weight_even_type1(nu, *, bound: int = ZINV_SIZE_BOUND) -> IdentityCheckResult:
+def identity_weight_even_type1(nu) -> IdentityCheckResult:
     """Restricted (-2)^ell1 sum = sum of chi over rho with even transpose."""
     nu = Partition(nu)
     return IdentityCheckResult(
         "weight-even-type1",
         nu,
-        weight_sum_even_type1(nu, bound=bound),
+        weight_sum_even_type1(nu),
         symchar.sum_chi_transpose_even(nu),
     )
 
 
-def identity_weight_signed(nu, *, bound: int = ZINV_SIZE_BOUND) -> IdentityCheckResult:
+def identity_weight_signed(nu) -> IdentityCheckResult:
     """Signed restricted sum = signed even-multiplicity character sum."""
     nu = Partition(nu)
     return IdentityCheckResult(
-        "weight-signed", nu, weight_sum_signed(nu, bound=bound), symchar.sum_chi_signed_even(nu)
+        "weight-signed", nu, weight_sum_signed(nu), symchar.sum_chi_signed_even(nu)
     )
 
 
-def check_identities(max_size: int, *, bound: int = ZINV_SIZE_BOUND) -> list[IdentityCheckResult]:
+def check_identities(max_size: int) -> list[IdentityCheckResult]:
     """Run all four identities for every nu of size 1..max_size."""
-    if max_size > bound:
-        raise CapacityError(f"max_size {max_size} exceeds the involution bound {bound}")
+    check_limit("ZINV_SIZE_BOUND", max_size, "max_size")
     out = []
     for m in range(1, max_size + 1):
         for nu in partitions_of(m):
-            out.append(identity_ff_count(nu, bound=bound))
-            out.append(identity_weight_all(nu, bound=bound))
-            out.append(identity_weight_even_type1(nu, bound=bound))
-            out.append(identity_weight_signed(nu, bound=bound))
+            out.append(identity_ff_count(nu))
+            out.append(identity_weight_all(nu))
+            out.append(identity_weight_even_type1(nu))
+            out.append(identity_weight_signed(nu))
     return out
 
 
@@ -315,7 +305,7 @@ def phi_w(ws: Sequence[CentralizerInvolution], mp: MultiPartition) -> int:
     return sign
 
 
-def threeterm_bruteforce(mp: MultiPartition, eps: int, *, bound: int = ZINV_SIZE_BOUND) -> int:
+def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
     """Third route to the orthogonal multiplicity, by involution enumeration.
 
     Evaluates the three-term double-coset count both by per-orbit
@@ -328,10 +318,9 @@ def threeterm_bruteforce(mp: MultiPartition, eps: int, *, bound: int = ZINV_SIZE
         raise ValueError(f"label {mp} has nontrivial norm product")
     entries = mp.orbit_entries()
     for _, part in entries:
-        if part.size() > bound:
-            raise CapacityError(f"block {part} exceeds the involution bound {bound}")
-    factorized = _threeterm_factorized(mp, eps, entries, bound)
-    direct = _threeterm_direct(mp, eps, entries, bound)
+        check_limit("ZINV_SIZE_BOUND", part.size(), "label block size")
+    factorized = _threeterm_factorized(mp, eps, entries)
+    direct = _threeterm_direct(mp, eps, entries)
     if factorized != direct:
         raise InvariantViolation(
             f"three-term routes disagree on {mp}: factorized {factorized}, direct {direct}"
@@ -346,38 +335,36 @@ def _middle_condition(mp: MultiPartition) -> bool:
     )
 
 
-def _threeterm_factorized(mp, eps, entries, bound) -> int:
+def _threeterm_factorized(mp, eps, entries) -> int:
     s1 = 1
     for data, part in entries:
         if data.d == 1:
-            s1 *= weight_sum_all(part, bound=bound)
+            s1 *= weight_sum_all(part)
         else:
-            s1 *= weight_sum_even_type1(part, bound=bound)
+            s1 *= weight_sum_even_type1(part)
     total = Fraction(s1, 4)
     if _middle_condition(mp):
         ff = 1
         for _, part in entries:
-            ff *= part.sign() * count_fixed_point_free(part, bound=bound)
+            ff *= part.sign() * count_fixed_point_free(part)
         total += Fraction(eps * ff, 2)
     if all((data.m * part.size()) % 2 == 0 for data, part in entries):
         s3 = 1
         for data, part in entries:
             if data.d == 1 and data.m % 2:
-                s3 *= weight_sum_signed(part, bound=bound)
+                s3 *= weight_sum_signed(part)
             elif data.d == 1:
-                s3 *= (-1) ** (data.m * part.size() // 2) * weight_sum_all(part, bound=bound)
+                s3 *= (-1) ** (data.m * part.size() // 2) * weight_sum_all(part)
             else:
-                s3 *= (-1) ** (data.m * part.size() // 2) * weight_sum_even_type1(
-                    part, bound=bound
-                )
+                s3 *= (-1) ** (data.m * part.size() // 2) * weight_sum_even_type1(part)
         total += Fraction(params.phi(mp) * s3, 4)
     if total.denominator != 1:
         raise InvariantViolation(f"non-integral three-term value {total} for {mp}")
     return int(total)
 
 
-def _threeterm_direct(mp, eps, entries, bound) -> int:
-    zlists = [enumerate_zinv(part, bound=bound) for _, part in entries]
+def _threeterm_direct(mp, eps, entries) -> int:
+    zlists = [enumerate_zinv(part) for _, part in entries]
     data = [d for d, _ in entries]
     s1 = 0
     s3 = 0

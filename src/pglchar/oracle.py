@@ -13,12 +13,9 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .dualgroup import QContext
-from .errors import CapacityError, InvariantViolation
+from .errors import InvariantViolation, check_limit
 from .params import MultiPartition
 from .partitions import Partition
-
-GROUP_ORDER_BUDGET = 1_000_000
-MATRIX_SCAN_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -205,10 +202,8 @@ def projective_group(q: int, n: int) -> ProjectiveMatrixGroup:
     if not _is_prime(q) or q == 2:
         raise ValueError(f"matrix oracle supports odd prime q only, got {q}")
     expected = orders(q, n).pgl
-    if expected > GROUP_ORDER_BUDGET:
-        raise CapacityError(f"|PGL_{n}(F_{q})| = {expected} exceeds {GROUP_ORDER_BUDGET}")
-    if q ** (n * n) > MATRIX_SCAN_BUDGET:
-        raise CapacityError(f"scanning {q}^{n*n} matrices exceeds {MATRIX_SCAN_BUDGET}")
+    check_limit("GROUP_ORDER_BUDGET", expected, f"|PGL_{n}(F_{q})|")
+    check_limit("MATRIX_SCAN_BUDGET", q ** (n * n), f"matrices to scan for n={n}, q={q}")
     seen = set()
     for flat in iter_product(range(q), repeat=n * n):
         mat = tuple(flat[i * n : (i + 1) * n] for i in range(n))
@@ -254,8 +249,6 @@ def _form_action(group: ProjectiveMatrixGroup, g: Matrix, h: Matrix) -> Matrix:
 
 def _all_form_classes(q: int, n: int) -> list[Matrix]:
     sym_slots = n * (n + 1) // 2
-    if q**sym_slots > MATRIX_SCAN_BUDGET:
-        raise CapacityError(f"scanning {q}^{sym_slots} symmetric matrices exceeds the budget")
     classes = set()
     # Symmetric: free upper triangle including the diagonal.
     for flat in iter_product(range(q), repeat=sym_slots):

@@ -10,16 +10,15 @@ of exactly those that descend from GL_n to PGL_n.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from . import dualgroup
 from .dualgroup import OrbitData, QContext
-from .errors import CapacityError
+from .errors import check_limit
 from .partitions import Partition, partitions_of
-
-LABEL_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,12 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
     for xi, part in pairs:
         if isinstance(xi, str):
             xi = dualgroup.parse_fraction(xi)
-        xi = dualgroup.canonical_rep(ctx, dualgroup.as_dual(ctx, xi))
+        xi = dualgroup.as_dual(ctx, xi)
+        if not _orbit_fits(ctx.q, xi.denominator, n):
+            raise ValueError(
+                f"the sigma-orbit of {dualgroup.format_fraction(xi)} is longer than n = {n}"
+            )
+        xi = dualgroup.canonical_rep(ctx, xi)
         part = part if isinstance(part, Partition) else Partition(part)
         if not part:
             raise ValueError("label blocks must be nonempty partitions")
@@ -101,6 +105,20 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
         sorted(canon.items(), key=lambda kv: (kv[0].denominator, kv[0].numerator))
     )
     return MultiPartition(ctx, n, ordered)
+
+
+def _orbit_fits(q: int, den: int, n: int) -> bool:
+    """True iff the sigma-orbit size, the order of q mod den, is at most n.
+
+    Takes at most n steps, so a label can be rejected before canonical_rep
+    lists an orbit that may be huge.
+    """
+    power = 1
+    for _ in range(n):
+        power = power * q % den
+        if power == 1 % den:
+            return True
+    return False
 
 
 def pi(mp: MultiPartition) -> Fraction:
@@ -168,14 +186,7 @@ def invert_label(mp: MultiPartition) -> MultiPartition:
     )
 
 
-def enumerate_labels(
-    ctx: QContext,
-    n: int,
-    restrict_to_P_hat: bool = True,
-    *,
-    element_budget: int = dualgroup.ORBIT_ELEMENT_BUDGET,
-    label_budget: int = LABEL_BUDGET,
-) -> list[MultiPartition]:
+def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> list[MultiPartition]:
     """All labels of weight n, once each, in a fixed deterministic order.
 
     Orbits are taken sorted by representative; per orbit, block sizes run
@@ -186,7 +197,9 @@ def enumerate_labels(
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    orbits = dualgroup.orbits_up_to(ctx, n, element_budget=element_budget)
+    orbits = dualgroup.orbits_up_to(ctx, n)
+    # fits[r]: indices of the orbits with m <= r, in representative order.
+    fits = [[i for i, data in enumerate(orbits) if data.m <= r] for r in range(n + 1)]
     out: list[MultiPartition] = []
     acc: list[tuple[Fraction, Partition]] = []
 
@@ -194,14 +207,12 @@ def enumerate_labels(
         if remaining == 0:
             mp = MultiPartition(ctx, n, tuple(acc))
             if not restrict_to_P_hat or in_P_hat(mp):
-                if len(out) >= label_budget:
-                    raise CapacityError(f"more than {label_budget} labels at q={ctx.q}, n={n}")
+                check_limit("LABEL_BUDGET", len(out) + 1, "labels kept")
                 out.append(mp)
             return
-        for i in range(start, len(orbits)):
+        candidates = fits[remaining]
+        for i in candidates[bisect_left(candidates, start) :]:
             data = orbits[i]
-            if data.m > remaining:
-                continue
             for k in range(remaining // data.m, 0, -1):
                 for part in partitions_of(k):
                     acc.append((data.rep, part))

@@ -12,9 +12,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable
 
-from .errors import CapacityError
-
-PARTITIONS_OF_BOUND = 30
+from .errors import check_limit
 
 
 @dataclass(frozen=True)
@@ -117,10 +115,9 @@ def _partitions_of(m: int, cap: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def partitions_of(m: int, *, bound: int = PARTITIONS_OF_BOUND) -> tuple[Partition, ...]:
+def partitions_of(m: int) -> tuple[Partition, ...]:
     """All partitions of m, in reverse-lexicographic order: (m) first, (1^m) last."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m > bound:
-        raise CapacityError(f"partitions_of({m}) exceeds the bound {bound}")
+    check_limit("PARTITIONS_OF_BOUND", m, "partitions_of m")
     return _partitions_of(m, m if m else 1)

@@ -12,13 +12,8 @@ want isolation can snapshot and restore via clear_memo().
 
 from __future__ import annotations
 
-import json
-
-from .errors import CapacityError
+from .errors import check_limit
 from .partitions import Partition, partitions_of
-
-CHARACTER_TABLE_BOUND = 14
-CACHE_FORMAT_VERSION = 1
 
 _memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
@@ -60,57 +55,17 @@ def _chi(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def character_table(m: int, *, bound: int = CHARACTER_TABLE_BOUND) -> list[list[int]]:
+def character_table(m: int) -> list[list[int]]:
     """Full table for S_m: rows rho, columns mu, both in partitions_of(m) order."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m > bound:
-        raise CapacityError(f"character_table({m}) exceeds the bound {bound}")
+    check_limit("CHARACTER_TABLE_BOUND", m, "character_table m")
     parts = partitions_of(m)
     return [[chi(rho, mu) for mu in parts] for rho in parts]
 
 
 def clear_memo() -> None:
     _memo.clear()
-
-
-def save_cache(path, up_to_m: int, *, bound: int = CHARACTER_TABLE_BOUND) -> None:
-    """Persist the tables for all m <= up_to_m as a versioned JSON file."""
-    tables = {}
-    for m in range(up_to_m + 1):
-        parts = partitions_of(m)
-        tables[str(m)] = {
-            "partitions": [list(p) for p in parts],
-            "values": character_table(m, bound=bound),
-        }
-    payload = {"format_version": CACHE_FORMAT_VERSION, "tables": tables}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-
-
-def load_cache(path) -> int:
-    """Preload memoised values from a cache file; returns the entry count.
-
-    Cache absence or presence never changes any result: entries only seed the
-    memo, and a value conflicting with the table layout is rejected.
-    """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
-    if version != CACHE_FORMAT_VERSION:
-        raise ValueError(f"character cache format_version {version!r} is not {CACHE_FORMAT_VERSION}")
-    count = 0
-    for m_text, table in payload.get("tables", {}).items():
-        parts = [Partition(p) for p in table["partitions"]]
-        if parts != list(partitions_of(int(m_text))):
-            raise ValueError(f"character cache row order for m={m_text} does not match")
-        for rho, row in zip(parts, table["values"]):
-            if len(row) != len(parts):
-                raise ValueError(f"character cache table for m={m_text} is ragged")
-            for mu, value in zip(parts, row):
-                _memo[(tuple(rho), tuple(mu))] = int(value)
-                count += 1
-    return count
 
 
 # Weighted chi-sums shared by the closed formulas and the identity checks.

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from pglchar import symchar
 from pglchar.cli import main
 
 
@@ -161,33 +160,21 @@ def test_verify_identities_json(capsys):
     assert all(check["status"] == "PASS" for check in payload["checks"])
 
 
-def test_cache_flag_and_env(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "chi.json"
-    symchar.save_cache(path, 4)
-    symchar.clear_memo()
-    code, out1, _ = run(capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+",
-                        "--cache", str(path), "--format", "json")
-    assert code == 0
-    symchar.clear_memo()
-    monkeypatch.setenv("PGLCHAR_CHI_CACHE", str(path))
-    code, out2, _ = run(capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+",
-                        "--format", "json")
-    assert code == 0
-    monkeypatch.delenv("PGLCHAR_CHI_CACHE")
-    symchar.clear_memo()
-    code, out3, _ = run(capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+",
-                        "--format", "json")
-    # cache presence or absence never changes the numbers
-    assert out1 == out2 == out3
+def test_cache_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--cache", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
-def test_cache_version_mismatch_is_argument_error(capsys, tmp_path):
-    path = tmp_path / "chi.json"
-    symchar.save_cache(path, 3)
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 2
-    path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp",
-                       "--cache", str(path))
-    assert code == 2
-    assert "format_version" in err
+def test_cross_check_refuses_large_n_before_enumerating(capsys, monkeypatch):
+    from pglchar import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerate_labels called before the capacity check")
+
+    monkeypatch.setattr(cli.params, "enumerate_labels", fail)
+    code, out, err = run(capsys, "cross-check", "--q", "3", "--n", "10", "--tier", "slow")
+    assert code == 3
+    assert out == ""
+    assert "ZINV_SIZE_BOUND" in err

@@ -4,6 +4,7 @@ import pytest
 
 from pglchar import dualgroup, params
 from pglchar.dualgroup import q_context
+from pglchar.errors import LIMITS, CapacityError
 from pglchar.params import (
     enumerate_labels,
     half_norm_product,
@@ -15,7 +16,7 @@ from pglchar.params import (
     pi,
     random_labels,
 )
-from pglchar.partitions import Partition
+from pglchar.partitions import Partition, partitions_of
 
 Q3 = q_context(3)
 Q5 = q_context(5)
@@ -168,15 +169,61 @@ def test_random_labels_are_valid():
     assert labels == random_labels(ctx, 6, 25, seed=7)
 
 
-def test_enumerate_labels_capacity():
-    from pglchar.errors import CapacityError
-
-    with pytest.raises(CapacityError):
-        enumerate_labels(Q3, 4, True, element_budget=10)
-    with pytest.raises(CapacityError):
-        enumerate_labels(Q3, 4, True, label_budget=3)
+def test_enumerate_labels_capacity(monkeypatch):
+    monkeypatch.setitem(LIMITS, "ORBIT_ELEMENT_BUDGET", 10)
+    with pytest.raises(CapacityError, match="ORBIT_ELEMENT_BUDGET"):
+        enumerate_labels(Q3, 4, True)
+    monkeypatch.undo()
+    monkeypatch.setitem(LIMITS, "LABEL_BUDGET", 3)
+    with pytest.raises(CapacityError, match="LABEL_BUDGET"):
+        enumerate_labels(Q3, 4, True)
     with pytest.raises(ValueError):
         enumerate_labels(Q3, 3, True)
+
+
+def _linear_scan_labels(ctx, n, restrict):
+    """Reference DFS: every node scans all orbits and skips those too large."""
+    orbits = dualgroup.orbits_up_to(ctx, n)
+    out = []
+    acc = []
+
+    def rec(start, remaining):
+        if remaining == 0:
+            mp = params.MultiPartition(ctx, n, tuple(acc))
+            if not restrict or in_P_hat(mp):
+                out.append(mp)
+            return
+        for i in range(start, len(orbits)):
+            data = orbits[i]
+            if data.m > remaining:
+                continue
+            for k in range(remaining // data.m, 0, -1):
+                for part in partitions_of(k):
+                    acc.append((data.rep, part))
+                    rec(i + 1, remaining - data.m * k)
+                    acc.pop()
+
+    rec(0, n)
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (3, 6)])
+@pytest.mark.parametrize("restrict", [True, False])
+def test_enumeration_order_matches_linear_scan(q, n, restrict):
+    ctx = q_context(q)
+    assert enumerate_labels(ctx, n, restrict) == _linear_scan_labels(ctx, n, restrict)
+
+
+def test_orbit_longer_than_n_is_rejected_before_listing():
+    # The orbit of 1/1000000007 under q = 3 has about 5 * 10^8 elements.
+    with pytest.raises(ValueError, match="longer than n"):
+        parse_label(Q3, 2, "1/1000000007:[1]")
+    with pytest.raises(ValueError, match="longer than n"):
+        make_label(Q3, 2, {Fraction(1, 1000000007): [1]})
+    # 1/26 has an orbit of size 3 at q = 3: too long for n = 2, fine for n = 4.
+    with pytest.raises(ValueError, match="longer than n"):
+        make_label(Q3, 2, {Fraction(1, 26): [1]})
+    assert make_label(Q3, 4, {Fraction(1, 26): [1], Fraction(0): [1]}).n == 4
 
 
 def test_get_canonicalizes():

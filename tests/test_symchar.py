@@ -1,5 +1,4 @@
 import itertools
-import json
 from fractions import Fraction
 
 import pytest
@@ -158,23 +157,7 @@ def test_character_table_capacity():
         character_table(15)
 
 
-def test_cache_round_trip(tmp_path):
-    path = tmp_path / "chi.json"
-    symchar.save_cache(path, 5)
+def test_clear_memo_then_rebuild_is_unchanged():
     before = character_table(5)
     symchar.clear_memo()
-    assert symchar.load_cache(path) > 0
     assert character_table(5) == before
-    # absence never changes results
-    symchar.clear_memo()
-    assert character_table(5) == before
-
-
-def test_cache_rejects_wrong_version(tmp_path):
-    path = tmp_path / "chi.json"
-    symchar.save_cache(path, 2)
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
-        symchar.load_cache(path)
