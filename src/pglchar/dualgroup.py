@@ -146,16 +146,26 @@ def norm(ctx: QContext, x) -> Fraction:
 def canonical_rep(ctx: QContext, x) -> Fraction:
     """Frozen orbit representative: minimal (denominator, numerator) in the orbit.
 
-    All orbit elements share a denominator, so this is the minimal numerator.
+    All orbit elements share a denominator, so this is the minimal numerator,
+    found by walking num -> num * q mod den on integers.
     """
-    return min(orbit(ctx, x), key=lambda f: (f.denominator, f.numerator))
+    x = as_dual(ctx, x)
+    num, den = x.numerator, x.denominator
+    best = num
+    y = num * ctx.q % den
+    while y != num:
+        if y < best:
+            best = y
+        y = y * ctx.q % den
+    return x if best == num else Fraction(best, den)
 
 
 @lru_cache(maxsize=None)
 def orbit_data(ctx: QContext, x) -> OrbitData:
     x = as_dual(ctx, x)
-    m = orbit_size(ctx, x)
-    nx = norm(ctx, x)
+    num, den = x.numerator, x.denominator
+    m = _mult_order(ctx.q, den)
+    nx = Fraction(num * ((ctx.q**m - 1) // (ctx.q - 1)) % den, den)
     if (ctx.q - 1) % nx.denominator:
         raise InvariantViolation(f"norm {nx} of {x} is not sigma-fixed")
     # d = <-1, N(xi)>: -1 has exponent (q-1)/2, so the pairing is a parity.
@@ -164,23 +174,37 @@ def orbit_data(ctx: QContext, x) -> OrbitData:
 
 
 def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
-    """All sigma-orbits with m_xi <= n, once each, sorted by representative."""
+    """All sigma-orbits with m_xi <= n, once each, sorted by representative.
+
+    Level e lists the residues a mod q^e - 1 by orbits of a -> a * q.  An
+    orbit shorter than e belongs to a lower level and is skipped.  The first
+    unmarked a is the least member of its orbit, so a / (q^e - 1) is the
+    canonical representative, and its norm is a mod (q - 1) over q - 1.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     estimate = sum(ctx.q**e for e in range(1, n + 1))
     check_limit("ORBIT_ELEMENT_BUDGET", estimate, f"dual elements to list at q={ctx.q}, n={n}")
-    seen: set[Fraction] = set()
+    q = ctx.q
     out: list[OrbitData] = []
     for e in range(1, n + 1):
-        level = ctx.q**e - 1
+        level = q**e - 1
+        marked = bytearray(level)
         for a in range(level):
-            x = Fraction(a, level)
-            if x in seen:
+            if marked[a]:
                 continue
-            orb = orbit(ctx, x)
-            seen.update(orb)
-            rep = min(orb, key=lambda f: (f.denominator, f.numerator))
-            out.append(orbit_data(ctx, rep))
+            b = a
+            length = 0
+            while True:
+                marked[b] = 1
+                length += 1
+                b = b * q % level
+                if b == a:
+                    break
+            if length == e:
+                r = a % (q - 1)
+                d = -1 if r % 2 else 1
+                out.append(OrbitData(Fraction(a, level), e, Fraction(r, q - 1), d))
     out.sort(key=lambda od: (od.rep.denominator, od.rep.numerator))
     return out
 

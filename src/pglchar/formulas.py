@@ -282,9 +282,9 @@ def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
     """Basic-character multiplicity through the irreducible transition matrix.
 
     Expands B_nu over all irreducible labels with the same block sizes on the
-    same orbits; labels with nontrivial norm product do not descend and
-    contribute zero (with trivial Pi for nu, none occur, since Pi depends
-    only on the block sizes).
+    same orbits.  Pi depends only on the block sizes, so every such label
+    descends once nu does.  The keys of nu are canonical and sorted already,
+    so each rho-label is built directly; mult_irr still checks its Pi.
     """
     _require_descends(nu)
     keys = [xi for xi, _ in nu.entries]
@@ -299,9 +299,7 @@ def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
                 break
         if coeff == 0:
             continue
-        rho_label = make_label(nu.ctx, nu.n, zip(keys, rhos))
-        if not params.in_P_hat(rho_label):
-            continue
+        rho_label = MultiPartition(nu.ctx, nu.n, tuple(zip(keys, rhos)))
         total += coeff * mult_irr(rho_label, subgroup)
     return sign * total
 

@@ -36,7 +36,10 @@ class MultiPartition:
     entries: tuple[tuple[Fraction, Partition], ...]
 
     def get(self, xi) -> Optional[Partition]:
-        xi = dualgroup.canonical_rep(self.ctx, dualgroup.as_dual(self.ctx, xi))
+        xi = dualgroup.as_dual(self.ctx, xi)
+        if not _orbit_fits(self.ctx.q, xi.denominator, self.n):
+            return None  # no key has an orbit longer than n
+        xi = dualgroup.canonical_rep(self.ctx, xi)
         for key, part in self.entries:
             if key == xi:
                 return part
@@ -121,12 +124,18 @@ def _orbit_fits(q: int, den: int, n: int) -> bool:
     return False
 
 
+def _norm_residue(data: OrbitData, q1: int) -> int:
+    """N(xi) as a residue mod q - 1 = q1: N(xi) = residue / q1 in Q/Z."""
+    return data.norm.numerator * (q1 // data.norm.denominator)
+
+
 def pi(mp: MultiPartition) -> Fraction:
     """The norm product Pi, written additively: sum of |nu_xi| * N(xi) mod 1."""
-    total = Fraction(0)
+    q1 = mp.ctx.q - 1
+    total = 0
     for data, part in mp.orbit_entries():
-        total += part.size() * data.norm
-    return total % 1
+        total += part.size() * _norm_residue(data, q1)
+    return Fraction(total % q1, q1)
 
 
 def in_P_hat(mp: MultiPartition) -> bool:
@@ -140,13 +149,14 @@ def half_norm_product(mp: MultiPartition) -> Optional[Fraction]:
     For labels with trivial Pi the value is 0 (identity) or 1/2 (eta); the
     multiplicity formulas branch on exactly these three outcomes.
     """
-    total = Fraction(0)
+    q1 = mp.ctx.q - 1
+    total = 0
     for data, part in mp.orbit_entries():
         size = part.size()
         if size % 2:
             return None
-        total += (size // 2) * data.norm
-    return total % 1
+        total += (size // 2) * _norm_residue(data, q1)
+    return Fraction(total % q1, q1)
 
 
 def phi(mp: MultiPartition) -> int:
@@ -193,33 +203,37 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
     from large to small, partitions of a fixed size in reverse-lexicographic
     order, and "no block" last.  Depth-first composition of those choices
     yields the emission order, so the label {1:[n]} (trivial character when
-    restricted) always comes first.
+    restricted) always comes first.  The norm product Pi is carried down the
+    search as a residue mod q - 1, so a leaf is kept or dropped without
+    building its label.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     orbits = dualgroup.orbits_up_to(ctx, n)
+    q1 = ctx.q - 1
+    residues = [_norm_residue(data, q1) for data in orbits]
     # fits[r]: indices of the orbits with m <= r, in representative order.
     fits = [[i for i, data in enumerate(orbits) if data.m <= r] for r in range(n + 1)]
     out: list[MultiPartition] = []
     acc: list[tuple[Fraction, Partition]] = []
 
-    def rec(start: int, remaining: int) -> None:
+    def rec(start: int, remaining: int, norm: int) -> None:
         if remaining == 0:
-            mp = MultiPartition(ctx, n, tuple(acc))
-            if not restrict_to_P_hat or in_P_hat(mp):
+            if not restrict_to_P_hat or norm == 0:
                 check_limit("LABEL_BUDGET", len(out) + 1, "labels kept")
-                out.append(mp)
+                out.append(MultiPartition(ctx, n, tuple(acc)))
             return
         candidates = fits[remaining]
         for i in candidates[bisect_left(candidates, start) :]:
             data = orbits[i]
             for k in range(remaining // data.m, 0, -1):
+                child_norm = (norm + k * residues[i]) % q1
                 for part in partitions_of(k):
                     acc.append((data.rep, part))
-                    rec(i + 1, remaining - data.m * k)
+                    rec(i + 1, remaining - data.m * k, child_norm)
                     acc.pop()
 
-    rec(0, n)
+    rec(0, n, 0)
     return out
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,51 @@ def test_norm_is_sigma_invariant_and_sigma_fixed():
             assert sigma(ctx, data.norm) == data.norm
             for x in orbit(ctx, data.rep):
                 assert dualgroup.norm(ctx, x) == data.norm
+
+
+def _fraction_orbit_data(ctx, x):
+    """Reference: canonical rep and norm from the listed Fraction orbit of x."""
+    orb = orbit(ctx, x)
+    rep = min(orb, key=lambda f: (f.denominator, f.numerator))
+    nx = rep * ((ctx.q ** len(orb) - 1) // (ctx.q - 1)) % 1
+    t = nx.numerator * ((ctx.q - 1) // nx.denominator)
+    return OrbitData(rep, len(orb), nx, -1 if t % 2 else 1)
+
+
+def _fraction_orbits_up_to(ctx, n):
+    """Reference: every level listed as Fractions, with a seen-set of elements."""
+    seen = set()
+    out = []
+    for e in range(1, n + 1):
+        level = ctx.q**e - 1
+        for a in range(level):
+            x = Fraction(a, level)
+            if x in seen:
+                continue
+            seen.update(orbit(ctx, x))
+            out.append(_fraction_orbit_data(ctx, x))
+    out.sort(key=lambda od: (od.rep.denominator, od.rep.numerator))
+    return out
+
+
+# (9,4): q = 9 is a prime power, not a prime.
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 6), (5, 4), (7, 4), (9, 4)])
+def test_orbits_up_to_matches_fraction_reference(q, n):
+    ctx = q_context(q)
+    assert orbits_up_to(ctx, n) == _fraction_orbits_up_to(ctx, n)
+
+
+def test_canonical_rep_and_orbit_data_match_fraction_reference():
+    # Includes the denominators of the single-label sizes (9,8) and (27,6).
+    rng = random.Random(8)
+    for q, n in ((3, 6), (5, 4), (7, 6), (9, 8), (27, 6)):
+        ctx = q_context(q)
+        for _ in range(60):
+            level = q ** rng.randint(1, n) - 1
+            x = Fraction(rng.randrange(level), level)
+            expected = _fraction_orbit_data(ctx, x)
+            assert canonical_rep(ctx, x) == expected.rep
+            assert orbit_data(ctx, x) == expected
 
 
 def test_orbits_capacity():

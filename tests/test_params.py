@@ -214,6 +214,20 @@ def test_enumeration_order_matches_linear_scan(q, n, restrict):
     assert enumerate_labels(ctx, n, restrict) == _linear_scan_labels(ctx, n, restrict)
 
 
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4)])
+def test_enumeration_keeps_labels_without_testing_pi(monkeypatch, q, n):
+    # The norm product is carried down the search, so no label is filtered
+    # after it is built.
+    ctx = q_context(q)
+    expected = _linear_scan_labels(ctx, n, True)
+
+    def fail(mp):
+        raise AssertionError("enumerate_labels called in_P_hat")
+
+    monkeypatch.setattr(params, "in_P_hat", fail)
+    assert enumerate_labels(ctx, n, True) == expected
+
+
 def test_orbit_longer_than_n_is_rejected_before_listing():
     # The orbit of 1/1000000007 under q = 3 has about 5 * 10^8 elements.
     with pytest.raises(ValueError, match="longer than n"):
@@ -230,3 +244,15 @@ def test_get_canonicalizes():
     mp = make_label(Q3, 2, {Fraction(1, 8): [1]})
     assert mp.get(Fraction(3, 8)) == Partition([1])
     assert mp.get(Fraction(1, 4)) is None
+
+
+def test_get_skips_an_orbit_longer_than_n(monkeypatch):
+    # The orbit of 1/1000000007 under q = 3 has about 5 * 10^8 elements; no
+    # key of a label of weight 2 can lie on it, so it is never listed.
+    mp = make_label(Q3, 2, {Fraction(1, 8): [1]})
+
+    def fail(ctx, xi):
+        raise AssertionError("get listed the orbit")
+
+    monkeypatch.setattr(dualgroup, "canonical_rep", fail)
+    assert mp.get(Fraction(1, 1000000007)) is None
