@@ -54,15 +54,8 @@ def cmd_decompose(args) -> int:
     with_degrees = not args.no_degrees
     if args.label:
         label = params.parse_label(ctx, args.n, args.label)
-        mult = formulas.mult_irr(label, subgroup)
-        degree = oracle.degree(ctx, label) if with_degrees else None
-        report = formulas.DecompositionReport(
-            subgroup,
-            ctx,
-            args.n,
-            (formulas.Row(label, mult, degree),),
-            mult * degree if with_degrees else None,
-            mult * mult,
+        report = formulas.decompose_labels(
+            ctx, args.n, subgroup, [label], include_zeros=True, with_degrees=with_degrees
         )
     else:
         report = formulas.decompose(

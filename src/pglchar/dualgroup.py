@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Mapping
+from typing import Iterable, Mapping, Optional
 
 from .errors import InvariantViolation, check_limit
 
@@ -64,7 +64,7 @@ def q_context(q: int) -> QContext:
     return QContext(q, p, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitData:
     """A sigma-orbit: canonical representative, size m, norm N in L^sigma, sign d."""
 
@@ -186,6 +186,8 @@ def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
     estimate = sum(ctx.q**e for e in range(1, n + 1))
     check_limit("ORBIT_ELEMENT_BUDGET", estimate, f"dual elements to list at q={ctx.q}, n={n}")
     q = ctx.q
+    # One norm Fraction per residue, shared by every orbit with that norm.
+    norms = [Fraction(r, q - 1) for r in range(q - 1)]
     out: list[OrbitData] = []
     for e in range(1, n + 1):
         level = q**e - 1
@@ -203,10 +205,14 @@ def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
                     break
             if length == e:
                 r = a % (q - 1)
-                d = -1 if r % 2 else 1
-                out.append(OrbitData(Fraction(a, level), e, Fraction(r, q - 1), d))
+                out.append(OrbitData(Fraction(a, level), e, norms[r], -1 if r % 2 else 1))
     out.sort(key=lambda od: (od.rep.denominator, od.rep.numerator))
     return out
+
+
+def norm_residue(data: OrbitData, q1: int) -> int:
+    """N(xi) as a residue mod q - 1 = q1: N(xi) = residue / q1 in Q/Z."""
+    return data.norm.numerator * (q1 // data.norm.denominator)
 
 
 def pairing_exponent(ctx: QContext, level: int, field_exp: int, x) -> Fraction:
@@ -231,35 +237,58 @@ def phi(ctx: QContext, blocks: Mapping[Fraction, int]) -> int:
     m_xi * size is even.  Uses the frozen square root sqrt(beta) = g_2^((q+1)/2),
     so beta = g_1 is a non-square; the result does not depend on that choice.
     """
-    return _phi_with_exponent(ctx, blocks, (ctx.q + 1) // 2)
+    return _phi_with_exponent(ctx, blocks)
 
 
-def _phi_with_exponent(ctx: QContext, blocks: Mapping[Fraction, int], sqrt_exponent: int) -> int:
-    total = Fraction(0)
-    pi_total = Fraction(0)
+def _phi_with_exponent(
+    ctx: QContext, blocks: Mapping[Fraction, int], sqrt_exponent: Optional[int] = None
+) -> int:
+    triples = []
     for xi, size in blocks.items():
         xi = as_dual(ctx, xi)
-        data = orbit_data(ctx, xi)
+        triples.append((xi, orbit_data(ctx, xi), size))
+    return phi_from_orbits(ctx, triples, sqrt_exponent)
+
+
+def phi_from_orbits(
+    ctx: QContext,
+    blocks: Iterable[tuple[Fraction, OrbitData, int]],
+    sqrt_exponent: Optional[int] = None,
+) -> int:
+    """Phi over blocks (xi, orbit data of xi, block size), in integer arithmetic.
+
+    The pairing exponents are summed mod q^2 - 1 and the norm residues mod
+    q - 1.  sqrt_exponent defaults to the frozen (q+1)/2 of phi().
+    """
+    q = ctx.q
+    q1 = q - 1
+    q2 = q * q - 1
+    if sqrt_exponent is None:
+        sqrt_exponent = (q + 1) // 2
+    total = 0
+    pi_total = 0
+    for xi, data, size in blocks:
         if size < 1:
             raise ValueError("block sizes must be positive")
         e = data.m * size
         if e % 2:
             raise ValueError(f"phi needs m_xi * |nu_xi| even; orbit {xi} gives {e}")
-        pi_total += size * data.norm
+        pi_total += size * norm_residue(data, q1)
         # <sqrt(beta), xi>_e with sqrt(beta) = g_e^(sqrt_exponent * (q^e-1)/(q^2-1)):
         # the exponent fraction collapses to sqrt_exponent * t_e / (q^2 - 1).
-        t = xi.numerator * ((ctx.q**e - 1) // xi.denominator)
-        total += Fraction(sqrt_exponent * t, ctx.q**2 - 1)
-    if pi_total % 1 != 0:
+        total += sqrt_exponent * xi.numerator * ((q**e - 1) // xi.denominator)
+    if pi_total % q1:
         raise ValueError("phi needs a trivial norm product over the blocks")
-    total %= 1
+    total %= q2
     if total == 0:
         return 1
-    if total == Fraction(1, 2):
+    if 2 * total == q2:
         return -1
     # Guaranteed by the trivial norm product: the square of the pairing
     # product is <beta, Pi> = 1.
-    raise InvariantViolation(f"phi pairing product exponent {total} is not half-integral")
+    raise InvariantViolation(
+        f"phi pairing product exponent {Fraction(total, q2)} is not half-integral"
+    )
 
 
 def in_sigma_tilde(ctx: QContext, x) -> bool:

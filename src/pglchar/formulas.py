@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import oracle, params, symchar
 from .dualgroup import QContext
@@ -89,29 +90,42 @@ def _check_eps(eps: int) -> None:
         raise ValueError(f"eps must be +1 or -1, got {eps}")
 
 
-def _as_nonneg_int(value: Fraction, context: str) -> int:
-    if value.denominator != 1 or value < 0:
-        raise InvariantViolation(f"{context} produced non-integral or negative value {value}")
-    return int(value)
+def _as_nonneg_int(total: int, den: int, context: str, *args) -> int:
+    """total / den as an int; the error names context.format(*args)."""
+    quot, rem = divmod(total, den)
+    if rem or total < 0:
+        raise InvariantViolation(
+            f"{context.format(*args)} produced non-integral or negative value "
+            f"{Fraction(total, den)}"
+        )
+    return quot
 
 
-def _prod_mult_plus_one(p: Partition) -> int:
-    out = 1
-    for mult in p.multiplicities().values():
-        out *= mult + 1
-    return out
+class _BlockStats(NamedTuple):
+    """What the orthogonal multiplicity formulas read from one partition."""
+
+    transpose_even: bool
+    prod_mult_plus_one: int  # prod over distinct parts i of (m_i + 1)
+    odd_mults_even: bool  # every odd part has even multiplicity
+    prod_even_mult_plus_one: int  # prod over distinct even parts i of (m_i + 1)
+    ell2_sign: int  # (-1)^(number of parts = 2 mod 4)
 
 
-def _prod_even_mult_plus_one(p: Partition) -> int:
-    out = 1
-    for part, mult in p.multiplicities().items():
+@lru_cache(maxsize=None)
+def _block_stats(p: Partition) -> _BlockStats:
+    mults = p.multiplicities()
+    prod_all = prod_even = 1
+    for part, mult in mults.items():
+        prod_all *= mult + 1
         if part % 2 == 0:
-            out *= mult + 1
-    return out
-
-
-def _odd_mults_even(p: Partition) -> bool:
-    return all(mult % 2 == 0 for part, mult in p.multiplicities().items() if part % 2)
+            prod_even *= mult + 1
+    return _BlockStats(
+        p.transpose().is_even(),
+        prod_all,
+        all(mult % 2 == 0 for part, mult in mults.items() if part % 2),
+        prod_even,
+        (-1) ** p.length_stats().ell2mod4,
+    )
 
 
 # Irreducible-character multiplicities.
@@ -126,42 +140,45 @@ def mult_pgsp_irr(rho: MultiPartition) -> int:
 
 
 def mult_pgo_irr(rho: MultiPartition, eps: int) -> int:
-    """Multiplicity of the irreducible labelled rho in Ind(1) from PGO_n^eps."""
+    """Multiplicity of the irreducible labelled rho in Ind(1) from PGO_n^eps.
+
+    Sums four times the multiplicity, so every term is an integer.
+    """
     _require_descends(rho)
     _check_eps(eps)
-    entries = rho.orbit_entries()
+    blocks = [(data, _block_stats(part)) for data, part in rho.orbit_entries()]
 
-    total = Fraction(0)
-    if all(data.d == 1 or part.transpose().is_even() for data, part in entries):
+    total = 0
+    if all(data.d == 1 or stats.transpose_even for data, stats in blocks):
         prod = 1
-        for data, part in entries:
+        for data, stats in blocks:
             if data.d == 1:
-                prod *= _prod_mult_plus_one(part)
-        total += Fraction(prod, 4)
+                prod *= stats.prod_mult_plus_one
+        total += prod
 
     if (
-        all(part.transpose().is_even() for _, part in entries)
+        all(stats.transpose_even for _, stats in blocks)
         and params.half_norm_product(rho) == 0
     ):
-        total += Fraction(eps, 2)
+        total += 2 * eps
 
     cond = all(
-        _odd_mults_even(part) if (data.d == 1 and data.m % 2) else part.transpose().is_even()
-        for data, part in entries
+        stats.odd_mults_even if (data.d == 1 and data.m % 2) else stats.transpose_even
+        for data, stats in blocks
         if not (data.d == 1 and data.m % 2 == 0)
     )
     if cond:
         prod = 1
         sign = (-1) ** (rho.n // 2) * params.phi(rho)
-        for data, part in entries:
+        for data, stats in blocks:
             if data.d == 1 and data.m % 2:
-                prod *= _prod_even_mult_plus_one(part)
-                sign *= (-1) ** part.length_stats().ell2mod4
+                prod *= stats.prod_even_mult_plus_one
+                sign *= stats.ell2_sign
             elif data.d == 1:
-                prod *= _prod_mult_plus_one(part)
-        total += Fraction(sign * prod, 4)
+                prod *= stats.prod_mult_plus_one
+        total += sign * prod
 
-    return _as_nonneg_int(total, f"mult_pgo_irr({rho}, {eps:+d})")
+    return _as_nonneg_int(total, 4, "mult_pgo_irr({}, {:+d})", rho, eps)
 
 
 def mult_irr(rho: MultiPartition, subgroup: Subgroup) -> int:
@@ -185,10 +202,11 @@ def mult_unipotent_gl_o(rho: Partition, eps: int) -> int:
     rho = Partition(rho)
     _check_unipotent_size(rho)
     _check_eps(eps)
-    total = Fraction(_prod_mult_plus_one(rho), 2)
-    if rho.transpose().is_even():
-        total += Fraction(eps, 2)
-    return _as_nonneg_int(total, f"mult_unipotent_gl_o({rho}, {eps:+d})")
+    stats = _block_stats(rho)
+    total = stats.prod_mult_plus_one
+    if stats.transpose_even:
+        total += eps
+    return _as_nonneg_int(total, 2, "mult_unipotent_gl_o({}, {:+d})", rho, eps)
 
 
 def mult_unipotent_pgo(rho: Partition, eps: int) -> int:
@@ -196,13 +214,14 @@ def mult_unipotent_pgo(rho: Partition, eps: int) -> int:
     rho = Partition(rho)
     _check_unipotent_size(rho)
     _check_eps(eps)
-    total = Fraction(_prod_mult_plus_one(rho), 4)
-    if rho.transpose().is_even():
-        total += Fraction(eps, 2)
-    if _odd_mults_even(rho):
+    stats = _block_stats(rho)
+    total = stats.prod_mult_plus_one
+    if stats.transpose_even:
+        total += 2 * eps
+    if stats.odd_mults_even:
         sign = (-1) ** (rho.length_stats().ell1 // 2)
-        total += Fraction(sign * _prod_even_mult_plus_one(rho), 4)
-    return _as_nonneg_int(total, f"mult_unipotent_pgo({rho}, {eps:+d})")
+        total += sign * stats.prod_even_mult_plus_one
+    return _as_nonneg_int(total, 4, "mult_unipotent_pgo({}, {:+d})", rho, eps)
 
 
 def mult_unipotent_omega(rho: Partition, subgroup: Subgroup) -> int:
@@ -284,7 +303,8 @@ def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
     Expands B_nu over all irreducible labels with the same block sizes on the
     same orbits.  Pi depends only on the block sizes, so every such label
     descends once nu does.  The keys of nu are canonical and sorted already,
-    so each rho-label is built directly; mult_irr still checks its Pi.
+    so each rho-label is built directly and shares the orbit data of nu;
+    mult_irr still checks its Pi.
     """
     _require_descends(nu)
     keys = [xi for xi, _ in nu.entries]
@@ -299,7 +319,7 @@ def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
                 break
         if coeff == 0:
             continue
-        rho_label = MultiPartition(nu.ctx, nu.n, tuple(zip(keys, rhos)))
+        rho_label = MultiPartition(nu.ctx, nu.n, tuple(zip(keys, rhos)), nu.orbits)
         total += coeff * mult_irr(rho_label, subgroup)
     return sign * total
 
@@ -332,6 +352,24 @@ def decompose(
         labels = [make_label(ctx, n, {Fraction(0): rho}) for rho in partitions_of(n)]
     else:
         labels = params.enumerate_labels(ctx, n, True)
+    return decompose_labels(
+        ctx, n, subgroup, labels, include_zeros=include_zeros, with_degrees=with_degrees
+    )
+
+
+def decompose_labels(
+    ctx: QContext,
+    n: int,
+    subgroup: Subgroup,
+    labels: Iterable[MultiPartition],
+    *,
+    include_zeros: bool = False,
+    with_degrees: bool = False,
+) -> DecompositionReport:
+    """The rows of decompose() for the given labels, in their order.
+
+    The totals run over the given labels only.
+    """
     rows = []
     sum_md = 0 if with_degrees else None
     sum_m2 = 0

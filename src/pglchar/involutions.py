@@ -257,6 +257,8 @@ def identity_weight_signed(nu) -> IdentityCheckResult:
 
 def check_identities(max_size: int) -> list[IdentityCheckResult]:
     """Run all four identities for every nu of size 1..max_size."""
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
     check_limit("ZINV_SIZE_BOUND", max_size, "max_size")
     out = []
     for m in range(1, max_size + 1):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .dualgroup import QContext
+from .dualgroup import QContext, q_context
 from .errors import InvariantViolation, check_limit
 from .params import MultiPartition
 from .partitions import Partition
@@ -46,8 +46,7 @@ def orders(q: int, n: int) -> GroupOrders:
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be odd and >= 3, got {q}")
+    q_context(q)  # q must be an odd prime power
     m = n // 2
     gl = 1
     for i in range(n):
@@ -78,10 +77,11 @@ def orders(q: int, n: int) -> GroupOrders:
     )
 
 
-def _exact_div(a: int, b: int, what: str) -> int:
+def _exact_div(a: int, b: int, what: str, *args) -> int:
+    """a / b as an int; the error names what.format(*args)."""
     quot, rem = divmod(a, b)
     if rem:
-        raise InvariantViolation(f"{what}: {a} is not divisible by {b}")
+        raise InvariantViolation(f"{what.format(*args)}: {a} is not divisible by {b}")
     return quot
 
 
@@ -99,14 +99,23 @@ def degree(ctx: QContext, label: MultiPartition) -> int:
         num *= q**i - 1
     den = 1
     for data, part in label.orbit_entries():
-        t = q**data.m
-        num *= t ** sum(i * p for i, p in enumerate(part))
-        transpose = part.transpose()
-        for i, p in enumerate(part):
-            for j in range(p):
-                hook = p - j + transpose[j] - i - 1
-                den *= t**hook - 1
-    return _exact_div(num, den, f"degree({label})")
+        block_num, block_den = _block_degree_factor(q**data.m, part)
+        num *= block_num
+        den *= block_den
+    return _exact_div(num, den, "degree({})", label)
+
+
+@lru_cache(maxsize=None)
+def _block_degree_factor(t: int, part: Partition) -> tuple[int, int]:
+    """t^n(rho) and prod over the cells of (t^hook - 1), for t = q^m."""
+    num = t ** sum(i * p for i, p in enumerate(part))
+    den = 1
+    transpose = part.transpose()
+    for i, p in enumerate(part):
+        for j in range(p):
+            hook = p - j + transpose[j] - i - 1
+            den *= t**hook - 1
+    return num, den
 
 
 # Matrix oracle (prime q only).

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from . import dualgroup
-from .dualgroup import OrbitData, QContext
+from .dualgroup import OrbitData, QContext, norm_residue
 from .errors import check_limit
 from .partitions import Partition, partitions_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiPartition:
     """Mapping from canonical sigma-orbit representatives to nonempty partitions.
 
@@ -29,11 +29,16 @@ class MultiPartition:
     representative, which fixes the text form and the enumeration order.
     Instances are built through make_label()/parse_label(), which validate
     canonicality and the weight condition sum m_xi * |nu_xi| = n.
+
+    orbits holds the OrbitData of each key, in entry order.  It follows from
+    the keys, so equality, hashing and the text and JSON forms ignore it; a
+    label built without it looks the data up when asked.
     """
 
     ctx: QContext
     n: int
     entries: tuple[tuple[Fraction, Partition], ...]
+    orbits: Optional[tuple[OrbitData, ...]] = field(default=None, compare=False, repr=False)
 
     def get(self, xi) -> Optional[Partition]:
         xi = dualgroup.as_dual(self.ctx, xi)
@@ -46,7 +51,10 @@ class MultiPartition:
         return None
 
     def orbit_entries(self) -> tuple[tuple[OrbitData, Partition], ...]:
-        return tuple((dualgroup.orbit_data(self.ctx, xi), part) for xi, part in self.entries)
+        orbits = self.orbits
+        if orbits is None:
+            orbits = [dualgroup.orbit_data(self.ctx, xi) for xi, _ in self.entries]
+        return tuple(zip(orbits, [part for _, part in self.entries]))
 
     def block_sizes(self) -> dict[Fraction, int]:
         return {xi: part.size() for xi, part in self.entries}
@@ -101,13 +109,14 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
                 f"duplicate orbit key {dualgroup.format_fraction(xi)} after canonicalization"
             )
         canon[xi] = part
-    weight = sum(dualgroup.orbit_size(ctx, xi) * part.size() for xi, part in canon.items())
-    if weight != n:
-        raise ValueError(f"label weight {weight} does not match n = {n}")
     ordered = tuple(
         sorted(canon.items(), key=lambda kv: (kv[0].denominator, kv[0].numerator))
     )
-    return MultiPartition(ctx, n, ordered)
+    orbits = tuple(dualgroup.orbit_data(ctx, xi) for xi, _ in ordered)
+    weight = sum(data.m * part.size() for data, (_, part) in zip(orbits, ordered))
+    if weight != n:
+        raise ValueError(f"label weight {weight} does not match n = {n}")
+    return MultiPartition(ctx, n, ordered, orbits)
 
 
 def _orbit_fits(q: int, den: int, n: int) -> bool:
@@ -124,23 +133,23 @@ def _orbit_fits(q: int, den: int, n: int) -> bool:
     return False
 
 
-def _norm_residue(data: OrbitData, q1: int) -> int:
-    """N(xi) as a residue mod q - 1 = q1: N(xi) = residue / q1 in Q/Z."""
-    return data.norm.numerator * (q1 // data.norm.denominator)
+def _pi_residue(mp: MultiPartition) -> int:
+    """Pi as a residue mod q - 1."""
+    q1 = mp.ctx.q - 1
+    total = 0
+    for data, part in mp.orbit_entries():
+        total += part.size() * norm_residue(data, q1)
+    return total % q1
 
 
 def pi(mp: MultiPartition) -> Fraction:
     """The norm product Pi, written additively: sum of |nu_xi| * N(xi) mod 1."""
-    q1 = mp.ctx.q - 1
-    total = 0
-    for data, part in mp.orbit_entries():
-        total += part.size() * _norm_residue(data, q1)
-    return Fraction(total % q1, q1)
+    return Fraction(_pi_residue(mp), mp.ctx.q - 1)
 
 
 def in_P_hat(mp: MultiPartition) -> bool:
     """True iff the label descends to PGL, i.e. Pi is trivial."""
-    return pi(mp) == 0
+    return _pi_residue(mp) == 0
 
 
 def half_norm_product(mp: MultiPartition) -> Optional[Fraction]:
@@ -155,13 +164,16 @@ def half_norm_product(mp: MultiPartition) -> Optional[Fraction]:
         size = part.size()
         if size % 2:
             return None
-        total += (size // 2) * _norm_residue(data, q1)
+        total += (size // 2) * norm_residue(data, q1)
     return Fraction(total % q1, q1)
 
 
 def phi(mp: MultiPartition) -> int:
     """The sign Phi of the label (requires trivial Pi and all m_xi |nu_xi| even)."""
-    return dualgroup.phi(mp.ctx, mp.block_sizes())
+    return dualgroup.phi_from_orbits(
+        mp.ctx,
+        [(xi, data, part.size()) for (xi, _), (data, part) in zip(mp.entries, mp.orbit_entries())],
+    )
 
 
 def parse_label(ctx: QContext, n: int, text: str) -> MultiPartition:
@@ -211,27 +223,30 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
         raise ValueError(f"n must be even and >= 2, got {n}")
     orbits = dualgroup.orbits_up_to(ctx, n)
     q1 = ctx.q - 1
-    residues = [_norm_residue(data, q1) for data in orbits]
+    residues = [norm_residue(data, q1) for data in orbits]
     # fits[r]: indices of the orbits with m <= r, in representative order.
     fits = [[i for i, data in enumerate(orbits) if data.m <= r] for r in range(n + 1)]
     out: list[MultiPartition] = []
     acc: list[tuple[Fraction, Partition]] = []
+    acc_orbits: list[OrbitData] = []
 
     def rec(start: int, remaining: int, norm: int) -> None:
         if remaining == 0:
             if not restrict_to_P_hat or norm == 0:
                 check_limit("LABEL_BUDGET", len(out) + 1, "labels kept")
-                out.append(MultiPartition(ctx, n, tuple(acc)))
+                out.append(MultiPartition(ctx, n, tuple(acc), tuple(acc_orbits)))
             return
         candidates = fits[remaining]
         for i in candidates[bisect_left(candidates, start) :]:
             data = orbits[i]
+            acc_orbits.append(data)
             for k in range(remaining // data.m, 0, -1):
                 child_norm = (norm + k * residues[i]) % q1
                 for part in partitions_of(k):
                     acc.append((data.rep, part))
                     rec(i + 1, remaining - data.m * k, child_norm)
                     acc.pop()
+            acc_orbits.pop()
 
     rec(0, n, 0)
     return out

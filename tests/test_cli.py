@@ -178,3 +178,44 @@ def test_cross_check_refuses_large_n_before_enumerating(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "ZINV_SIZE_BOUND" in err
+
+
+@pytest.mark.parametrize("q", ["15", "21"])
+def test_orders_rejects_q_that_is_not_a_prime_power(capsys, q):
+    code, out, err = run(capsys, "orders", "--q", q, "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "not a prime power" in err
+
+
+@pytest.mark.parametrize("max_size", ["0", "-1"])
+def test_verify_identities_rejects_max_size_below_one(capsys, max_size):
+    code, out, err = run(capsys, "verify-identities", "--max-size", max_size)
+    assert code == 2
+    assert out == ""
+    assert "max_size must be >= 1" in err
+
+
+def test_single_label_decompose_goes_through_formulas(capsys, monkeypatch):
+    from pglchar import cli
+
+    args = ["decompose", "--q", "5", "--n", "2", "--subgroup", "pgo+", "--include-zeros"]
+    code, full, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    for row in json.loads(full)["rows"]:
+        code, out, _ = run(capsys, *args, "--label", row["label"], "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rows"] == [row]
+        assert payload["totals"] == {
+            "sum_md": row["mult"] * row["degree"],
+            "sum_m2": row["mult"] ** 2,
+        }
+    # The PGSp {0,1} check now covers a single label as well.
+    monkeypatch.setattr(cli.formulas, "mult_pgsp_irr", lambda label: 2)
+    code, out, err = run(
+        capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--label", "0/1:[2]"
+    )
+    assert code == 4
+    assert out == ""
+    assert "outside {0,1}" in err

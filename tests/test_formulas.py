@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from pglchar import formulas, involutions, oracle, params
+from pglchar import dualgroup, formulas, involutions, oracle, params
 from pglchar.dualgroup import q_context, canonical_rep, orbit, tilde_d
+from pglchar.errors import InvariantViolation
 from pglchar.formulas import (
     Subgroup,
     decompose,
@@ -282,3 +283,171 @@ def test_decompose_pgo_n2_closed_form(q):
     report = decompose(ctx, 2, Subgroup.PGO_MINUS)
     assert {r.label.text() for r in report.rows} == minus
     assert all(r.mult == 1 for r in report.rows)
+
+
+# The Fraction formulas the integer ones replaced, kept as the reference.
+
+
+def _ref_prod_mult_plus_one(p):
+    out = 1
+    for mult in p.multiplicities().values():
+        out *= mult + 1
+    return out
+
+
+def _ref_prod_even_mult_plus_one(p):
+    out = 1
+    for part, mult in p.multiplicities().items():
+        if part % 2 == 0:
+            out *= mult + 1
+    return out
+
+
+def _ref_odd_mults_even(p):
+    return all(mult % 2 == 0 for part, mult in p.multiplicities().items() if part % 2)
+
+
+def _ref_phi(ctx, blocks, sqrt_exponent):
+    total = Fraction(0)
+    pi_total = Fraction(0)
+    for xi, size in blocks.items():
+        data = dualgroup.orbit_data(ctx, xi)
+        e = data.m * size
+        assert e % 2 == 0
+        pi_total += size * data.norm
+        t = xi.numerator * ((ctx.q**e - 1) // xi.denominator)
+        total += Fraction(sqrt_exponent * t, ctx.q**2 - 1)
+    assert pi_total % 1 == 0
+    total %= 1
+    assert total in (0, Fraction(1, 2))
+    return 1 if total == 0 else -1
+
+
+def _ref_mult_pgo_irr(rho, eps):
+    entries = [(dualgroup.orbit_data(rho.ctx, xi), part) for xi, part in rho.entries]
+    total = Fraction(0)
+    if all(data.d == 1 or part.transpose().is_even() for data, part in entries):
+        prod = 1
+        for data, part in entries:
+            if data.d == 1:
+                prod *= _ref_prod_mult_plus_one(part)
+        total += Fraction(prod, 4)
+    if (
+        all(part.transpose().is_even() for _, part in entries)
+        and params.half_norm_product(rho) == 0
+    ):
+        total += Fraction(eps, 2)
+    cond = all(
+        _ref_odd_mults_even(part) if (data.d == 1 and data.m % 2) else part.transpose().is_even()
+        for data, part in entries
+        if not (data.d == 1 and data.m % 2 == 0)
+    )
+    if cond:
+        prod = 1
+        phi = _ref_phi(rho.ctx, rho.block_sizes(), (rho.ctx.q + 1) // 2)
+        sign = (-1) ** (rho.n // 2) * phi
+        for data, part in entries:
+            if data.d == 1 and data.m % 2:
+                prod *= _ref_prod_even_mult_plus_one(part)
+                sign *= (-1) ** part.length_stats().ell2mod4
+            elif data.d == 1:
+                prod *= _ref_prod_mult_plus_one(part)
+        total += Fraction(sign * prod, 4)
+    assert total.denominator == 1 and total >= 0
+    return int(total)
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (3, 6)])
+def test_integer_formulas_match_fraction_reference(q, n):
+    ctx = q_context(q)
+    phis = 0
+    for label in enumerate_labels(ctx, n, True):
+        for eps in (1, -1):
+            assert mult_pgo_irr(label, eps) == _ref_mult_pgo_irr(label, eps), label
+        if all(data.m * part.size() % 2 == 0 for data, part in label.orbit_entries()):
+            for j in (0, 1):
+                exponent = (q + 1) // 2 + j * (q + 1)
+                expected = _ref_phi(ctx, label.block_sizes(), exponent)
+                assert dualgroup._phi_with_exponent(ctx, label.block_sizes(), exponent) == expected
+            assert params.phi(label) == _ref_phi(ctx, label.block_sizes(), (q + 1) // 2)
+            phis += 1
+    assert phis > 0
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_unipotent_formulas_match_fraction_reference(q):
+    ctx = q_context(q)
+    for n in (2, 4, 6):
+        for rho in partitions_of(n):
+            for eps in (1, -1):
+                gl = Fraction(_ref_prod_mult_plus_one(rho), 2)
+                if rho.transpose().is_even():
+                    gl += Fraction(eps, 2)
+                assert mult_unipotent_gl_o(rho, eps) == gl
+                assert mult_unipotent_pgo(rho, eps) == _ref_mult_pgo_irr(
+                    unipotent(ctx, rho), eps
+                )
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4)])
+def test_decompose_reads_the_orbit_data_carried_by_labels(monkeypatch, q, n):
+    ctx = q_context(q)
+    expected = {
+        sg: decompose(ctx, n, sg, include_zeros=True, with_degrees=True) for sg in Subgroup
+    }
+
+    def fail(ctx, xi):
+        raise AssertionError("orbit_data looked up again")
+
+    monkeypatch.setattr(dualgroup, "orbit_data", fail)
+    for sg in Subgroup:
+        got = decompose(ctx, n, sg, include_zeros=True, with_degrees=True)
+        assert got == expected[sg]
+        assert [row.label.orbits for row in got.rows] == [
+            row.label.orbits for row in expected[sg].rows
+        ]
+
+
+def test_labels_are_formatted_only_for_errors(monkeypatch):
+    labels = enumerate_labels(Q3, 4, True)
+
+    def fail(self):
+        raise AssertionError("label formatted on the success path")
+
+    monkeypatch.setattr(MultiPartition, "__str__", fail)
+    for sg in Subgroup:
+        decompose(Q3, 4, sg, with_degrees=True)
+    for label in labels:
+        mult_basic_via_transition(label, Subgroup.PGO_MINUS)
+    monkeypatch.undo()
+    label = unipotent(Q3, [4])
+    with pytest.raises(InvariantViolation) as info:
+        formulas._as_nonneg_int(-2, 4, "mult_pgo_irr({}, {:+d})", label, 1)
+    assert str(info.value) == (
+        "mult_pgo_irr(0/1:[4], +1) produced non-integral or negative value -1/2"
+    )
+    with pytest.raises(InvariantViolation, match=r"^degree\(0/1:\[4\]\): 7 is not divisible by 2$"):
+        oracle._exact_div(7, 2, "degree({})", label)
+
+
+def test_decompose_labels_matches_the_rows_of_decompose():
+    for sg in Subgroup:
+        full = decompose(Q5, 2, sg, include_zeros=True, with_degrees=True)
+        for row in full.rows:
+            single = formulas.decompose_labels(
+                Q5, 2, sg, [row.label], include_zeros=True, with_degrees=True
+            )
+            assert single.rows == (row,)
+            assert single.sum_mult_times_degree == row.mult * row.degree
+            assert single.sum_mult_squared == row.mult * row.mult
+        rows = formulas.decompose_labels(
+            Q5, 2, sg, [r.label for r in full.rows], include_zeros=True, with_degrees=True
+        )
+        assert rows == full
+
+
+def test_decompose_labels_checks_the_pgsp_invariant(monkeypatch):
+    label = unipotent(Q3, [2])
+    monkeypatch.setattr(formulas, "mult_pgsp_irr", lambda rho: 2)
+    with pytest.raises(InvariantViolation, match="outside"):
+        formulas.decompose_labels(Q3, 2, Subgroup.PGSP, [label], include_zeros=True)

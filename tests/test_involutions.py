@@ -165,6 +165,12 @@ def test_check_identities_capacity():
         check_identities(99)
 
 
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_check_identities_needs_a_positive_max_size(max_size):
+    with pytest.raises(ValueError, match="max_size must be >= 1"):
+        check_identities(max_size)
+
+
 def test_epsilon_nu_examples():
     assert epsilon_nu(make_label(Q3, 2, {Fraction(0): [1, 1]})) == 1
     assert epsilon_nu(make_label(Q3, 2, {Fraction(1, 2): [2]})) == -1

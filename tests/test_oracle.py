@@ -46,6 +46,12 @@ def test_orders_validation():
         orders(4, 2)
 
 
+@pytest.mark.parametrize("q", [15, 21])
+def test_orders_rejects_q_that_is_not_a_prime_power(q):
+    with pytest.raises(ValueError, match="not a prime power"):
+        orders(q, 2)
+
+
 def test_degree_examples():
     # trivial and Steinberg
     for q in (3, 5, 7):

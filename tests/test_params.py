@@ -256,3 +256,25 @@ def test_get_skips_an_orbit_longer_than_n(monkeypatch):
 
     monkeypatch.setattr(dualgroup, "canonical_rep", fail)
     assert mp.get(Fraction(1, 1000000007)) is None
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (9, 4)])
+def test_enumerated_labels_carry_their_orbit_data(q, n):
+    ctx = q_context(q)
+    for restrict in (True, False):
+        for mp in enumerate_labels(ctx, n, restrict):
+            assert mp.orbits == tuple(dualgroup.orbit_data(ctx, xi) for xi, _ in mp.entries)
+
+
+def test_orbit_data_does_not_change_equality_or_hash():
+    for ctx, n in ((Q3, 4), (Q5, 4)):
+        for mp in enumerate_labels(ctx, n, True):
+            parsed = parse_label(ctx, n, mp.text())
+            assert parsed == mp and hash(parsed) == hash(mp)
+            assert parsed.orbits == mp.orbits
+            bare = params.MultiPartition(ctx, n, mp.entries)
+            assert bare.orbits is None
+            assert bare == mp and hash(bare) == hash(mp)
+            assert bare.text() == mp.text() and bare.to_json_dict() == mp.to_json_dict()
+            assert bare.orbit_entries() == mp.orbit_entries()
+            assert repr(bare) == repr(mp)
