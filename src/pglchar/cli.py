@@ -24,11 +24,28 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["table", "json", "csv"], default="table")
 
 
+def _emit(fmt: str, payload: dict, headers: list[str], rows, footers=(), line=None) -> None:
+    """Write one report in the chosen format.
+
+    json writes payload; csv and table write headers, rows and footers.
+    rows may be a generator, so json never builds them.  line, if given, is
+    the whole table form of a one-number answer.
+    """
+    if fmt == "json":
+        _emit_json(payload)
+    elif fmt == "csv":
+        _emit_csv(headers, rows, footers)
+    elif line is not None:
+        print(line)
+    else:
+        _emit_table(headers, rows, footers)
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _emit_table(headers: list[str], rows: list[list], footers: list[str] = ()) -> None:
+def _emit_table(headers: list[str], rows, footers=()) -> None:
     table = [headers] + [[str(v) for v in row] for row in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
     for row in table:
@@ -37,12 +54,11 @@ def _emit_table(headers: list[str], rows: list[list], footers: list[str] = ()) -
         print(line)
 
 
-def _emit_csv(headers: list[str], rows: list[list], footers: list[str] = ()) -> None:
+def _emit_csv(headers: list[str], rows, footers=()) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     sys.stdout.write(buf.getvalue())
     for line in footers:
         print(f"#{line}")
@@ -59,60 +75,39 @@ def cmd_decompose(args) -> int:
         )
     else:
         report = formulas.decompose(
-            ctx,
-            args.n,
-            subgroup,
-            include_zeros=args.include_zeros,
-            with_degrees=with_degrees,
-            unipotent_only=args.unipotent_only,
+            ctx, args.n, subgroup, include_zeros=args.include_zeros,
+            with_degrees=with_degrees, unipotent_only=args.unipotent_only,
         )
     payload = report.to_json_dict()
-    if args.format == "json":
-        _emit_json(payload)
-        return 0
-    headers = ["label", "mult"] + (["degree"] if with_degrees else [])
-    rows = []
-    for row in report.rows:
-        cells = [row.label.text(), row.mult]
-        if with_degrees:
-            cells.append(row.degree)
-        rows.append(cells)
-    footers = [
-        f"sum(mult*degree) = {report.sum_mult_times_degree}",
-        f"sum(mult^2) = {report.sum_mult_squared}",
-    ]
-    if args.format == "csv":
-        _emit_csv(headers, rows, footers)
-    else:
-        _emit_table(headers, rows, footers)
+    _emit(
+        args.format,
+        payload,
+        ["label", "mult"] + (["degree"] if with_degrees else []),
+        (list(row.values()) for row in payload["rows"]),
+        [
+            f"sum(mult*degree) = {report.sum_mult_times_degree}",
+            f"sum(mult^2) = {report.sum_mult_squared}",
+        ],
+    )
     return 0
 
 
 def cmd_verify_identities(args) -> int:
     results = involutions.check_identities(args.max_size)
-    failures = 0
-    rows = []
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        failures += not res.passed
-        rows.append([res.name, str(res.nu), res.lhs, res.rhs, status])
+    failures = sum(not res.passed for res in results)
+    headers = ["identity", "nu", "lhs", "rhs", "status"]
+    rows = [
+        [res.name, str(res.nu), res.lhs, res.rhs, "PASS" if res.passed else "FAIL"]
+        for res in results
+    ]
+    payload = {
+        "schema_version": 1,
+        "max_size": args.max_size,
+        "checks": [dict(zip(headers, row)) for row in rows],
+        "failures": failures,
+    }
     summary = f"identities: {len(results)} checks, {failures} failures"
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": 1,
-                "max_size": args.max_size,
-                "checks": [
-                    {"identity": r[0], "nu": r[1], "lhs": r[2], "rhs": r[3], "status": r[4]}
-                    for r in rows
-                ],
-                "failures": failures,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(["identity", "nu", "lhs", "rhs", "status"], rows, [summary])
-    else:
-        _emit_table(["identity", "nu", "lhs", "rhs", "status"], rows, [summary])
+    _emit(args.format, payload, headers, rows, [summary])
     if failures:
         raise InvariantViolation(f"{failures} identity checks failed")
     return 0
@@ -130,79 +125,61 @@ def cmd_cross_check(args) -> int:
     for subgroup in Subgroup:
         bad_before = len(mismatches)
         for label in labels:
-            routes = {"transition": formulas.mult_basic_via_transition(label, subgroup)}
-            if subgroup is Subgroup.PGSP:
-                routes["closed-form"] = formulas.mult_pgsp_basic(label)
-            else:
-                routes["closed-form"] = formulas.mult_pgo_basic(label, subgroup.eps)
+            routes = {
+                "transition": formulas.mult_basic_via_transition(label, subgroup),
+                "closed-form": formulas.mult_basic(label, subgroup),
+            }
+            if subgroup is not Subgroup.PGSP:
                 routes["involution"] = involutions.threeterm_bruteforce(label, subgroup.eps)
             if len(set(routes.values())) != 1:
-                mismatches.append((subgroup.value, label.text(), routes))
+                mismatches.append(
+                    {"subgroup": subgroup.value, "label": label.text(), "routes": routes}
+                )
         rows.append(
             [subgroup.value, len(labels), "agree" if len(mismatches) == bad_before else "MISMATCH"]
         )
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": 1,
-                "q": args.q,
-                "n": args.n,
-                "labels": len(labels),
-                "mismatches": [
-                    {"subgroup": s, "label": l, "routes": r} for s, l, r in mismatches
-                ],
-            }
-        )
-    else:
-        _emit_table(["subgroup", "labels", "status"], rows)
+    payload = {
+        "schema_version": 1,
+        "q": args.q,
+        "n": args.n,
+        "labels": len(labels),
+        "mismatches": mismatches,
+    }
+    _emit(args.format, payload, ["subgroup", "labels", "status"], rows)
     if mismatches:
         raise InvariantViolation(f"{len(mismatches)} route mismatches")
     return 0
 
 
 def cmd_orders(args) -> int:
-    data = oracle.orders(args.q, args.n)
-    if args.format == "json":
-        _emit_json({"schema_version": 1, **data.to_json_dict()})
-    else:
-        _emit_table(["field", "value"], [[k, v] for k, v in data.to_json_dict().items()])
+    data = oracle.orders(args.q, args.n).to_json_dict()
+    _emit(args.format, {"schema_version": 1, **data}, ["field", "value"], data.items())
     return 0
 
 
 def cmd_dcosets(args) -> int:
     count = oracle.double_cosets(args.q, args.n, args.h1, args.h2)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": 1,
-                "q": args.q,
-                "n": args.n,
-                "h1": args.h1,
-                "h2": args.h2,
-                "double_cosets": count,
-            }
-        )
-    else:
-        print(f"double cosets {args.h1}\\PGL_{args.n}(F_{args.q})/{args.h2}: {count}")
+    fields = {"q": args.q, "n": args.n, "h1": args.h1, "h2": args.h2, "double_cosets": count}
+    _emit(
+        args.format,
+        {"schema_version": 1, **fields},
+        list(fields),
+        [list(fields.values())],
+        line=f"double cosets {args.h1}\\PGL_{args.n}(F_{args.q})/{args.h2}: {count}",
+    )
     return 0
 
 
 def cmd_forms(args) -> int:
     orbits = oracle.enumerate_forms(args.q, args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": 1,
-                "q": args.q,
-                "n": args.n,
-                "orbits": [o.to_json_dict() for o in orbits],
-            }
-        )
-    else:
-        _emit_table(
-            ["kind", "orbit_size", "stabilizer_order"],
-            [[o.kind, o.size, o.stabilizer_order] for o in orbits],
-        )
+    payload = {
+        "schema_version": 1,
+        "q": args.q,
+        "n": args.n,
+        "orbits": [o.to_json_dict() for o in orbits],
+    }
+    rows = [[o.kind, o.size, o.stabilizer_order] for o in orbits]
+    _emit(args.format, payload, ["kind", "orbit_size", "stabilizer_order"], rows)
     return 0
 
 
@@ -224,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=_even_positive, required=True)
     p.add_argument("--subgroup", required=True, help="pgsp, pgo+ or pgo-")
-    p.add_argument("--label", help="restrict to one label, e.g. '0/1:[2,1] + 1/2:[1]'")
-    p.add_argument("--unipotent-only", action="store_true")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--label", help="restrict to one label, e.g. '0/1:[2,1] + 1/2:[1]'")
+    only.add_argument("--unipotent-only", action="store_true")
     p.add_argument("--include-zeros", action="store_true")
     p.add_argument("--no-degrees", action="store_true", help="skip the degree column")
     _add_common(p)
@@ -267,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # print every answer that is computed
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

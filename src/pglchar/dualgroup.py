@@ -16,12 +16,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Mapping, Optional
 
 from .errors import InvariantViolation, check_limit
 
-IDENTITY = Fraction(0)
 # Unique element of order 2 fixed by sigma: q odd makes denominator 2 legal.
 ETA = Fraction(1, 2)
 
@@ -39,7 +38,7 @@ class QContext:
     def __post_init__(self) -> None:
         if self.q % 2 == 0 or self.q < 3:
             raise ValueError(f"q must be an odd prime power >= 3, got {self.q}")
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
+        if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
             raise ValueError(f"{self.p} is not prime")
         if self.k < 1 or self.p**self.k != self.q:
             raise ValueError(f"q = {self.q} is not {self.p}^{self.k}")
@@ -49,8 +48,9 @@ def q_context(q: int) -> QContext:
     q = int(q)
     if q < 3 or q % 2 == 0:
         raise ValueError(f"q must be an odd prime power >= 3, got {q}")
+    check_limit("Q_BOUND", q, "q")
     p = q
-    for d in range(3, int(q**0.5) + 1, 2):
+    for d in range(3, isqrt(q) + 1, 2):
         if q % d == 0:
             p = d
             break
@@ -213,21 +213,6 @@ def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
 def norm_residue(data: OrbitData, q1: int) -> int:
     """N(xi) as a residue mod q - 1 = q1: N(xi) = residue / q1 in Q/Z."""
     return data.norm.numerator * (q1 // data.norm.denominator)
-
-
-def pairing_exponent(ctx: QContext, level: int, field_exp: int, x) -> Fraction:
-    """Exponent in [0,1) of the root of unity <g_level^field_exp, x>_level.
-
-    Requires x in L^(sigma^level), i.e. denominator dividing q^level - 1.
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    x = as_dual(ctx, x)
-    modulus = ctx.q**level - 1
-    if modulus % x.denominator:
-        raise ValueError(f"{x} is not fixed by sigma^{level}")
-    t = x.numerator * (modulus // x.denominator)
-    return Fraction(field_exp * t, modulus) % 1
 
 
 def phi(ctx: QContext, blocks: Mapping[Fraction, int]) -> int:

@@ -11,6 +11,10 @@ enumerate_labels checks as it keeps each label.
 """
 
 LIMITS = {
+    # q, checked before q_context factors it by trial division up to sqrt(q)
+    "Q_BOUND": 1 << 40,
+    # n^2 * bit_length(q), which bounds the bits of |GL_n(F_q)|: orders, degrees
+    "ORDER_BITS_BOUND": 1 << 18,
     # dual-group elements of order dividing q^e - 1, e <= n, listed by orbits_up_to
     "ORBIT_ELEMENT_BUDGET": 2_000_000,
     # labels kept by enumerate_labels

@@ -17,7 +17,7 @@ from itertools import product as iter_product
 from typing import Iterable, NamedTuple, Optional
 
 from . import oracle, params, symchar
-from .dualgroup import QContext
+from .dualgroup import QContext, q_context
 from .errors import InvariantViolation
 from .params import MultiPartition, make_label
 from .partitions import Partition, partitions_of
@@ -187,62 +187,39 @@ def mult_irr(rho: MultiPartition, subgroup: Subgroup) -> int:
     return mult_pgo_irr(rho, subgroup.eps)
 
 
-# Unipotent fast paths (labels supported on the trivial dual element).
+# Unipotent characters: the labels {0/1: rho}.  There d = 1, Pi = 0 and
+# Phi = 1, so the multiplicities do not depend on q and one context serves.
+
+_UNIPOTENT_CTX = q_context(3)
+
+
+def unipotent_label(ctx: QContext, rho) -> MultiPartition:
+    """The label {0/1: rho} of the unipotent character chi^rho (n = |rho|)."""
+    rho = Partition(rho)
+    return make_label(ctx, rho.size(), {Fraction(0): rho})
 
 
 def mult_unipotent_pgsp(rho: Partition) -> int:
-    """1 iff rho is even: the unipotent constituents from Sp all survive."""
-    rho = Partition(rho)
-    _check_unipotent_size(rho)
-    return 1 if rho.is_even() else 0
+    """mult_pgsp_irr on {0/1: rho}: 1 iff rho is even."""
+    return mult_pgsp_irr(unipotent_label(_UNIPOTENT_CTX, rho))
+
+
+def mult_unipotent_pgo(rho: Partition, eps: int) -> int:
+    """mult_pgo_irr on {0/1: rho}: the PGL-level orthogonal multiplicity."""
+    return mult_pgo_irr(unipotent_label(_UNIPOTENT_CTX, rho), eps)
 
 
 def mult_unipotent_gl_o(rho: Partition, eps: int) -> int:
     """GL-level orthogonal multiplicity: (1/2)prod(m_i+1) + eps/2 [rho' even]."""
     rho = Partition(rho)
-    _check_unipotent_size(rho)
+    if rho.size() % 2 or not rho:
+        raise ValueError(f"unipotent labels need |rho| = n even and positive, got {rho}")
     _check_eps(eps)
     stats = _block_stats(rho)
     total = stats.prod_mult_plus_one
     if stats.transpose_even:
         total += eps
     return _as_nonneg_int(total, 2, "mult_unipotent_gl_o({}, {:+d})", rho, eps)
-
-
-def mult_unipotent_pgo(rho: Partition, eps: int) -> int:
-    """PGL-level orthogonal multiplicity of the unipotent character chi^rho."""
-    rho = Partition(rho)
-    _check_unipotent_size(rho)
-    _check_eps(eps)
-    stats = _block_stats(rho)
-    total = stats.prod_mult_plus_one
-    if stats.transpose_even:
-        total += 2 * eps
-    if stats.odd_mults_even:
-        sign = (-1) ** (rho.length_stats().ell1 // 2)
-        total += sign * stats.prod_even_mult_plus_one
-    return _as_nonneg_int(total, 4, "mult_unipotent_pgo({}, {:+d})", rho, eps)
-
-
-def mult_unipotent_omega(rho: Partition, subgroup: Subgroup) -> int:
-    """Multiplicity in the omega-twisted induction, unipotent case only.
-
-    The GL-level multiplicity splits as Ind(1) + Ind(omega); the twist is
-    the difference.  (Identically zero for PGSp.)
-    """
-    rho = Partition(rho)
-    if subgroup is Subgroup.PGSP:
-        total = (1 if rho.is_even() else 0) - mult_unipotent_pgsp(rho)
-    else:
-        total = mult_unipotent_gl_o(rho, subgroup.eps) - mult_unipotent_pgo(rho, subgroup.eps)
-    if total < 0:
-        raise InvariantViolation(f"negative omega multiplicity for {rho}")
-    return total
-
-
-def _check_unipotent_size(rho: Partition) -> None:
-    if rho.size() % 2 or not rho:
-        raise ValueError(f"unipotent labels need |rho| = n even and positive, got {rho}")
 
 
 # Basic-character multiplicities (closed forms).
@@ -349,7 +326,7 @@ def decompose(
     from the q-analog hook-length formula when requested.
     """
     if unipotent_only:
-        labels = [make_label(ctx, n, {Fraction(0): rho}) for rho in partitions_of(n)]
+        labels = [unipotent_label(ctx, rho) for rho in partitions_of(n)]
     else:
         labels = params.enumerate_labels(ctx, n, True)
     return decompose_labels(
@@ -370,6 +347,8 @@ def decompose_labels(
 
     The totals run over the given labels only.
     """
+    if with_degrees:
+        oracle.check_order_bits(ctx.q, n)
     rows = []
     sum_md = 0 if with_degrees else None
     sum_m2 = 0

@@ -177,22 +177,11 @@ def _zinv_consecutive(nu_parts: tuple[int, ...]) -> tuple[CentralizerInvolution,
     )
 
 
-def enumerate_zinv(nu, *, base: tuple[int, ...] | None = None) -> tuple[CentralizerInvolution, ...]:
-    """All involutions commuting with w_nu (the identity included), with stats.
-
-    ``base`` overrides the fixed w_nu by any permutation of the same cycle
-    type; the statistics, and in particular the count, do not depend on it.
-    """
+def enumerate_zinv(nu) -> tuple[CentralizerInvolution, ...]:
+    """All involutions commuting with w_nu (the identity included), with stats."""
     nu = Partition(nu)
     check_limit("ZINV_SIZE_BOUND", nu.size(), "|nu|")
-    if base is None:
-        return _zinv_consecutive(tuple(nu))
-    cycles = _cycles_of(base)
-    if sorted((len(c) for c in cycles), reverse=True) != list(nu):
-        raise ValueError(f"base permutation does not have cycle type {nu}")
-    return tuple(
-        _classify(v, nu, cycles) for v in _involutions(nu.size()) if _commutes(v, base)
-    )
+    return _zinv_consecutive(tuple(nu))
 
 
 def count_fixed_point_free(nu) -> int:

@@ -47,6 +47,7 @@ def orders(q: int, n: int) -> GroupOrders:
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     q_context(q)  # q must be an odd prime power
+    check_order_bits(q, n)
     m = n // 2
     gl = 1
     for i in range(n):
@@ -75,6 +76,15 @@ def orders(q: int, n: int) -> GroupOrders:
         _exact_div(pgl, o_plus, "index_pgo_plus"),
         _exact_div(pgl, o_minus, "index_pgo_minus"),
     )
+
+
+def check_order_bits(q: int, n: int) -> None:
+    """Refuse (q, n) before any group order or degree is computed.
+
+    n^2 * bit_length(q) bounds the bits of |GL_n(F_q)|, and so of every
+    order, index and degree.
+    """
+    check_limit("ORDER_BITS_BOUND", n * n * q.bit_length(), f"n^2 * bit_length(q) at q={q}, n={n}")
 
 
 def _exact_div(a: int, b: int, what: str, *args) -> int:
@@ -121,15 +131,6 @@ def _block_degree_factor(t: int, part: Partition) -> tuple[int, int]:
 # Matrix oracle (prime q only).
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    for d in range(2, int(q**0.5) + 1):
-        if q % d == 0:
-            return False
-    return True
 
 
 def _mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
@@ -208,7 +209,7 @@ class ProjectiveMatrixGroup:
 
 @lru_cache(maxsize=None)
 def projective_group(q: int, n: int) -> ProjectiveMatrixGroup:
-    if not _is_prime(q) or q == 2:
+    if q_context(q).k != 1:
         raise ValueError(f"matrix oracle supports odd prime q only, got {q}")
     expected = orders(q, n).pgl
     check_limit("GROUP_ORDER_BUDGET", expected, f"|PGL_{n}(F_{q})|")

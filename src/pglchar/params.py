@@ -31,24 +31,14 @@ class MultiPartition:
     canonicality and the weight condition sum m_xi * |nu_xi| = n.
 
     orbits holds the OrbitData of each key, in entry order.  It follows from
-    the keys, so equality, hashing and the text and JSON forms ignore it; a
-    label built without it looks the data up when asked.
+    the keys, so equality, hashing and the text form ignore it; a label
+    built without it looks the data up when asked.
     """
 
     ctx: QContext
     n: int
     entries: tuple[tuple[Fraction, Partition], ...]
     orbits: Optional[tuple[OrbitData, ...]] = field(default=None, compare=False, repr=False)
-
-    def get(self, xi) -> Optional[Partition]:
-        xi = dualgroup.as_dual(self.ctx, xi)
-        if not _orbit_fits(self.ctx.q, xi.denominator, self.n):
-            return None  # no key has an orbit longer than n
-        xi = dualgroup.canonical_rep(self.ctx, xi)
-        for key, part in self.entries:
-            if key == xi:
-                return part
-        return None
 
     def orbit_entries(self) -> tuple[tuple[OrbitData, Partition], ...]:
         orbits = self.orbits
@@ -66,16 +56,6 @@ class MultiPartition:
 
     def __str__(self) -> str:
         return self.text()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.ctx.q,
-            "n": self.n,
-            "entries": [
-                {"xi": dualgroup.format_fraction(xi), "partition": list(part)}
-                for xi, part in self.entries
-            ],
-        }
 
 
 def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
@@ -194,20 +174,6 @@ def parse_label(ctx: QContext, n: int, text: str) -> MultiPartition:
     return make_label(ctx, n, pairs)
 
 
-def label_from_json_dict(ctx: QContext, data: Mapping) -> MultiPartition:
-    if int(data["q"]) != ctx.q:
-        raise ValueError(f"label JSON is for q = {data['q']}, not q = {ctx.q}")
-    pairs = [(entry["xi"], Partition(entry["partition"])) for entry in data["entries"]]
-    return make_label(ctx, int(data["n"]), pairs)
-
-
-def invert_label(mp: MultiPartition) -> MultiPartition:
-    """Apply xi -> xi^(-1) to every orbit key (partitions unchanged)."""
-    return make_label(
-        mp.ctx, mp.n, [((-xi) % 1, part) for xi, part in mp.entries]
-    )
-
-
 def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> list[MultiPartition]:
     """All labels of weight n, once each, in a fixed deterministic order.
 
@@ -226,6 +192,7 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
     residues = [norm_residue(data, q1) for data in orbits]
     # fits[r]: indices of the orbits with m <= r, in representative order.
     fits = [[i for i, data in enumerate(orbits) if data.m <= r] for r in range(n + 1)]
+    parts_of = [partitions_of(k) for k in range(n + 1)]
     out: list[MultiPartition] = []
     acc: list[tuple[Fraction, Partition]] = []
     acc_orbits: list[OrbitData] = []
@@ -242,7 +209,7 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
             acc_orbits.append(data)
             for k in range(remaining // data.m, 0, -1):
                 child_norm = (norm + k * residues[i]) % q1
-                for part in partitions_of(k):
+                for part in parts_of[k]:
                     acc.append((data.rep, part))
                     rec(i + 1, remaining - data.m * k, child_norm)
                     acc.pop()

@@ -50,12 +50,6 @@ class Partition(tuple):
                 cols[j] += 1
         return Partition(cols)
 
-    def multiplicity(self, i: int) -> int:
-        """Number of parts equal to i."""
-        if i < 1:
-            raise ValueError("parts are >= 1")
-        return sum(1 for part in self if part == i)
-
     def multiplicities(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for part in self:

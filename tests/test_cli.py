@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -63,15 +64,27 @@ def test_table_and_json_agree(capsys):
 
 
 def test_csv_output_parses(capsys):
-    code, out, _ = run(
-        capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+",
-        "--format", "csv",
-    )
-    assert code == 0
-    data_lines = [l for l in out.splitlines() if not l.startswith("#")]
-    rows = list(csv.reader(io.StringIO("\n".join(data_lines))))
-    assert rows[0] == ["label", "mult", "degree"]
-    assert ["0/1:[2]", "1", "1"] in rows
+    cases = [
+        (["decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+"],
+         ["label", "mult", "degree"], ["0/1:[2]", "1", "1"]),
+        (["verify-identities", "--max-size", "2"],
+         ["identity", "nu", "lhs", "rhs", "status"], ["ff-count", "[2]", "1", "1", "PASS"]),
+        (["cross-check", "--q", "3", "--n", "2"],
+         ["subgroup", "labels", "status"], ["pgo+", "5", "agree"]),
+        (["orders", "--q", "3", "--n", "2"], ["field", "value"], ["index_pgo_plus", "6"]),
+        (["dcosets", "--q", "3", "--n", "2", "--h1", "pgsp", "--h2", "pgo+"],
+         ["q", "n", "h1", "h2", "double_cosets"], ["3", "2", "pgsp", "pgo+", "1"]),
+        (["forms", "--q", "3", "--n", "2"],
+         ["kind", "orbit_size", "stabilizer_order"], ["pgo-", "3", "8"]),
+    ]
+    for argv, header, row in cases:
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        data_lines = [l for l in out.splitlines() if not l.startswith("#")]
+        rows = list(csv.reader(io.StringIO("\n".join(data_lines))))
+        assert rows[0] == header, argv
+        assert row in rows[1:], argv
+        assert all(len(r) == len(header) for r in rows), argv
 
 
 def test_deterministic_output(capsys):
@@ -219,3 +232,70 @@ def test_single_label_decompose_goes_through_formulas(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "outside {0,1}" in err
+
+
+def test_label_and_unipotent_only_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+",
+              "--label", "1/4:[1]", "--unipotent-only"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["orders", "decompose"])
+def test_huge_q_is_refused_before_factoring(capsys, command):
+    argv = [command, "--q", "999999999999999989", "--n", "2"]
+    if command == "decompose":
+        argv += ["--subgroup", "pgsp"]
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "Q_BOUND" in err
+
+
+def test_large_prime_q_is_still_answered(capsys):
+    q = 1000000007
+    code, out, _ = run(capsys, "orders", "--q", str(q), "--n", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pgl"] == q * (q * q - 1)
+    assert payload["index_pgsp"] == 1
+
+
+def test_large_answers_are_printed_in_full(capsys):
+    # |GL_96(F_3)| has over 4,300 decimal digits.
+    code, out, _ = run(capsys, "orders", "--q", "3", "--n", "96")
+    assert code == 0
+    gl = next(line.split()[1] for line in out.splitlines() if line.startswith("gl "))
+    assert len(gl) > 4300
+    code, out, _ = run(capsys, "orders", "--q", "1000000007", "--n", "22", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["n"] == 22
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orders", "--q", "3", "--n", "400"],
+        ["orders", "--q", "3", "--n", "2000"],
+        ["decompose", "--q", "3", "--n", "2000", "--subgroup", "pgsp", "--label", "0/1:[2000]"],
+    ],
+)
+def test_orders_and_degrees_too_large_are_refused(capsys, argv):
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "ORDER_BITS_BOUND" in err
+
+
+def test_multiplicity_without_degrees_skips_the_order_bound(capsys):
+    code, out, _ = run(
+        capsys, "decompose", "--q", "3", "--n", "2000", "--subgroup", "pgsp",
+        "--label", "0/1:[2000]", "--no-degrees", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["rows"] == [{"label": "0/1:[2000]", "mult": 1}]

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from pglchar import dualgroup
 from pglchar.dualgroup import (
@@ -14,7 +13,6 @@ from pglchar.dualgroup import (
     orbit_data,
     orbit_size,
     orbits_up_to,
-    pairing_exponent,
     parse_fraction,
     phi,
     q_context,
@@ -207,35 +205,6 @@ def test_canonical_rep_and_orbit_data_match_fraction_reference():
 def test_orbits_capacity():
     with pytest.raises(CapacityError):
         orbits_up_to(Q9, 7)
-
-
-def test_pairing_exponent_examples():
-    # <-1, eta> at level 1: exponent fraction 1/2, i.e. the value -1
-    assert pairing_exponent(Q3, 1, (3 - 1) // 2, Fraction(1, 2)) == Fraction(1, 2)
-    assert pairing_exponent(Q3, 1, 2, Fraction(1, 2)) == 0
-    assert pairing_exponent(Q5, 1, 2, Fraction(1, 2)) == 0
-
-
-def test_pairing_exponent_precondition():
-    with pytest.raises(ValueError):
-        pairing_exponent(Q3, 1, 1, Fraction(1, 8))  # 8 does not divide q-1
-
-
-@given(st.data())
-def test_pairing_bimultiplicative(data):
-    ctx = data.draw(st.sampled_from([Q3, Q5]))
-    level = data.draw(st.integers(min_value=1, max_value=3))
-    modulus = ctx.q**level - 1
-    a = data.draw(st.integers(min_value=-8, max_value=8))
-    b = data.draw(st.integers(min_value=-8, max_value=8))
-    x = Fraction(data.draw(st.integers(min_value=0, max_value=modulus - 1)), modulus)
-    y = Fraction(data.draw(st.integers(min_value=0, max_value=modulus - 1)), modulus)
-    lhs = pairing_exponent(ctx, level, a + b, x)
-    rhs = (pairing_exponent(ctx, level, a, x) + pairing_exponent(ctx, level, b, x)) % 1
-    assert lhs == rhs
-    lhs = pairing_exponent(ctx, level, a, (x + y) % 1)
-    rhs = (pairing_exponent(ctx, level, a, x) + pairing_exponent(ctx, level, a, y)) % 1
-    assert lhs == rhs
 
 
 def test_phi_examples():

@@ -15,7 +15,6 @@ from pglchar.formulas import (
     mult_pgsp_basic,
     mult_pgsp_irr,
     mult_unipotent_gl_o,
-    mult_unipotent_omega,
     mult_unipotent_pgo,
     mult_unipotent_pgsp,
 )
@@ -94,29 +93,18 @@ def test_unipotent_pgo_examples():
     assert mult_unipotent_pgo(Partition([2, 2]), +1) == 2
 
 
-def test_unipotent_omega_examples():
-    assert mult_unipotent_omega(Partition([1, 1, 1, 1]), Subgroup.PGO_MINUS) == 1
-    assert mult_unipotent_omega(Partition([2, 2]), Subgroup.PGSP) == 0
-    assert mult_unipotent_omega(Partition([4]), Subgroup.PGO_PLUS) == 0
-
-
-def test_unipotent_omega_nonnegative():
-    for n in (2, 4, 6, 8):
-        for rho in partitions_of(n):
-            for sg in Subgroup:
-                assert mult_unipotent_omega(rho, sg) >= 0
-
-
 def test_unipotent_consistency_with_general_formula():
-    # the general formula restricted to {1: rho} equals the closed unipotent
-    # fast paths, independently of q
+    # the general formula restricted to {0/1: rho} equals the closed unipotent
+    # forms, independently of q
     for n in (2, 4, 6, 8):
         for rho in partitions_of(n):
             for ctx in (Q3, Q5):
                 label = unipotent(ctx, rho)
-                assert mult_pgsp_irr(label) == mult_unipotent_pgsp(rho)
+                assert mult_pgsp_irr(label) == _ref_mult_unipotent_pgsp(rho)
+                assert mult_unipotent_pgsp(rho) == _ref_mult_unipotent_pgsp(rho)
                 for eps in (1, -1):
-                    assert mult_pgo_irr(label, eps) == mult_unipotent_pgo(rho, eps)
+                    assert mult_pgo_irr(label, eps) == _ref_mult_unipotent_pgo(rho, eps)
+                    assert mult_unipotent_pgo(rho, eps) == _ref_mult_unipotent_pgo(rho, eps)
 
 
 def test_unipotent_inequality():
@@ -230,7 +218,9 @@ def test_decompose_unipotent_only_matches_fast_paths():
         for sg in Subgroup:
             report = decompose(ctx, 4, sg, include_zeros=True, unipotent_only=True)
             expected = [
-                mult_unipotent_pgsp(r) if sg is Subgroup.PGSP else mult_unipotent_pgo(r, sg.eps)
+                _ref_mult_unipotent_pgsp(r)
+                if sg is Subgroup.PGSP
+                else _ref_mult_unipotent_pgo(r, sg.eps)
                 for r in partitions_of(4)
             ]
             assert [row.mult for row in report.rows] == expected
@@ -353,6 +343,22 @@ def _ref_mult_pgo_irr(rho, eps):
             elif data.d == 1:
                 prod *= _ref_prod_mult_plus_one(part)
         total += Fraction(sign * prod, 4)
+    assert total.denominator == 1 and total >= 0
+    return int(total)
+
+
+def _ref_mult_unipotent_pgsp(rho):
+    return 1 if rho.is_even() else 0
+
+
+def _ref_mult_unipotent_pgo(rho, eps):
+    # The closed unipotent form: ell1 is the number of odd parts.
+    total = Fraction(_ref_prod_mult_plus_one(rho), 4)
+    if rho.transpose().is_even():
+        total += Fraction(eps, 2)
+    if _ref_odd_mults_even(rho):
+        sign = (-1) ** (rho.length_stats().ell1 // 2)
+        total += Fraction(sign * _ref_prod_even_mult_plus_one(rho), 4)
     assert total.denominator == 1 and total >= 0
     return int(total)
 

@@ -9,8 +9,6 @@ from pglchar.params import (
     enumerate_labels,
     half_norm_product,
     in_P_hat,
-    invert_label,
-    label_from_json_dict,
     make_label,
     parse_label,
     pi,
@@ -90,15 +88,6 @@ def test_text_round_trip():
             assert parse_label(ctx, n, mp.text()) == mp
 
 
-def test_json_round_trip():
-    for mp in enumerate_labels(Q3, 4, True):
-        data = mp.to_json_dict()
-        assert data["q"] == 3 and data["n"] == 4
-        assert label_from_json_dict(Q3, data) == mp
-    with pytest.raises(ValueError):
-        label_from_json_dict(Q5, enumerate_labels(Q3, 2, True)[0].to_json_dict())
-
-
 def test_enumerate_labels_q3_n2():
     got = {mp.text() for mp in enumerate_labels(Q3, 2, True)}
     assert got == {"0/1:[2]", "0/1:[1,1]", "1/2:[2]", "1/2:[1,1]", "1/4:[1]"}
@@ -136,7 +125,12 @@ def test_closed_under_inversion():
     for ctx, n in ((Q3, 2), (Q3, 4), (Q5, 2), (Q5, 4)):
         for restrict in (True, False):
             labels = set(enumerate_labels(ctx, n, restrict))
-            assert {invert_label(mp) for mp in labels} == labels
+            # xi -> xi^(-1) on every orbit key, partitions unchanged
+            inverted = {
+                make_label(ctx, n, [((-xi) % 1, part) for xi, part in mp.entries])
+                for mp in labels
+            }
+            assert inverted == labels
 
 
 def test_phi_invariance_across_labels():
@@ -228,6 +222,23 @@ def test_enumeration_keeps_labels_without_testing_pi(monkeypatch, q, n):
     assert enumerate_labels(ctx, n, True) == expected
 
 
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (3, 6)])
+def test_enumeration_lists_the_partitions_once(monkeypatch, q, n):
+    # The partitions of each k <= n are listed before the search, not at
+    # every (orbit, k) node.
+    ctx = q_context(q)
+    expected = _linear_scan_labels(ctx, n, True)
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return partitions_of(k)
+
+    monkeypatch.setattr(params, "partitions_of", counting)
+    assert enumerate_labels(ctx, n, True) == expected
+    assert len(calls) <= n + 1
+
+
 def test_orbit_longer_than_n_is_rejected_before_listing():
     # The orbit of 1/1000000007 under q = 3 has about 5 * 10^8 elements.
     with pytest.raises(ValueError, match="longer than n"):
@@ -238,24 +249,6 @@ def test_orbit_longer_than_n_is_rejected_before_listing():
     with pytest.raises(ValueError, match="longer than n"):
         make_label(Q3, 2, {Fraction(1, 26): [1]})
     assert make_label(Q3, 4, {Fraction(1, 26): [1], Fraction(0): [1]}).n == 4
-
-
-def test_get_canonicalizes():
-    mp = make_label(Q3, 2, {Fraction(1, 8): [1]})
-    assert mp.get(Fraction(3, 8)) == Partition([1])
-    assert mp.get(Fraction(1, 4)) is None
-
-
-def test_get_skips_an_orbit_longer_than_n(monkeypatch):
-    # The orbit of 1/1000000007 under q = 3 has about 5 * 10^8 elements; no
-    # key of a label of weight 2 can lie on it, so it is never listed.
-    mp = make_label(Q3, 2, {Fraction(1, 8): [1]})
-
-    def fail(ctx, xi):
-        raise AssertionError("get listed the orbit")
-
-    monkeypatch.setattr(dualgroup, "canonical_rep", fail)
-    assert mp.get(Fraction(1, 1000000007)) is None
 
 
 @pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (9, 4)])
@@ -275,6 +268,6 @@ def test_orbit_data_does_not_change_equality_or_hash():
             bare = params.MultiPartition(ctx, n, mp.entries)
             assert bare.orbits is None
             assert bare == mp and hash(bare) == hash(mp)
-            assert bare.text() == mp.text() and bare.to_json_dict() == mp.to_json_dict()
+            assert bare.text() == mp.text()
             assert bare.orbit_entries() == mp.orbit_entries()
             assert repr(bare) == repr(mp)

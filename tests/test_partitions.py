@@ -42,11 +42,9 @@ def test_transpose_involutive_up_to_12():
 
 
 def test_multiplicity_examples():
-    assert Partition([2, 2, 1]).multiplicity(2) == 2
-    assert Partition([2, 2, 1]).multiplicity(3) == 0
-    assert Partition([1, 1, 1, 1]).multiplicity(1) == 4
-    with pytest.raises(ValueError):
-        Partition([2]).multiplicity(0)
+    assert Partition([2, 2, 1]).multiplicities() == {2: 2, 1: 1}
+    assert Partition([1, 1, 1, 1]).multiplicities() == {1: 4}
+    assert Partition().multiplicities() == {}
 
 
 def test_multiplicity_weight_identity():
