@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_orders)
 
-    p = sub.add_parser("dcosets", help="brute-force double-coset count")
+    p = sub.add_parser("dcosets", help="double-coset count from orbits on forms")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=_even_positive, required=True)
     p.add_argument("--h1", required=True, choices=["pgsp", "pgo+", "pgo-"])

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Optional
 
-from .errors import InvariantViolation, check_limit
+from .errors import LIMITS, InvariantViolation, check_limit
 
 # Unique element of order 2 fixed by sigma: q odd makes denominator 2 legal.
 ETA = Fraction(1, 2)
@@ -183,8 +183,14 @@ def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    estimate = sum(ctx.q**e for e in range(1, n + 1))
-    check_limit("ORBIT_ELEMENT_BUDGET", estimate, f"dual elements to list at q={ctx.q}, n={n}")
+    # Stop summing once the budget is passed: q^e for large e is a huge int.
+    estimate = 0
+    for e in range(1, n + 1):
+        estimate += ctx.q**e
+        if estimate > LIMITS["ORBIT_ELEMENT_BUDGET"]:
+            break
+    what = f"dual elements to list at q={ctx.q}, n={n}, levels e <= {e}"
+    check_limit("ORBIT_ELEMENT_BUDGET", estimate, what)
     q = ctx.q
     # One norm Fraction per residue, shared by every orbit with that norm.
     norms = [Fraction(r, q - 1) for r in range(q - 1)]

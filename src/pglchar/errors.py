@@ -25,10 +25,13 @@ LIMITS = {
     "CHARACTER_TABLE_BOUND": 14,
     # m for listing the partitions of m
     "PARTITIONS_OF_BOUND": 30,
-    # |PGL_n(F_q)| for the matrix oracle
+    # |PGL_n(F_q)| listed for form orbits, stabilizers and class counts
     "GROUP_ORDER_BUDGET": 1_000_000,
-    # matrices scanned by the matrix oracle
+    # matrices scanned to list PGL_n(F_q)
     "MATRIX_SCAN_BUDGET": 5_000_000,
+    # forms up to scalars (the index of H1) times the generators applied to
+    # them (GL_n's and H2's), for the double-coset count
+    "FORM_ACTION_BUDGET": 1_100_000,
 }
 
 

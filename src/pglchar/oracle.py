@@ -1,9 +1,12 @@
 """Formula-independent ground truth at desk scale.
 
 Closed-form group orders and q-analog hook-length degrees work for any odd
-prime power q.  The matrix-group computations (conjugacy classes, orbits on
-form classes, stabilizers, double cosets) are restricted to prime q and
-deliberately dumb: enumerate every element and count.
+prime power q.  The matrix-group computations are restricted to prime q.
+Conjugacy classes, the orbits on form classes and their stabilizers are
+deliberately dumb: list every element of PGL_n and count, so in practice
+n = 2.  Double cosets never list PGL: double_cosets checks its capacity
+limit and counts them in `formorbits` as orbits on forms, which reaches
+n = 4.
 """
 
 from __future__ import annotations
@@ -36,6 +39,14 @@ class GroupOrders:
 
     def to_json_dict(self) -> dict:
         return dict(self.__dict__)
+
+    def index_of(self, kind: str) -> int:
+        """The index in PGL of the subgroup of kind pgsp, pgo+ or pgo-."""
+        return {
+            "pgsp": self.index_pgsp,
+            "pgo+": self.index_pgo_plus,
+            "pgo-": self.index_pgo_minus,
+        }[kind]
 
 
 def orders(q: int, n: int) -> GroupOrders:
@@ -340,29 +351,32 @@ def subgroup_elements(q: int, n: int, kind: str) -> tuple[Matrix, ...]:
     raise ValueError(f"unknown subgroup kind {kind!r}; expected pgsp, pgo+ or pgo-")
 
 
+# Double cosets (prime q only), counted in formorbits without listing PGL.
+
+_FORM_KINDS = ("pgsp", "pgo+", "pgo-")
+
+
 def double_cosets(q: int, n: int, kind1: str, kind2: str) -> int:
-    """#(H1 \\ PGL / H2) by direct orbit counting."""
-    group = projective_group(q, n)
-    h1 = subgroup_elements(q, n, kind1)
-    h2 = subgroup_elements(q, n, kind2)
-    visited: set[Matrix] = set()
-    count = 0
-    for g in group.elements:
-        if g in visited:
-            continue
-        count += 1
-        frontier = [g]
-        visited.add(g)
-        while frontier:
-            x = frontier.pop()
-            for h in h1:
-                y = group.mul(h, x)
-                if y not in visited:
-                    visited.add(y)
-                    frontier.append(y)
-            for h in h2:
-                y = group.mul(x, h)
-                if y not in visited:
-                    visited.add(y)
-                    frontier.append(y)
-    return count
+    """#(H1 \\ PGL_n(F_q) / H2) for prime q, without listing PGL.
+
+    The count is symmetric (g -> g^-1 swaps the sides), so it is taken as
+    orbits on the forms of the kind with the smaller index.
+    """
+    for kind in (kind1, kind2):
+        if kind not in _FORM_KINDS:
+            raise ValueError(f"unknown subgroup kind {kind!r}; expected pgsp, pgo+ or pgo-")
+    if q_context(q).k != 1:
+        raise ValueError(f"matrix oracle supports odd prime q only, got {q}")
+    ords = orders(q, n)
+    if ords.index_of(kind1) > ords.index_of(kind2):
+        kind1, kind2 = kind2, kind1
+    points = (q**n - 1) // (q - 1)
+    generators = n * (n - 1) + 1 + (2 if kind2 == "pgsp" else 1) * points + 1
+    check_limit(
+        "FORM_ACTION_BUDGET",
+        ords.index_of(kind1) * generators,
+        f"forms of kind {kind1} times generators for {kind2} at q={q}, n={n}",
+    )
+    from .formorbits import orbits_on_forms  # loaded on use: no other command pays for it
+
+    return orbits_on_forms(q, n, kind1, kind2)

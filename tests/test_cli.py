@@ -142,6 +142,31 @@ def test_dcosets_command(capsys):
     assert json.loads(out)["double_cosets"] == 1
 
 
+def test_dcosets_reaches_n4(capsys):
+    code, out, _ = run(
+        capsys, "dcosets", "--q", "3", "--n", "4", "--h1", "pgo-", "--h2", "pgsp",
+    )
+    assert code == 0
+    assert out == "double cosets pgo-\\PGL_4(F_3)/pgsp: 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, message",
+    [
+        (["--q", "5", "--n", "4", "--h1", "pgo+", "--h2", "pgo+"], 3, "FORM_ACTION_BUDGET"),
+        (["--q", "9", "--n", "4", "--h1", "pgo+", "--h2", "pgo+"], 2, "prime"),
+        (["--q", "9", "--n", "2", "--h1", "pgsp", "--h2", "pgo-"], 2, "prime"),
+    ],
+)
+def test_dcosets_refusals_are_immediate(capsys, argv, exit_code, message):
+    started = time.monotonic()
+    code, out, err = run(capsys, "dcosets", *argv, "--format", "json")
+    assert time.monotonic() - started < 1.0
+    assert code == exit_code
+    assert out == ""
+    assert message in err
+
+
 def test_forms_command(capsys):
     code, out, _ = run(capsys, "forms", "--q", "3", "--n", "2", "--format", "json")
     assert code == 0
@@ -299,3 +324,16 @@ def test_multiplicity_without_degrees_skips_the_order_bound(capsys):
     )
     assert code == 0
     assert json.loads(out)["rows"] == [{"label": "0/1:[2000]", "mult": 1}]
+
+
+@pytest.mark.parametrize("n", ["20000", "200000"])
+def test_orbit_budget_refuses_large_n_at_once(capsys, n):
+    started = time.monotonic()
+    code, out, err = run(
+        capsys, "decompose", "--q", "3", "--n", n, "--subgroup", "pgsp", "--no-degrees",
+    )
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "ORBIT_ELEMENT_BUDGET" in err
+    assert len(err) < 200

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from pglchar import oracle, params
+from pglchar import formorbits, oracle, params
 from pglchar.dualgroup import q_context
-from pglchar.errors import CapacityError
+from pglchar.errors import CapacityError, InvariantViolation
+from pglchar.formulas import Subgroup, decompose
 from pglchar.oracle import (
     conjugacy_class_count,
     degree,
@@ -148,11 +149,54 @@ def test_subgroup_elements_are_subgroups():
         subgroup_elements(3, 2, "pso")
 
 
+KINDS = {"pgsp": Subgroup.PGSP, "pgo+": Subgroup.PGO_PLUS, "pgo-": Subgroup.PGO_MINUS}
+
+
+def _ref_double_cosets(q, n, kind1, kind2):
+    """#(H1 \\ PGL / H2) by brute force: a search over every element of PGL."""
+    group = projective_group(q, n)
+    h1 = subgroup_elements(q, n, kind1)
+    h2 = subgroup_elements(q, n, kind2)
+    visited = set()
+    count = 0
+    for g in group.elements:
+        if g in visited:
+            continue
+        count += 1
+        frontier = [g]
+        visited.add(g)
+        while frontier:
+            x = frontier.pop()
+            for h in h1:
+                y = group.mul(h, x)
+                if y not in visited:
+                    visited.add(y)
+                    frontier.append(y)
+            for h in h2:
+                y = group.mul(x, h)
+                if y not in visited:
+                    visited.add(y)
+                    frontier.append(y)
+    return count
+
+
+def _pair_sums(q, n):
+    """Sum over labels of mult_k1 * mult_k2, for every ordered pair of kinds."""
+    ctx = q_context(q)
+    mults = {
+        kind: {row.label: row.mult for row in decompose(ctx, n, sg, include_zeros=True).rows}
+        for kind, sg in KINDS.items()
+    }
+    return {
+        (k1, k2): sum(m * mults[k2][label] for label, m in mults[k1].items())
+        for k1 in KINDS
+        for k2 in KINDS
+    }
+
+
 def test_double_cosets_examples():
     assert double_cosets(3, 2, "pgsp", "pgsp") == 1
     # Frobenius: <Ind 1, Ind 1> equals the double-coset count
-    from pglchar.formulas import Subgroup, decompose
-
     for q in (3, 5):
         ctx = q_context(q)
         for kind, sg in (("pgo+", Subgroup.PGO_PLUS), ("pgo-", Subgroup.PGO_MINUS)):
@@ -162,19 +206,9 @@ def test_double_cosets_examples():
 
 def test_mixed_double_cosets_match_inner_products():
     # <Ind_H 1, Ind_K 1> = #(H\G/K) for distinct subgroups too
-    from pglchar.formulas import Subgroup, decompose
-
-    kinds = {"pgsp": Subgroup.PGSP, "pgo+": Subgroup.PGO_PLUS, "pgo-": Subgroup.PGO_MINUS}
-    for q in (3, 5):
-        ctx = q_context(q)
-        mults = {}
-        for kind, sg in kinds.items():
-            report = decompose(ctx, 2, sg, include_zeros=True)
-            mults[kind] = [row.mult for row in report.rows]
-        for k1 in kinds:
-            for k2 in kinds:
-                inner = sum(a * b for a, b in zip(mults[k1], mults[k2]))
-                assert double_cosets(q, 2, k1, k2) == inner, (q, k1, k2)
+    for q, n in ((3, 2), (5, 2), (3, 4)):
+        for (k1, k2), inner in _pair_sums(q, n).items():
+            assert double_cosets(q, n, k1, k2) == inner, (q, n, k1, k2)
 
 
 def test_degree_sum_matches_index():
@@ -191,3 +225,80 @@ def test_degree_sum_matches_index():
         for sg, index in expected.items():
             report = decompose(ctx, 2, sg, with_degrees=True)
             assert report.sum_mult_times_degree == index
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_double_cosets_match_brute_force_n2(q):
+    for k1 in KINDS:
+        for k2 in KINDS:
+            assert double_cosets(q, 2, k1, k2) == _ref_double_cosets(q, 2, k1, k2), (q, k1, k2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_double_cosets_are_symmetric(q):
+    for k1 in KINDS:
+        for k2 in KINDS:
+            # Both orientations of the orbit count, not only the one chosen.
+            count = formorbits.orbits_on_forms(q, 2, k1, k2)
+            assert count == formorbits.orbits_on_forms(q, 2, k2, k1), (q, k1, k2)
+            assert double_cosets(q, 2, k1, k2) == double_cosets(q, 2, k2, k1) == count
+
+
+def test_double_cosets_are_symmetric_n4():
+    assert formorbits.orbits_on_forms(3, 4, "pgo-", "pgsp") == 3
+    assert formorbits.orbits_on_forms(3, 4, "pgsp", "pgo-") == 3
+    assert double_cosets(3, 4, "pgo-", "pgsp") == double_cosets(3, 4, "pgsp", "pgo-")
+
+
+@pytest.mark.slow
+def test_double_cosets_pgsp_pairs_q5_n4():
+    assert double_cosets(5, 4, "pgsp", "pgsp") == 7
+    assert double_cosets(5, 4, "pgsp", "pgo+") == 8
+    assert double_cosets(5, 4, "pgsp", "pgo-") == 6
+
+
+def test_double_cosets_never_list_pgl(monkeypatch):
+    def refuse(q, n):
+        raise AssertionError("double_cosets listed PGL")
+
+    monkeypatch.setattr(oracle, "projective_group", refuse)
+    assert double_cosets(11, 2, "pgsp", "pgo+") == 1
+    assert double_cosets(3, 2, "pgo+", "pgo+") == 3
+
+
+def test_double_cosets_refuse_before_building_forms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("forms built before the capacity check")
+
+    monkeypatch.setattr(formorbits, "orbits_on_forms", refuse)
+    with pytest.raises(CapacityError, match="FORM_ACTION_BUDGET"):
+        double_cosets(5, 4, "pgo+", "pgo+")
+    with pytest.raises(ValueError, match="prime"):
+        double_cosets(9, 2, "pgsp", "pgsp")
+    with pytest.raises(ValueError, match="unknown subgroup kind"):
+        double_cosets(3, 2, "pgsp", "pso")
+
+
+def test_double_cosets_check_the_orbit_size(monkeypatch):
+    # A standard form of the wrong kind has an orbit of the wrong size.
+    right = formorbits._standard_form
+
+    def plus_form(q, n, kind, delta):
+        return right(q, n, "pgo+", delta)
+
+    monkeypatch.setattr(formorbits, "_standard_form", plus_form)
+    with pytest.raises(InvariantViolation, match="forms of kind pgo-"):
+        double_cosets(3, 2, "pgo-", "pgo-")
+
+
+def test_double_cosets_check_each_generator(monkeypatch):
+    # A transposed similitude of the anisotropic plane does not scale it.
+    right = formorbits._similitude
+
+    def transposed(q, n, kind, delta):
+        g, mu = right(q, n, kind, delta)
+        return tuple(zip(*g)), mu
+
+    monkeypatch.setattr(formorbits, "_similitude", transposed)
+    with pytest.raises(InvariantViolation, match="does not scale the form"):
+        double_cosets(5, 2, "pgo-", "pgo-")
