@@ -66,11 +66,15 @@ def q_context(q: int) -> QContext:
 
 @dataclass(frozen=True, slots=True)
 class OrbitData:
-    """A sigma-orbit: canonical representative, size m, norm N in L^sigma, sign d."""
+    """A sigma-orbit: canonical representative, size m, norm residue r, sign d.
+
+    The norm N(xi) lies in L^sigma = (1/(q-1))Z/Z; r is its residue mod
+    q - 1, so N(xi) = r / (q - 1), and d = <-1, N(xi)> = (-1)^r.
+    """
 
     rep: Fraction
     m: int
-    norm: Fraction
+    r: int
     d: int
 
 
@@ -162,15 +166,19 @@ def canonical_rep(ctx: QContext, x) -> Fraction:
 
 @lru_cache(maxsize=None)
 def orbit_data(ctx: QContext, x) -> OrbitData:
+    """The OrbitData of the sigma-orbit of x.
+
+    Written as x = a / (q^m - 1), x has norm a / (q - 1), so r = a mod (q - 1).
+    """
     x = as_dual(ctx, x)
-    num, den = x.numerator, x.denominator
-    m = _mult_order(ctx.q, den)
-    nx = Fraction(num * ((ctx.q**m - 1) // (ctx.q - 1)) % den, den)
-    if (ctx.q - 1) % nx.denominator:
-        raise InvariantViolation(f"norm {nx} of {x} is not sigma-fixed")
+    q = ctx.q
+    m = _mult_order(q, x.denominator)
+    level = q**m - 1
+    if level % x.denominator:
+        raise InvariantViolation(f"orbit size {m} of {x} does not satisfy den | q^m - 1")
+    r = x.numerator * (level // x.denominator) % (q - 1)
     # d = <-1, N(xi)>: -1 has exponent (q-1)/2, so the pairing is a parity.
-    t = nx.numerator * ((ctx.q - 1) // nx.denominator)
-    return OrbitData(canonical_rep(ctx, x), m, nx, -1 if t % 2 else 1)
+    return OrbitData(canonical_rep(ctx, x), m, r, -1 if r % 2 else 1)
 
 
 def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
@@ -179,7 +187,7 @@ def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
     Level e lists the residues a mod q^e - 1 by orbits of a -> a * q.  An
     orbit shorter than e belongs to a lower level and is skipped.  The first
     unmarked a is the least member of its orbit, so a / (q^e - 1) is the
-    canonical representative, and its norm is a mod (q - 1) over q - 1.
+    canonical representative, and its norm residue r is a mod (q - 1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -192,8 +200,6 @@ def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
     what = f"dual elements to list at q={ctx.q}, n={n}, levels e <= {e}"
     check_limit("ORBIT_ELEMENT_BUDGET", estimate, what)
     q = ctx.q
-    # One norm Fraction per residue, shared by every orbit with that norm.
-    norms = [Fraction(r, q - 1) for r in range(q - 1)]
     out: list[OrbitData] = []
     for e in range(1, n + 1):
         level = q**e - 1
@@ -211,29 +217,21 @@ def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
                     break
             if length == e:
                 r = a % (q - 1)
-                out.append(OrbitData(Fraction(a, level), e, norms[r], -1 if r % 2 else 1))
+                out.append(OrbitData(Fraction(a, level), e, r, -1 if r % 2 else 1))
     out.sort(key=lambda od: (od.rep.denominator, od.rep.numerator))
     return out
 
 
-def norm_residue(data: OrbitData, q1: int) -> int:
-    """N(xi) as a residue mod q - 1 = q1: N(xi) = residue / q1 in Q/Z."""
-    return data.norm.numerator * (q1 // data.norm.denominator)
-
-
-def phi(ctx: QContext, blocks: Mapping[Fraction, int]) -> int:
+def phi(
+    ctx: QContext, blocks: Mapping[Fraction, int], sqrt_exponent: Optional[int] = None
+) -> int:
     """The sign Phi of a label given as a map orbit-representative -> block size.
 
     Defined when the norm product over the blocks is trivial and every
     m_xi * size is even.  Uses the frozen square root sqrt(beta) = g_2^((q+1)/2),
-    so beta = g_1 is a non-square; the result does not depend on that choice.
+    so beta = g_1 is a non-square; the result does not depend on that choice,
+    which sqrt_exponent (default (q+1)/2) moves to test it.
     """
-    return _phi_with_exponent(ctx, blocks)
-
-
-def _phi_with_exponent(
-    ctx: QContext, blocks: Mapping[Fraction, int], sqrt_exponent: Optional[int] = None
-) -> int:
     triples = []
     for xi, size in blocks.items():
         xi = as_dual(ctx, xi)
@@ -264,7 +262,7 @@ def phi_from_orbits(
         e = data.m * size
         if e % 2:
             raise ValueError(f"phi needs m_xi * |nu_xi| even; orbit {xi} gives {e}")
-        pi_total += size * norm_residue(data, q1)
+        pi_total += size * data.r
         # <sqrt(beta), xi>_e with sqrt(beta) = g_e^(sqrt_exponent * (q^e-1)/(q^2-1)):
         # the exponent fraction collapses to sqrt_exponent * t_e / (q^2 - 1).
         total += sqrt_exponent * xi.numerator * ((q**e - 1) // xi.denominator)

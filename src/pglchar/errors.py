@@ -29,8 +29,9 @@ LIMITS = {
     "GROUP_ORDER_BUDGET": 1_000_000,
     # matrices scanned to list PGL_n(F_q)
     "MATRIX_SCAN_BUDGET": 5_000_000,
-    # forms up to scalars (the index of H1) times the generators applied to
-    # them (GL_n's and H2's), for the double-coset count
+    # forms up to scalars (the index of H1) times the maps applied to them
+    # (GL_n's and H2's generators and the q - 1 scalings that key the class
+    # table), for the double-coset count
     "FORM_ACTION_BUDGET": 1_100_000,
 }
 

@@ -146,7 +146,7 @@ def mult_pgo_irr(rho: MultiPartition, eps: int) -> int:
     """
     _require_descends(rho)
     _check_eps(eps)
-    blocks = [(data, _block_stats(part)) for data, part in rho.orbit_entries()]
+    blocks = [(data, _block_stats(part)) for data, part in rho.entries]
 
     total = 0
     if all(data.d == 1 or stats.transpose_even for data, stats in blocks):
@@ -240,7 +240,7 @@ def mult_pgo_basic(nu: MultiPartition, eps: int) -> int:
     """Inner product of the basic character B_nu with Ind(1) from PGO_n^eps."""
     _require_descends(nu)
     _check_eps(eps)
-    entries = nu.orbit_entries()
+    entries = nu.entries
 
     term1 = Fraction(1, 4)
     for data, part in entries:
@@ -279,12 +279,12 @@ def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
 
     Expands B_nu over all irreducible labels with the same block sizes on the
     same orbits.  Pi depends only on the block sizes, so every such label
-    descends once nu does.  The keys of nu are canonical and sorted already,
-    so each rho-label is built directly and shares the orbit data of nu;
+    descends once nu does.  The entries of nu are canonical and sorted
+    already, so each rho-label is built directly on the orbit data of nu;
     mult_irr still checks its Pi.
     """
     _require_descends(nu)
-    keys = [xi for xi, _ in nu.entries]
+    orbits = [data for data, _ in nu.entries]
     blocks = [part for _, part in nu.entries]
     sign = (-1) ** (nu.n + sum(part.size() for part in blocks))
     total = 0
@@ -296,7 +296,7 @@ def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
                 break
         if coeff == 0:
             continue
-        rho_label = MultiPartition(nu.ctx, nu.n, tuple(zip(keys, rhos)), nu.orbits)
+        rho_label = MultiPartition(nu.ctx, nu.n, tuple(zip(orbits, rhos)))
         total += coeff * mult_irr(rho_label, subgroup)
     return sign * total
 

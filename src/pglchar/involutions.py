@@ -265,7 +265,7 @@ def epsilon_nu(mp: MultiPartition) -> int:
     One cycle of length m_xi * part for every orbit xi and part of nu_xi.
     """
     sign = 1
-    for data, part in mp.orbit_entries():
+    for data, part in mp.entries:
         for length in part:
             sign *= (-1) ** (data.m * length - 1)
     return sign
@@ -278,7 +278,7 @@ def phi_w(ws: Sequence[CentralizerInvolution], mp: MultiPartition) -> int:
     block of the label.  Raises if some type-1 cycle has m_xi * length odd
     (the tuple then lies outside Y and the sign is undefined).
     """
-    entries = mp.orbit_entries()
+    entries = mp.entries
     if len(ws) != len(entries):
         raise ValueError("one involution per label block is required")
     sign = 1
@@ -307,7 +307,7 @@ def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     if not params.in_P_hat(mp):
         raise ValueError(f"label {mp} has nontrivial norm product")
-    entries = mp.orbit_entries()
+    entries = mp.entries
     for _, part in entries:
         check_limit("ZINV_SIZE_BOUND", part.size(), "label block size")
     factorized = _threeterm_factorized(mp, eps, entries)

@@ -119,7 +119,7 @@ def degree(ctx: QContext, label: MultiPartition) -> int:
     for i in range(1, label.n + 1):
         num *= q**i - 1
     den = 1
-    for data, part in label.orbit_entries():
+    for data, part in label.entries:
         block_num, block_den = _block_degree_factor(q**data.m, part)
         num *= block_num
         den *= block_den
@@ -311,11 +311,15 @@ def enumerate_forms(q: int, n: int) -> tuple[FormOrbit, ...]:
     orbits = []
     while remaining:
         seed = min(remaining)
-        orbit = {_form_action(group, g, seed) for g in group.elements}
+        orbit = set()
+        stab = 0
+        for g in group.elements:
+            image = _form_action(group, g, seed)
+            orbit.add(image)
+            stab += image == seed
         if not orbit <= remaining:
             raise InvariantViolation("form orbits are not disjoint")
         remaining -= orbit
-        stab = sum(1 for g in group.elements if _form_action(group, g, seed) == seed)
         if stab * len(orbit) != len(group):
             raise InvariantViolation("orbit-stabilizer mismatch on form classes")
         orbits.append((seed, len(orbit), stab))
@@ -360,7 +364,9 @@ def double_cosets(q: int, n: int, kind1: str, kind2: str) -> int:
     """#(H1 \\ PGL_n(F_q) / H2) for prime q, without listing PGL.
 
     The count is symmetric (g -> g^-1 swaps the sides), so it is taken as
-    orbits on the forms of the kind with the smaller index.
+    orbits on the forms of the kind with the smaller index.  The charge is
+    that index times the generators applied to the forms plus the q - 1
+    scalings, whose images key the table of classes.
     """
     for kind in (kind1, kind2):
         if kind not in _FORM_KINDS:
@@ -374,8 +380,8 @@ def double_cosets(q: int, n: int, kind1: str, kind2: str) -> int:
     generators = n * (n - 1) + 1 + (2 if kind2 == "pgsp" else 1) * points + 1
     check_limit(
         "FORM_ACTION_BUDGET",
-        ords.index_of(kind1) * generators,
-        f"forms of kind {kind1} times generators for {kind2} at q={q}, n={n}",
+        ords.index_of(kind1) * (generators + q - 1),
+        f"forms of kind {kind1} times generators for {kind2} and scalings at q={q}, n={n}",
     )
     from .formorbits import orbits_on_forms  # loaded on use: no other command pays for it
 

@@ -11,47 +11,38 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from . import dualgroup
-from .dualgroup import OrbitData, QContext, norm_residue
+from .dualgroup import OrbitData, QContext
 from .errors import check_limit
 from .partitions import Partition, partitions_of
 
 
 @dataclass(frozen=True, slots=True)
 class MultiPartition:
-    """Mapping from canonical sigma-orbit representatives to nonempty partitions.
+    """Mapping from sigma-orbits to nonempty partitions.
 
-    Entries are stored sorted by (denominator, numerator) of the
-    representative, which fixes the text form and the enumeration order.
-    Instances are built through make_label()/parse_label(), which validate
-    canonicality and the weight condition sum m_xi * |nu_xi| = n.
-
-    orbits holds the OrbitData of each key, in entry order.  It follows from
-    the keys, so equality, hashing and the text form ignore it; a label
-    built without it looks the data up when asked.
+    Each entry pairs the OrbitData of an orbit (its canonical representative
+    rep, size m, norm residue r and sign d) with the orbit's partition.
+    Entries are stored sorted by (denominator, numerator) of rep, which
+    fixes the text form and the enumeration order.  Instances are built
+    through make_label()/parse_label(), which validate canonicality and the
+    weight condition sum m_xi * |nu_xi| = n.
     """
 
     ctx: QContext
     n: int
-    entries: tuple[tuple[Fraction, Partition], ...]
-    orbits: Optional[tuple[OrbitData, ...]] = field(default=None, compare=False, repr=False)
-
-    def orbit_entries(self) -> tuple[tuple[OrbitData, Partition], ...]:
-        orbits = self.orbits
-        if orbits is None:
-            orbits = [dualgroup.orbit_data(self.ctx, xi) for xi, _ in self.entries]
-        return tuple(zip(orbits, [part for _, part in self.entries]))
+    entries: tuple[tuple[OrbitData, Partition], ...]
 
     def block_sizes(self) -> dict[Fraction, int]:
-        return {xi: part.size() for xi, part in self.entries}
+        return {data.rep: part.size() for data, part in self.entries}
 
     def text(self) -> str:
         return " + ".join(
-            f"{dualgroup.format_fraction(xi)}:{part}" for xi, part in self.entries
+            f"{dualgroup.format_fraction(data.rep)}:{part}" for data, part in self.entries
         )
 
     def __str__(self) -> str:
@@ -71,7 +62,7 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
         pairs: Iterable = entries.items()
     else:
         pairs = entries
-    canon: dict[Fraction, Partition] = {}
+    canon: dict[Fraction, tuple[OrbitData, Partition]] = {}
     for xi, part in pairs:
         if isinstance(xi, str):
             xi = dualgroup.parse_fraction(xi)
@@ -80,23 +71,22 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
             raise ValueError(
                 f"the sigma-orbit of {dualgroup.format_fraction(xi)} is longer than n = {n}"
             )
-        xi = dualgroup.canonical_rep(ctx, xi)
+        data = dualgroup.orbit_data(ctx, xi)
         part = part if isinstance(part, Partition) else Partition(part)
         if not part:
             raise ValueError("label blocks must be nonempty partitions")
-        if xi in canon:
+        if data.rep in canon:
             raise ValueError(
-                f"duplicate orbit key {dualgroup.format_fraction(xi)} after canonicalization"
+                f"duplicate orbit key {dualgroup.format_fraction(data.rep)} after canonicalization"
             )
-        canon[xi] = part
+        canon[data.rep] = (data, part)
     ordered = tuple(
-        sorted(canon.items(), key=lambda kv: (kv[0].denominator, kv[0].numerator))
+        sorted(canon.values(), key=lambda e: (e[0].rep.denominator, e[0].rep.numerator))
     )
-    orbits = tuple(dualgroup.orbit_data(ctx, xi) for xi, _ in ordered)
-    weight = sum(data.m * part.size() for data, (_, part) in zip(orbits, ordered))
+    weight = sum(data.m * part.size() for data, part in ordered)
     if weight != n:
         raise ValueError(f"label weight {weight} does not match n = {n}")
-    return MultiPartition(ctx, n, ordered, orbits)
+    return MultiPartition(ctx, n, ordered)
 
 
 def _orbit_fits(q: int, den: int, n: int) -> bool:
@@ -115,11 +105,7 @@ def _orbit_fits(q: int, den: int, n: int) -> bool:
 
 def _pi_residue(mp: MultiPartition) -> int:
     """Pi as a residue mod q - 1."""
-    q1 = mp.ctx.q - 1
-    total = 0
-    for data, part in mp.orbit_entries():
-        total += part.size() * norm_residue(data, q1)
-    return total % q1
+    return sum(part.size() * data.r for data, part in mp.entries) % (mp.ctx.q - 1)
 
 
 def pi(mp: MultiPartition) -> Fraction:
@@ -140,19 +126,18 @@ def half_norm_product(mp: MultiPartition) -> Optional[Fraction]:
     """
     q1 = mp.ctx.q - 1
     total = 0
-    for data, part in mp.orbit_entries():
+    for data, part in mp.entries:
         size = part.size()
         if size % 2:
             return None
-        total += (size // 2) * norm_residue(data, q1)
+        total += (size // 2) * data.r
     return Fraction(total % q1, q1)
 
 
 def phi(mp: MultiPartition) -> int:
     """The sign Phi of the label (requires trivial Pi and all m_xi |nu_xi| even)."""
     return dualgroup.phi_from_orbits(
-        mp.ctx,
-        [(xi, data, part.size()) for (xi, _), (data, part) in zip(mp.entries, mp.orbit_entries())],
+        mp.ctx, [(data.rep, data, part.size()) for data, part in mp.entries]
     )
 
 
@@ -189,33 +174,33 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
         raise ValueError(f"n must be even and >= 2, got {n}")
     orbits = dualgroup.orbits_up_to(ctx, n)
     q1 = ctx.q - 1
-    residues = [norm_residue(data, q1) for data in orbits]
     # fits[r]: indices of the orbits with m <= r, in representative order.
     fits = [[i for i, data in enumerate(orbits) if data.m <= r] for r in range(n + 1)]
     parts_of = [partitions_of(k) for k in range(n + 1)]
     out: list[MultiPartition] = []
-    acc: list[tuple[Fraction, Partition]] = []
-    acc_orbits: list[OrbitData] = []
+    acc: list[tuple[OrbitData, Partition]] = []
 
     def rec(start: int, remaining: int, norm: int) -> None:
         if remaining == 0:
             if not restrict_to_P_hat or norm == 0:
                 check_limit("LABEL_BUDGET", len(out) + 1, "labels kept")
-                out.append(MultiPartition(ctx, n, tuple(acc), tuple(acc_orbits)))
+                out.append(MultiPartition(ctx, n, tuple(acc)))
             return
         candidates = fits[remaining]
         for i in candidates[bisect_left(candidates, start) :]:
             data = orbits[i]
-            acc_orbits.append(data)
             for k in range(remaining // data.m, 0, -1):
-                child_norm = (norm + k * residues[i]) % q1
+                child_norm = (norm + k * data.r) % q1
                 for part in parts_of[k]:
-                    acc.append((data.rep, part))
+                    acc.append((data, part))
                     rec(i + 1, remaining - data.m * k, child_norm)
                     acc.pop()
-            acc_orbits.pop()
 
-    rec(0, n, 0)
+    try:
+        rec(0, n, 0)
+    finally:
+        # rec refers to itself; break that cycle so the search state is freed now.
+        del rec
     return out
 
 

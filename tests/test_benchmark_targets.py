@@ -1,16 +1,33 @@
-"""The benchmark's tracer names pglchar functions by string; each must exist."""
+"""The benchmark's tracer names pglchar functions by string; each must exist.
 
+The benchmark also pins the stdout of each command it runs by sha256 in
+perfbench/reference.json; the same commands run here in-process, so that a
+drift in output fails the tests and not only the benchmark.
+"""
+
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+from pglchar import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_tracer_target_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load(TRACER)
     assert tracer.TARGETS
     for target in tracer.TARGETS:
         module, *path = target.split(".")
@@ -19,3 +36,35 @@ def test_every_tracer_target_resolves():
             assert hasattr(owner, attr), target
             owner = getattr(owner, attr)
         assert callable(owner), target
+
+
+WORKLOADS = _load(PERFBENCH / "workloads.py")
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["commands"]
+REFUSALS = {WORKLOADS.command_key(argv) for argvs in WORKLOADS.REFUSALS.values() for argv in argvs}
+# The two answering cross-checks are left out: each takes over a second and
+# repeats the route comparisons of test_formulas and test_involutions.
+SKIPPED = {
+    "cross-check --q 3 --n 8 --tier slow --format json",
+    "cross-check --q 5 --n 6 --tier slow --format json",
+}
+# Over 0.5 s in-process.
+SLOW = {
+    "decompose --q 7 --n 6 --subgroup pgo+ --format json",
+    "forms --q 19 --n 2 --format json",
+}
+
+
+def _reference_cases():
+    for command in sorted(REFERENCE):
+        if command in SKIPPED:
+            continue
+        marks = [pytest.mark.slow] if command in SLOW else []
+        yield pytest.param(command, marks=marks, id=command)
+
+
+@pytest.mark.parametrize("command", _reference_cases())
+def test_reference_command_output_is_byte_identical(capsys, command):
+    code = cli.main(command.split())
+    out = capsys.readouterr().out
+    assert code == (3 if command in REFUSALS else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[command]

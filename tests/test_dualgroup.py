@@ -56,12 +56,13 @@ def test_eta_is_the_order_two_sigma_fixed_element():
 
 
 def test_orbit_data_examples():
+    # N(eta) = eta = r / (q - 1): r = 1 at q = 3 and r = 2 at q = 5.
     data = orbit_data(Q3, Fraction(1, 2))
-    assert (data.m, data.norm, data.d) == (1, Fraction(1, 2), -1)
+    assert (data.m, data.r, data.d) == (1, 1, -1)
     data = orbit_data(Q5, Fraction(1, 2))
-    assert (data.m, data.norm, data.d) == (1, Fraction(1, 2), 1)
+    assert (data.m, data.r, data.d) == (1, 2, 1)
     data = orbit_data(Q3, Fraction(0))
-    assert (data.m, data.norm, data.d) == (1, Fraction(0), 1)
+    assert (data.m, data.r, data.d) == (1, 0, 1)
 
 
 def test_d_eta_parity_rule():
@@ -152,18 +153,19 @@ def test_orbit_size_is_minimal():
 def test_norm_is_sigma_invariant_and_sigma_fixed():
     for ctx in (Q3, Q5):
         for data in orbits_up_to(ctx, 4):
-            assert sigma(ctx, data.norm) == data.norm
+            norm = Fraction(data.r, ctx.q - 1)
+            assert sigma(ctx, norm) == norm
             for x in orbit(ctx, data.rep):
-                assert dualgroup.norm(ctx, x) == data.norm
+                assert dualgroup.norm(ctx, x) == norm
 
 
 def _fraction_orbit_data(ctx, x):
-    """Reference: canonical rep and norm from the listed Fraction orbit of x."""
+    """Reference: canonical rep and norm residue from the listed Fraction orbit of x."""
     orb = orbit(ctx, x)
     rep = min(orb, key=lambda f: (f.denominator, f.numerator))
     nx = rep * ((ctx.q ** len(orb) - 1) // (ctx.q - 1)) % 1
     t = nx.numerator * ((ctx.q - 1) // nx.denominator)
-    return OrbitData(rep, len(orb), nx, -1 if t % 2 else 1)
+    return OrbitData(rep, len(orb), t, -1 if t % 2 else 1)
 
 
 def _fraction_orbits_up_to(ctx, n):
@@ -247,12 +249,12 @@ def test_phi_independent_of_sqrt_choice():
             for data in orbits_up_to(ctx, n):
                 for size in range(1, n // data.m + 1):
                     blocks = {data.rep: size}
-                    if (data.m * size) % 2 or size * data.norm % 1 != 0:
+                    if (data.m * size) % 2 or size * data.r % (ctx.q - 1):
                         continue
                     base = phi(ctx, blocks)
                     assert base in (-1, 1)
                     for j in (1, 2, 5):
-                        shifted = dualgroup._phi_with_exponent(
+                        shifted = phi(
                             ctx, blocks, (ctx.q + 1) // 2 + j * (ctx.q + 1)
                         )
                         assert shifted == base

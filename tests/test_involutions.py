@@ -220,7 +220,7 @@ def test_parity_congruences_on_y():
     #   m even: sum of m*l/2 over type-1 = m*|nu|/2 (mod 2)
     for ctx, n in ((Q3, 4), (Q5, 4)):
         for mp in params.enumerate_labels(ctx, n, True):
-            for data, part in mp.orbit_entries():
+            for data, part in mp.entries:
                 for w in enumerate_zinv(part):
                     if any(data.m * l % 2 for l in w.type1):
                         continue

@@ -227,7 +227,7 @@ def test_degree_sum_matches_index():
             assert report.sum_mult_times_degree == index
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [3, 5, pytest.param(7, marks=pytest.mark.slow)])
 def test_double_cosets_match_brute_force_n2(q):
     for k1 in KINDS:
         for k2 in KINDS:
@@ -273,6 +273,10 @@ def test_double_cosets_refuse_before_building_forms(monkeypatch):
     monkeypatch.setattr(formorbits, "orbits_on_forms", refuse)
     with pytest.raises(CapacityError, match="FORM_ACTION_BUDGET"):
         double_cosets(5, 4, "pgo+", "pgo+")
+    # 8,128 forms, 132 generators and 126 scalings: the class table of the
+    # scalings alone holds 1,024,128 keys.
+    with pytest.raises(CapacityError, match="2097024 exceeds FORM_ACTION_BUDGET"):
+        double_cosets(127, 2, "pgo+", "pgo+")
     with pytest.raises(ValueError, match="prime"):
         double_cosets(9, 2, "pgsp", "pgsp")
     with pytest.raises(ValueError, match="unknown subgroup kind"):
