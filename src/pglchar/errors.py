@@ -27,7 +27,8 @@ LIMITS = {
     "PARTITIONS_OF_BOUND": 30,
     # |PGL_n(F_q)| listed for form orbits, stabilizers and class counts
     "GROUP_ORDER_BUDGET": 1_000_000,
-    # matrices scanned to list PGL_n(F_q)
+    # q^(n^2), which bounds the matrices scanned to list PGL_n(F_q); the scan
+    # visits only the (q^(n^2) - 1)/(q - 1) whose first nonzero entry is 1
     "MATRIX_SCAN_BUDGET": 5_000_000,
     # forms up to scalars (the index of H1) times the maps applied to them
     # (GL_n's and H2's generators and the q - 1 scalings that key the class

@@ -237,27 +237,29 @@ def mult_pgsp_basic(nu: MultiPartition) -> int:
 
 
 def mult_pgo_basic(nu: MultiPartition, eps: int) -> int:
-    """Inner product of the basic character B_nu with Ind(1) from PGO_n^eps."""
+    """Inner product of the basic character B_nu with Ind(1) from PGO_n^eps.
+
+    Sums four times the multiplicity, so every term is an integer.
+    """
     _require_descends(nu)
     _check_eps(eps)
     entries = nu.entries
 
-    term1 = Fraction(1, 4)
+    total = 1
     for data, part in entries:
         if data.d == 1:
-            term1 *= (-1) ** part.size() * symchar.sum_chi_weighted(part)
+            total *= (-1) ** part.size() * symchar.sum_chi_weighted(part)
         else:
-            term1 *= symchar.sum_chi_transpose_even(part)
-    total = term1
+            total *= symchar.sum_chi_transpose_even(part)
 
     if params.half_norm_product(nu) == 0:
-        term2 = Fraction(eps, 2)
+        term2 = 2 * eps
         for _, part in entries:
             term2 *= symchar.sum_chi_transpose_even(part)
         total += term2
 
     if all(data.m * part.size() % 2 == 0 for data, part in entries):
-        term3 = Fraction(params.phi(nu), 4)
+        term3 = params.phi(nu)
         for data, part in entries:
             if data.d == 1 and data.m % 2:
                 term3 *= symchar.sum_chi_signed_even(part)
@@ -269,9 +271,10 @@ def mult_pgo_basic(nu: MultiPartition, eps: int) -> int:
                 term3 *= symchar.sum_chi_transpose_even(part)
         total += term3
 
-    if total.denominator != 1:
-        raise InvariantViolation(f"non-integral basic multiplicity {total} for {nu}")
-    return int(total)
+    quot, rem = divmod(total, 4)
+    if rem:
+        raise InvariantViolation(f"non-integral basic multiplicity {Fraction(total, 4)} for {nu}")
+    return quot
 
 
 def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
@@ -284,19 +287,22 @@ def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
     mult_irr still checks its Pi.
     """
     _require_descends(nu)
-    orbits = [data for data, _ in nu.entries]
-    blocks = [part for _, part in nu.entries]
-    sign = (-1) ** (nu.n + sum(part.size() for part in blocks))
+    sign = (-1) ** (nu.n + sum(part.size() for _, part in nu.entries))
+    # Per block, the rho-entries with chi(rho, nu_xi) != 0 and that value.
+    columns = []
+    for data, part in nu.entries:
+        column = []
+        for rho in partitions_of(part.size()):
+            value = symchar.chi(rho, part)
+            if value:
+                column.append(((data, rho), value))
+        columns.append(column)
     total = 0
-    for rhos in iter_product(*[partitions_of(part.size()) for part in blocks]):
+    for choice in iter_product(*columns):
         coeff = 1
-        for rho_part, nu_part in zip(rhos, blocks):
-            coeff *= symchar.chi(rho_part, nu_part)
-            if coeff == 0:
-                break
-        if coeff == 0:
-            continue
-        rho_label = MultiPartition(nu.ctx, nu.n, tuple(zip(orbits, rhos)))
+        for _, value in choice:
+            coeff *= value
+        rho_label = MultiPartition(nu.ctx, nu.n, tuple(entry for entry, _ in choice))
         total += coeff * mult_irr(rho_label, subgroup)
     return sign * total
 

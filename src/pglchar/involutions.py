@@ -8,7 +8,9 @@ even length only), or swapped with another cycle of the same length
 (type 3, counted in pairs).
 
 Everything here is deliberately naive -- enumerate, filter, count -- since
-this module is the oracle side of the route-equality checks.
+this module is the oracle side of the route-equality checks.  Only the
+repeats are saved: the involutions of S_m are listed once per m, and the
+four involution sums are memoised per partition (memo_per_partition).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 from . import params, symchar
 from .errors import InvariantViolation, check_limit
 from .params import MultiPartition
-from .partitions import Partition, partitions_of
+from .partitions import Partition, memo_per_partition, partitions_of
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,8 @@ def base_permutation(nu) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _involutions(m: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _involutions(m: int) -> tuple[tuple[int, ...], ...]:
     """All involutions of S_m (including the identity), as one-line tuples."""
     out: list[tuple[int, ...]] = []
     current = list(range(m))
@@ -102,7 +105,7 @@ def _involutions(m: int) -> list[tuple[int, ...]]:
             current[x], current[y] = x, y
 
     rec(tuple(range(m)))
-    return out
+    return tuple(out)
 
 
 def _commutes(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
@@ -184,21 +187,25 @@ def enumerate_zinv(nu) -> tuple[CentralizerInvolution, ...]:
     return _zinv_consecutive(tuple(nu))
 
 
-def count_fixed_point_free(nu) -> int:
+@memo_per_partition
+def count_fixed_point_free(nu: Partition) -> int:
     return sum(1 for w in enumerate_zinv(nu) if w.is_fixed_point_free)
 
 
-def weight_sum_all(nu) -> int:
+@memo_per_partition
+def weight_sum_all(nu: Partition) -> int:
     """Sum of (-2)^ell1 over all of Z_inv(nu)."""
     return sum((-2) ** w.ell1 for w in enumerate_zinv(nu))
 
 
-def weight_sum_even_type1(nu) -> int:
+@memo_per_partition
+def weight_sum_even_type1(nu: Partition) -> int:
     """Sum of (-2)^ell1 over involutions with no odd-length type-1 cycle."""
     return sum((-2) ** w.ell1 for w in enumerate_zinv(nu) if w.ell1_odd == 0)
 
 
-def weight_sum_signed(nu) -> int:
+@memo_per_partition
+def weight_sum_signed(nu: Partition) -> int:
     """Sum of (-1)^ell1_2mod4 (-2)^ell1 over involutions with no odd type-1 cycle."""
     return sum(
         (-1) ** w.ell1_2mod4 * (-2) ** w.ell1
@@ -333,12 +340,12 @@ def _threeterm_factorized(mp, eps, entries) -> int:
             s1 *= weight_sum_all(part)
         else:
             s1 *= weight_sum_even_type1(part)
-    total = Fraction(s1, 4)
+    total = s1
     if _middle_condition(mp):
         ff = 1
         for _, part in entries:
             ff *= part.sign() * count_fixed_point_free(part)
-        total += Fraction(eps * ff, 2)
+        total += 2 * eps * ff
     if all((data.m * part.size()) % 2 == 0 for data, part in entries):
         s3 = 1
         for data, part in entries:
@@ -348,10 +355,8 @@ def _threeterm_factorized(mp, eps, entries) -> int:
                 s3 *= (-1) ** (data.m * part.size() // 2) * weight_sum_all(part)
             else:
                 s3 *= (-1) ** (data.m * part.size() // 2) * weight_sum_even_type1(part)
-        total += Fraction(params.phi(mp) * s3, 4)
-    if total.denominator != 1:
-        raise InvariantViolation(f"non-integral three-term value {total} for {mp}")
-    return int(total)
+        total += params.phi(mp) * s3
+    return _quarter(total, mp)
 
 
 def _threeterm_direct(mp, eps, entries) -> int:
@@ -370,11 +375,17 @@ def _threeterm_direct(mp, eps, entries) -> int:
         in_y = all(d.m % 2 == 0 or w.ell1_odd == 0 for d, w in zip(data, ws))
         if in_y:
             s3 += phi_w(ws, mp) * (-2) ** ell1_total
-    total = Fraction(s1, 4)
+    total = s1
     if _middle_condition(mp):
-        total += Fraction(eps * epsilon_nu(mp) * ff_count, 2)
+        total += 2 * eps * epsilon_nu(mp) * ff_count
     if all(d.m * part.size() % 2 == 0 for d, (_, part) in zip(data, entries)):
-        total += Fraction(params.phi(mp) * s3, 4)
-    if total.denominator != 1:
-        raise InvariantViolation(f"non-integral three-term value {total} for {mp}")
-    return int(total)
+        total += params.phi(mp) * s3
+    return _quarter(total, mp)
+
+
+def _quarter(total: int, mp: MultiPartition) -> int:
+    """The three-term value from four times it; a remainder is a bug."""
+    quot, rem = divmod(total, 4)
+    if rem:
+        raise InvariantViolation(f"non-integral three-term value {Fraction(total, 4)} for {mp}")
+    return quot

@@ -12,7 +12,7 @@ n = 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
 from .dualgroup import QContext, q_context
@@ -209,7 +209,11 @@ class ProjectiveMatrixGroup:
         self.q = q
         self.n = n
         self.elements = elements
-        self.inverse_of = {g: _normalize(_inverse(g, q), q) for g in elements}
+
+    @cached_property
+    def inverse_of(self) -> dict[Matrix, Matrix]:
+        """Each element's inverse, built on first use."""
+        return {g: _normalize(_inverse(g, self.q), self.q) for g in self.elements}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -220,20 +224,29 @@ class ProjectiveMatrixGroup:
 
 @lru_cache(maxsize=None)
 def projective_group(q: int, n: int) -> ProjectiveMatrixGroup:
+    """PGL_n(F_q) as the nonsingular matrices whose first nonzero entry is 1.
+
+    Only those (q^(n^2) - 1)/(q - 1) matrices are scanned, one per scalar
+    class, so none needs normalising.  MATRIX_SCAN_BUDGET still charges
+    q^(n^2), the bound on the scan.
+    """
     if q_context(q).k != 1:
         raise ValueError(f"matrix oracle supports odd prime q only, got {q}")
     expected = orders(q, n).pgl
     check_limit("GROUP_ORDER_BUDGET", expected, f"|PGL_{n}(F_{q})|")
     check_limit("MATRIX_SCAN_BUDGET", q ** (n * n), f"matrices to scan for n={n}, q={q}")
-    seen = set()
-    for flat in iter_product(range(q), repeat=n * n):
-        mat = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        if _det(mat, q) == 0:
-            continue
-        seen.add(_normalize(mat, q))
-    if len(seen) != expected:
-        raise InvariantViolation(f"found {len(seen)} elements, order formula says {expected}")
-    return ProjectiveMatrixGroup(q, n, tuple(sorted(seen)))
+    size = n * n
+    elements = []
+    for lead in range(size):
+        head = (0,) * lead + (1,)  # the first nonzero entry, in row-major order
+        for tail in iter_product(range(q), repeat=size - lead - 1):
+            flat = head + tail
+            mat = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            if _det(mat, q):
+                elements.append(mat)
+    if len(elements) != expected:
+        raise InvariantViolation(f"found {len(elements)} elements, order formula says {expected}")
+    return ProjectiveMatrixGroup(q, n, tuple(sorted(elements)))
 
 
 def conjugacy_class_count(q: int, n: int) -> int:

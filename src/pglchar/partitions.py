@@ -8,9 +8,9 @@ arithmetic and independent of q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import factorial
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import check_limit
 
@@ -96,6 +96,24 @@ class Partition(tuple):
             return cls(int(tok) for tok in inner.split(","))
         except ValueError as exc:
             raise ValueError(f"cannot parse partition {text!r}: {exc}") from None
+
+
+def memo_per_partition(fn: Callable[[Partition], int]) -> Callable[..., int]:
+    """Memoise fn(nu) per partition, for the life of the process.
+
+    A Partition argument is the key as it is; anything else is built into a
+    Partition first, which validates it.  The wrapper's cache_clear() and
+    cache_info() are those of the memo.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def wrapper(nu) -> int:
+        return cached(nu if isinstance(nu, Partition) else Partition(nu))
+
+    wrapper.cache_clear = cached.cache_clear
+    wrapper.cache_info = cached.cache_info
+    return wrapper
 
 
 @lru_cache(maxsize=None)

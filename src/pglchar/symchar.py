@@ -5,26 +5,33 @@ at a permutation of cycle type mu, normalised so that chi((m), mu) = 1 and
 chi(rho', mu) = sign(mu) * chi(rho, mu).  The recursion removes one border
 strip per part of mu, working on first-column hook lengths (beta-sets).
 
-Values are memoised in a module-level dict.  Writes are idempotent, so
-concurrent use from several threads can at worst duplicate work; workers that
-want isolation can snapshot and restore via clear_memo().
+Values are memoised in a module-level dict, and each of the four weighted
+sums sum_chi_* is memoised per partition (memo_per_partition).  Writes are
+idempotent, so concurrent use from several threads can at worst duplicate
+work; clear_memo() empties the chi memo and the four sum memos together.
 """
 
 from __future__ import annotations
 
 from .errors import check_limit
-from .partitions import Partition, partitions_of
+from .partitions import Partition, memo_per_partition, partitions_of
 
 _memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
 
 def chi(rho, mu) -> int:
-    """Character value chi^rho at cycle type mu; requires |rho| = |mu|."""
-    rho = Partition(rho)
-    mu = Partition(mu)
+    """Character value chi^rho at cycle type mu; requires |rho| = |mu|.
+
+    A Partition argument is used as it is; anything else is built into one,
+    which validates it.
+    """
+    if not isinstance(rho, Partition):
+        rho = Partition(rho)
+    if not isinstance(mu, Partition):
+        mu = Partition(mu)
     if rho.size() != mu.size():
         raise ValueError(f"size mismatch: |{rho}| = {rho.size()} but |{mu}| = {mu.size()}")
-    return _chi(tuple(rho), tuple(mu))
+    return _chi(rho, mu)
 
 
 def _chi(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
@@ -65,27 +72,30 @@ def character_table(m: int) -> list[list[int]]:
 
 
 def clear_memo() -> None:
+    """Empty the chi memo and the memos of the four sum_chi_* sums."""
     _memo.clear()
+    for memo in _SUM_MEMOS:
+        memo.cache_clear()
 
 
 # Weighted chi-sums shared by the closed formulas and the identity checks.
 
 
-def sum_chi_even(nu) -> int:
+@memo_per_partition
+def sum_chi_even(nu: Partition) -> int:
     """Sum of chi(rho, nu) over even rho (all parts even)."""
-    nu = Partition(nu)
     return sum(chi(rho, nu) for rho in partitions_of(nu.size()) if rho.is_even())
 
 
-def sum_chi_transpose_even(nu) -> int:
+@memo_per_partition
+def sum_chi_transpose_even(nu: Partition) -> int:
     """Sum of chi(rho, nu) over rho with even transpose (all multiplicities even)."""
-    nu = Partition(nu)
     return sum(chi(rho, nu) for rho in partitions_of(nu.size()) if rho.transpose().is_even())
 
 
-def sum_chi_weighted(nu) -> int:
+@memo_per_partition
+def sum_chi_weighted(nu: Partition) -> int:
     """Sum over all rho of prod_i (m_i(rho)+1) times chi(rho, nu)."""
-    nu = Partition(nu)
     total = 0
     for rho in partitions_of(nu.size()):
         weight = 1
@@ -95,13 +105,13 @@ def sum_chi_weighted(nu) -> int:
     return total
 
 
-def sum_chi_signed_even(nu) -> int:
+@memo_per_partition
+def sum_chi_signed_even(nu: Partition) -> int:
     """Signed sum over rho whose odd parts all have even multiplicity.
 
     Each such rho contributes
     (-1)^(|rho|/2 + #parts congruent to 2 mod 4) * prod_i (m_2i(rho)+1) * chi(rho, nu).
     """
-    nu = Partition(nu)
     total = 0
     for rho in partitions_of(nu.size()):
         mults = rho.multiplicities()
@@ -114,3 +124,6 @@ def sum_chi_signed_even(nu) -> int:
         sign = (-1) ** (rho.size() // 2 + rho.length_stats().ell2mod4)
         total += sign * weight * chi(rho, nu)
     return total
+
+
+_SUM_MEMOS = (sum_chi_even, sum_chi_transpose_even, sum_chi_weighted, sum_chi_signed_even)

@@ -41,14 +41,10 @@ def test_every_tracer_target_resolves():
 WORKLOADS = _load(PERFBENCH / "workloads.py")
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["commands"]
 REFUSALS = {WORKLOADS.command_key(argv) for argvs in WORKLOADS.REFUSALS.values() for argv in argvs}
-# The two answering cross-checks are left out: each takes over a second and
-# repeats the route comparisons of test_formulas and test_involutions.
-SKIPPED = {
-    "cross-check --q 3 --n 8 --tier slow --format json",
-    "cross-check --q 5 --n 6 --tier slow --format json",
-}
 # Over 0.5 s in-process.
 SLOW = {
+    "cross-check --q 3 --n 8 --tier slow --format json",
+    "cross-check --q 5 --n 6 --tier slow --format json",
     "decompose --q 7 --n 6 --subgroup pgo+ --format json",
     "forms --q 19 --n 2 --format json",
 }
@@ -56,8 +52,6 @@ SLOW = {
 
 def _reference_cases():
     for command in sorted(REFERENCE):
-        if command in SKIPPED:
-            continue
         marks = [pytest.mark.slow] if command in SLOW else []
         yield pytest.param(command, marks=marks, id=command)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pglchar import dualgroup, formulas, involutions, oracle, params
+from pglchar import dualgroup, formulas, involutions, oracle, params, symchar
 from pglchar.dualgroup import q_context, canonical_rep, orbit, tilde_d
 from pglchar.errors import InvariantViolation
 from pglchar.formulas import (
@@ -394,6 +394,51 @@ def test_unipotent_formulas_match_fraction_reference(q):
                 assert mult_unipotent_pgo(rho, eps) == _ref_mult_pgo_irr(
                     unipotent(ctx, rho), eps
                 )
+
+
+def _ref_mult_pgo_basic(nu, eps):
+    """The closed basic form in Fraction arithmetic, as it was first written."""
+    term1 = Fraction(1, 4)
+    for data, part in nu.entries:
+        if data.d == 1:
+            term1 *= (-1) ** part.size() * symchar.sum_chi_weighted(part)
+        else:
+            term1 *= symchar.sum_chi_transpose_even(part)
+    total = term1
+    if params.half_norm_product(nu) == 0:
+        term2 = Fraction(eps, 2)
+        for _, part in nu.entries:
+            term2 *= symchar.sum_chi_transpose_even(part)
+        total += term2
+    if all(data.m * part.size() % 2 == 0 for data, part in nu.entries):
+        term3 = Fraction(params.phi(nu), 4)
+        for data, part in nu.entries:
+            if data.d == 1 and data.m % 2:
+                term3 *= symchar.sum_chi_signed_even(part)
+            elif data.d == 1:
+                term3 *= (-1) ** (part.size() + data.m * part.size() // 2)
+                term3 *= symchar.sum_chi_weighted(part)
+            else:
+                term3 *= (-1) ** (data.m * part.size() // 2)
+                term3 *= symchar.sum_chi_transpose_even(part)
+        total += term3
+    assert total.denominator == 1
+    return int(total)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_integer_basic_form_matches_fraction_reference(q):
+    for label in enumerate_labels(q_context(q), 4, True):
+        for eps in (1, -1):
+            assert mult_pgo_basic(label, eps) == _ref_mult_pgo_basic(label, eps), label
+
+
+def test_basic_form_refuses_an_odd_quadruple(monkeypatch):
+    label = unipotent(Q3, [2])
+    assert mult_pgo_basic(label, 1) == 0
+    monkeypatch.setattr(symchar, "sum_chi_weighted", lambda nu: 1)
+    with pytest.raises(InvariantViolation, match="non-integral basic multiplicity"):
+        mult_pgo_basic(label, 1)
 
 
 @pytest.mark.parametrize("q,n", [(3, 4), (5, 4)])

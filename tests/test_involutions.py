@@ -6,7 +6,7 @@ import pytest
 
 from pglchar import involutions, params
 from pglchar.dualgroup import q_context
-from pglchar.errors import CapacityError
+from pglchar.errors import CapacityError, InvariantViolation
 from pglchar.involutions import (
     CentralizerInvolution,
     base_permutation,
@@ -21,7 +21,7 @@ from pglchar.involutions import (
     phi_w,
     threeterm_bruteforce,
 )
-from pglchar.params import make_label
+from pglchar.params import enumerate_labels, make_label
 from pglchar.partitions import Partition, partitions_of
 
 Q3 = q_context(3)
@@ -255,3 +255,73 @@ def test_threeterm_validation():
     big = make_label(Q3, 20, {Fraction(0): [10, 10]})
     with pytest.raises(CapacityError):
         threeterm_bruteforce(big, 1)
+
+
+def _ref_threeterm(mp, eps):
+    """The factorized and direct three-term values in Fraction arithmetic."""
+    entries = mp.entries
+    s1 = 1
+    for data, part in entries:
+        if data.d == 1:
+            s1 *= involutions.weight_sum_all(part)
+        else:
+            s1 *= involutions.weight_sum_even_type1(part)
+    factorized = Fraction(s1, 4)
+    if involutions._middle_condition(mp):
+        ff = 1
+        for _, part in entries:
+            ff *= part.sign() * count_fixed_point_free(part)
+        factorized += Fraction(eps * ff, 2)
+    third = all((data.m * part.size()) % 2 == 0 for data, part in entries)
+    if third:
+        s3 = 1
+        for data, part in entries:
+            if data.d == 1 and data.m % 2:
+                s3 *= involutions.weight_sum_signed(part)
+            elif data.d == 1:
+                s3 *= (-1) ** (data.m * part.size() // 2) * involutions.weight_sum_all(part)
+            else:
+                s3 *= (-1) ** (data.m * part.size() // 2) * involutions.weight_sum_even_type1(part)
+        factorized += Fraction(params.phi(mp) * s3, 4)
+
+    data = [d for d, _ in entries]
+    s1 = s3 = ff_count = 0
+    for ws in itertools.product(*[enumerate_zinv(part) for _, part in entries]):
+        if any(d.d == -1 and w.ell1_odd for d, w in zip(data, ws)):
+            continue
+        ell1_total = sum(w.ell1 for w in ws)
+        s1 += (-2) ** ell1_total
+        ff_count += all(w.is_fixed_point_free for w in ws)
+        if all(d.m % 2 == 0 or w.ell1_odd == 0 for d, w in zip(data, ws)):
+            s3 += phi_w(ws, mp) * (-2) ** ell1_total
+    direct = Fraction(s1, 4)
+    if involutions._middle_condition(mp):
+        direct += Fraction(eps * epsilon_nu(mp) * ff_count, 2)
+    if third:
+        direct += Fraction(params.phi(mp) * s3, 4)
+    return factorized, direct
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_integer_threeterm_matches_fraction_reference(q):
+    for mp in enumerate_labels(q_context(q), 4, True):
+        for eps in (1, -1):
+            factorized, direct = _ref_threeterm(mp, eps)
+            assert involutions._threeterm_factorized(mp, eps, mp.entries) == factorized, mp
+            assert involutions._threeterm_direct(mp, eps, mp.entries) == direct, mp
+
+
+def test_threeterm_refuses_an_odd_quadruple(monkeypatch):
+    mp = make_label(Q3, 2, {Fraction(0): [2]})
+    assert threeterm_bruteforce(mp, 1) == 0
+    monkeypatch.setattr(involutions, "weight_sum_all", lambda nu: 1)
+    with pytest.raises(InvariantViolation, match="non-integral three-term value"):
+        threeterm_bruteforce(mp, 1)
+
+
+def test_involutions_are_listed_once_per_size():
+    involutions._involutions.cache_clear()
+    for nu in partitions_of(6):
+        involutions._zinv_consecutive.__wrapped__(tuple(nu))
+    info = involutions._involutions.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)

@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from pglchar import formorbits, oracle, params
 from pglchar.dualgroup import q_context
-from pglchar.errors import CapacityError, InvariantViolation
+from pglchar.errors import LIMITS, CapacityError, InvariantViolation
 from pglchar.formulas import Subgroup, decompose
 from pglchar.oracle import (
     conjugacy_class_count,
@@ -90,6 +91,48 @@ def test_projective_group_sizes():
             for b in elems:
                 assert group.mul(a, b) in index
             assert group.inverse_of[a] in index
+
+
+def _ref_projective_elements(q, n):
+    """Every nonsingular matrix scanned and normalised, as the oracle once did."""
+    seen = set()
+    for flat in itertools.product(range(q), repeat=n * n):
+        mat = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if oracle._det(mat, q) == 0:
+            continue
+        seen.add(oracle._normalize(mat, q))
+    return tuple(sorted(seen))
+
+
+@pytest.mark.parametrize("q", [3, 5, pytest.param(7, marks=pytest.mark.slow)])
+def test_projective_group_scans_only_normalised_matrices(q):
+    assert projective_group(q, 2).elements == _ref_projective_elements(q, 2)
+
+
+def test_projective_group_keeps_its_limits(monkeypatch):
+    assert LIMITS["MATRIX_SCAN_BUDGET"] == 5_000_000
+    assert LIMITS["GROUP_ORDER_BUDGET"] == 1_000_000
+    build = projective_group.__wrapped__
+    monkeypatch.setitem(LIMITS, "MATRIX_SCAN_BUDGET", 3**4 - 1)
+    with pytest.raises(CapacityError, match="MATRIX_SCAN_BUDGET"):
+        build(3, 2)  # charged q^(n^2), not the (q^(n^2) - 1)/(q - 1) scanned
+    monkeypatch.setitem(LIMITS, "MATRIX_SCAN_BUDGET", 3**4)
+    assert len(build(3, 2)) == 24
+
+
+def test_forms_never_invert(monkeypatch):
+    def refuse(a, p):
+        raise AssertionError("enumerate_forms inverted a matrix")
+
+    expected = enumerate_forms(5, 2)
+    monkeypatch.setattr(oracle, "_inverse", refuse)
+    projective_group.cache_clear()
+    enumerate_forms.cache_clear()
+    try:
+        assert enumerate_forms(5, 2) == expected
+    finally:
+        projective_group.cache_clear()
+        enumerate_forms.cache_clear()
 
 
 def test_projective_group_validation():

@@ -161,3 +161,56 @@ def test_clear_memo_then_rebuild_is_unchanged():
     before = character_table(5)
     symchar.clear_memo()
     assert character_table(5) == before
+
+
+def test_chi_validates_outside_input():
+    with pytest.raises(ValueError):
+        chi([1, 2], [2, 1])  # not weakly decreasing
+    with pytest.raises(ValueError):
+        chi([2, 1], [1, 2])
+    with pytest.raises(ValueError):
+        chi(Partition([2]), Partition([1, 1, 1]))
+
+
+def test_chi_builds_no_partition_from_partitions(monkeypatch):
+    rho, mu = Partition([3, 1]), Partition([2, 2])
+    expected = chi(rho, mu)
+    built = []
+    original = Partition.__new__
+
+    def counting(cls, parts=()):
+        built.append(parts)
+        return original(cls, parts)
+
+    monkeypatch.setattr(Partition, "__new__", counting)
+    assert chi(rho, mu) == expected
+    assert built == []
+    assert chi([3, 1], (2, 2)) == expected
+    assert len(built) == 2
+
+
+SUMS = (
+    symchar.sum_chi_even,
+    symchar.sum_chi_transpose_even,
+    symchar.sum_chi_weighted,
+    symchar.sum_chi_signed_even,
+)
+
+
+def test_clear_memo_empties_every_memo_and_cold_values_are_unchanged():
+    tables = [character_table(m) for m in range(7)]
+    sums = [[fn(nu) for nu in partitions_of(m)] for m in range(7) for fn in SUMS]
+    assert symchar._memo
+    assert all(fn.cache_info().currsize for fn in SUMS)
+    symchar.clear_memo()
+    assert not symchar._memo
+    assert all(fn.cache_info().currsize == 0 for fn in SUMS)
+    assert [character_table(m) for m in range(7)] == tables
+    assert [[fn(nu) for nu in partitions_of(m)] for m in range(7) for fn in SUMS] == sums
+
+
+def test_sums_accept_any_partition_form():
+    for fn in SUMS:
+        assert fn([2, 1, 1]) == fn((2, 1, 1)) == fn(Partition([2, 1, 1]))
+        with pytest.raises(ValueError):
+            fn([1, 2])
