@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_dcosets)
 
-    p = sub.add_parser("forms", help="orbits on nondegenerate form classes")
+    p = sub.add_parser("forms", help="orbits of PGL on forms up to scalars, built from standard forms")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=_even_positive, required=True)
     _add_common(p)

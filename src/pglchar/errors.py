@@ -25,14 +25,15 @@ LIMITS = {
     "CHARACTER_TABLE_BOUND": 14,
     # m for listing the partitions of m
     "PARTITIONS_OF_BOUND": 30,
-    # |PGL_n(F_q)| listed for form orbits, stabilizers and class counts
+    # |PGL_n(F_q)| listed for subgroup_elements and the class count
     "GROUP_ORDER_BUDGET": 1_000_000,
     # q^(n^2), which bounds the matrices scanned to list PGL_n(F_q); the scan
     # visits only the (q^(n^2) - 1)/(q - 1) whose first nonzero entry is 1
     "MATRIX_SCAN_BUDGET": 5_000_000,
-    # forms up to scalars (the index of H1) times the maps applied to them
-    # (GL_n's and H2's generators and the q - 1 scalings that key the class
-    # table), for the double-coset count
+    # forms up to scalars times the maps applied to them: for the double-coset
+    # count, the index of H1 times GL_n's and H2's generators and the q - 1
+    # scalings that key the class table; for the orbits on forms, the three
+    # indices times GL_n's n(n - 1) + 1 generators
     "FORM_ACTION_BUDGET": 1_100_000,
 }
 

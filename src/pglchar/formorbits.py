@@ -1,9 +1,9 @@
-"""Double cosets of PGSp/PGO in PGL_n(F_q) as orbits on forms, for prime q.
+"""PGL_n(F_q) on forms, for prime q, without listing PGL.
 
-#(H1 \\ PGL / H2) is the number of H2-orbits on PGL / H1, the nondegenerate
-forms of H1's kind up to scalars under B -> g B g^T.  The forms are reached
-from a standard form by generators of GL_n, and joined into H2-orbits by
-union-find over generators of H2.  Nothing lists PGL.
+X = PGL / H is the nondegenerate forms of H's kind up to scalars, under
+B -> g B g^T.  form_orbit reaches X from a standard form by generators of
+GL_n.  #(H1 \\ PGL / H2) is the number of H2-orbits on X for H1, joined by
+union-find over generators of H2.
 """
 
 from __future__ import annotations
@@ -19,18 +19,12 @@ from .oracle import Matrix, _inverse, _mat_mul, _scale, _transpose, orders
 def orbits_on_forms(q: int, n: int, kind1: str, kind2: str) -> int:
     """The number of H2-orbits on X, the forms of kind 1 up to scalars.
 
-    X = PGL / H1 under B -> g B g^T.  It is built as the orbit of a standard
-    form under generators of GL_n, and its size is checked against the
-    index of H1.  The H2-orbits are joined by union-find over generators of
-    H2, each checked to scale the standard form of kind 2.
+    X = PGL / H1 comes from form_orbit.  The H2-orbits are joined by
+    union-find over generators of H2, each checked to scale the standard
+    form of kind 2.
     """
-    delta = _primitive_root(q)  # also a non-square
-    space = _FormSpace(q, n, skew=kind1 == "pgsp")
-    keys = _form_orbit(space, _standard_form(q, n, kind1, delta), delta)
-    index = orders(q, n).index_of(kind1)
-    if len(keys) != index:
-        raise InvariantViolation(f"{len(keys)} forms of kind {kind1}, but its index is {index}")
-    return _count_orbits(space, keys, _stabilizer_generators(q, n, kind2, delta))
+    space, keys = form_orbit(q, n, kind1)
+    return _count_orbits(space, keys, _stabilizer_generators(q, n, kind2, _primitive_root(q)))
 
 
 def _primitive_root(q: int) -> int:
@@ -202,18 +196,20 @@ class _FormSpace:
             yield self._unpack(out.to_bytes(w * count, "little"))
 
 
-def _form_orbit(space: _FormSpace, form: Matrix, delta: int) -> list[int]:
-    """The classes g B g^T up to scalars, g in GL_n, by breadth-first search.
+def form_orbit(q: int, n: int, kind: str) -> tuple[_FormSpace, list[int]]:
+    """X = PGL / H, the forms of the kind up to scalars, as normal keys.
 
-    Each class is the normal key of its forms.  GL_n(F_q) is generated by
+    PGL acts by B -> g B g^T, so X is the orbit of the kind's standard form,
+    found by breadth-first search over generators of GL_n(F_q):
     diag(delta, 1, ..., 1), delta primitive, and the elementary matrices
-    I + E_ij.
+    I + E_ij.  Its size is checked against the index of H.
     """
-    n = len(form)
+    delta = _primitive_root(q)  # also a non-square
+    space = _FormSpace(q, n, skew=kind == "pgsp")
     gens = [_identity_but(n, 0, 0, delta)]
     gens += [_identity_but(n, i, j, 1) for i in range(n) for j in range(n) if i != j]
     maps = [space.linear_map(g) for g in gens]
-    keys = [space.normal(space.key(form))]
+    keys = [space.normal(space.key(_standard_form(q, n, kind, delta)))]
     seen = set(keys)
     frontier = keys[:]
     while frontier:
@@ -227,7 +223,10 @@ def _form_orbit(space: _FormSpace, form: Matrix, delta: int) -> list[int]:
                         found.append(key)
         keys += found
         frontier = found
-    return keys
+    index = orders(q, n).index_of(kind)
+    if len(keys) != index:
+        raise InvariantViolation(f"{len(keys)} forms of kind {kind}, but its index is {index}")
+    return space, keys
 
 
 def _identity_but(n: int, i: int, j: int, value: int) -> Matrix:

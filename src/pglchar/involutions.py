@@ -326,13 +326,6 @@ def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
     return factorized
 
 
-def _middle_condition(mp: MultiPartition) -> bool:
-    return (
-        all(part.size() % 2 == 0 for _, part in mp.entries)
-        and params.half_norm_product(mp) == 0
-    )
-
-
 def _threeterm_factorized(mp, eps, entries) -> int:
     s1 = 1
     for data, part in entries:
@@ -341,7 +334,7 @@ def _threeterm_factorized(mp, eps, entries) -> int:
         else:
             s1 *= weight_sum_even_type1(part)
     total = s1
-    if _middle_condition(mp):
+    if params.half_norm_product(mp) == 0:
         ff = 1
         for _, part in entries:
             ff *= part.sign() * count_fixed_point_free(part)
@@ -376,7 +369,7 @@ def _threeterm_direct(mp, eps, entries) -> int:
         if in_y:
             s3 += phi_w(ws, mp) * (-2) ** ell1_total
     total = s1
-    if _middle_condition(mp):
+    if params.half_norm_product(mp) == 0:
         total += 2 * eps * epsilon_nu(mp) * ff_count
     if all(d.m * part.size() % 2 == 0 for d, (_, part) in zip(data, entries)):
         total += params.phi(mp) * s3

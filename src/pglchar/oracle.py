@@ -2,11 +2,10 @@
 
 Closed-form group orders and q-analog hook-length degrees work for any odd
 prime power q.  The matrix-group computations are restricted to prime q.
-Conjugacy classes, the orbits on form classes and their stabilizers are
-deliberately dumb: list every element of PGL_n and count, so in practice
-n = 2.  Double cosets never list PGL: double_cosets checks its capacity
-limit and counts them in `formorbits` as orbits on forms, which reaches
-n = 4.
+Conjugacy classes and the stabilizer elements are deliberately dumb: list
+every element of PGL_n and count, so in practice n = 2.  The orbits on forms
+and the double cosets never list PGL: they check their capacity limit here
+and are built in `formorbits` from standard forms, which reaches n = 4.
 """
 
 from __future__ import annotations
@@ -230,8 +229,7 @@ def projective_group(q: int, n: int) -> ProjectiveMatrixGroup:
     class, so none needs normalising.  MATRIX_SCAN_BUDGET still charges
     q^(n^2), the bound on the scan.
     """
-    if q_context(q).k != 1:
-        raise ValueError(f"matrix oracle supports odd prime q only, got {q}")
+    _require_prime(q)
     expected = orders(q, n).pgl
     check_limit("GROUP_ORDER_BUDGET", expected, f"|PGL_{n}(F_{q})|")
     check_limit("MATRIX_SCAN_BUDGET", q ** (n * n), f"matrices to scan for n={n}, q={q}")
@@ -262,115 +260,91 @@ def conjugacy_class_count(q: int, n: int) -> int:
     return count
 
 
+# Orbits on forms and double cosets (prime q), built in formorbits without
+# listing PGL.
+
+_FORM_KINDS = ("pgsp", "pgo+", "pgo-")
+
+
 @dataclass(frozen=True)
 class FormOrbit:
     kind: str  # "pgsp" (skew class), "pgo+" or "pgo-"
     size: int
     stabilizer_order: int
-    representative: Matrix
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "size": self.size,
-            "stabilizer_order": self.stabilizer_order,
-        }
+        return dict(self.__dict__)
 
 
 def _form_action(group: ProjectiveMatrixGroup, g: Matrix, h: Matrix) -> Matrix:
     return _normalize(_mat_mul(_mat_mul(g, h, group.q), _transpose(g), group.q), group.q)
 
 
-def _all_form_classes(q: int, n: int) -> list[Matrix]:
-    sym_slots = n * (n + 1) // 2
-    classes = set()
-    # Symmetric: free upper triangle including the diagonal.
-    for flat in iter_product(range(q), repeat=sym_slots):
-        mat = [[0] * n for _ in range(n)]
-        pos = 0
-        for i in range(n):
-            for j in range(i, n):
-                mat[i][j] = mat[j][i] = flat[pos]
-                pos += 1
-        mat = tuple(tuple(row) for row in mat)
-        if _det(mat, q):
-            classes.add(_normalize(mat, q))
-    # Skew-symmetric: zero diagonal, negated lower triangle.
-    for flat in iter_product(range(q), repeat=n * (n - 1) // 2):
-        mat = [[0] * n for _ in range(n)]
-        pos = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                mat[i][j] = flat[pos]
-                mat[j][i] = (-flat[pos]) % q
-                pos += 1
-        mat = tuple(tuple(row) for row in mat)
-        if _det(mat, q):
-            classes.add(_normalize(mat, q))
-    return sorted(classes)
+def _require_prime(q: int) -> None:
+    if q_context(q).k != 1:
+        raise ValueError(f"matrix oracle supports odd prime q only, got {q}")
 
 
 @lru_cache(maxsize=None)
 def enumerate_forms(q: int, n: int) -> tuple[FormOrbit, ...]:
-    """Orbits of PGL on nondegenerate form classes mod scalars: exactly three.
+    """Orbits of PGL on nondegenerate forms up to scalars: exactly three.
 
-    The skew classes form one orbit (kind "pgsp"); the symmetric classes
-    split into two, matched to pgo+/pgo- by orbit size against the
-    closed-form indices.
+    Each is the orbit of one kind's standard form, of the kind's index in
+    size (form_orbit checks it), in the order pgo+, pgsp, pgo-.  They are
+    all: the two symmetric orbits are disjoint, and the sizes add up to the
+    closed counts of form classes.  The charge is the forms of the three
+    kinds times the n(n - 1) + 1 generators of GL_n applied to them.
     """
-    group = projective_group(q, n)
+    _require_prime(q)
     ords = orders(q, n)
-    remaining = set(_all_form_classes(q, n))
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orbit = set()
-        stab = 0
-        for g in group.elements:
-            image = _form_action(group, g, seed)
-            orbit.add(image)
-            stab += image == seed
-        if not orbit <= remaining:
-            raise InvariantViolation("form orbits are not disjoint")
-        remaining -= orbit
-        if stab * len(orbit) != len(group):
-            raise InvariantViolation("orbit-stabilizer mismatch on form classes")
-        orbits.append((seed, len(orbit), stab))
-    if len(orbits) != 3:
-        raise InvariantViolation(f"expected 3 form orbits, found {len(orbits)}")
-    out = []
-    for seed, size, stab in orbits:
-        if _transpose(seed) == _scale(seed, q - 1, q):
-            kind = "pgsp"
-        elif size == ords.index_pgo_plus:
-            kind = "pgo+"
-        elif size == ords.index_pgo_minus:
-            kind = "pgo-"
-        else:
-            raise InvariantViolation(f"symmetric orbit size {size} matches neither index")
-        out.append(FormOrbit(kind, size, stab, seed))
-    if sorted(o.kind for o in out) != ["pgo+", "pgo-", "pgsp"]:
-        raise InvariantViolation("form orbits do not split as skew/plus/minus")
-    return tuple(out)
+    check_limit(
+        "FORM_ACTION_BUDGET",
+        (ords.index_pgsp + ords.index_pgo_plus + ords.index_pgo_minus) * (n * (n - 1) + 1),
+        f"forms of the three kinds times generators of GL_n at q={q}, n={n}",
+    )
+    from .formorbits import form_orbit  # loaded on use: no other command pays for it
+
+    orbits = {kind: form_orbit(q, n, kind)[1] for kind in ("pgo+", "pgsp", "pgo-")}
+    if not set(orbits["pgo+"]).isdisjoint(orbits["pgo-"]):
+        raise InvariantViolation("the pgo+ and pgo- form orbits meet")
+    symmetric, skew = _form_class_counts(q, n)
+    if len(orbits["pgo+"]) + len(orbits["pgo-"]) != symmetric or len(orbits["pgsp"]) != skew:
+        raise InvariantViolation(f"form orbits do not cover the {symmetric} + {skew} classes")
+    return tuple(
+        FormOrbit(kind, len(keys), _exact_div(ords.pgl, len(keys), "stabilizer of {}", kind))
+        for kind, keys in orbits.items()
+    )
+
+
+def _form_class_counts(q: int, n: int) -> tuple[int, int]:
+    """Nonsingular symmetric and alternating matrices up to scalars, n = 2m.
+
+    There are q^(m(m+1)) and q^(m(m-1)) times prod_(i<=m) (q^(2i-1) - 1) of
+    them (MacWilliams 1969), before the division by q - 1.
+    """
+    m = n // 2
+    common = 1
+    for i in range(1, m + 1):
+        common *= q ** (2 * i - 1) - 1
+    return (
+        _exact_div(q ** (m * (m + 1)) * common, q - 1, "symmetric classes"),
+        _exact_div(q ** (m * (m - 1)) * common, q - 1, "skew classes"),
+    )
 
 
 @lru_cache(maxsize=None)
 def subgroup_elements(q: int, n: int, kind: str) -> tuple[Matrix, ...]:
-    """Elements of the stabilizer of a form-class representative of the kind."""
+    """The stabilizer of the class of the kind's standard form, listed from PGL."""
+    if kind not in _FORM_KINDS:
+        raise ValueError(f"unknown subgroup kind {kind!r}; expected pgsp, pgo+ or pgo-")
     group = projective_group(q, n)
-    for orbit in enumerate_forms(q, n):
-        if orbit.kind == kind:
-            h = orbit.representative
-            elems = tuple(g for g in group.elements if _form_action(group, g, h) == h)
-            if len(elems) != orbit.stabilizer_order:
-                raise InvariantViolation("stabilizer recount mismatch")
-            return elems
-    raise ValueError(f"unknown subgroup kind {kind!r}; expected pgsp, pgo+ or pgo-")
+    from .formorbits import _primitive_root, _standard_form
 
-
-# Double cosets (prime q only), counted in formorbits without listing PGL.
-
-_FORM_KINDS = ("pgsp", "pgo+", "pgo-")
+    h = _normalize(_standard_form(q, n, kind, _primitive_root(q)), q)
+    elems = tuple(g for g in group.elements if _form_action(group, g, h) == h)
+    if len(elems) * orders(q, n).index_of(kind) != len(group):
+        raise InvariantViolation(f"stabilizer of {kind} has {len(elems)} elements")
+    return elems
 
 
 def double_cosets(q: int, n: int, kind1: str, kind2: str) -> int:
@@ -384,8 +358,7 @@ def double_cosets(q: int, n: int, kind1: str, kind2: str) -> int:
     for kind in (kind1, kind2):
         if kind not in _FORM_KINDS:
             raise ValueError(f"unknown subgroup kind {kind!r}; expected pgsp, pgo+ or pgo-")
-    if q_context(q).k != 1:
-        raise ValueError(f"matrix oracle supports odd prime q only, got {q}")
+    _require_prime(q)
     ords = orders(q, n)
     if ords.index_of(kind1) > ords.index_of(kind2):
         kind1, kind2 = kind2, kind1

@@ -46,7 +46,6 @@ SLOW = {
     "cross-check --q 3 --n 8 --tier slow --format json",
     "cross-check --q 5 --n 6 --tier slow --format json",
     "decompose --q 7 --n 6 --subgroup pgo+ --format json",
-    "forms --q 19 --n 2 --format json",
 }
 
 

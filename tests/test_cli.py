@@ -176,9 +176,21 @@ def test_forms_command(capsys):
     }
 
 
+def test_forms_reach_n4(capsys):
+    code, out, _ = run(capsys, "forms", "--q", "3", "--n", "4", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "kind,orbit_size,stabilizer_order",
+        "pgo+,10530,1152",
+        "pgsp,234,51840",
+        "pgo-,8424,1440",
+    ]
+
+
 def test_forms_capacity_exit(capsys):
-    code, _, err = run(capsys, "forms", "--q", "3", "--n", "4")
+    code, _, err = run(capsys, "forms", "--q", "5", "--n", "4")
     assert code == 3
+    assert "FORM_ACTION_BUDGET" in err
 
 
 def test_route_mismatch_is_invariant_violation_exit(capsys, monkeypatch):

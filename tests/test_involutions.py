@@ -267,7 +267,10 @@ def _ref_threeterm(mp, eps):
         else:
             s1 *= involutions.weight_sum_even_type1(part)
     factorized = Fraction(s1, 4)
-    if involutions._middle_condition(mp):
+    middle = (
+        all(part.size() % 2 == 0 for _, part in entries) and params.half_norm_product(mp) == 0
+    )
+    if middle:
         ff = 1
         for _, part in entries:
             ff *= part.sign() * count_fixed_point_free(part)
@@ -295,7 +298,7 @@ def _ref_threeterm(mp, eps):
         if all(d.m % 2 == 0 or w.ell1_odd == 0 for d, w in zip(data, ws)):
             s3 += phi_w(ws, mp) * (-2) ** ell1_total
     direct = Fraction(s1, 4)
-    if involutions._middle_condition(mp):
+    if middle:
         direct += Fraction(eps * epsilon_nu(mp) * ff_count, 2)
     if third:
         direct += Fraction(params.phi(mp) * s3, 4)

@@ -126,12 +126,11 @@ def test_forms_never_invert(monkeypatch):
 
     expected = enumerate_forms(5, 2)
     monkeypatch.setattr(oracle, "_inverse", refuse)
-    projective_group.cache_clear()
+    monkeypatch.setattr(formorbits, "_inverse", refuse)
     enumerate_forms.cache_clear()
     try:
         assert enumerate_forms(5, 2) == expected
     finally:
-        projective_group.cache_clear()
         enumerate_forms.cache_clear()
 
 
@@ -190,6 +189,155 @@ def test_subgroup_elements_are_subgroups():
                 assert group.mul(a, b) in index
     with pytest.raises(ValueError):
         subgroup_elements(3, 2, "pso")
+
+
+def test_subgroup_elements_validate_the_kind_before_listing(monkeypatch):
+    def refuse(q, n):
+        raise AssertionError("subgroup_elements listed PGL")
+
+    monkeypatch.setattr(oracle, "projective_group", refuse)
+    with pytest.raises(ValueError, match="unknown subgroup kind"):
+        subgroup_elements(3, 2, "pso")
+
+
+def _ref_form_classes(q, n):
+    """Every nondegenerate symmetric and skew form, listed and normalised."""
+    sym_slots = n * (n + 1) // 2
+    classes = set()
+    # Symmetric: free upper triangle including the diagonal.
+    for flat in itertools.product(range(q), repeat=sym_slots):
+        mat = [[0] * n for _ in range(n)]
+        pos = 0
+        for i in range(n):
+            for j in range(i, n):
+                mat[i][j] = mat[j][i] = flat[pos]
+                pos += 1
+        mat = tuple(tuple(row) for row in mat)
+        if oracle._det(mat, q):
+            classes.add(oracle._normalize(mat, q))
+    # Skew-symmetric: zero diagonal, negated lower triangle.
+    for flat in itertools.product(range(q), repeat=n * (n - 1) // 2):
+        mat = [[0] * n for _ in range(n)]
+        pos = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                mat[i][j] = flat[pos]
+                mat[j][i] = (-flat[pos]) % q
+                pos += 1
+        mat = tuple(tuple(row) for row in mat)
+        if oracle._det(mat, q):
+            classes.add(oracle._normalize(mat, q))
+    return sorted(classes)
+
+
+def _ref_enumerate_forms(q, n):
+    """(kind, size, stabilizer order) per orbit, by listing PGL and every form.
+
+    Orbits come in the order of their least class; each is taken element by
+    element, and its stabilizer is counted.
+    """
+    group = projective_group(q, n)
+    ords = orders(q, n)
+    remaining = set(_ref_form_classes(q, n))
+    out = []
+    while remaining:
+        seed = min(remaining)
+        orbit = set()
+        stab = 0
+        for g in group.elements:
+            image = oracle._form_action(group, g, seed)
+            orbit.add(image)
+            stab += image == seed
+        assert orbit <= remaining
+        remaining -= orbit
+        assert stab * len(orbit) == len(group)
+        if oracle._transpose(seed) == oracle._scale(seed, q - 1, q):
+            kind = "pgsp"
+        else:
+            kind = {ords.index_pgo_plus: "pgo+", ords.index_pgo_minus: "pgo-"}[len(orbit)]
+        out.append((kind, len(orbit), stab))
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_forms_match_listing_reference(q):
+    got = [(o.kind, o.size, o.stabilizer_order) for o in enumerate_forms(q, 2)]
+    assert got == _ref_enumerate_forms(q, 2)
+
+
+def test_forms_reach_n4():
+    got = [(o.kind, o.size, o.stabilizer_order) for o in enumerate_forms(3, 4)]
+    assert got == [("pgo+", 10530, 1152), ("pgsp", 234, 51840), ("pgo-", 8424, 1440)]
+
+
+@pytest.mark.slow
+def test_forms_n4_cover_every_listed_class():
+    # 37,908 nonsingular symmetric matrices, and 468 skew ones, up to scalars.
+    listed = _ref_form_classes(3, 4)
+    sym_space, plus = formorbits.form_orbit(3, 4, "pgo+")
+    skew_space, skew = formorbits.form_orbit(3, 4, "pgsp")
+    minus = formorbits.form_orbit(3, 4, "pgo-")[1]
+    listed_skew = [m for m in listed if m != oracle._transpose(m)]
+    listed_sym = [m for m in listed if m == oracle._transpose(m)]
+    assert (len(listed_sym), len(listed_skew)) == (18954, 234)
+    assert {sym_space.normal(sym_space.key(m)) for m in listed_sym} == set(plus) | set(minus)
+    assert {skew_space.normal(skew_space.key(m)) for m in listed_skew} == set(skew)
+
+
+def test_forms_never_list_pgl(monkeypatch):
+    def refuse(q, n):
+        raise AssertionError("enumerate_forms listed PGL")
+
+    monkeypatch.setattr(oracle, "projective_group", refuse)
+    enumerate_forms.cache_clear()
+    try:
+        sizes = [o.size for o in enumerate_forms(19, 2)]
+    finally:
+        enumerate_forms.cache_clear()
+    assert sizes == [190, 1, 171]
+
+
+def test_forms_refuse_before_building_forms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("forms built before the capacity check")
+
+    monkeypatch.setattr(formorbits, "form_orbit", refuse)
+    # (3,100 + 1,007,500 + 930,000) forms of the three kinds times 13 generators.
+    with pytest.raises(CapacityError, match="25227800 exceeds FORM_ACTION_BUDGET"):
+        enumerate_forms(5, 4)
+    # q^2 + 1 = 368,450 forms times 3 generators; q = 601 is admitted.
+    with pytest.raises(CapacityError, match="1105350 exceeds FORM_ACTION_BUDGET"):
+        enumerate_forms(607, 2)
+    with pytest.raises(ValueError, match="prime"):
+        enumerate_forms(9, 2)
+
+
+def test_forms_check_the_orbits_are_disjoint(monkeypatch):
+    # pgo- forms taken from the pgo+ orbit: right in number, wrong in kind.
+    right = formorbits.form_orbit
+
+    def plus_forms(q, n, kind):
+        space, keys = right(q, n, "pgo+" if kind == "pgo-" else kind)
+        return space, keys[: orders(q, n).index_of(kind)]
+
+    monkeypatch.setattr(formorbits, "form_orbit", plus_forms)
+    enumerate_forms.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="orbits meet"):
+            enumerate_forms(5, 2)
+    finally:
+        enumerate_forms.cache_clear()
+
+
+def test_forms_check_the_closed_counts(monkeypatch):
+    right = oracle._form_class_counts
+    monkeypatch.setattr(oracle, "_form_class_counts", lambda q, n: (right(q, n)[0] + 1, 1))
+    enumerate_forms.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="do not cover"):
+            enumerate_forms(5, 2)
+    finally:
+        enumerate_forms.cache_clear()
 
 
 KINDS = {"pgsp": Subgroup.PGSP, "pgo+": Subgroup.PGO_PLUS, "pgo-": Subgroup.PGO_MINUS}
