@@ -120,24 +120,27 @@ def cmd_cross_check(args) -> int:
     # The involution route meets the block 0/1:[n], which every n has.
     check_limit("ZINV_SIZE_BOUND", args.n, "block size n")
     labels = params.enumerate_labels(ctx, args.n, True)
-    mismatches = []
-    rows = []
-    for subgroup in Subgroup:
-        bad_before = len(mismatches)
-        for label in labels:
-            routes = {
-                "transition": formulas.mult_basic_via_transition(label, subgroup),
-                "closed-form": formulas.mult_basic(label, subgroup),
-            }
+    # Each route gives one label's values for every subgroup in one pass;
+    # mismatches are reported subgroup by subgroup, in label order.
+    found = {subgroup: [] for subgroup in Subgroup}
+    for label in labels:
+        shape = label.shape()  # one shape serves the three routes
+        transition = formulas.mults_via_transition(label, shape)
+        closed = formulas.basic_mults(label, shape)
+        involution = involutions.threeterm_values(label, shape)
+        for subgroup in Subgroup:
+            routes = {"transition": transition[subgroup], "closed-form": closed[subgroup]}
             if subgroup is not Subgroup.PGSP:
-                routes["involution"] = involutions.threeterm_bruteforce(label, subgroup.eps)
+                routes["involution"] = involution[subgroup.eps]
             if len(set(routes.values())) != 1:
-                mismatches.append(
+                found[subgroup].append(
                     {"subgroup": subgroup.value, "label": label.text(), "routes": routes}
                 )
-        rows.append(
-            [subgroup.value, len(labels), "agree" if len(mismatches) == bad_before else "MISMATCH"]
-        )
+    mismatches = [item for subgroup in Subgroup for item in found[subgroup]]
+    rows = [
+        [subgroup.value, len(labels), "MISMATCH" if found[subgroup] else "agree"]
+        for subgroup in Subgroup
+    ]
     payload = {
         "schema_version": 1,
         "q": args.q,

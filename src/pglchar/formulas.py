@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional
 from . import oracle, params, symchar
 from .dualgroup import QContext, q_context
 from .errors import InvariantViolation
-from .params import MultiPartition, make_label
+from .params import LabelShape, MultiPartition, make_label
 from .partitions import Partition, partitions_of
 
 
@@ -80,9 +80,11 @@ class DecompositionReport:
         }
 
 
-def _require_descends(mp: MultiPartition) -> None:
-    if not params.in_P_hat(mp):
+def _require_descends(mp: MultiPartition, shape: LabelShape) -> LabelShape:
+    """shape, the shape of mp; raises unless mp descends to PGL."""
+    if shape.pi:
         raise ValueError(f"label {mp} has nontrivial norm product; it does not descend to PGL")
+    return shape
 
 
 def _check_eps(eps: int) -> None:
@@ -128,15 +130,53 @@ def _block_stats(p: Partition) -> _BlockStats:
     )
 
 
-# Irreducible-character multiplicities.
+# Irreducible-character multiplicities.  4 * mult_pgo_irr(rho, eps) is
+# T1 + 2 * eps * T2 + T3, and the terms do not depend on eps.
+
+
+def _pgsp_irr(rho: MultiPartition, shape: LabelShape) -> int:
+    if shape.half == 0 and all(part.is_even() for _, part in rho.entries):
+        return 1
+    return 0
+
+
+def _pgo_irr_terms(rho: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
+    """T1, T2 and T3 of the orthogonal multiplicity of rho."""
+    blocks = [(data, _block_stats(part)) for data, part in rho.entries]
+
+    t1 = 0
+    if all(data.d == 1 or stats.transpose_even for data, stats in blocks):
+        t1 = 1
+        for data, stats in blocks:
+            if data.d == 1:
+                t1 *= stats.prod_mult_plus_one
+
+    t2 = 1 if shape.half == 0 and all(stats.transpose_even for _, stats in blocks) else 0
+
+    t3 = 0
+    cond = all(
+        stats.odd_mults_even if (data.d == 1 and data.m % 2) else stats.transpose_even
+        for data, stats in blocks
+        if not (data.d == 1 and data.m % 2 == 0)
+    )
+    if cond:
+        t3 = (-1) ** (rho.n // 2) * shape.phi()
+        for data, stats in blocks:
+            if data.d == 1 and data.m % 2:
+                t3 *= stats.prod_even_mult_plus_one * stats.ell2_sign
+            elif data.d == 1:
+                t3 *= stats.prod_mult_plus_one
+    return t1, t2, t3
+
+
+def _pgo_irr(terms: tuple[int, int, int], eps: int, rho: MultiPartition) -> int:
+    t1, t2, t3 = terms
+    return _as_nonneg_int(t1 + 2 * eps * t2 + t3, 4, "mult_pgo_irr({}, {:+d})", rho, eps)
 
 
 def mult_pgsp_irr(rho: MultiPartition) -> int:
     """Multiplicity of the irreducible labelled rho in Ind(1) from PGSp_n."""
-    _require_descends(rho)
-    if not all(part.is_even() for _, part in rho.entries):
-        return 0
-    return 1 if params.half_norm_product(rho) == 0 else 0
+    return _pgsp_irr(rho, _require_descends(rho, rho.shape()))
 
 
 def mult_pgo_irr(rho: MultiPartition, eps: int) -> int:
@@ -144,41 +184,9 @@ def mult_pgo_irr(rho: MultiPartition, eps: int) -> int:
 
     Sums four times the multiplicity, so every term is an integer.
     """
-    _require_descends(rho)
+    shape = _require_descends(rho, rho.shape())
     _check_eps(eps)
-    blocks = [(data, _block_stats(part)) for data, part in rho.entries]
-
-    total = 0
-    if all(data.d == 1 or stats.transpose_even for data, stats in blocks):
-        prod = 1
-        for data, stats in blocks:
-            if data.d == 1:
-                prod *= stats.prod_mult_plus_one
-        total += prod
-
-    if (
-        all(stats.transpose_even for _, stats in blocks)
-        and params.half_norm_product(rho) == 0
-    ):
-        total += 2 * eps
-
-    cond = all(
-        stats.odd_mults_even if (data.d == 1 and data.m % 2) else stats.transpose_even
-        for data, stats in blocks
-        if not (data.d == 1 and data.m % 2 == 0)
-    )
-    if cond:
-        prod = 1
-        sign = (-1) ** (rho.n // 2) * params.phi(rho)
-        for data, stats in blocks:
-            if data.d == 1 and data.m % 2:
-                prod *= stats.prod_even_mult_plus_one
-                sign *= stats.ell2_sign
-            elif data.d == 1:
-                prod *= stats.prod_mult_plus_one
-        total += sign * prod
-
-    return _as_nonneg_int(total, 4, "mult_pgo_irr({}, {:+d})", rho, eps)
+    return _pgo_irr(_pgo_irr_terms(rho, shape), eps, rho)
 
 
 def mult_irr(rho: MultiPartition, subgroup: Subgroup) -> int:
@@ -222,13 +230,13 @@ def mult_unipotent_gl_o(rho: Partition, eps: int) -> int:
     return _as_nonneg_int(total, 2, "mult_unipotent_gl_o({}, {:+d})", rho, eps)
 
 
-# Basic-character multiplicities (closed forms).
+# Basic-character multiplicities (closed forms).  As for the irreducibles,
+# 4 * mult_pgo_basic(nu, eps) is T1 + 2 * eps * T2 + T3.
 
 
 def mult_pgsp_basic(nu: MultiPartition) -> int:
     """Inner product of the basic character B_nu with Ind(1) from PGSp_n."""
-    _require_descends(nu)
-    if params.half_norm_product(nu) != 0:
+    if _require_descends(nu, nu.shape()).half != 0:
         return 0
     prod = 1
     for _, part in nu.entries:
@@ -236,81 +244,112 @@ def mult_pgsp_basic(nu: MultiPartition) -> int:
     return prod
 
 
-def mult_pgo_basic(nu: MultiPartition, eps: int) -> int:
-    """Inner product of the basic character B_nu with Ind(1) from PGO_n^eps.
+def _pgo_basic_terms(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
+    """T1, T2 and T3 of the orthogonal basic multiplicity of nu."""
+    blocks = [(data, part, size) for (data, part), size in zip(nu.entries, shape.sizes)]
 
-    Sums four times the multiplicity, so every term is an integer.
-    """
-    _require_descends(nu)
-    _check_eps(eps)
-    entries = nu.entries
-
-    total = 1
-    for data, part in entries:
+    t1 = 1
+    for data, part, size in blocks:
         if data.d == 1:
-            total *= (-1) ** part.size() * symchar.sum_chi_weighted(part)
+            t1 *= (-1) ** size * symchar.sum_chi_weighted(part)
         else:
-            total *= symchar.sum_chi_transpose_even(part)
+            t1 *= symchar.sum_chi_transpose_even(part)
 
-    if params.half_norm_product(nu) == 0:
-        term2 = 2 * eps
-        for _, part in entries:
-            term2 *= symchar.sum_chi_transpose_even(part)
-        total += term2
+    t2 = 0
+    if shape.half == 0:
+        t2 = 1
+        for _, part, _ in blocks:
+            t2 *= symchar.sum_chi_transpose_even(part)
 
-    if all(data.m * part.size() % 2 == 0 for data, part in entries):
-        term3 = params.phi(nu)
-        for data, part in entries:
+    t3 = 0
+    if all(data.m * size % 2 == 0 for data, _, size in blocks):
+        t3 = shape.phi()
+        for data, part, size in blocks:
             if data.d == 1 and data.m % 2:
-                term3 *= symchar.sum_chi_signed_even(part)
+                t3 *= symchar.sum_chi_signed_even(part)
             elif data.d == 1:
-                term3 *= (-1) ** (part.size() + data.m * part.size() // 2)
-                term3 *= symchar.sum_chi_weighted(part)
+                t3 *= (-1) ** (size + data.m * size // 2) * symchar.sum_chi_weighted(part)
             else:
-                term3 *= (-1) ** (data.m * part.size() // 2)
-                term3 *= symchar.sum_chi_transpose_even(part)
-        total += term3
+                t3 *= (-1) ** (data.m * size // 2) * symchar.sum_chi_transpose_even(part)
+    return t1, t2, t3
 
+
+def _pgo_basic(terms: tuple[int, int, int], eps: int, nu: MultiPartition) -> int:
+    t1, t2, t3 = terms
+    total = t1 + 2 * eps * t2 + t3
     quot, rem = divmod(total, 4)
     if rem:
         raise InvariantViolation(f"non-integral basic multiplicity {Fraction(total, 4)} for {nu}")
     return quot
 
 
-def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
-    """Basic-character multiplicity through the irreducible transition matrix.
+def mult_pgo_basic(nu: MultiPartition, eps: int) -> int:
+    """Inner product of the basic character B_nu with Ind(1) from PGO_n^eps.
 
-    Expands B_nu over all irreducible labels with the same block sizes on the
-    same orbits.  Pi depends only on the block sizes, so every such label
-    descends once nu does.  The entries of nu are canonical and sorted
-    already, so each rho-label is built directly on the orbit data of nu;
-    mult_irr still checks its Pi.
+    Sums four times the multiplicity, so every term is an integer.
     """
-    _require_descends(nu)
-    sign = (-1) ** (nu.n + sum(part.size() for _, part in nu.entries))
-    # Per block, the rho-entries with chi(rho, nu_xi) != 0 and that value.
-    columns = []
-    for data, part in nu.entries:
-        column = []
-        for rho in partitions_of(part.size()):
-            value = symchar.chi(rho, part)
-            if value:
-                column.append(((data, rho), value))
-        columns.append(column)
-    total = 0
-    for choice in iter_product(*columns):
-        coeff = 1
-        for _, value in choice:
-            coeff *= value
-        rho_label = MultiPartition(nu.ctx, nu.n, tuple(entry for entry, _ in choice))
-        total += coeff * mult_irr(rho_label, subgroup)
-    return sign * total
+    shape = _require_descends(nu, nu.shape())
+    _check_eps(eps)
+    return _pgo_basic(_pgo_basic_terms(nu, shape), eps, nu)
 
 
 def mult_basic(nu: MultiPartition, subgroup: Subgroup) -> int:
     if subgroup is Subgroup.PGSP:
         return mult_pgsp_basic(nu)
     return mult_pgo_basic(nu, subgroup.eps)
+
+
+def basic_mults(nu: MultiPartition, shape: LabelShape) -> dict[Subgroup, int]:
+    """mult_basic for every subgroup; one T1, T2, T3 serves both signs.
+
+    shape is nu.shape(), which the caller may share with the other routes.
+    """
+    terms = _pgo_basic_terms(nu, _require_descends(nu, shape))
+    return {
+        Subgroup.PGSP: mult_pgsp_basic(nu),
+        Subgroup.PGO_PLUS: _pgo_basic(terms, 1, nu),
+        Subgroup.PGO_MINUS: _pgo_basic(terms, -1, nu),
+    }
+
+
+def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> dict[Subgroup, int]:
+    """Basic-character multiplicities through the irreducible transition matrix.
+
+    Expands B_nu over all irreducible labels with the same block sizes on the
+    same orbits, for every subgroup at once: each rho-label is built once,
+    and its PGO terms serve both signs.  The entries of nu are canonical and
+    sorted already, so each rho-label is built directly on the orbit data of
+    nu.  Its shape is shape, that of nu (nu.shape(), which the caller may
+    share with the other routes), since a shape reads only the orbits and
+    the block sizes; so every rho-label descends once nu does.
+    """
+    _require_descends(nu, shape)
+    # Per block, the rho-entries with chi(rho, nu_xi) != 0 and that value.
+    columns = [
+        [((data, rho), value) for rho, value in symchar.chi_column(part)]
+        for data, part in nu.entries
+    ]
+    sp = plus = minus = 0
+    for choice in iter_product(*columns):
+        coeff = 1
+        for _, value in choice:
+            coeff *= value
+        rho_label = MultiPartition(nu.ctx, nu.n, tuple([entry for entry, _ in choice]))
+        terms = _pgo_irr_terms(rho_label, shape)
+        sp += coeff * _pgsp_irr(rho_label, shape)
+        plus += coeff * _pgo_irr(terms, 1, rho_label)
+        minus += coeff * _pgo_irr(terms, -1, rho_label)
+    sign = (-1) ** (nu.n + sum(shape.sizes))
+    return {
+        Subgroup.PGSP: sign * sp,
+        Subgroup.PGO_PLUS: sign * plus,
+        Subgroup.PGO_MINUS: sign * minus,
+    }
+
+
+def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
+    """One subgroup's value of mults_via_transition."""
+    return mults_via_transition(nu, nu.shape())[subgroup]
 
 
 # Batch driver.
@@ -329,15 +368,24 @@ def decompose(
 
     One row per label with nonzero multiplicity (or all labels with
     include_zeros), in the deterministic enumeration order.  Degrees come
-    from the q-analog hook-length formula when requested.
+    from the q-analog hook-length formula when requested; over all labels,
+    sum(mult * degree) must then be the index |PGL_n : H|.
     """
     if unipotent_only:
         labels = [unipotent_label(ctx, rho) for rho in partitions_of(n)]
     else:
         labels = params.enumerate_labels(ctx, n, True)
-    return decompose_labels(
+    report = decompose_labels(
         ctx, n, subgroup, labels, include_zeros=include_zeros, with_degrees=with_degrees
     )
+    if with_degrees and not unipotent_only:
+        index = oracle.orders(ctx.q, n).index_of(subgroup.value)
+        if report.sum_mult_times_degree != index:
+            raise InvariantViolation(
+                f"sum(mult*degree) = {report.sum_mult_times_degree} differs from "
+                f"the index {index} of {subgroup.value} in PGL_{n}(F_{ctx.q})"
+            )
+    return report
 
 
 def decompose_labels(

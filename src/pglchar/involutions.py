@@ -9,32 +9,40 @@ even length only), or swapped with another cycle of the same length
 
 Everything here is deliberately naive -- enumerate, filter, count -- since
 this module is the oracle side of the route-equality checks.  Only the
-repeats are saved: the involutions of S_m are listed once per m, and the
-four involution sums are memoised per partition (memo_per_partition).
+repeats are saved: the involutions of S_m are listed once per m, the
+four involution sums are memoised per partition (memo_per_partition), and
+one enumeration of a label's involution tuples serves both signs eps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from typing import Sequence
 
-from . import params, symchar
+from . import symchar
 from .errors import InvariantViolation, check_limit
-from .params import MultiPartition
+from .params import LabelShape, MultiPartition
 from .partitions import Partition, memo_per_partition, partitions_of
 
 
 @dataclass(frozen=True)
 class CentralizerInvolution:
-    """An involution commuting with w_nu, recorded by its cycle statistics."""
+    """An involution commuting with w_nu, recorded by its cycle statistics.
+
+    The type-1 counts are computed once, when the involution is built.
+    """
 
     nu: Partition
     type1: tuple[int, ...]  # lengths of pointwise-fixed cycles
     type2: tuple[int, ...]  # lengths of half-rotated cycles (all even)
     type3: tuple[int, ...]  # one length per swapped pair of cycles
+    ell1: int = field(init=False)
+    ell1_odd: int = field(init=False)
+    ell1_2mod4: int = field(init=False)
+    is_fixed_point_free: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if any(l % 2 for l in self.type2):
@@ -44,22 +52,10 @@ class CentralizerInvolution:
             raise InvariantViolation(
                 f"cycle lengths {rebuilt} do not reassemble the type {self.nu}"
             )
-
-    @property
-    def ell1(self) -> int:
-        return len(self.type1)
-
-    @property
-    def ell1_odd(self) -> int:
-        return sum(1 for l in self.type1 if l % 2)
-
-    @property
-    def ell1_2mod4(self) -> int:
-        return sum(1 for l in self.type1 if l % 4 == 2)
-
-    @property
-    def is_fixed_point_free(self) -> bool:
-        return not self.type1
+        object.__setattr__(self, "ell1", len(self.type1))
+        object.__setattr__(self, "ell1_odd", sum(1 for l in self.type1 if l % 2))
+        object.__setattr__(self, "ell1_2mod4", sum(1 for l in self.type1 if l % 4 == 2))
+        object.__setattr__(self, "is_fixed_point_free", not self.type1)
 
 
 @dataclass(frozen=True)
@@ -171,20 +167,24 @@ def _classify(v: tuple[int, ...], nu: Partition, cycles: list[list[int]]) -> Cen
 
 
 @lru_cache(maxsize=None)
-def _zinv_consecutive(nu_parts: tuple[int, ...]) -> tuple[CentralizerInvolution, ...]:
-    nu = Partition(nu_parts)
+def _zinv_consecutive(nu: Partition) -> tuple[CentralizerInvolution, ...]:
     w = base_permutation(nu)
     cycles = _cycles_of(w)
     return tuple(
-        _classify(v, nu, cycles) for v in _involutions(nu.size()) if _commutes(v, w)
+        _classify(v, nu, cycles) for v in _involutions(len(w)) if _commutes(v, w)
     )
 
 
 def enumerate_zinv(nu) -> tuple[CentralizerInvolution, ...]:
-    """All involutions commuting with w_nu (the identity included), with stats."""
-    nu = Partition(nu)
+    """All involutions commuting with w_nu (the identity included), with stats.
+
+    A Partition argument is used as it is; anything else is built into one,
+    which validates it.
+    """
+    if not isinstance(nu, Partition):
+        nu = Partition(nu)
     check_limit("ZINV_SIZE_BOUND", nu.size(), "|nu|")
-    return _zinv_consecutive(tuple(nu))
+    return _zinv_consecutive(nu)
 
 
 @memo_per_partition
@@ -306,19 +306,28 @@ def phi_w(ws: Sequence[CentralizerInvolution], mp: MultiPartition) -> int:
 def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
     """Third route to the orthogonal multiplicity, by involution enumeration.
 
-    Evaluates the three-term double-coset count both by per-orbit
-    factorization and by direct enumeration of involution tuples; the two
-    must agree, and the common value is returned.
+    One sign's value of threeterm_values.
     """
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
-    if not params.in_P_hat(mp):
+    return threeterm_values(mp, mp.shape())[eps]
+
+
+def threeterm_values(mp: MultiPartition, shape: LabelShape) -> dict[int, int]:
+    """The three-term double-coset count for eps = +1 and -1.
+
+    4 times the count is T1 + 2 * eps * T2 + T3.  The terms are evaluated
+    both by per-orbit factorization and by one direct enumeration of
+    involution tuples; the two must agree for both signs, and the common
+    values are returned, keyed by eps.  shape is mp.shape(), which the
+    caller may share with the other routes.
+    """
+    if shape.pi:
         raise ValueError(f"label {mp} has nontrivial norm product")
-    entries = mp.entries
-    for _, part in entries:
-        check_limit("ZINV_SIZE_BOUND", part.size(), "label block size")
-    factorized = _threeterm_factorized(mp, eps, entries)
-    direct = _threeterm_direct(mp, eps, entries)
+    for size in shape.sizes:
+        check_limit("ZINV_SIZE_BOUND", size, "label block size")
+    factorized = _threeterm_factorized(mp, shape)
+    direct = _threeterm_direct(mp, shape)
     if factorized != direct:
         raise InvariantViolation(
             f"three-term routes disagree on {mp}: factorized {factorized}, direct {direct}"
@@ -326,41 +335,43 @@ def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
     return factorized
 
 
-def _threeterm_factorized(mp, eps, entries) -> int:
+def _threeterm_factorized(mp: MultiPartition, shape: LabelShape) -> dict[int, int]:
+    entries = mp.entries
     s1 = 1
     for data, part in entries:
         if data.d == 1:
             s1 *= weight_sum_all(part)
         else:
             s1 *= weight_sum_even_type1(part)
-    total = s1
-    if params.half_norm_product(mp) == 0:
+    ff = 0
+    if shape.half == 0:
         ff = 1
         for _, part in entries:
             ff *= part.sign() * count_fixed_point_free(part)
-        total += 2 * eps * ff
-    if all((data.m * part.size()) % 2 == 0 for data, part in entries):
-        s3 = 1
-        for data, part in entries:
+    s3 = 0
+    if all(data.m * size % 2 == 0 for (data, _), size in zip(entries, shape.sizes)):
+        s3 = shape.phi()
+        for (data, part), size in zip(entries, shape.sizes):
             if data.d == 1 and data.m % 2:
                 s3 *= weight_sum_signed(part)
             elif data.d == 1:
-                s3 *= (-1) ** (data.m * part.size() // 2) * weight_sum_all(part)
+                s3 *= (-1) ** (data.m * size // 2) * weight_sum_all(part)
             else:
-                s3 *= (-1) ** (data.m * part.size() // 2) * weight_sum_even_type1(part)
-        total += params.phi(mp) * s3
-    return _quarter(total, mp)
+                s3 *= (-1) ** (data.m * size // 2) * weight_sum_even_type1(part)
+    return _by_sign(s1, ff, s3, mp)
 
 
-def _threeterm_direct(mp, eps, entries) -> int:
-    zlists = [enumerate_zinv(part) for _, part in entries]
+def _threeterm_direct(mp: MultiPartition, shape: LabelShape) -> dict[int, int]:
+    entries = mp.entries
     data = [d for d, _ in entries]
+    # X: the tuples with no odd type-1 cycle on a block with d = -1.
+    zlists = [
+        [w for w in enumerate_zinv(part) if d.d == 1 or not w.ell1_odd] for d, part in entries
+    ]
     s1 = 0
     s3 = 0
     ff_count = 0
     for ws in iter_product(*zlists):
-        if any(d.d == -1 and w.ell1_odd for d, w in zip(data, ws)):
-            continue  # outside X
         ell1_total = sum(w.ell1 for w in ws)
         s1 += (-2) ** ell1_total
         if all(w.is_fixed_point_free for w in ws):
@@ -368,12 +379,16 @@ def _threeterm_direct(mp, eps, entries) -> int:
         in_y = all(d.m % 2 == 0 or w.ell1_odd == 0 for d, w in zip(data, ws))
         if in_y:
             s3 += phi_w(ws, mp) * (-2) ** ell1_total
-    total = s1
-    if params.half_norm_product(mp) == 0:
-        total += 2 * eps * epsilon_nu(mp) * ff_count
-    if all(d.m * part.size() % 2 == 0 for d, (_, part) in zip(data, entries)):
-        total += params.phi(mp) * s3
-    return _quarter(total, mp)
+    t2 = epsilon_nu(mp) * ff_count if shape.half == 0 else 0
+    t3 = 0
+    if all(d.m * size % 2 == 0 for d, size in zip(data, shape.sizes)):
+        t3 = shape.phi() * s3
+    return _by_sign(s1, t2, t3, mp)
+
+
+def _by_sign(t1: int, t2: int, t3: int, mp: MultiPartition) -> dict[int, int]:
+    """(T1 + 2 * eps * T2 + T3) / 4, keyed by eps = +1 and -1."""
+    return {eps: _quarter(t1 + 2 * eps * t2 + t3, mp) for eps in (1, -1)}
 
 
 def _quarter(total: int, mp: MultiPartition) -> int:

@@ -21,6 +21,47 @@ from .errors import check_limit
 from .partitions import Partition, partitions_of
 
 
+class LabelShape:
+    """What the formulas read from a label besides its partitions.
+
+    sizes are the block sizes in entry order; pi is the norm product Pi and
+    half the product of N(xi)^(|nu_xi|/2) (None when some block size is odd),
+    both as residues mod q - 1.  Phi is computed on first use.  All of them
+    depend only on the orbits and the block sizes, so labels that share
+    both may share one LabelShape.  Code that reads a label's shape more
+    than once builds it once, with MultiPartition.shape(), and passes it on.
+    """
+
+    __slots__ = ("sizes", "pi", "half", "_ctx", "_entries", "_phi")
+
+    def __init__(self, ctx: QContext, entries: tuple[tuple[OrbitData, Partition], ...]):
+        q1 = ctx.q - 1
+        sizes = []
+        total = 0
+        even = True
+        for data, part in entries:
+            size = part.size()
+            sizes.append(size)
+            total += size * data.r
+            even = even and size % 2 == 0
+        self.sizes = tuple(sizes)
+        self.pi = total % q1
+        # With every size even, total / 2 is the sum of (size / 2) * r.
+        self.half = total // 2 % q1 if even else None
+        self._ctx = ctx
+        self._entries = entries
+        self._phi: Optional[int] = None
+
+    def phi(self) -> int:
+        """The sign Phi (requires trivial Pi and all m_xi |nu_xi| even)."""
+        if self._phi is None:
+            self._phi = dualgroup.phi_from_orbits(
+                self._ctx,
+                [(data.rep, data, size) for (data, _), size in zip(self._entries, self.sizes)],
+            )
+        return self._phi
+
+
 @dataclass(frozen=True, slots=True)
 class MultiPartition:
     """Mapping from sigma-orbits to nonempty partitions.
@@ -36,6 +77,10 @@ class MultiPartition:
     ctx: QContext
     n: int
     entries: tuple[tuple[OrbitData, Partition], ...]
+
+    def shape(self) -> LabelShape:
+        """A new LabelShape of this label; the label keeps none."""
+        return LabelShape(self.ctx, self.entries)
 
     def block_sizes(self) -> dict[Fraction, int]:
         return {data.rep: part.size() for data, part in self.entries}
@@ -103,19 +148,14 @@ def _orbit_fits(q: int, den: int, n: int) -> bool:
     return False
 
 
-def _pi_residue(mp: MultiPartition) -> int:
-    """Pi as a residue mod q - 1."""
-    return sum(part.size() * data.r for data, part in mp.entries) % (mp.ctx.q - 1)
-
-
 def pi(mp: MultiPartition) -> Fraction:
     """The norm product Pi, written additively: sum of |nu_xi| * N(xi) mod 1."""
-    return Fraction(_pi_residue(mp), mp.ctx.q - 1)
+    return Fraction(mp.shape().pi, mp.ctx.q - 1)
 
 
 def in_P_hat(mp: MultiPartition) -> bool:
     """True iff the label descends to PGL, i.e. Pi is trivial."""
-    return _pi_residue(mp) == 0
+    return mp.shape().pi == 0
 
 
 def half_norm_product(mp: MultiPartition) -> Optional[Fraction]:
@@ -124,21 +164,13 @@ def half_norm_product(mp: MultiPartition) -> Optional[Fraction]:
     For labels with trivial Pi the value is 0 (identity) or 1/2 (eta); the
     multiplicity formulas branch on exactly these three outcomes.
     """
-    q1 = mp.ctx.q - 1
-    total = 0
-    for data, part in mp.entries:
-        size = part.size()
-        if size % 2:
-            return None
-        total += (size // 2) * data.r
-    return Fraction(total % q1, q1)
+    half = mp.shape().half
+    return None if half is None else Fraction(half, mp.ctx.q - 1)
 
 
 def phi(mp: MultiPartition) -> int:
     """The sign Phi of the label (requires trivial Pi and all m_xi |nu_xi| even)."""
-    return dualgroup.phi_from_orbits(
-        mp.ctx, [(data.rep, data, part.size()) for data, part in mp.entries]
-    )
+    return mp.shape().phi()
 
 
 def parse_label(ctx: QContext, n: int, text: str) -> MultiPartition:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from math import factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import check_limit
 
@@ -98,7 +98,10 @@ class Partition(tuple):
             raise ValueError(f"cannot parse partition {text!r}: {exc}") from None
 
 
-def memo_per_partition(fn: Callable[[Partition], int]) -> Callable[..., int]:
+T = TypeVar("T")
+
+
+def memo_per_partition(fn: Callable[[Partition], T]) -> Callable[..., T]:
     """Memoise fn(nu) per partition, for the life of the process.
 
     A Partition argument is the key as it is; anything else is built into a
@@ -108,7 +111,7 @@ def memo_per_partition(fn: Callable[[Partition], int]) -> Callable[..., int]:
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
-    def wrapper(nu) -> int:
+    def wrapper(nu) -> T:
         return cached(nu if isinstance(nu, Partition) else Partition(nu))
 
     wrapper.cache_clear = cached.cache_clear

@@ -5,10 +5,11 @@ at a permutation of cycle type mu, normalised so that chi((m), mu) = 1 and
 chi(rho', mu) = sign(mu) * chi(rho, mu).  The recursion removes one border
 strip per part of mu, working on first-column hook lengths (beta-sets).
 
-Values are memoised in a module-level dict, and each of the four weighted
-sums sum_chi_* is memoised per partition (memo_per_partition).  Writes are
-idempotent, so concurrent use from several threads can at worst duplicate
-work; clear_memo() empties the chi memo and the four sum memos together.
+Values are memoised in a module-level dict, and the nonzero column
+chi_column and each of the four weighted sums sum_chi_* are memoised per
+partition (memo_per_partition).  Writes are idempotent, so concurrent use
+from several threads can at worst duplicate work; clear_memo() empties the
+chi memo and the five per-partition memos together.
 """
 
 from __future__ import annotations
@@ -72,10 +73,18 @@ def character_table(m: int) -> list[list[int]]:
 
 
 def clear_memo() -> None:
-    """Empty the chi memo and the memos of the four sum_chi_* sums."""
+    """Empty the chi memo, the chi_column memo and the memos of the four sums."""
     _memo.clear()
-    for memo in _SUM_MEMOS:
+    for memo in _PARTITION_MEMOS:
         memo.cache_clear()
+
+
+@memo_per_partition
+def chi_column(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The pairs (rho, chi(rho, mu)) with a nonzero value, rho in partitions_of order."""
+    return tuple(
+        (rho, value) for rho in partitions_of(mu.size()) if (value := chi(rho, mu))
+    )
 
 
 # Weighted chi-sums shared by the closed formulas and the identity checks.
@@ -126,4 +135,10 @@ def sum_chi_signed_even(nu: Partition) -> int:
     return total
 
 
-_SUM_MEMOS = (sum_chi_even, sum_chi_transpose_even, sum_chi_weighted, sum_chi_signed_even)
+_PARTITION_MEMOS = (
+    chi_column,
+    sum_chi_even,
+    sum_chi_transpose_even,
+    sum_chi_weighted,
+    sum_chi_signed_even,
+)

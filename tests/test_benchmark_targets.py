@@ -43,8 +43,6 @@ REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"
 REFUSALS = {WORKLOADS.command_key(argv) for argvs in WORKLOADS.REFUSALS.values() for argv in argvs}
 # Over 0.5 s in-process.
 SLOW = {
-    "cross-check --q 3 --n 8 --tier slow --format json",
-    "cross-check --q 5 --n 6 --tier slow --format json",
     "decompose --q 7 --n 6 --subgroup pgo+ --format json",
 }
 

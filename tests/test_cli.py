@@ -202,6 +202,85 @@ def test_route_mismatch_is_invariant_violation_exit(capsys, monkeypatch):
     assert "invariant violation" in err
 
 
+def _off_by_one(route, shifted):
+    """The route, with 1 added to its value at key on the label text, for each (key, text)."""
+
+    def patched(label, shape):
+        values = dict(route(label, shape))
+        for key, text in shifted:
+            if label.text() == text:
+                values[key] += 1
+        return values
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "module,name,route",
+    [
+        ("formulas", "mults_via_transition", "transition"),
+        ("formulas", "basic_mults", "closed-form"),
+        ("involutions", "threeterm_values", "involution"),
+    ],
+)
+def test_cross_check_reports_mismatches_by_subgroup_in_label_order(
+    capsys, monkeypatch, module, name, route
+):
+    from pglchar import cli, params
+    from pglchar.dualgroup import q_context
+    from pglchar.formulas import Subgroup
+
+    labels = [label.text() for label in params.enumerate_labels(q_context(3), 4, True)]
+    # Label order runs against subgroup order, so a label-major report would differ.
+    off = {"pgsp": labels[-1], "pgo+": labels[len(labels) // 2], "pgo-": labels[0]}
+    if route == "involution":
+        del off["pgsp"]
+        keys = {"pgo+": 1, "pgo-": -1}
+    else:
+        keys = {sg.value: sg for sg in Subgroup}
+    owner = getattr(cli, module)
+    monkeypatch.setattr(
+        owner, name, _off_by_one(getattr(owner, name), [(keys[sg], off[sg]) for sg in off])
+    )
+    args = ["cross-check", "--q", "3", "--n", "4", "--tier", "slow"]
+    code, out, err = run(capsys, *args, "--format", "json")
+    assert code == 4
+    assert f"{len(off)} route mismatches" in err
+    mismatches = json.loads(out)["mismatches"]
+    assert [(m["subgroup"], m["label"]) for m in mismatches] == list(off.items())
+    for m in mismatches:
+        others = {v for k, v in m["routes"].items() if k != route}
+        assert len(others) == 1
+        assert m["routes"][route] == others.pop() + 1
+    code, out, _ = run(capsys, *args, "--format", "csv")
+    assert code == 4
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["subgroup", "labels", "status"]
+    assert rows[1:] == [
+        [sg, str(len(labels)), "MISMATCH" if sg in off else "agree"]
+        for sg in ("pgsp", "pgo+", "pgo-")
+    ]
+
+
+def test_full_decompose_checks_sum_md_against_the_index(capsys, monkeypatch):
+    from pglchar import oracle
+
+    real = oracle.degree
+    monkeypatch.setattr(
+        oracle, "degree", lambda ctx, label: real(ctx, label) + (label.text() == "0/1:[2]")
+    )
+    base = ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+"]
+    for extra in ([], ["--include-zeros"], ["--format", "json"]):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 4
+        assert out == ""
+        assert "differs from the index 6 of pgo+" in err
+    # Only a full decompose with degrees claims the index.
+    for extra in (["--label", "0/1:[2]"], ["--unipotent-only"], ["--no-degrees"]):
+        code, _, _ = run(capsys, *base, *extra)
+        assert code == 0
+
+
 def test_verify_identities_json(capsys):
     code, out, _ = run(capsys, "verify-identities", "--max-size", "3", "--format", "json")
     assert code == 0

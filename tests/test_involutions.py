@@ -310,8 +310,8 @@ def test_integer_threeterm_matches_fraction_reference(q):
     for mp in enumerate_labels(q_context(q), 4, True):
         for eps in (1, -1):
             factorized, direct = _ref_threeterm(mp, eps)
-            assert involutions._threeterm_factorized(mp, eps, mp.entries) == factorized, mp
-            assert involutions._threeterm_direct(mp, eps, mp.entries) == direct, mp
+            assert involutions._threeterm_factorized(mp, mp.shape())[eps] == factorized, mp
+            assert involutions._threeterm_direct(mp, mp.shape())[eps] == direct, mp
 
 
 def test_threeterm_refuses_an_odd_quadruple(monkeypatch):

@@ -214,3 +214,14 @@ def test_sums_accept_any_partition_form():
         assert fn([2, 1, 1]) == fn((2, 1, 1)) == fn(Partition([2, 1, 1]))
         with pytest.raises(ValueError):
             fn([1, 2])
+
+
+def test_chi_column_lists_the_nonzero_values_and_is_cleared_with_the_memo():
+    for m in range(7):
+        for mu in partitions_of(m):
+            expected = tuple((rho, chi(rho, mu)) for rho in partitions_of(m) if chi(rho, mu))
+            assert symchar.chi_column(mu) == expected
+    assert symchar.chi_column([2, 1]) == symchar.chi_column(Partition([2, 1]))
+    assert symchar.chi_column.cache_info().currsize
+    symchar.clear_memo()
+    assert symchar.chi_column.cache_info().currsize == 0
