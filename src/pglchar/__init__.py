@@ -3,7 +3,9 @@ irreducible characters of PGL_n(F_q), for even n and odd prime powers q.
 
 Three independent computational routes (closed formulas on irreducible
 labels, closed formulas on basic characters, and brute-force involution
-counting) are cross-checked against matrix-group oracles.
+counting) are cross-checked against each other.  Group orders check the
+totals: sum(mult * degree) must be the index of the subgroup.  Double cosets,
+counted as orbits on forms, give sum(mult * mult) for a pair of subgroups.
 """
 
 from .dualgroup import QContext, q_context

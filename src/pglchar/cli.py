@@ -120,26 +120,28 @@ def cmd_cross_check(args) -> int:
     # The involution route meets the block 0/1:[n], which every n has.
     check_limit("ZINV_SIZE_BOUND", args.n, "block size n")
     labels = params.enumerate_labels(ctx, args.n, True)
-    # Each route gives one label's values for every subgroup in one pass;
-    # mismatches are reported subgroup by subgroup, in label order.
-    found = {subgroup: [] for subgroup in Subgroup}
+    # Each route gives one label's values for every subgroup in one pass, in
+    # Subgroup order; mismatches are reported subgroup by subgroup, in label
+    # order.  The involution route has no PGSp value.
+    subgroups = tuple(Subgroup)
+    found = [[] for _ in subgroups]
     for label in labels:
         shape = label.shape()  # one shape serves the three routes
         transition = formulas.mults_via_transition(label, shape)
         closed = formulas.basic_mults(label, shape)
-        involution = involutions.threeterm_values(label, shape)
-        for subgroup in Subgroup:
-            routes = {"transition": transition[subgroup], "closed-form": closed[subgroup]}
-            if subgroup is not Subgroup.PGSP:
-                routes["involution"] = involution[subgroup.eps]
+        involution = (None, *involutions.threeterm_values(label, shape))
+        for i, subgroup in enumerate(subgroups):
+            routes = {"transition": transition[i], "closed-form": closed[i]}
+            if involution[i] is not None:
+                routes["involution"] = involution[i]
             if len(set(routes.values())) != 1:
-                found[subgroup].append(
+                found[i].append(
                     {"subgroup": subgroup.value, "label": label.text(), "routes": routes}
                 )
-    mismatches = [item for subgroup in Subgroup for item in found[subgroup]]
+    mismatches = [item for items in found for item in items]
     rows = [
-        [subgroup.value, len(labels), "MISMATCH" if found[subgroup] else "agree"]
-        for subgroup in Subgroup
+        [subgroup.value, len(labels), "MISMATCH" if items else "agree"]
+        for subgroup, items in zip(subgroups, found)
     ]
     payload = {
         "schema_version": 1,

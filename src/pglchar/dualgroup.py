@@ -15,14 +15,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Optional
 
 from .errors import LIMITS, InvariantViolation, check_limit
-
-# Unique element of order 2 fixed by sigma: q odd makes denominator 2 legal.
-ETA = Fraction(1, 2)
 
 _FRACTION_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*")
 
@@ -101,84 +97,54 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def sigma(ctx: QContext, x) -> Fraction:
-    """The q-th power map: multiplication by q mod 1."""
-    return as_dual(ctx, x) * ctx.q % 1
+def _orbit_data(q: int, m: int, level: int, a: int) -> OrbitData:
+    """The orbit of size m whose least member is a / level, with level = q^m - 1.
+
+    That element has norm a / (q - 1), so r = a mod (q - 1); d = <-1, N(xi)>
+    is a parity, since -1 has exponent (q-1)/2.
+    """
+    r = a % (q - 1)
+    return OrbitData(Fraction(a, level), m, r, -1 if r % 2 else 1)
 
 
-def eta(ctx: QContext) -> Fraction:
-    """The unique order-2 element of L^sigma, the fraction 1/2."""
-    return ETA
+def orbit_data(ctx: QContext, x, max_m: Optional[int] = None) -> Optional[OrbitData]:
+    """The OrbitData of the sigma-orbit of x, or None if it has more than max_m elements.
 
-
-@lru_cache(maxsize=None)
-def _mult_order(q: int, den: int) -> int:
-    if den == 1:
-        return 1
-    acc = q % den
-    e = 1
-    while acc != 1:
-        acc = acc * q % den
-        e += 1
-    return e
+    All orbit elements share a denominator, so one walk of num -> num * q mod
+    den gives the size m and the least numerator, which is the canonical
+    representative: the minimal (denominator, numerator) in the orbit.  With
+    max_m the walk stops after max_m steps, before a long orbit is listed.
+    """
+    x = as_dual(ctx, x)
+    q = ctx.q
+    num, den = x.numerator, x.denominator
+    # An orbit has fewer than den elements, so den alone never stops the walk.
+    limit = den if max_m is None else max_m
+    least = num
+    m = 1
+    y = num * q % den
+    while y != num:
+        if m >= limit:
+            return None
+        if y < least:
+            least = y
+        y = y * q % den
+        m += 1
+    level = q**m - 1
+    a, rem = divmod(least * level, den)
+    if rem:
+        raise InvariantViolation(f"orbit size {m} of {x} does not satisfy den | q^m - 1")
+    return _orbit_data(q, m, level, a)
 
 
 def orbit_size(ctx: QContext, x) -> int:
     """m_xi: the smallest e >= 1 with q^e * xi = xi (1 for the identity)."""
-    return _mult_order(ctx.q, as_dual(ctx, x).denominator)
+    return orbit_data(ctx, x).m
 
 
-def orbit(ctx: QContext, x) -> list[Fraction]:
-    """The sigma-orbit of x, starting at x."""
-    x = as_dual(ctx, x)
-    out = [x]
-    y = x * ctx.q % 1
-    while y != x:
-        out.append(y)
-        y = y * ctx.q % 1
-    return out
-
-
-def norm(ctx: QContext, x) -> Fraction:
-    """N(xi) = (1 + q + ... + q^(m-1)) * xi, which lands in L^sigma."""
-    x = as_dual(ctx, x)
-    m = orbit_size(ctx, x)
-    return x * ((ctx.q**m - 1) // (ctx.q - 1)) % 1
-
-
-@lru_cache(maxsize=None)
 def canonical_rep(ctx: QContext, x) -> Fraction:
-    """Frozen orbit representative: minimal (denominator, numerator) in the orbit.
-
-    All orbit elements share a denominator, so this is the minimal numerator,
-    found by walking num -> num * q mod den on integers.
-    """
-    x = as_dual(ctx, x)
-    num, den = x.numerator, x.denominator
-    best = num
-    y = num * ctx.q % den
-    while y != num:
-        if y < best:
-            best = y
-        y = y * ctx.q % den
-    return x if best == num else Fraction(best, den)
-
-
-@lru_cache(maxsize=None)
-def orbit_data(ctx: QContext, x) -> OrbitData:
-    """The OrbitData of the sigma-orbit of x.
-
-    Written as x = a / (q^m - 1), x has norm a / (q - 1), so r = a mod (q - 1).
-    """
-    x = as_dual(ctx, x)
-    q = ctx.q
-    m = _mult_order(q, x.denominator)
-    level = q**m - 1
-    if level % x.denominator:
-        raise InvariantViolation(f"orbit size {m} of {x} does not satisfy den | q^m - 1")
-    r = x.numerator * (level // x.denominator) % (q - 1)
-    # d = <-1, N(xi)>: -1 has exponent (q-1)/2, so the pairing is a parity.
-    return OrbitData(canonical_rep(ctx, x), m, r, -1 if r % 2 else 1)
+    """Frozen orbit representative: minimal (denominator, numerator) in the orbit."""
+    return orbit_data(ctx, x).rep
 
 
 def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
@@ -216,8 +182,7 @@ def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
                 if b == a:
                     break
             if length == e:
-                r = a % (q - 1)
-                out.append(OrbitData(Fraction(a, level), e, r, -1 if r % 2 else 1))
+                out.append(_orbit_data(q, e, level, a))
     out.sort(key=lambda od: (od.rep.denominator, od.rep.numerator))
     return out
 

@@ -2,9 +2,10 @@
 orthogonal subgroups of PGL_n over F_q, plus the route through basic
 characters and a batch decomposition driver.
 
-All fractional coefficients (1/4, 1/2, eps/2) are handled in exact rational
-arithmetic; a non-integral or negative final multiplicity is a hard internal
-error, never a rounding issue.
+The fractional coefficients (1/4, 1/2, eps/2) are cleared first: each
+formula sums four (or two) times the multiplicity as an int and divides at
+the end.  A remainder or a negative multiplicity is a hard internal error,
+never a rounding issue.
 """
 
 from __future__ import annotations
@@ -234,14 +235,18 @@ def mult_unipotent_gl_o(rho: Partition, eps: int) -> int:
 # 4 * mult_pgo_basic(nu, eps) is T1 + 2 * eps * T2 + T3.
 
 
-def mult_pgsp_basic(nu: MultiPartition) -> int:
-    """Inner product of the basic character B_nu with Ind(1) from PGSp_n."""
-    if _require_descends(nu, nu.shape()).half != 0:
+def _pgsp_basic(nu: MultiPartition, shape: LabelShape) -> int:
+    if shape.half != 0:
         return 0
     prod = 1
     for _, part in nu.entries:
         prod *= symchar.sum_chi_even(part)
     return prod
+
+
+def mult_pgsp_basic(nu: MultiPartition) -> int:
+    """Inner product of the basic character B_nu with Ind(1) from PGSp_n."""
+    return _pgsp_basic(nu, _require_descends(nu, nu.shape()))
 
 
 def _pgo_basic_terms(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
@@ -299,29 +304,25 @@ def mult_basic(nu: MultiPartition, subgroup: Subgroup) -> int:
     return mult_pgo_basic(nu, subgroup.eps)
 
 
-def basic_mults(nu: MultiPartition, shape: LabelShape) -> dict[Subgroup, int]:
-    """mult_basic for every subgroup; one T1, T2, T3 serves both signs.
+def basic_mults(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
+    """mult_basic for every subgroup, in Subgroup order; one T1, T2, T3 serves both signs.
 
     shape is nu.shape(), which the caller may share with the other routes.
     """
     terms = _pgo_basic_terms(nu, _require_descends(nu, shape))
-    return {
-        Subgroup.PGSP: mult_pgsp_basic(nu),
-        Subgroup.PGO_PLUS: _pgo_basic(terms, 1, nu),
-        Subgroup.PGO_MINUS: _pgo_basic(terms, -1, nu),
-    }
+    return _pgsp_basic(nu, shape), _pgo_basic(terms, 1, nu), _pgo_basic(terms, -1, nu)
 
 
-def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> dict[Subgroup, int]:
+def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
     """Basic-character multiplicities through the irreducible transition matrix.
 
     Expands B_nu over all irreducible labels with the same block sizes on the
-    same orbits, for every subgroup at once: each rho-label is built once,
-    and its PGO terms serve both signs.  The entries of nu are canonical and
-    sorted already, so each rho-label is built directly on the orbit data of
-    nu.  Its shape is shape, that of nu (nu.shape(), which the caller may
-    share with the other routes), since a shape reads only the orbits and
-    the block sizes; so every rho-label descends once nu does.
+    same orbits, for every subgroup at once, in Subgroup order: each rho-label
+    is built once, and its PGO terms serve both signs.  The entries of nu are
+    canonical and sorted already, so each rho-label is built directly on the
+    orbit data of nu.  Its shape is shape, that of nu (nu.shape(), which the
+    caller may share with the other routes), since a shape reads only the
+    orbits and the block sizes; so every rho-label descends once nu does.
     """
     _require_descends(nu, shape)
     # Per block, the rho-entries with chi(rho, nu_xi) != 0 and that value.
@@ -340,16 +341,12 @@ def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> dict[Subgroup
         plus += coeff * _pgo_irr(terms, 1, rho_label)
         minus += coeff * _pgo_irr(terms, -1, rho_label)
     sign = (-1) ** (nu.n + sum(shape.sizes))
-    return {
-        Subgroup.PGSP: sign * sp,
-        Subgroup.PGO_PLUS: sign * plus,
-        Subgroup.PGO_MINUS: sign * minus,
-    }
+    return sign * sp, sign * plus, sign * minus
 
 
 def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
     """One subgroup's value of mults_via_transition."""
-    return mults_via_transition(nu, nu.shape())[subgroup]
+    return mults_via_transition(nu, nu.shape())[tuple(Subgroup).index(subgroup)]
 
 
 # Batch driver.

@@ -310,17 +310,18 @@ def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
     """
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
-    return threeterm_values(mp, mp.shape())[eps]
+    plus, minus = threeterm_values(mp, mp.shape())
+    return plus if eps == 1 else minus
 
 
-def threeterm_values(mp: MultiPartition, shape: LabelShape) -> dict[int, int]:
+def threeterm_values(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
     """The three-term double-coset count for eps = +1 and -1.
 
     4 times the count is T1 + 2 * eps * T2 + T3.  The terms are evaluated
     both by per-orbit factorization and by one direct enumeration of
     involution tuples; the two must agree for both signs, and the common
-    values are returned, keyed by eps.  shape is mp.shape(), which the
-    caller may share with the other routes.
+    values are returned as (eps = +1, eps = -1).  shape is mp.shape(), which
+    the caller may share with the other routes.
     """
     if shape.pi:
         raise ValueError(f"label {mp} has nontrivial norm product")
@@ -335,7 +336,7 @@ def threeterm_values(mp: MultiPartition, shape: LabelShape) -> dict[int, int]:
     return factorized
 
 
-def _threeterm_factorized(mp: MultiPartition, shape: LabelShape) -> dict[int, int]:
+def _threeterm_factorized(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
     entries = mp.entries
     s1 = 1
     for data, part in entries:
@@ -361,7 +362,7 @@ def _threeterm_factorized(mp: MultiPartition, shape: LabelShape) -> dict[int, in
     return _by_sign(s1, ff, s3, mp)
 
 
-def _threeterm_direct(mp: MultiPartition, shape: LabelShape) -> dict[int, int]:
+def _threeterm_direct(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
     entries = mp.entries
     data = [d for d, _ in entries]
     # X: the tuples with no odd type-1 cycle on a block with d = -1.
@@ -386,9 +387,9 @@ def _threeterm_direct(mp: MultiPartition, shape: LabelShape) -> dict[int, int]:
     return _by_sign(s1, t2, t3, mp)
 
 
-def _by_sign(t1: int, t2: int, t3: int, mp: MultiPartition) -> dict[int, int]:
-    """(T1 + 2 * eps * T2 + T3) / 4, keyed by eps = +1 and -1."""
-    return {eps: _quarter(t1 + 2 * eps * t2 + t3, mp) for eps in (1, -1)}
+def _by_sign(t1: int, t2: int, t3: int, mp: MultiPartition) -> tuple[int, int]:
+    """(T1 + 2 * eps * T2 + T3) / 4 for eps = +1 and then -1."""
+    return _quarter(t1 + 2 * t2 + t3, mp), _quarter(t1 - 2 * t2 + t3, mp)
 
 
 def _quarter(total: int, mp: MultiPartition) -> int:

@@ -107,45 +107,29 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
         pairs: Iterable = entries.items()
     else:
         pairs = entries
-    canon: dict[Fraction, tuple[OrbitData, Partition]] = {}
+    # Keyed by (denominator, numerator) of the representative: the entry order.
+    canon: dict[tuple[int, int], tuple[OrbitData, Partition]] = {}
     for xi, part in pairs:
         if isinstance(xi, str):
             xi = dualgroup.parse_fraction(xi)
-        xi = dualgroup.as_dual(ctx, xi)
-        if not _orbit_fits(ctx.q, xi.denominator, n):
-            raise ValueError(
-                f"the sigma-orbit of {dualgroup.format_fraction(xi)} is longer than n = {n}"
-            )
-        data = dualgroup.orbit_data(ctx, xi)
+        data = dualgroup.orbit_data(ctx, xi, n)
+        if data is None:
+            xi = dualgroup.format_fraction(dualgroup.as_dual(ctx, xi))
+            raise ValueError(f"the sigma-orbit of {xi} is longer than n = {n}")
         part = part if isinstance(part, Partition) else Partition(part)
         if not part:
             raise ValueError("label blocks must be nonempty partitions")
-        if data.rep in canon:
+        key = (data.rep.denominator, data.rep.numerator)
+        if key in canon:
             raise ValueError(
                 f"duplicate orbit key {dualgroup.format_fraction(data.rep)} after canonicalization"
             )
-        canon[data.rep] = (data, part)
-    ordered = tuple(
-        sorted(canon.values(), key=lambda e: (e[0].rep.denominator, e[0].rep.numerator))
-    )
+        canon[key] = (data, part)
+    ordered = tuple(canon[key] for key in sorted(canon))
     weight = sum(data.m * part.size() for data, part in ordered)
     if weight != n:
         raise ValueError(f"label weight {weight} does not match n = {n}")
     return MultiPartition(ctx, n, ordered)
-
-
-def _orbit_fits(q: int, den: int, n: int) -> bool:
-    """True iff the sigma-orbit size, the order of q mod den, is at most n.
-
-    Takes at most n steps, so a label can be rejected before canonical_rep
-    lists an orbit that may be huge.
-    """
-    power = 1
-    for _ in range(n):
-        power = power * q % den
-        if power == 1 % den:
-            return True
-    return False
 
 
 def pi(mp: MultiPartition) -> Fraction:
@@ -262,13 +246,13 @@ def random_labels(
             m = rng.randint(1, remaining)
             level = ctx.q**m - 1
             for _ in range(64):
-                x = Fraction(rng.randrange(level), level)
-                if dualgroup.orbit_size(ctx, x) == m:
+                data = dualgroup.orbit_data(ctx, Fraction(rng.randrange(level), level))
+                if data.m == m:
                     break
             else:
                 ok = False
                 break
-            rep = dualgroup.canonical_rep(ctx, x)
+            rep = data.rep
             if rep in entries:
                 ok = False
                 break

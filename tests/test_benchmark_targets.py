@@ -39,7 +39,8 @@ def test_every_tracer_target_resolves():
 
 
 WORKLOADS = _load(PERFBENCH / "workloads.py")
-REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["commands"]
+RECORDED = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+REFERENCE = RECORDED["commands"]
 REFUSALS = {WORKLOADS.command_key(argv) for argvs in WORKLOADS.REFUSALS.values() for argv in argvs}
 # Over 0.5 s in-process.
 SLOW = {
@@ -59,3 +60,18 @@ def test_reference_command_output_is_byte_identical(capsys, command):
     out = capsys.readouterr().out
     assert code == (3 if command in REFUSALS else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[command]
+
+
+def test_canary_queries_match_the_reference_in_process(tmp_path):
+    """The benchmark's query child answers the canary labels with the recorded digests."""
+    query_child = _load(PERFBENCH / "query_child.py")
+    digests = RECORDED["queries"]
+    canary = WORKLOADS.generate_queries(WORKLOADS.CANARY_SEED, WORKLOADS.CANARY_QUERIES)
+    assert WORKLOADS.queries_digest(canary) == digests["canary_inputs"]
+    in_path, out_path = tmp_path / "queries-in.json", tmp_path / "queries-out.txt"
+    in_path.write_text(json.dumps({"canary": canary, "timed": []}), encoding="utf-8")
+    assert query_child.main([str(in_path), str(out_path)]) == 0
+    answers = out_path.read_text(encoding="utf-8").splitlines()[: len(canary)]
+    assert WORKLOADS.sha256("\n".join(answers).encode()) == digests["canary_outputs"]
+    for query, line in zip(canary, answers, strict=True):
+        assert WORKLOADS.check_query(query, line) == []

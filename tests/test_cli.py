@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -196,21 +197,21 @@ def test_forms_capacity_exit(capsys):
 def test_route_mismatch_is_invariant_violation_exit(capsys, monkeypatch):
     from pglchar import cli
 
-    monkeypatch.setattr(cli.formulas, "mult_pgsp_basic", lambda label: 99)
+    monkeypatch.setattr(cli.formulas, "_pgsp_basic", lambda label, shape: 99)
     code, _, err = run(capsys, "cross-check", "--q", "3", "--n", "2")
     assert code == 4
     assert "invariant violation" in err
 
 
 def _off_by_one(route, shifted):
-    """The route, with 1 added to its value at key on the label text, for each (key, text)."""
+    """The route, with 1 added to value number key on the label text, for each (key, text)."""
 
     def patched(label, shape):
-        values = dict(route(label, shape))
+        values = list(route(label, shape))
         for key, text in shifted:
             if label.text() == text:
                 values[key] += 1
-        return values
+        return tuple(values)
 
     return patched
 
@@ -235,9 +236,9 @@ def test_cross_check_reports_mismatches_by_subgroup_in_label_order(
     off = {"pgsp": labels[-1], "pgo+": labels[len(labels) // 2], "pgo-": labels[0]}
     if route == "involution":
         del off["pgsp"]
-        keys = {"pgo+": 1, "pgo-": -1}
+        keys = {"pgo+": 0, "pgo-": 1}
     else:
-        keys = {sg.value: sg for sg in Subgroup}
+        keys = {sg.value: i for i, sg in enumerate(Subgroup)}
     owner = getattr(cli, module)
     monkeypatch.setattr(
         owner, name, _off_by_one(getattr(owner, name), [(keys[sg], off[sg]) for sg in off])
@@ -260,6 +261,26 @@ def test_cross_check_reports_mismatches_by_subgroup_in_label_order(
         [sg, str(len(labels)), "MISMATCH" if sg in off else "agree"]
         for sg in ("pgsp", "pgo+", "pgo-")
     ]
+
+
+def test_cross_check_builds_one_shape_per_label(capsys, monkeypatch):
+    from pglchar import params
+    from pglchar.dualgroup import q_context
+
+    labels = params.enumerate_labels(q_context(3), 4, True)
+    built = []
+
+    class CountedShape(params.LabelShape):
+        __slots__ = ()
+
+        def __init__(self, ctx, entries):
+            built.append(entries)
+            super().__init__(ctx, entries)
+
+    monkeypatch.setattr(params, "LabelShape", CountedShape)
+    code, out, _ = run(capsys, "cross-check", "--q", "3", "--n", "4", "--tier", "slow")
+    assert code == 0
+    assert Counter(built) == Counter(label.entries for label in labels)
 
 
 def test_full_decompose_checks_sum_md_against_the_index(capsys, monkeypatch):

@@ -6,20 +6,47 @@ import pytest
 from pglchar import dualgroup
 from pglchar.dualgroup import (
     OrbitData,
+    as_dual,
     canonical_rep,
-    eta,
     in_sigma_tilde,
-    orbit,
     orbit_data,
     orbit_size,
     orbits_up_to,
     parse_fraction,
     phi,
     q_context,
-    sigma,
     tilde_d,
 )
 from pglchar.errors import CapacityError
+
+# References: the sigma action on Fractions, with each orbit listed.  The
+# package walks an orbit once, on integers, in orbit_data.
+
+# The unique element of order 2 fixed by sigma: q odd makes denominator 2 legal.
+ETA = Fraction(1, 2)
+
+
+def sigma(ctx, x):
+    """The q-th power map: multiplication by q mod 1."""
+    return as_dual(ctx, x) * ctx.q % 1
+
+
+def orbit(ctx, x):
+    """The sigma-orbit of x, starting at x."""
+    x = as_dual(ctx, x)
+    out = [x]
+    y = sigma(ctx, x)
+    while y != x:
+        out.append(y)
+        y = sigma(ctx, y)
+    return out
+
+
+def norm(ctx, x):
+    """N(xi) = (1 + q + ... + q^(m-1)) * xi, which lands in L^sigma."""
+    m = len(orbit(ctx, x))
+    return as_dual(ctx, x) * ((ctx.q**m - 1) // (ctx.q - 1)) % 1
+
 
 Q3 = q_context(3)
 Q5 = q_context(5)
@@ -49,10 +76,8 @@ def test_sigma_examples():
 
 def test_eta_is_the_order_two_sigma_fixed_element():
     for ctx in (Q3, Q5, Q9):
-        e = eta(ctx)
-        assert e == Fraction(1, 2)
-        assert sigma(ctx, e) == e
-        assert (e + e) % 1 == 0
+        assert sigma(ctx, ETA) == ETA
+        assert (ETA + ETA) % 1 == 0
 
 
 def test_orbit_data_examples():
@@ -69,7 +94,7 @@ def test_d_eta_parity_rule():
     # d_eta = +1 exactly when q = 1 mod 4
     for q in (3, 5, 7, 9, 11, 13):
         ctx = q_context(q)
-        assert orbit_data(ctx, eta(ctx)).d == (1 if q % 4 == 1 else -1)
+        assert orbit_data(ctx, ETA).d == (1 if q % 4 == 1 else -1)
 
 
 def test_canonical_rep_examples():
@@ -153,10 +178,10 @@ def test_orbit_size_is_minimal():
 def test_norm_is_sigma_invariant_and_sigma_fixed():
     for ctx in (Q3, Q5):
         for data in orbits_up_to(ctx, 4):
-            norm = Fraction(data.r, ctx.q - 1)
-            assert sigma(ctx, norm) == norm
+            n_xi = Fraction(data.r, ctx.q - 1)
+            assert sigma(ctx, n_xi) == n_xi
             for x in orbit(ctx, data.rep):
-                assert dualgroup.norm(ctx, x) == norm
+                assert norm(ctx, x) == n_xi
 
 
 def _fraction_orbit_data(ctx, x):
@@ -202,6 +227,27 @@ def test_canonical_rep_and_orbit_data_match_fraction_reference():
             expected = _fraction_orbit_data(ctx, x)
             assert canonical_rep(ctx, x) == expected.rep
             assert orbit_data(ctx, x) == expected
+
+
+def test_orbit_data_stops_after_max_m_steps():
+    # The orbit of 1/1000000007 under q = 3 has about 5 * 10^8 elements.
+    assert orbit_data(Q3, Fraction(1, 1000000007), 2) is None
+    assert orbit_data(Q3, Fraction(1, 8), 1) is None
+    assert orbit_data(Q3, Fraction(3, 8), 2) == orbit_data(Q3, Fraction(1, 8))
+    assert orbit_data(Q3, Fraction(0), 1).m == 1
+    for ctx, n in ((Q3, 4), (Q5, 3)):
+        for data in orbits_up_to(ctx, n):
+            for x in orbit(ctx, data.rep):
+                assert orbit_data(ctx, x, data.m) == data
+                if data.m > 1:
+                    assert orbit_data(ctx, x, data.m - 1) is None
+
+
+def test_orbit_size_and_canonical_rep_read_orbit_data():
+    for x in (Fraction(0), Fraction(1, 2), Fraction(5, 8), Fraction(7, 80)):
+        data = orbit_data(Q3, x)
+        assert orbit_size(Q3, x) == data.m == len(orbit(Q3, x))
+        assert canonical_rep(Q3, x) == data.rep
 
 
 def test_orbits_capacity():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pglchar import dualgroup, formulas, involutions, oracle, params, symchar
-from pglchar.dualgroup import q_context, canonical_rep, orbit, tilde_d
+from pglchar.dualgroup import q_context, canonical_rep, tilde_d
 from pglchar.errors import InvariantViolation
 from pglchar.formulas import (
     Subgroup,
@@ -21,6 +21,8 @@ from pglchar.formulas import (
 )
 from pglchar.params import MultiPartition, enumerate_labels, make_label
 from pglchar.partitions import Partition, partitions_of
+
+from test_dualgroup import orbit
 
 Q3 = q_context(3)
 Q5 = q_context(5)

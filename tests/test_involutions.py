@@ -308,10 +308,11 @@ def _ref_threeterm(mp, eps):
 @pytest.mark.parametrize("q", [3, 5])
 def test_integer_threeterm_matches_fraction_reference(q):
     for mp in enumerate_labels(q_context(q), 4, True):
-        for eps in (1, -1):
+        # Both return (eps = +1, eps = -1).
+        for i, eps in enumerate((1, -1)):
             factorized, direct = _ref_threeterm(mp, eps)
-            assert involutions._threeterm_factorized(mp, mp.shape())[eps] == factorized, mp
-            assert involutions._threeterm_direct(mp, mp.shape())[eps] == direct, mp
+            assert involutions._threeterm_factorized(mp, mp.shape())[i] == factorized, mp
+            assert involutions._threeterm_direct(mp, mp.shape())[i] == direct, mp
 
 
 def test_threeterm_refuses_an_odd_quadruple(monkeypatch):

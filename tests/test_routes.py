@@ -200,9 +200,9 @@ def _disagreements(q, n):
     out = []
     for label in enumerate_labels(q_context(q), n, True):
         shape = label.shape()
-        transition = formulas.mults_via_transition(label, shape)
-        closed = formulas.basic_mults(label, shape)
-        involution = involutions.threeterm_values(label, shape)
+        transition = dict(zip(Subgroup, formulas.mults_via_transition(label, shape), strict=True))
+        closed = dict(zip(Subgroup, formulas.basic_mults(label, shape), strict=True))
+        involution = dict(zip((1, -1), involutions.threeterm_values(label, shape), strict=True))
         for sg in Subgroup:
             if transition[sg] != _ref_transition(label, sg):
                 out.append(("transition", sg.value, label.text()))
@@ -226,9 +226,9 @@ def test_per_label_routes_equal_the_per_subgroup_reference_at_3_8():
 def test_per_subgroup_functions_select_from_the_per_label_ones():
     for label in enumerate_labels(q_context(5), 4, True):
         shape = label.shape()
-        transition = formulas.mults_via_transition(label, shape)
-        closed = formulas.basic_mults(label, shape)
-        involution = involutions.threeterm_values(label, shape)
+        transition = dict(zip(Subgroup, formulas.mults_via_transition(label, shape), strict=True))
+        closed = dict(zip(Subgroup, formulas.basic_mults(label, shape), strict=True))
+        involution = dict(zip((1, -1), involutions.threeterm_values(label, shape), strict=True))
         for sg in Subgroup:
             assert formulas.mult_basic_via_transition(label, sg) == transition[sg]
             assert formulas.mult_basic(label, sg) == closed[sg]
