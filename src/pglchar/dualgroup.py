@@ -147,16 +147,24 @@ def canonical_rep(ctx: QContext, x) -> Fraction:
     return orbit_data(ctx, x).rep
 
 
-def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
+def orbits_up_to(ctx: QContext, n: int, *, residue: Optional[int] = None) -> list[OrbitData]:
     """All sigma-orbits with m_xi <= n, once each, sorted by representative.
 
     Level e lists the residues a mod q^e - 1 by orbits of a -> a * q.  An
     orbit shorter than e belongs to a lower level and is skipped.  The first
     unmarked a is the least member of its orbit, so a / (q^e - 1) is the
     canonical representative, and its norm residue r is a mod (q - 1).
+
+    With residue, level n keeps only the orbits with r == residue and walks
+    only a = residue mod (q - 1): as q = 1 mod (q - 1) and (q - 1) | q^n - 1,
+    a -> a * q fixes a mod (q - 1), so that class is a union of orbits and
+    its least unmarked a is still the least member of its orbit.  The
+    ORBIT_ELEMENT_BUDGET estimate is the same with or without residue.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if residue is not None and not 0 <= residue < ctx.q - 1:
+        raise ValueError(f"residue must be in [0, {ctx.q - 1}), got {residue}")
     # Stop summing once the budget is passed: q^e for large e is a huge int.
     estimate = 0
     for e in range(1, n + 1):
@@ -170,7 +178,8 @@ def orbits_up_to(ctx: QContext, n: int) -> list[OrbitData]:
     for e in range(1, n + 1):
         level = q**e - 1
         marked = bytearray(level)
-        for a in range(level):
+        first, step = (residue, q - 1) if e == n and residue is not None else (0, 1)
+        for a in range(first, level, step):
             if marked[a]:
                 continue
             b = a

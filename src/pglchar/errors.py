@@ -6,8 +6,9 @@ implementation relies on failed", because callers (notably the CLI) map them
 to different exit codes.
 
 LIMITS is the one table of capacity limits.  Each is checked through
-check_limit() before the work it guards starts, except LABEL_BUDGET, which
-enumerate_labels checks as it keeps each label.
+check_limit() before the work it guards starts.  enumerate_labels checks
+LABEL_BUDGET against the exact label count before its search, and again as
+it keeps each label, as a guard.
 """
 
 LIMITS = {

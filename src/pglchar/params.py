@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Optional
 
 from . import dualgroup
 from .dualgroup import OrbitData, QContext
-from .errors import check_limit
+from .errors import InvariantViolation, check_limit
 from .partitions import Partition, partitions_of
 
 
@@ -182,42 +184,131 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
     from large to small, partitions of a fixed size in reverse-lexicographic
     order, and "no block" last.  Depth-first composition of those choices
     yields the emission order, so the label {1:[n]} (trivial character when
-    restricted) always comes first.  The norm product Pi is carried down the
-    search as a residue mod q - 1, so a leaf is kept or dropped without
-    building its label.
+    restricted) always comes first.
+
+    The search skips branches that cannot end in a kept label.  An orbit of
+    size n fills a label alone, as {xi:[1]}, which descends only when its
+    norm residue r is 0, so restricted to P-hat level n lists only those
+    orbits.  The norm product Pi is carried down the search as a residue mod
+    q - 1: a block that fills the label is kept or dropped where it is
+    chosen, an orbit that can only fill the label is skipped unless its r
+    makes Pi trivial, and a block is not chosen when no later orbit fits in
+    what it leaves.  LABEL_BUDGET is checked against label_count before the
+    search, and the search must keep exactly that many labels.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    orbits = dualgroup.orbits_up_to(ctx, n)
-    q1 = ctx.q - 1
-    # fits[r]: indices of the orbits with m <= r, in representative order.
-    fits = [[i for i, data in enumerate(orbits) if data.m <= r] for r in range(n + 1)]
-    parts_of = [partitions_of(k) for k in range(n + 1)]
-    out: list[MultiPartition] = []
-    acc: list[tuple[OrbitData, Partition]] = []
+    orbits = dualgroup.orbits_up_to(ctx, n, residue=0 if restrict_to_P_hat else None)
+    total = label_count(ctx, n, orbits, restrict_to_P_hat)
+    check_limit("LABEL_BUDGET", total, f"labels to keep at q={ctx.q}, n={n}")
+    out = _search_labels(ctx, n, orbits, restrict_to_P_hat)
+    if len(out) != total:
+        raise InvariantViolation(f"the label search kept {len(out)} labels; label_count is {total}")
+    return out
 
-    def rec(start: int, remaining: int, norm: int) -> None:
-        if remaining == 0:
-            if not restrict_to_P_hat or norm == 0:
-                check_limit("LABEL_BUDGET", len(out) + 1, "labels kept")
-                out.append(MultiPartition(ctx, n, tuple(acc)))
-            return
-        candidates = fits[remaining]
+
+def _search_labels(
+    ctx: QContext, n: int, orbits: list[OrbitData], restrict_to_P_hat: bool
+) -> list[MultiPartition]:
+    """The depth-first search of enumerate_labels over the given orbits."""
+    # Norms are residues mod `mod`; without the restriction every label is kept.
+    mod = ctx.q - 1 if restrict_to_P_hat else 1
+    # shorter[w]: indices of the orbits with m < w.  closers[w][r]: those with
+    # m == w and norm residue r, which can only fill the rest w as a block [1].
+    # last[w]: the largest index of an orbit with m <= w (-1 if none).
+    shorter: list[list[int]] = [[] for _ in range(n + 1)]
+    closers = [[[] for _ in range(mod)] for _ in range(n + 1)]
+    last = [-1] * (n + 1)
+    for i, data in enumerate(orbits):
+        closers[data.m][data.r % mod].append(i)
+        for w in range(data.m + 1, n + 1):
+            shorter[w].append(i)
+        for w in range(data.m, n + 1):
+            last[w] = i
+    parts_of = [partitions_of(k) for k in range(n + 1)]
+    one = parts_of[1][0]
+    out: list[MultiPartition] = []
+
+    def keep(entries: tuple[tuple[OrbitData, Partition], ...]) -> None:
+        check_limit("LABEL_BUDGET", len(out) + 1, "labels kept")
+        out.append(MultiPartition(ctx, n, entries))
+
+    def rec(start: int, remaining: int, norm: int, prefix: tuple) -> None:
+        # The orbits with m < remaining and the closers that make Pi trivial,
+        # merged in index order.
+        ends = closers[remaining][-norm % mod]
+        e = bisect_left(ends, start)
+        candidates = shorter[remaining]
         for i in candidates[bisect_left(candidates, start) :]:
+            while e < len(ends) and ends[e] < i:
+                keep(prefix + ((orbits[ends[e]], one),))
+                e += 1
             data = orbits[i]
             for k in range(remaining // data.m, 0, -1):
-                child_norm = (norm + k * data.r) % q1
-                for part in parts_of[k]:
-                    acc.append((data, part))
-                    rec(i + 1, remaining - data.m * k, child_norm)
-                    acc.pop()
+                rest = remaining - data.m * k
+                child_norm = (norm + k * data.r) % mod
+                if rest:
+                    if last[rest] > i:
+                        for part in parts_of[k]:
+                            rec(i + 1, rest, child_norm, prefix + ((data, part),))
+                elif child_norm == 0:
+                    for part in parts_of[k]:
+                        keep(prefix + ((data, part),))
+        for j in ends[e:]:
+            keep(prefix + ((orbits[j], one),))
 
     try:
-        rec(0, n, 0)
+        rec(0, n, 0, ())
     finally:
-        # rec refers to itself; break that cycle so the search state is freed now.
-        del rec
+        # rec refers to itself and holds keep; drop both so the search state
+        # is freed now.
+        del rec, keep
     return out
+
+
+def label_count(
+    ctx: QContext, n: int, orbits: Iterable[OrbitData], restrict_to_P_hat: bool = True
+) -> int:
+    """The number of labels of weight n over the given orbits, without listing them.
+
+    A label puts at most one partition on each orbit, so it is a choice per
+    orbit of x^(m k) y^(k r) with p(k) ways, or of 1: x counts the weight and
+    y the norm residue mod q - 1.  Group the orbits by (m, r).  A class of c
+    orbits contributes (1 + h)^c = sum_{j <= n/m} C(c, j) h^j, where
+    h = sum_k p(k) x^(m k) y^(k r).  The count is the x^n y^0 coefficient of
+    the product over the classes; without the restriction to P-hat, y is
+    dropped.  Every term of (1 + h)^c is a(K) x^(m K) y^(K r) for one K, so
+    a class multiplies in at most n/m + 1 terms.
+    """
+    mod = ctx.q - 1 if restrict_to_P_hat else 1
+    classes = Counter((data.m, data.r % mod) for data in orbits)
+    # p[k]: the number of partitions of k.
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            p[k] += p[k - part]
+    # poly[w][y]: the choices over the classes so far of weight w and norm y.
+    poly = [[0] * mod for _ in range(n + 1)]
+    poly[0][0] = 1
+    for (m, r), c in classes.items():
+        top = n // m
+        # a[K]: the t^K coefficient of (1 + P(t))^c, P(t) = sum_{k >= 1} p(k) t^k.
+        a = [1] + [0] * top
+        power = [1] + [0] * top
+        for j in range(1, min(c, top) + 1):
+            power = [sum(p[s] * power[t - s] for s in range(1, t + 1)) for t in range(top + 1)]
+            a = [old + comb(c, j) * new for old, new in zip(a, power)]
+        # From the heaviest weight down, so each source row is read before
+        # anything is added to it.
+        for w in range(n - m, -1, -1):
+            row = poly[w]
+            for K in range(1, (n - w) // m + 1):
+                target = poly[w + m * K]
+                shift = K * r
+                for y, v in enumerate(row):
+                    if v:
+                        target[(y + shift) % mod] += a[K] * v
+    return poly[n][0]
 
 
 def random_labels(

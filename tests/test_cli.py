@@ -330,6 +330,19 @@ def test_cross_check_refuses_large_n_before_enumerating(capsys, monkeypatch):
     assert "ZINV_SIZE_BOUND" in err
 
 
+def test_decompose_refuses_past_label_budget_before_the_search(capsys, monkeypatch):
+    from pglchar import params
+
+    def fail(*args):
+        raise AssertionError("the label search ran before the LABEL_BUDGET check")
+
+    monkeypatch.setattr(params, "_search_labels", fail)
+    code, out, err = run(capsys, "decompose", "--q", "3", "--n", "12", "--subgroup", "pgsp")
+    assert code == 3
+    assert out == ""
+    assert "labels to keep at q=3, n=12: 265924 exceeds LABEL_BUDGET" in err
+
+
 @pytest.mark.parametrize("q", ["15", "21"])
 def test_orders_rejects_q_that_is_not_a_prime_power(capsys, q):
     code, out, err = run(capsys, "orders", "--q", q, "--n", "2")

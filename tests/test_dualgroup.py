@@ -216,6 +216,24 @@ def test_orbits_up_to_matches_fraction_reference(q, n):
     assert orbits_up_to(ctx, n) == _fraction_orbits_up_to(ctx, n)
 
 
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (7, 4), (9, 4)])
+def test_orbits_up_to_with_residue_filters_level_n(q, n):
+    ctx = q_context(q)
+    reference = _fraction_orbits_up_to(ctx, n)
+    for r in range(q - 1):
+        expected = [data for data in reference if data.m < n or data.r == r]
+        assert orbits_up_to(ctx, n, residue=r) == expected
+
+
+def test_orbits_up_to_residue_is_checked():
+    for residue in (-1, 2):
+        with pytest.raises(ValueError, match="residue"):
+            orbits_up_to(Q3, 2, residue=residue)
+    # The budget prices every level in full, with or without the filter.
+    with pytest.raises(CapacityError):
+        orbits_up_to(Q9, 7, residue=0)
+
+
 def test_canonical_rep_and_orbit_data_match_fraction_reference():
     # Includes the denominators of the single-label sizes (9,8) and (27,6).
     rng = random.Random(8)

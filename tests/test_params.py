@@ -5,11 +5,12 @@ import pytest
 
 from pglchar import dualgroup, params
 from pglchar.dualgroup import q_context
-from pglchar.errors import LIMITS, CapacityError
+from pglchar.errors import LIMITS, CapacityError, InvariantViolation
 from pglchar.params import (
     enumerate_labels,
     half_norm_product,
     in_P_hat,
+    label_count,
     make_label,
     parse_label,
     pi,
@@ -181,6 +182,44 @@ def test_enumerate_labels_capacity(monkeypatch):
         enumerate_labels(Q3, 3, True)
 
 
+def test_label_budget_is_still_checked_per_label(monkeypatch):
+    # A count that is too low does not let the search keep past the budget.
+    monkeypatch.setitem(LIMITS, "LABEL_BUDGET", 3)
+    monkeypatch.setattr(params, "label_count", lambda *args: 0)
+    with pytest.raises(CapacityError, match="labels kept: 4 exceeds LABEL_BUDGET"):
+        enumerate_labels(Q3, 4, True)
+
+
+def test_search_that_disagrees_with_the_count_is_an_invariant_violation(monkeypatch):
+    real = params.label_count
+    monkeypatch.setattr(params, "label_count", lambda *args: real(*args) + 1)
+    with pytest.raises(InvariantViolation, match="kept 43 labels; label_count is 44"):
+        enumerate_labels(Q3, 4, True)
+
+
+# Every size the tests enumerate.  enumerate_labels itself compares the two;
+# here the count is taken over the unfiltered orbit list.
+@pytest.mark.parametrize(
+    "q,n",
+    [(3, 2), (5, 2), (7, 2), (9, 2), (11, 2), (3, 4), (5, 4), (7, 4), (9, 4), (3, 6), (5, 6), (3, 8)],
+)
+@pytest.mark.parametrize("restrict", [True, False])
+def test_label_count_matches_enumeration(q, n, restrict):
+    ctx = q_context(q)
+    orbits = dualgroup.orbits_up_to(ctx, n)
+    assert label_count(ctx, n, orbits, restrict) == len(enumerate_labels(ctx, n, restrict))
+
+
+@pytest.mark.parametrize(
+    "q,n,count", [(7, 6, 19_674), (3, 10, 29_588), (5, 8, 97_787), (3, 12, 265_924)]
+)
+def test_label_count_pins(q, n, count):
+    # (5,8) and (3,12) are beyond what the tests enumerate; (3,12) is beyond
+    # LABEL_BUDGET.
+    ctx = q_context(q)
+    assert label_count(ctx, n, dualgroup.orbits_up_to(ctx, n, residue=0)) == count
+
+
 def _linear_scan_labels(ctx, n, restrict):
     """Reference DFS: every node scans all orbits and skips those too large."""
     orbits = dualgroup.orbits_up_to(ctx, n)
@@ -207,7 +246,7 @@ def _linear_scan_labels(ctx, n, restrict):
     return out
 
 
-@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (3, 6)])
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (7, 4), (9, 4), (11, 2), (3, 6), (5, 6)])
 @pytest.mark.parametrize("restrict", [True, False])
 def test_enumeration_order_matches_linear_scan(q, n, restrict):
     ctx = q_context(q)
