@@ -26,10 +26,9 @@ LIMITS = {
     "CHARACTER_TABLE_BOUND": 14,
     # m for listing the partitions of m
     "PARTITIONS_OF_BOUND": 30,
-    # |PGL_n(F_q)| listed for subgroup_elements and the class count
-    "GROUP_ORDER_BUDGET": 1_000_000,
-    # q^(n^2), which bounds the matrices scanned to list PGL_n(F_q); the scan
-    # visits only the (q^(n^2) - 1)/(q - 1) whose first nonzero entry is 1
+    # q^(n^2), which bounds the matrices scanned to list PGL_n(F_q) for
+    # subgroup_elements and the class count; the scan visits only the
+    # (q^(n^2) - 1)/(q - 1) whose first nonzero entry is 1
     "MATRIX_SCAN_BUDGET": 5_000_000,
     # forms up to scalars times the maps applied to them: for the double-coset
     # count, the index of H1 times GL_n's and H2's generators and the q - 1

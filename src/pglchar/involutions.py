@@ -7,6 +7,14 @@ fixed pointwise (type 1), mapped to itself with a half-rotation (type 2,
 even length only), or swapped with another cycle of the same length
 (type 3, counted in pairs).
 
+Route 3, threeterm_values, is the enumeration alone: it sums the three
+terms of a label's double-coset count over its tuples of such involutions,
+one per block, and reads no closed form.  The four involution sums
+(count_fixed_point_free and the weight_sum_* functions) serve only the
+four identities that check_identities compares with the character sums of
+symchar; those identities are what make route 2's closed forms equal to
+this count.
+
 Everything here is deliberately naive -- enumerate, filter, count -- since
 this module is the oracle side of the route-equality checks.  Only the
 repeats are saved: the involutions of S_m are listed once per m, the
@@ -315,54 +323,19 @@ def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
 
 
 def threeterm_values(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
-    """The three-term double-coset count for eps = +1 and -1.
+    """The three-term double-coset count for eps = +1 and -1, by enumeration.
 
-    4 times the count is T1 + 2 * eps * T2 + T3.  The terms are evaluated
-    both by per-orbit factorization and by one direct enumeration of
-    involution tuples; the two must agree for both signs, and the common
-    values are returned as (eps = +1, eps = -1).  shape is mp.shape(), which
-    the caller may share with the other routes.
+    4 times the count is T1 + 2 * eps * T2 + T3.  One pass over the label's
+    involution tuples (one tuple per block, from enumerate_zinv) sums all
+    three terms for both signs; no involution or character sum is read, so
+    the value is independent of the closed forms it is compared with.
+    Returns (eps = +1, eps = -1).  shape is mp.shape(), which the caller may
+    share with the other routes.
     """
     if shape.pi:
         raise ValueError(f"label {mp} has nontrivial norm product")
     for size in shape.sizes:
         check_limit("ZINV_SIZE_BOUND", size, "label block size")
-    factorized = _threeterm_factorized(mp, shape)
-    direct = _threeterm_direct(mp, shape)
-    if factorized != direct:
-        raise InvariantViolation(
-            f"three-term routes disagree on {mp}: factorized {factorized}, direct {direct}"
-        )
-    return factorized
-
-
-def _threeterm_factorized(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
-    entries = mp.entries
-    s1 = 1
-    for data, part in entries:
-        if data.d == 1:
-            s1 *= weight_sum_all(part)
-        else:
-            s1 *= weight_sum_even_type1(part)
-    ff = 0
-    if shape.half == 0:
-        ff = 1
-        for _, part in entries:
-            ff *= part.sign() * count_fixed_point_free(part)
-    s3 = 0
-    if all(data.m * size % 2 == 0 for (data, _), size in zip(entries, shape.sizes)):
-        s3 = shape.phi()
-        for (data, part), size in zip(entries, shape.sizes):
-            if data.d == 1 and data.m % 2:
-                s3 *= weight_sum_signed(part)
-            elif data.d == 1:
-                s3 *= (-1) ** (data.m * size // 2) * weight_sum_all(part)
-            else:
-                s3 *= (-1) ** (data.m * size // 2) * weight_sum_even_type1(part)
-    return _by_sign(s1, ff, s3, mp)
-
-
-def _threeterm_direct(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
     entries = mp.entries
     data = [d for d, _ in entries]
     # X: the tuples with no odd type-1 cycle on a block with d = -1.

@@ -231,7 +231,6 @@ def projective_group(q: int, n: int) -> ProjectiveMatrixGroup:
     """
     _require_prime(q)
     expected = orders(q, n).pgl
-    check_limit("GROUP_ORDER_BUDGET", expected, f"|PGL_{n}(F_{q})|")
     check_limit("MATRIX_SCAN_BUDGET", q ** (n * n), f"matrices to scan for n={n}, q={q}")
     size = n * n
     elements = []

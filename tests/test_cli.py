@@ -263,6 +263,28 @@ def test_cross_check_reports_mismatches_by_subgroup_in_label_order(
     ]
 
 
+def test_cross_check_reports_a_wrong_epsilon_nu_as_a_route_mismatch(capsys, monkeypatch):
+    from pglchar import involutions
+
+    real = involutions.epsilon_nu
+    monkeypatch.setattr(
+        involutions, "epsilon_nu", lambda mp: -real(mp) if mp.text() == "0/1:[2,2]" else real(mp)
+    )
+    code, out, err = run(
+        capsys, "cross-check", "--q", "3", "--n", "4", "--tier", "slow", "--format", "json"
+    )
+    assert code == 4
+    assert "2 route mismatches" in err
+    mismatches = json.loads(out)["mismatches"]
+    assert [(m["subgroup"], m["label"]) for m in mismatches] == [
+        ("pgo+", "0/1:[2,2]"),
+        ("pgo-", "0/1:[2,2]"),
+    ]
+    for m in mismatches:
+        routes = m["routes"]
+        assert routes["transition"] == routes["closed-form"] != routes["involution"]
+
+
 def test_cross_check_builds_one_shape_per_label(capsys, monkeypatch):
     from pglchar import params
     from pglchar.dualgroup import q_context
@@ -308,6 +330,24 @@ def test_verify_identities_json(capsys):
     payload = json.loads(out)
     assert payload["failures"] == 0
     assert all(check["status"] == "PASS" for check in payload["checks"])
+
+
+def test_verify_identities_reports_a_wrong_involution_sum(capsys, monkeypatch):
+    from pglchar import involutions
+    from pglchar.partitions import Partition
+
+    real = involutions.weight_sum_even_type1
+    monkeypatch.setattr(
+        involutions,
+        "weight_sum_even_type1",
+        lambda nu: real(nu) + (nu == Partition([2, 1, 1])),
+    )
+    code, out, err = run(capsys, "verify-identities", "--max-size", "4")
+    assert code == 4
+    assert "1 identity checks failed" in err
+    assert "1 failures" in out
+    failed = [line.split() for line in out.splitlines() if line.endswith("FAIL")]
+    assert failed == [["weight-even-type1", "[2,1,1]", "0", "-1", "FAIL"]]
 
 
 def test_cache_flag_is_gone(capsys):

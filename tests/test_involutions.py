@@ -308,18 +308,37 @@ def _ref_threeterm(mp, eps):
 @pytest.mark.parametrize("q", [3, 5])
 def test_integer_threeterm_matches_fraction_reference(q):
     for mp in enumerate_labels(q_context(q), 4, True):
-        # Both return (eps = +1, eps = -1).
-        for i, eps in enumerate((1, -1)):
+        # threeterm_values returns (eps = +1, eps = -1).
+        values = involutions.threeterm_values(mp, mp.shape())
+        for value, eps in zip(values, (1, -1)):
             factorized, direct = _ref_threeterm(mp, eps)
-            assert involutions._threeterm_factorized(mp, mp.shape())[i] == factorized, mp
-            assert involutions._threeterm_direct(mp, mp.shape())[i] == direct, mp
+            assert factorized == direct == value, mp
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_threeterm_reads_no_involution_sum(monkeypatch, q):
+    labels = enumerate_labels(q_context(q), 4, True)
+    expected = []
+    for mp in labels:
+        factorized, direct = zip(*(_ref_threeterm(mp, eps) for eps in (1, -1)))
+        assert factorized == direct, mp
+        expected.append(factorized)
+
+    def refuse(nu):
+        raise AssertionError("the involution route read an involution sum")
+
+    for name in ("count_fixed_point_free", "weight_sum_all", "weight_sum_even_type1",
+                 "weight_sum_signed"):
+        monkeypatch.setattr(involutions, name, refuse)
+    assert [involutions.threeterm_values(mp, mp.shape()) for mp in labels] == expected
 
 
 def test_threeterm_refuses_an_odd_quadruple(monkeypatch):
     mp = make_label(Q3, 2, {Fraction(0): [2]})
     assert threeterm_bruteforce(mp, 1) == 0
-    monkeypatch.setattr(involutions, "weight_sum_all", lambda nu: 1)
-    with pytest.raises(InvariantViolation, match="non-integral three-term value"):
+    # Dropping T3 leaves T1 + 2 T2 = -1 - 2, which is not a multiple of 4.
+    monkeypatch.setattr(involutions, "phi_w", lambda ws, mp: 0)
+    with pytest.raises(InvariantViolation, match="non-integral three-term value -3/4"):
         threeterm_bruteforce(mp, 1)
 
 

@@ -111,13 +111,24 @@ def test_projective_group_scans_only_normalised_matrices(q):
 
 def test_projective_group_keeps_its_limits(monkeypatch):
     assert LIMITS["MATRIX_SCAN_BUDGET"] == 5_000_000
-    assert LIMITS["GROUP_ORDER_BUDGET"] == 1_000_000
     build = projective_group.__wrapped__
     monkeypatch.setitem(LIMITS, "MATRIX_SCAN_BUDGET", 3**4 - 1)
     with pytest.raises(CapacityError, match="MATRIX_SCAN_BUDGET"):
         build(3, 2)  # charged q^(n^2), not the (q^(n^2) - 1)/(q - 1) scanned
     monkeypatch.setitem(LIMITS, "MATRIX_SCAN_BUDGET", 3**4)
     assert len(build(3, 2)) == 24
+
+
+def test_matrix_scan_budget_refuses_the_first_large_group_before_scanning(monkeypatch):
+    def refuse(a, p):
+        raise AssertionError("projective_group scanned a matrix")
+
+    monkeypatch.setattr(oracle, "_det", refuse)
+    # |PGL_2(101)| = 1,030,200: the smallest prime q whose group passes a
+    # million elements is refused on the scan bound, 101^4 > 5,000,000.
+    assert orders(101, 2).pgl == 1_030_200
+    with pytest.raises(CapacityError, match="MATRIX_SCAN_BUDGET"):
+        projective_group.__wrapped__(101, 2)
 
 
 def test_forms_never_invert(monkeypatch):

@@ -273,12 +273,24 @@ def test_the_comparison_catches_a_wrong_t2_sign(monkeypatch, module, name, route
     assert {sg for _, sg, _ in found} == {"pgo+", "pgo-"}
 
 
-def test_the_comparison_catches_a_wrong_t2_sign_in_the_involution_route(monkeypatch):
-    def flipped(t1, t2, t3, mp):
-        return {eps: (t1 - 2 * eps * t2 + t3) // 4 for eps in (1, -1)}
+def _by_sign_times(flip):
+    """A stand-in for involutions._by_sign that multiplies T2 by flip."""
 
-    monkeypatch.setattr(involutions, "_by_sign", flipped)
+    def by_sign(t1, t2, t3, mp):
+        return tuple((t1 + 2 * eps * flip * t2 + t3) // 4 for eps in (1, -1))
+
+    return by_sign
+
+
+def test_the_comparison_catches_a_wrong_t2_sign_in_the_involution_route(monkeypatch):
+    monkeypatch.setattr(involutions, "_by_sign", _by_sign_times(-1))
     found = _disagreements(3, 4)
-    assert found
+    assert len(found) == 20
     assert {route for route, _, _ in found} == {"involution"}
     assert {sg for _, sg, _ in found} == {"pgo+", "pgo-"}
+
+
+def test_the_involution_stand_in_without_a_flip_finds_nothing(monkeypatch):
+    # The control for the test above: the same (plus, minus) shape, T2 kept.
+    monkeypatch.setattr(involutions, "_by_sign", _by_sign_times(1))
+    assert _disagreements(3, 4) == []
