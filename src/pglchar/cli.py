@@ -84,10 +84,8 @@ def cmd_decompose(args) -> int:
         payload,
         ["label", "mult"] + (["degree"] if with_degrees else []),
         (list(row.values()) for row in payload["rows"]),
-        [
-            f"sum(mult*degree) = {report.sum_mult_times_degree}",
-            f"sum(mult^2) = {report.sum_mult_squared}",
-        ],
+        ([f"sum(mult*degree) = {report.sum_mult_times_degree}"] if with_degrees else [])
+        + [f"sum(mult^2) = {report.sum_mult_squared}"],
     )
     return 0
 

@@ -13,7 +13,7 @@ forced to (q-1)/2 at level 1 and (q+1)/2 at level 2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Optional
@@ -25,39 +25,33 @@ _FRACTION_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*")
 
 @dataclass(frozen=True)
 class QContext:
-    """An odd prime power q = p^k with q >= 3."""
+    """An odd prime power q = p^k with q >= 3; p and k are found from q."""
 
     q: int
-    p: int
-    k: int
+    p: int = field(init=False)
+    k: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.q % 2 == 0 or self.q < 3:
-            raise ValueError(f"q must be an odd prime power >= 3, got {self.q}")
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
-            raise ValueError(f"{self.p} is not prime")
-        if self.k < 1 or self.p**self.k != self.q:
-            raise ValueError(f"q = {self.q} is not {self.p}^{self.k}")
+        q = self.q
+        if not isinstance(q, int) or q < 3 or q % 2 == 0:
+            raise ValueError(f"q must be an odd prime power >= 3, got {q!r}")
+        check_limit("Q_BOUND", q, "q")
+        # The least divisor d > 1 of q is its prime p.
+        p = next((d for d in range(3, isqrt(q) + 1, 2) if q % d == 0), q)
+        k = 0
+        rest = q
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if rest != 1:
+            raise ValueError(f"q = {q} is not a prime power")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
 
 
 def q_context(q: int) -> QContext:
-    q = int(q)
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be an odd prime power >= 3, got {q}")
-    check_limit("Q_BOUND", q, "q")
-    p = q
-    for d in range(3, isqrt(q) + 1, 2):
-        if q % d == 0:
-            p = d
-            break
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    return QContext(q, p, k)
+    """The context for q; a q that is not an int is refused, not truncated."""
+    return QContext(q)
 
 
 @dataclass(frozen=True, slots=True)

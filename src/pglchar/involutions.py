@@ -15,11 +15,13 @@ four identities that check_identities compares with the character sums of
 symchar; those identities are what make route 2's closed forms equal to
 this count.
 
-Everything here is deliberately naive -- enumerate, filter, count -- since
-this module is the oracle side of the route-equality checks.  Only the
-repeats are saved: the involutions of S_m are listed once per m, the
-four involution sums are memoised per partition (memo_per_partition), and
-one enumeration of a label's involution tuples serves both signs eps.
+Z_inv(nu) is listed straight from the centralizer of w_nu, cycle by cycle
+(_zinv), so no permutation of S_|nu| is ever built; the tests compare it,
+as a multiset, with a brute-force filter of all involutions of S_|nu| for
+every nu the size bound admits.  Only the repeats are saved: Z_inv(nu) is
+listed once per partition, the four involution sums are memoised per
+partition (memo_per_partition), and one enumeration of a label's
+involution tuples serves both signs eps.
 """
 
 from __future__ import annotations
@@ -78,109 +80,33 @@ class IdentityCheckResult:
         return self.lhs == self.rhs
 
 
-def base_permutation(nu) -> tuple[int, ...]:
-    """w_nu with cycles laid out consecutively in weakly decreasing part order."""
-    nu = Partition(nu)
-    perm = list(range(nu.size()))
-    offset = 0
-    for length in nu:
-        for i in range(length):
-            perm[offset + i] = offset + (i + 1) % length
-        offset += length
-    return tuple(perm)
-
-
 @lru_cache(maxsize=None)
-def _involutions(m: int) -> tuple[tuple[int, ...], ...]:
-    """All involutions of S_m (including the identity), as one-line tuples."""
-    out: list[tuple[int, ...]] = []
-    current = list(range(m))
+def _zinv(nu: Partition) -> tuple[CentralizerInvolution, ...]:
+    """Z_inv(nu), built from the centralizer of w_nu one cycle at a time.
 
-    def rec(free: tuple[int, ...]) -> None:
+    An involution commuting with w_nu acts on the cycles of w_nu.  Taking the
+    cycles in order, each one still free is fixed pointwise (type 1),
+    half-rotated if its length l is even (type 2), or swapped with a later
+    free cycle of length l (type 3), matching the points of the two cycles in
+    one of l alignments.  The cycle lengths come in weakly decreasing order,
+    so every type tuple is built already sorted.
+    """
+    out: list[CentralizerInvolution] = []
+
+    def rec(free: tuple[int, ...], type1: tuple, type2: tuple, type3: tuple) -> None:
         if not free:
-            out.append(tuple(current))
+            out.append(CentralizerInvolution(nu, type1, type2, type3))
             return
-        x = free[0]
-        rec(free[1:])
-        for i in range(1, len(free)):
-            y = free[i]
-            current[x], current[y] = y, x
-            rec(free[1:i] + free[i + 1 :])
-            current[x], current[y] = x, y
+        length, rest = free[0], free[1:]
+        rec(rest, type1 + (length,), type2, type3)
+        if length % 2 == 0:
+            rec(rest, type1, type2 + (length,), type3)
+        # Every partner of length l leaves the same free cycles rest[1:].
+        for _ in range(rest.count(length) * length):
+            rec(rest[1:], type1, type2, type3 + (length,))
 
-    rec(tuple(range(m)))
+    rec(tuple(nu), (), (), ())
     return tuple(out)
-
-
-def _commutes(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    return all(v[w[i]] == w[v[i]] for i in range(len(v)))
-
-
-def _cycles_of(w: tuple[int, ...]) -> list[list[int]]:
-    seen = [False] * len(w)
-    cycles = []
-    for start in range(len(w)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = w[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = w[x]
-        cycles.append(cyc)
-    return cycles
-
-
-def _classify(v: tuple[int, ...], nu: Partition, cycles: list[list[int]]) -> CentralizerInvolution:
-    where = {}
-    for idx, cyc in enumerate(cycles):
-        for pos, point in enumerate(cyc):
-            where[point] = (idx, pos)
-    type1: list[int] = []
-    type2: list[int] = []
-    type3: list[int] = []
-    paired: set[int] = set()
-    for idx, cyc in enumerate(cycles):
-        if idx in paired:
-            continue
-        length = len(cyc)
-        target_idx, target_pos = where[v[cyc[0]]]
-        if target_idx == idx:
-            shift = target_pos
-            if any(where[v[cyc[k]]] != (idx, (k + shift) % length) for k in range(length)):
-                raise InvariantViolation("involution does not act by a rotation on a cycle")
-            if shift == 0:
-                type1.append(length)
-            elif 2 * shift == length:
-                type2.append(length)
-            else:
-                raise InvariantViolation(f"rotation shift {shift} on a {length}-cycle")
-        else:
-            other = cycles[target_idx]
-            if len(other) != length or target_idx in paired or idx in paired:
-                raise InvariantViolation("swapped cycles must pair up with equal lengths")
-            if any(where[v[cyc[k]]] != (target_idx, (k + target_pos) % length) for k in range(length)):
-                raise InvariantViolation("involution does not align swapped cycles")
-            paired.add(idx)
-            paired.add(target_idx)
-            type3.append(length)
-    return CentralizerInvolution(
-        nu,
-        tuple(sorted(type1, reverse=True)),
-        tuple(sorted(type2, reverse=True)),
-        tuple(sorted(type3, reverse=True)),
-    )
-
-
-@lru_cache(maxsize=None)
-def _zinv_consecutive(nu: Partition) -> tuple[CentralizerInvolution, ...]:
-    w = base_permutation(nu)
-    cycles = _cycles_of(w)
-    return tuple(
-        _classify(v, nu, cycles) for v in _involutions(len(w)) if _commutes(v, w)
-    )
 
 
 def enumerate_zinv(nu) -> tuple[CentralizerInvolution, ...]:
@@ -192,7 +118,7 @@ def enumerate_zinv(nu) -> tuple[CentralizerInvolution, ...]:
     if not isinstance(nu, Partition):
         nu = Partition(nu)
     check_limit("ZINV_SIZE_BOUND", nu.size(), "|nu|")
-    return _zinv_consecutive(nu)
+    return _zinv(nu)
 
 
 @memo_per_partition

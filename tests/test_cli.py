@@ -502,3 +502,18 @@ def test_orbit_budget_refuses_large_n_at_once(capsys, n):
     assert out == ""
     assert "ORBIT_ELEMENT_BUDGET" in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "fmt,footers",
+    [("table", ["sum(mult^2) = 5"]), ("csv", ["#sum(mult^2) = 5"])],
+)
+def test_no_degrees_prints_no_degree_footer(capsys, fmt, footers):
+    args = ["decompose", "--q", "3", "--n", "4", "--subgroup", "pgsp", "--format", fmt]
+    code, out, _ = run(capsys, *args, "--no-degrees")
+    assert code == 0
+    assert [line for line in out.splitlines() if "sum(" in line] == footers
+    assert "None" not in out
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert "sum(mult*degree) = " in out and "None" not in out

@@ -61,6 +61,33 @@ def test_q_context_validation():
             q_context(bad)
 
 
+@pytest.mark.parametrize("bad", [3.7, 5.9, 9.0, "9"])
+def test_q_context_refuses_a_non_integer(bad):
+    with pytest.raises(ValueError):
+        q_context(bad)
+
+
+def test_q_context_factors_q_once(monkeypatch):
+    calls = []
+    real = dualgroup.isqrt
+    monkeypatch.setattr(dualgroup, "isqrt", lambda x: calls.append(x) or real(x))
+    for q, p, k in ((1_099_511_627_689, 1_099_511_627_689, 1), (3**5, 3, 5)):
+        # 1_099_511_627_689 is the largest prime below Q_BOUND.
+        ctx = q_context(q)
+        assert (ctx.p, ctx.k) == (p, k)
+        assert calls == [q]
+        calls.clear()
+
+
+def test_a_directly_built_context_is_checked():
+    assert dualgroup.QContext(9) == Q9
+    for bad in (15, 4, 1):
+        with pytest.raises(ValueError):
+            dualgroup.QContext(bad)
+    with pytest.raises(CapacityError):
+        dualgroup.QContext((1 << 40) + 1)
+
+
 def test_as_dual_rejects_denominator_sharing_p():
     with pytest.raises(ValueError):
         dualgroup.as_dual(Q3, Fraction(1, 3))

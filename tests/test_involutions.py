@@ -1,15 +1,17 @@
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from pglchar import involutions, params
+from pglchar.cli import main
 from pglchar.dualgroup import q_context
-from pglchar.errors import CapacityError, InvariantViolation
+from pglchar.errors import LIMITS, CapacityError, InvariantViolation
 from pglchar.involutions import (
     CentralizerInvolution,
-    base_permutation,
     check_identities,
     count_fixed_point_free,
     enumerate_zinv,
@@ -28,6 +30,82 @@ Q3 = q_context(3)
 Q5 = q_context(5)
 
 
+# The brute-force reference for Z_inv(nu): list every involution of S_m, keep
+# the ones that commute with w_nu, and type each kept one by its action on
+# the cycles of w_nu.
+
+
+def base_permutation(nu):
+    """w_nu in one-line form, cycles laid out consecutively in part order."""
+    perm = []
+    for length in nu:
+        offset = len(perm)
+        perm += [offset + (i + 1) % length for i in range(length)]
+    return tuple(perm)
+
+
+def involutions_of(m):
+    """All involutions of S_m (the identity included), in one-line form."""
+    out = []
+    current = list(range(m))
+
+    def rec(free):
+        if not free:
+            out.append(tuple(current))
+            return
+        x = free[0]
+        rec(free[1:])
+        for i in range(1, len(free)):
+            y = free[i]
+            current[x], current[y] = y, x
+            rec(free[1:i] + free[i + 1 :])
+            current[x], current[y] = x, y
+
+    rec(tuple(range(m)))
+    return out
+
+
+def cycles_of(w):
+    seen = set()
+    cycles = []
+    for start in range(len(w)):
+        if start in seen:
+            continue
+        cyc = [start]
+        while w[cyc[-1]] != start:
+            cyc.append(w[cyc[-1]])
+        seen.update(cyc)
+        cycles.append(cyc)
+    return cycles
+
+
+def reference_zinv(base):
+    """Counter of (type1, type2, type3) over the involutions commuting with base."""
+    m = len(base)
+    cycles = cycles_of(base)
+    where = {x: (idx, pos) for idx, cyc in enumerate(cycles) for pos, x in enumerate(cyc)}
+    out = Counter()
+    for v in involutions_of(m):
+        if any(v[base[i]] != base[v[i]] for i in range(m)):
+            continue
+        types = ([], [], [])
+        for idx, cyc in enumerate(cycles):
+            # v commutes with base, so v(cyc[0]) fixes where the whole cycle goes.
+            target, shift = where[v[cyc[0]]]
+            if target == idx:
+                assert 2 * shift in (0, len(cyc))
+                types[0 if shift == 0 else 1].append(len(cyc))
+            elif target > idx:
+                assert len(cycles[target]) == len(cyc)
+                types[2].append(len(cyc))
+        out[tuple(tuple(sorted(t, reverse=True)) for t in types)] += 1
+    return out
+
+
+def zinv_counter(nu):
+    return Counter((w.type1, w.type2, w.type3) for w in enumerate_zinv(nu))
+
+
 def test_base_permutation_layout():
     assert base_permutation([3, 2]) == (1, 2, 0, 4, 3)
     assert base_permutation([1, 1]) == (0, 1)
@@ -43,8 +121,9 @@ def naive_involutions(m):
 
 def test_involution_generator_matches_naive_filter():
     for m in range(7):
-        got = sorted(involutions._involutions(m))
-        assert got == sorted(naive_involutions(m))
+        got = involutions_of(m)
+        assert len(set(got)) == len(got)
+        assert sorted(got) == sorted(naive_involutions(m))
 
 
 def test_enumerate_zinv_examples():
@@ -62,16 +141,16 @@ def test_enumerate_zinv_examples():
     assert count_fixed_point_free([1, 1, 1, 1]) == 3
 
 
-def test_zinv_size_against_naive_centralizer_filter():
-    for m in range(1, 7):
+def test_zinv_matches_naive_centralizer_filter():
+    # Every nu the size bound admits; raising the bound must revisit this.
+    assert LIMITS["ZINV_SIZE_BOUND"] == 9
+    total = 0
+    for m in range(1, 10):
         for nu in partitions_of(m):
-            w = base_permutation(nu)
-            naive = [
-                v
-                for v in naive_involutions(m)
-                if all(v[w[i]] == w[v[i]] for i in range(m))
-            ]
-            assert len(enumerate_zinv(nu)) == len(naive)
+            got = zinv_counter(nu)
+            assert got == reference_zinv(base_permutation(nu)), nu
+            total += sum(got.values())
+    assert total == 5518
 
 
 def test_stats_examples():
@@ -98,38 +177,19 @@ def test_cycle_multiset_reconstruction():
                 assert rebuilt == list(nu)
 
 
-def _zinv_for_base(nu, base):
-    # Z_inv(nu) for any permutation base of cycle type nu in place of w_nu.
-    cycles = involutions._cycles_of(base)
-    assert sorted((len(c) for c in cycles), reverse=True) == list(nu)
-    return [
-        involutions._classify(v, Partition(nu), cycles)
-        for v in involutions._involutions(len(base))
-        if involutions._commutes(v, base)
-    ]
-
-
 def test_zinv_independent_of_base_permutation():
     rng = random.Random(11)
     for m in range(1, 8):
         for nu in partitions_of(m):
             # lay cycles out in increasing order and relabel by a random shuffle
-            perm = list(range(m))
-            offset = 0
-            for length in sorted(nu):
-                for i in range(length):
-                    perm[offset + i] = offset + (i + 1) % length
-                offset += length
+            perm = base_permutation(sorted(nu))
             relabel = list(range(m))
             rng.shuffle(relabel)
             alt = [0] * m
             for i in range(m):
                 alt[relabel[i]] = relabel[perm[i]]
-            default = enumerate_zinv(nu)
-            other = _zinv_for_base(nu, tuple(alt))
-            assert len(default) == len(other)
-            key = lambda w: (w.type1, w.type2, w.type3)
-            assert sorted(map(key, default)) == sorted(map(key, other))
+            assert sorted(len(c) for c in cycles_of(alt)) == sorted(nu)
+            assert zinv_counter(nu) == reference_zinv(tuple(alt))
 
 
 def test_enumerate_zinv_validation():
@@ -342,9 +402,38 @@ def test_threeterm_refuses_an_odd_quadruple(monkeypatch):
         threeterm_bruteforce(mp, 1)
 
 
-def test_involutions_are_listed_once_per_size():
-    involutions._involutions.cache_clear()
-    for nu in partitions_of(6):
-        involutions._zinv_consecutive.__wrapped__(tuple(nu))
-    info = involutions._involutions.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+@pytest.fixture
+def one_alignment_per_pair(monkeypatch):
+    """Z_inv with one alignment per swapped pair of l-cycles instead of l."""
+    real = involutions._zinv
+
+    def faulty(nu):
+        counts = Counter((w.type1, w.type2, w.type3) for w in real(nu))
+        return tuple(
+            CentralizerInvolution(nu, *key)
+            for key, count in counts.items()
+            for _ in range(count // math.prod(key[2]))
+        )
+
+    sums = [
+        involutions.count_fixed_point_free,
+        involutions.weight_sum_all,
+        involutions.weight_sum_even_type1,
+        involutions.weight_sum_signed,
+    ]
+    for memo in sums:
+        memo.cache_clear()
+    monkeypatch.setattr(involutions, "_zinv", faulty)
+    yield
+    # The memos now hold sums of the faulty lists.
+    for memo in sums:
+        memo.cache_clear()
+
+
+def test_a_construction_fault_exits_4(capsys, one_alignment_per_pair):
+    code = main(["verify-identities", "--max-size", "4"])
+    assert code == 4
+    assert "4 identity checks failed" in capsys.readouterr().err
+    code = main(["cross-check", "--q", "3", "--n", "4", "--tier", "slow"])
+    assert code == 4
+    assert "2 route mismatches" in capsys.readouterr().err
