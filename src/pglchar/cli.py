@@ -68,7 +68,7 @@ def cmd_decompose(args) -> int:
     ctx = q_context(args.q)
     subgroup = Subgroup.parse(args.subgroup)
     with_degrees = not args.no_degrees
-    if args.label:
+    if args.label is not None:
         label = params.parse_label(ctx, args.n, args.label)
         report = formulas.decompose_labels(
             ctx, args.n, subgroup, [label], include_zeros=True, with_degrees=with_degrees

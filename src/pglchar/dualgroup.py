@@ -131,11 +131,6 @@ def orbit_data(ctx: QContext, x, max_m: Optional[int] = None) -> Optional[OrbitD
     return _orbit_data(q, m, level, a)
 
 
-def orbit_size(ctx: QContext, x) -> int:
-    """m_xi: the smallest e >= 1 with q^e * xi = xi (1 for the identity)."""
-    return orbit_data(ctx, x).m
-
-
 def canonical_rep(ctx: QContext, x) -> Fraction:
     """Frozen orbit representative: minimal (denominator, numerator) in the orbit."""
     return orbit_data(ctx, x).rep
@@ -215,7 +210,9 @@ def phi_from_orbits(
     """Phi over blocks (xi, orbit data of xi, block size), in integer arithmetic.
 
     The pairing exponents are summed mod q^2 - 1 and the norm residues mod
-    q - 1.  sqrt_exponent defaults to the frozen (q+1)/2 of phi().
+    q - 1; q^e is taken only modulo (q^2 - 1) times the denominator of xi,
+    so a huge block costs no more than a small one.  sqrt_exponent defaults
+    to the frozen (q+1)/2 of phi().
     """
     q = ctx.q
     q1 = q - 1
@@ -232,8 +229,12 @@ def phi_from_orbits(
             raise ValueError(f"phi needs m_xi * |nu_xi| even; orbit {xi} gives {e}")
         pi_total += size * data.r
         # <sqrt(beta), xi>_e with sqrt(beta) = g_e^(sqrt_exponent * (q^e-1)/(q^2-1)):
-        # the exponent fraction collapses to sqrt_exponent * t_e / (q^2 - 1).
-        total += sqrt_exponent * xi.numerator * ((q**e - 1) // xi.denominator)
+        # the exponent fraction collapses to sqrt_exponent * t_e / (q^2 - 1),
+        # t_e = xi * (q^e - 1), needed mod q^2 - 1.  den divides q^e - 1, and
+        # q is prime to den * (q^2 - 1), so q^e mod that is >= 1 and 1 mod den.
+        den = xi.denominator
+        t_e = (pow(q, e, den * q2) - 1) // den
+        total += sqrt_exponent * xi.numerator * t_e
     if pi_total % q1:
         raise ValueError("phi needs a trivial norm product over the blocks")
     total %= q2

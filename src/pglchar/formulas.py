@@ -107,7 +107,7 @@ def _as_nonneg_int(total: int, den: int, context: str, *args) -> int:
 class _BlockStats(NamedTuple):
     """What the orthogonal multiplicity formulas read from one partition."""
 
-    transpose_even: bool
+    transpose_even: bool  # the transpose is even: every multiplicity is even
     prod_mult_plus_one: int  # prod over distinct parts i of (m_i + 1)
     odd_mults_even: bool  # every odd part has even multiplicity
     prod_even_mult_plus_one: int  # prod over distinct even parts i of (m_i + 1)
@@ -123,7 +123,7 @@ def _block_stats(p: Partition) -> _BlockStats:
         if part % 2 == 0:
             prod_even *= mult + 1
     return _BlockStats(
-        p.transpose().is_even(),
+        all(mult % 2 == 0 for mult in mults.values()),
         prod_all,
         all(mult % 2 == 0 for part, mult in mults.items() if part % 2),
         prod_even,
@@ -206,11 +206,6 @@ def unipotent_label(ctx: QContext, rho) -> MultiPartition:
     """The label {0/1: rho} of the unipotent character chi^rho (n = |rho|)."""
     rho = Partition(rho)
     return make_label(ctx, rho.size(), {Fraction(0): rho})
-
-
-def mult_unipotent_pgsp(rho: Partition) -> int:
-    """mult_pgsp_irr on {0/1: rho}: 1 iff rho is even."""
-    return mult_pgsp_irr(unipotent_label(_UNIPOTENT_CTX, rho))
 
 
 def mult_unipotent_pgo(rho: Partition, eps: int) -> int:
@@ -298,16 +293,11 @@ def mult_pgo_basic(nu: MultiPartition, eps: int) -> int:
     return _pgo_basic(_pgo_basic_terms(nu, shape), eps, nu)
 
 
-def mult_basic(nu: MultiPartition, subgroup: Subgroup) -> int:
-    if subgroup is Subgroup.PGSP:
-        return mult_pgsp_basic(nu)
-    return mult_pgo_basic(nu, subgroup.eps)
-
-
 def basic_mults(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
-    """mult_basic for every subgroup, in Subgroup order; one T1, T2, T3 serves both signs.
+    """The closed-form basic multiplicities for every subgroup, in Subgroup order.
 
-    shape is nu.shape(), which the caller may share with the other routes.
+    One T1, T2, T3 serves both signs.  shape is nu.shape(), which the caller
+    may share with the other routes.
     """
     terms = _pgo_basic_terms(nu, _require_descends(nu, shape))
     return _pgsp_basic(nu, shape), _pgo_basic(terms, 1, nu), _pgo_basic(terms, -1, nu)

@@ -9,19 +9,16 @@ even length only), or swapped with another cycle of the same length
 
 Route 3, threeterm_values, is the enumeration alone: it sums the three
 terms of a label's double-coset count over its tuples of such involutions,
-one per block, and reads no closed form.  The four involution sums
-(count_fixed_point_free and the weight_sum_* functions) serve only the
-four identities that check_identities compares with the character sums of
+one per block, and reads no closed form.  check_identities walks Z_inv(nu)
+once per nu and compares four sums over it with the character sums of
 symchar; those identities are what make route 2's closed forms equal to
 this count.
 
 Z_inv(nu) is listed straight from the centralizer of w_nu, cycle by cycle
 (_zinv), so no permutation of S_|nu| is ever built; the tests compare it,
 as a multiset, with a brute-force filter of all involutions of S_|nu| for
-every nu the size bound admits.  Only the repeats are saved: Z_inv(nu) is
-listed once per partition, the four involution sums are memoised per
-partition (memo_per_partition), and one enumeration of a label's
-involution tuples serves both signs eps.
+every nu the size bound admits.  Z_inv(nu) is listed once per partition,
+and one enumeration of a label's involution tuples serves both signs eps.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from typing import Sequence
 from . import symchar
 from .errors import InvariantViolation, check_limit
 from .params import LabelShape, MultiPartition
-from .partitions import Partition, memo_per_partition, partitions_of
+from .partitions import Partition, partitions_of
 
 
 @dataclass(frozen=True)
@@ -121,82 +118,46 @@ def enumerate_zinv(nu) -> tuple[CentralizerInvolution, ...]:
     return _zinv(nu)
 
 
-@memo_per_partition
-def count_fixed_point_free(nu: Partition) -> int:
-    return sum(1 for w in enumerate_zinv(nu) if w.is_fixed_point_free)
+_IDENTITY_NAMES = ("ff-count", "weight-all", "weight-even-type1", "weight-signed")
 
 
-@memo_per_partition
-def weight_sum_all(nu: Partition) -> int:
-    """Sum of (-2)^ell1 over all of Z_inv(nu)."""
-    return sum((-2) ** w.ell1 for w in enumerate_zinv(nu))
+def _left_sides(nu: Partition) -> tuple[int, int, int, int]:
+    """The four identities' left sides at nu, in one pass over Z_inv(nu).
 
-
-@memo_per_partition
-def weight_sum_even_type1(nu: Partition) -> int:
-    """Sum of (-2)^ell1 over involutions with no odd-length type-1 cycle."""
-    return sum((-2) ** w.ell1 for w in enumerate_zinv(nu) if w.ell1_odd == 0)
-
-
-@memo_per_partition
-def weight_sum_signed(nu: Partition) -> int:
-    """Sum of (-1)^ell1_2mod4 (-2)^ell1 over involutions with no odd type-1 cycle."""
-    return sum(
-        (-1) ** w.ell1_2mod4 * (-2) ** w.ell1
-        for w in enumerate_zinv(nu)
-        if w.ell1_odd == 0
-    )
-
-
-# The four combinatorial identities behind the closed formulas.  Left sides
-# are brute-force involution sums, right sides are character sums; either
-# side failing would invalidate the formula modules, so both are exposed.
-
-
-def identity_ff_count(nu) -> IdentityCheckResult:
-    """#(fixed-point-free involutions in Z_inv) = sum of chi over even rho."""
-    nu = Partition(nu)
-    return IdentityCheckResult("ff-count", nu, count_fixed_point_free(nu), symchar.sum_chi_even(nu))
-
-
-def identity_weight_all(nu) -> IdentityCheckResult:
-    """Sum of (-2)^ell1 = (-1)^|nu| * sum over rho of prod(m_i+1) chi."""
-    nu = Partition(nu)
-    rhs = (-1) ** nu.size() * symchar.sum_chi_weighted(nu)
-    return IdentityCheckResult("weight-all", nu, weight_sum_all(nu), rhs)
-
-
-def identity_weight_even_type1(nu) -> IdentityCheckResult:
-    """Restricted (-2)^ell1 sum = sum of chi over rho with even transpose."""
-    nu = Partition(nu)
-    return IdentityCheckResult(
-        "weight-even-type1",
-        nu,
-        weight_sum_even_type1(nu),
-        symchar.sum_chi_transpose_even(nu),
-    )
-
-
-def identity_weight_signed(nu) -> IdentityCheckResult:
-    """Signed restricted sum = signed even-multiplicity character sum."""
-    nu = Partition(nu)
-    return IdentityCheckResult(
-        "weight-signed", nu, weight_sum_signed(nu), symchar.sum_chi_signed_even(nu)
-    )
+    The number of fixed-point-free involutions, the sum of (-2)^ell1, that
+    sum over the involutions with no odd type-1 cycle, and the same signed
+    by (-1)^ell1_2mod4.
+    """
+    ff = weight_all = weight_even = weight_signed = 0
+    for w in enumerate_zinv(nu):
+        weight = (-2) ** w.ell1
+        ff += w.is_fixed_point_free
+        weight_all += weight
+        if not w.ell1_odd:
+            weight_even += weight
+            weight_signed += (-1) ** w.ell1_2mod4 * weight
+    return ff, weight_all, weight_even, weight_signed
 
 
 def check_identities(max_size: int) -> list[IdentityCheckResult]:
-    """Run all four identities for every nu of size 1..max_size."""
+    """Run all four identities for every nu of size 1..max_size.
+
+    Each compares a sum over Z_inv(nu) with a character sum of symchar.
+    """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     check_limit("ZINV_SIZE_BOUND", max_size, "max_size")
     out = []
     for m in range(1, max_size + 1):
         for nu in partitions_of(m):
-            out.append(identity_ff_count(nu))
-            out.append(identity_weight_all(nu))
-            out.append(identity_weight_even_type1(nu))
-            out.append(identity_weight_signed(nu))
+            rhs = (
+                symchar.sum_chi_even(nu),
+                (-1) ** m * symchar.sum_chi_weighted(nu),
+                symchar.sum_chi_transpose_even(nu),
+                symchar.sum_chi_signed_even(nu),
+            )
+            for name, lhs, right in zip(_IDENTITY_NAMES, _left_sides(nu), rhs):
+                out.append(IdentityCheckResult(name, nu, lhs, right))
     return out
 
 

@@ -84,9 +84,6 @@ class MultiPartition:
         """A new LabelShape of this label; the label keeps none."""
         return LabelShape(self.ctx, self.entries)
 
-    def block_sizes(self) -> dict[Fraction, int]:
-        return {data.rep: part.size() for data, part in self.entries}
-
     def text(self) -> str:
         return " + ".join(
             f"{dualgroup.format_fraction(data.rep)}:{part}" for data, part in self.entries
@@ -132,11 +129,6 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
     if weight != n:
         raise ValueError(f"label weight {weight} does not match n = {n}")
     return MultiPartition(ctx, n, ordered)
-
-
-def pi(mp: MultiPartition) -> Fraction:
-    """The norm product Pi, written additively: sum of |nu_xi| * N(xi) mod 1."""
-    return Fraction(mp.shape().pi, mp.ctx.q - 1)
 
 
 def in_P_hat(mp: MultiPartition) -> bool:

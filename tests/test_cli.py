@@ -49,6 +49,43 @@ def test_decompose_single_label_zero_multiplicity(capsys):
     assert payload["rows"] == [{"label": "1/2:[1,1]", "mult": 0, "degree": 3}]
 
 
+@pytest.mark.parametrize("text,printed", [("2/4:[2]", "1/2:[2]"), ("5/4:[1]", "1/4:[1]")])
+def test_label_dual_elements_are_read_mod_1_and_reduced(capsys, text, printed):
+    code, out, _ = run(
+        capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+", "--label", text,
+    )
+    assert code == 0
+    assert out.splitlines()[1].split()[0] == printed
+
+
+def test_an_empty_label_is_an_argument_error(capsys):
+    code, out, err = run(
+        capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+", "--label", "",
+    )
+    assert code == 2
+    assert out == ""
+    assert "empty label entry" in err
+
+
+def test_one_huge_label_without_degrees_is_immediate(capsys, monkeypatch):
+    from pglchar.partitions import Partition
+
+    def refuse(self):
+        raise AssertionError("a partition of the label was transposed")
+
+    # Neither the transpose of [n] nor q^n may be built.
+    monkeypatch.setattr(Partition, "transpose", refuse)
+    n = 10**11
+    started = time.monotonic()
+    code, out, _ = run(
+        capsys, "decompose", "--q", "3", "--n", str(n), "--subgroup", "pgo-",
+        "--label", f"0/1:[{n}]", "--no-degrees",
+    )
+    assert time.monotonic() - started < 1.0
+    assert code == 0
+    assert out.splitlines()[1].split() == [f"0/1:[{n}]", "1"]
+
+
 def test_table_and_json_agree(capsys):
     args = ["decompose", "--q", "5", "--n", "2", "--subgroup", "pgo+"]
     code, table_out, _ = run(capsys, *args)
@@ -336,12 +373,13 @@ def test_verify_identities_reports_a_wrong_involution_sum(capsys, monkeypatch):
     from pglchar import involutions
     from pglchar.partitions import Partition
 
-    real = involutions.weight_sum_even_type1
-    monkeypatch.setattr(
-        involutions,
-        "weight_sum_even_type1",
-        lambda nu: real(nu) + (nu == Partition([2, 1, 1])),
-    )
+    real = involutions._left_sides
+
+    def one_wrong(nu):
+        ff, weight_all, weight_even, weight_signed = real(nu)
+        return ff, weight_all, weight_even + (nu == Partition([2, 1, 1])), weight_signed
+
+    monkeypatch.setattr(involutions, "_left_sides", one_wrong)
     code, out, err = run(capsys, "verify-identities", "--max-size", "4")
     assert code == 4
     assert "1 identity checks failed" in err

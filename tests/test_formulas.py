@@ -17,7 +17,6 @@ from pglchar.formulas import (
     mult_pgsp_irr,
     mult_unipotent_gl_o,
     mult_unipotent_pgo,
-    mult_unipotent_pgsp,
 )
 from pglchar.params import MultiPartition, enumerate_labels, make_label
 from pglchar.partitions import Partition, partitions_of
@@ -31,6 +30,10 @@ Q7 = q_context(7)
 
 def unipotent(ctx, rho):
     return make_label(ctx, sum(rho), {Fraction(0): rho})
+
+
+def _block_sizes(mp):
+    return {data.rep: part.size() for data, part in mp.entries}
 
 
 def test_subgroup_parse():
@@ -77,11 +80,11 @@ def test_mult_pgo_irr_validation():
 
 
 def test_unipotent_pgsp_examples():
-    assert mult_unipotent_pgsp(Partition([4])) == 1
-    assert mult_unipotent_pgsp(Partition([2, 1, 1])) == 0
-    assert mult_unipotent_pgsp(Partition([2, 2])) == 1
+    assert mult_pgsp_irr(unipotent(Q3, [4])) == 1
+    assert mult_pgsp_irr(unipotent(Q3, [2, 1, 1])) == 0
+    assert mult_pgsp_irr(unipotent(Q3, [2, 2])) == 1
     with pytest.raises(ValueError):
-        mult_unipotent_pgsp(Partition([2, 1]))
+        mult_pgsp_irr(unipotent(Q3, [2, 1]))
 
 
 def test_unipotent_gl_o_examples():
@@ -104,7 +107,6 @@ def test_unipotent_consistency_with_general_formula():
             for ctx in (Q3, Q5):
                 label = unipotent(ctx, rho)
                 assert mult_pgsp_irr(label) == _ref_mult_unipotent_pgsp(rho)
-                assert mult_unipotent_pgsp(rho) == _ref_mult_unipotent_pgsp(rho)
                 for eps in (1, -1):
                     assert mult_pgo_irr(label, eps) == _ref_mult_unipotent_pgo(rho, eps)
                     assert mult_unipotent_pgo(rho, eps) == _ref_mult_unipotent_pgo(rho, eps)
@@ -337,7 +339,7 @@ def _ref_mult_pgo_irr(rho, eps):
     )
     if cond:
         prod = 1
-        phi = _ref_phi(rho.ctx, rho.block_sizes(), (rho.ctx.q + 1) // 2)
+        phi = _ref_phi(rho.ctx, _block_sizes(rho), (rho.ctx.q + 1) // 2)
         sign = (-1) ** (rho.n // 2) * phi
         for data, part in entries:
             if data.d == 1 and data.m % 2:
@@ -376,9 +378,9 @@ def test_integer_formulas_match_fraction_reference(q, n):
         if all(data.m * part.size() % 2 == 0 for data, part in label.entries):
             for j in (0, 1):
                 exponent = (q + 1) // 2 + j * (q + 1)
-                expected = _ref_phi(ctx, label.block_sizes(), exponent)
-                assert dualgroup.phi(ctx, label.block_sizes(), exponent) == expected
-            assert params.phi(label) == _ref_phi(ctx, label.block_sizes(), (q + 1) // 2)
+                expected = _ref_phi(ctx, _block_sizes(label), exponent)
+                assert dualgroup.phi(ctx, _block_sizes(label), exponent) == expected
+            assert params.phi(label) == _ref_phi(ctx, _block_sizes(label), (q + 1) // 2)
             phis += 1
     assert phis > 0
 

@@ -3,23 +3,19 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
-from pglchar import involutions, params
+from pglchar import involutions, params, symchar
 from pglchar.cli import main
 from pglchar.dualgroup import q_context
 from pglchar.errors import LIMITS, CapacityError, InvariantViolation
 from pglchar.involutions import (
     CentralizerInvolution,
     check_identities,
-    count_fixed_point_free,
     enumerate_zinv,
     epsilon_nu,
-    identity_ff_count,
-    identity_weight_all,
-    identity_weight_even_type1,
-    identity_weight_signed,
     phi_w,
     threeterm_bruteforce,
 )
@@ -106,6 +102,26 @@ def zinv_counter(nu):
     return Counter((w.type1, w.type2, w.type3) for w in enumerate_zinv(nu))
 
 
+class ZinvSums(NamedTuple):
+    """Sums over Z_inv(nu) that the factorized three-term references read."""
+
+    ff: int  # fixed-point-free involutions
+    all: int  # (-2)^ell1 over all of Z_inv(nu)
+    even_type1: int  # (-2)^ell1 over those with no odd type-1 cycle
+    signed: int  # the same, times (-1)^ell1_2mod4
+
+
+def zinv_sums(nu):
+    ws = enumerate_zinv(nu)
+    even = [w for w in ws if w.ell1_odd == 0]
+    return ZinvSums(
+        sum(1 for w in ws if w.is_fixed_point_free),
+        sum((-2) ** w.ell1 for w in ws),
+        sum((-2) ** w.ell1 for w in even),
+        sum((-1) ** w.ell1_2mod4 * (-2) ** w.ell1 for w in even),
+    )
+
+
 def test_base_permutation_layout():
     assert base_permutation([3, 2]) == (1, 2, 0, 4, 3)
     assert base_permutation([1, 1]) == (0, 1)
@@ -138,7 +154,7 @@ def test_enumerate_zinv_examples():
     assert kinds == [((), (2,), ()), ((2,), (), ())]
 
     # nu = (1^4): the fixed-point-free involutions are the 3 perfect matchings
-    assert count_fixed_point_free([1, 1, 1, 1]) == 3
+    assert sum(w.is_fixed_point_free for w in enumerate_zinv([1, 1, 1, 1])) == 3
 
 
 def test_zinv_matches_naive_centralizer_filter():
@@ -198,15 +214,16 @@ def test_enumerate_zinv_validation():
 
 
 def test_identity_examples():
-    res = identity_ff_count([1, 1, 1, 1])
+    rows = {(res.name, tuple(res.nu)): res for res in check_identities(4)}
+    res = rows["ff-count", (1, 1, 1, 1)]
     assert (res.lhs, res.rhs, res.passed) == (3, 3, True)
-    res = identity_ff_count([2, 1])
+    res = rows["ff-count", (2, 1)]
     assert (res.lhs, res.rhs) == (0, 0)
-    res = identity_weight_all([1])
+    res = rows["weight-all", (1,)]
     assert (res.lhs, res.rhs) == (-2, -2)
-    res = identity_weight_even_type1([1, 1])
+    res = rows["weight-even-type1", (1, 1)]
     assert (res.lhs, res.rhs) == (1, 1)
-    res = identity_weight_signed([2])
+    res = rows["weight-signed", (2,)]
     assert (res.lhs, res.rhs) == (3, 3)
 
 
@@ -217,16 +234,9 @@ def test_identities_fast_tier():
 
 @pytest.mark.slow
 def test_identities_slow_tier():
-    for m in (8, 9):
-        for nu in partitions_of(m):
-            for check in (
-                identity_ff_count,
-                identity_weight_all,
-                identity_weight_even_type1,
-                identity_weight_signed,
-            ):
-                res = check(nu)
-                assert res.passed, (res.name, res.nu, res.lhs, res.rhs)
+    for res in check_identities(9):
+        if res.nu.size() >= 8:
+            assert res.passed, (res.name, res.nu, res.lhs, res.rhs)
 
 
 def test_check_identities_capacity():
@@ -322,10 +332,8 @@ def _ref_threeterm(mp, eps):
     entries = mp.entries
     s1 = 1
     for data, part in entries:
-        if data.d == 1:
-            s1 *= involutions.weight_sum_all(part)
-        else:
-            s1 *= involutions.weight_sum_even_type1(part)
+        sums = zinv_sums(part)
+        s1 *= sums.all if data.d == 1 else sums.even_type1
     factorized = Fraction(s1, 4)
     middle = (
         all(part.size() % 2 == 0 for _, part in entries) and params.half_norm_product(mp) == 0
@@ -333,18 +341,19 @@ def _ref_threeterm(mp, eps):
     if middle:
         ff = 1
         for _, part in entries:
-            ff *= part.sign() * count_fixed_point_free(part)
+            ff *= part.sign() * zinv_sums(part).ff
         factorized += Fraction(eps * ff, 2)
     third = all((data.m * part.size()) % 2 == 0 for data, part in entries)
     if third:
         s3 = 1
         for data, part in entries:
+            sums = zinv_sums(part)
             if data.d == 1 and data.m % 2:
-                s3 *= involutions.weight_sum_signed(part)
+                s3 *= sums.signed
             elif data.d == 1:
-                s3 *= (-1) ** (data.m * part.size() // 2) * involutions.weight_sum_all(part)
+                s3 *= (-1) ** (data.m * part.size() // 2) * sums.all
             else:
-                s3 *= (-1) ** (data.m * part.size() // 2) * involutions.weight_sum_even_type1(part)
+                s3 *= (-1) ** (data.m * part.size() // 2) * sums.even_type1
         factorized += Fraction(params.phi(mp) * s3, 4)
 
     data = [d for d, _ in entries]
@@ -385,11 +394,11 @@ def test_threeterm_reads_no_involution_sum(monkeypatch, q):
         expected.append(factorized)
 
     def refuse(nu):
-        raise AssertionError("the involution route read an involution sum")
+        raise AssertionError("the involution route read a character sum")
 
-    for name in ("count_fixed_point_free", "weight_sum_all", "weight_sum_even_type1",
-                 "weight_sum_signed"):
-        monkeypatch.setattr(involutions, name, refuse)
+    for name in ("sum_chi_even", "sum_chi_transpose_even", "sum_chi_weighted",
+                 "sum_chi_signed_even", "chi_column"):
+        monkeypatch.setattr(symchar, name, refuse)
     assert [involutions.threeterm_values(mp, mp.shape()) for mp in labels] == expected
 
 
@@ -415,19 +424,7 @@ def one_alignment_per_pair(monkeypatch):
             for _ in range(count // math.prod(key[2]))
         )
 
-    sums = [
-        involutions.count_fixed_point_free,
-        involutions.weight_sum_all,
-        involutions.weight_sum_even_type1,
-        involutions.weight_sum_signed,
-    ]
-    for memo in sums:
-        memo.cache_clear()
     monkeypatch.setattr(involutions, "_zinv", faulty)
-    yield
-    # The memos now hold sums of the faulty lists.
-    for memo in sums:
-        memo.cache_clear()
 
 
 def test_a_construction_fault_exits_4(capsys, one_alignment_per_pair):

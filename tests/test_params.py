@@ -13,7 +13,6 @@ from pglchar.params import (
     label_count,
     make_label,
     parse_label,
-    pi,
     random_labels,
 )
 from pglchar.partitions import Partition, partitions_of
@@ -47,9 +46,10 @@ def test_weight_uses_orbit_size():
 
 
 def test_pi_examples():
-    assert pi(make_label(Q3, 2, {Fraction(0): [1, 1]})) == 0
-    assert pi(make_label(Q3, 2, {Fraction(1, 2): [2]})) == 0
-    assert pi(make_label(Q3, 2, {Fraction(1, 8): [1]})) == Fraction(1, 2)
+    # Pi as a residue mod q - 1: Pi = 1/2 at q = 3 is the residue 1.
+    assert make_label(Q3, 2, {Fraction(0): [1, 1]}).shape().pi == 0
+    assert make_label(Q3, 2, {Fraction(1, 2): [2]}).shape().pi == 0
+    assert make_label(Q3, 2, {Fraction(1, 8): [1]}).shape().pi == 1
 
 
 def test_in_P_hat_examples():
@@ -71,7 +71,7 @@ def test_half_norm_doubles_to_pi():
         for mp in enumerate_labels(ctx, n, False):
             half = half_norm_product(mp)
             if half is not None:
-                assert (2 * half) % 1 == pi(mp)
+                assert (2 * half) % 1 == Fraction(mp.shape().pi, ctx.q - 1)
 
 
 def test_parse_label_examples():
@@ -121,7 +121,7 @@ def test_weight_invariant_on_enumeration():
     for ctx, n in ((Q3, 4), (Q5, 2)):
         for mp in enumerate_labels(ctx, n, False):
             weight = sum(
-                dualgroup.orbit_size(ctx, xi) * part.size() for xi, part in _keyed(mp)
+                dualgroup.orbit_data(ctx, xi).m * part.size() for xi, part in _keyed(mp)
             )
             assert weight == n
             for xi, _ in _keyed(mp):
@@ -150,13 +150,9 @@ def test_phi_invariance_across_labels():
                 continue
             value = params.phi(mp)
             assert value in (-1, 1)
+            sizes = {xi: part.size() for xi, part in _keyed(mp)}
             for j in (1, 3):
-                assert (
-                    dualgroup.phi(
-                        ctx, mp.block_sizes(), (ctx.q + 1) // 2 + j * (ctx.q + 1)
-                    )
-                    == value
-                )
+                assert dualgroup.phi(ctx, sizes, (ctx.q + 1) // 2 + j * (ctx.q + 1)) == value
 
 
 def test_random_labels_are_valid():

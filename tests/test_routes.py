@@ -18,6 +18,8 @@ from pglchar.formulas import Subgroup, _block_stats
 from pglchar.params import MultiPartition, enumerate_labels
 from pglchar.partitions import partitions_of
 
+from test_involutions import zinv_sums
+
 
 def _ref_pi(mp):
     return sum(part.size() * data.r for data, part in mp.entries) % (mp.ctx.q - 1)
@@ -155,25 +157,24 @@ def _ref_involution(mp, eps):
 
     s1 = 1
     for data, part in entries:
-        if data.d == 1:
-            s1 *= involutions.weight_sum_all(part)
-        else:
-            s1 *= involutions.weight_sum_even_type1(part)
+        sums = zinv_sums(part)
+        s1 *= sums.all if data.d == 1 else sums.even_type1
     factorized = s1
     if middle:
         ff = 1
         for _, part in entries:
-            ff *= part.sign() * involutions.count_fixed_point_free(part)
+            ff *= part.sign() * zinv_sums(part).ff
         factorized += 2 * eps * ff
     if third:
         s3 = 1
         for data, part in entries:
+            sums = zinv_sums(part)
             if data.d == 1 and data.m % 2:
-                s3 *= involutions.weight_sum_signed(part)
+                s3 *= sums.signed
             elif data.d == 1:
-                s3 *= (-1) ** (data.m * part.size() // 2) * involutions.weight_sum_all(part)
+                s3 *= (-1) ** (data.m * part.size() // 2) * sums.all
             else:
-                s3 *= (-1) ** (data.m * part.size() // 2) * involutions.weight_sum_even_type1(part)
+                s3 *= (-1) ** (data.m * part.size() // 2) * sums.even_type1
         factorized += _ref_phi(mp) * s3
 
     data = [d for d, _ in entries]
@@ -231,7 +232,10 @@ def test_per_subgroup_functions_select_from_the_per_label_ones():
         involution = dict(zip((1, -1), involutions.threeterm_values(label, shape), strict=True))
         for sg in Subgroup:
             assert formulas.mult_basic_via_transition(label, sg) == transition[sg]
-            assert formulas.mult_basic(label, sg) == closed[sg]
+            if sg.eps is None:
+                assert formulas.mult_pgsp_basic(label) == closed[sg]
+            else:
+                assert formulas.mult_pgo_basic(label, sg.eps) == closed[sg]
             if sg.eps is not None:
                 assert involutions.threeterm_bruteforce(label, sg.eps) == involution[sg.eps]
 
