@@ -2,7 +2,10 @@
 
 The direct limit of the character groups of F_{q^e}^x is modeled as the
 subgroup of Q/Z of fractions with denominator coprime to q; the q-th power
-map sigma acts as multiplication by q mod 1.  All pairings with field
+map sigma acts as multiplication by q mod 1.  An element is carried as a
+reduced integer pair num/den with 0 <= num < den, from the text ``a/b`` to
+OrbitData; a Fraction is built only at the edge, in OrbitData.rep,
+parse_fraction, as_dual and phi().  All pairings with field
 elements are pure exponent arithmetic relative to a norm-compatible system
 of generators (g_e = g_{e'}^((q^e'-1)/(q^e-1)) for e | e'), so no finite
 field is ever constructed.  The only field elements the formulas pair with
@@ -13,7 +16,7 @@ forced to (q-1)/2 at level 1 and (q+1)/2 at level 2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Optional
@@ -56,79 +59,101 @@ def q_context(q: int) -> QContext:
 
 @dataclass(frozen=True, slots=True)
 class OrbitData:
-    """A sigma-orbit: canonical representative, size m, norm residue r, sign d.
+    """A sigma-orbit: canonical representative num/den, size m, norm residue r, sign d.
 
-    The norm N(xi) lies in L^sigma = (1/(q-1))Z/Z; r is its residue mod
-    q - 1, so N(xi) = r / (q - 1), and d = <-1, N(xi)> = (-1)^r.
+    num/den is reduced, with 0 <= num < den.  The norm N(xi) lies in
+    L^sigma = (1/(q-1))Z/Z; r is its residue mod q - 1, so N(xi) = r / (q - 1),
+    and d = <-1, N(xi)> = (-1)^r, a parity since -1 has exponent (q-1)/2.
     """
 
-    rep: Fraction
+    num: int
+    den: int
     m: int
     r: int
     d: int
+
+    @property
+    def rep(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+
+def _check_coprime(q: int, num: int, den: int) -> None:
+    if gcd(den, q) != 1:
+        raise ValueError(f"{num}/{den} has denominator not coprime to q = {q}")
 
 
 def as_dual(ctx: QContext, x) -> Fraction:
     """Normalise x into [0,1) and check its denominator is coprime to q."""
     x = Fraction(x) % 1
-    if gcd(x.denominator, ctx.q) != 1:
-        raise ValueError(f"{x} has denominator not coprime to q = {ctx.q}")
+    _check_coprime(ctx.q, x.numerator, x.denominator)
     return x
+
+
+def parse_pair(text: str) -> tuple[int, int]:
+    """Parse the text form ``a/b`` to the reduced pair (num, den) of a/b mod 1."""
+    m = _FRACTION_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"cannot parse dual element {text!r}; expected a/b")
+    num, den = map(int, m.groups())
+    if den < 1:
+        raise ValueError(f"denominator must be >= 1 in {text!r}")
+    num %= den
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse the text form ``a/b`` (identity: ``0/1``)."""
-    m = _FRACTION_RE.fullmatch(text)
-    if not m:
-        raise ValueError(f"cannot parse dual element {text!r}; expected a/b")
-    den = int(m.group(2))
-    if den < 1:
-        raise ValueError(f"denominator must be >= 1 in {text!r}")
-    return Fraction(int(m.group(1)), den) % 1
+    return Fraction(*parse_pair(text))
 
 
 def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _orbit_data(q: int, m: int, level: int, a: int) -> OrbitData:
-    """The orbit of size m whose least member is a / level, with level = q^m - 1.
-
-    That element has norm a / (q - 1), so r = a mod (q - 1); d = <-1, N(xi)>
-    is a parity, since -1 has exponent (q-1)/2.
-    """
-    r = a % (q - 1)
-    return OrbitData(Fraction(a, level), m, r, -1 if r % 2 else 1)
-
-
 def orbit_data(ctx: QContext, x, max_m: Optional[int] = None) -> Optional[OrbitData]:
-    """The OrbitData of the sigma-orbit of x, or None if it has more than max_m elements.
+    """The OrbitData of the sigma-orbit of x, or None if it has more than max_m elements."""
+    x = Fraction(x) % 1
+    return pair_orbit_data(ctx, x.numerator, x.denominator, max_m)
+
+
+def pair_orbit_data(
+    ctx: QContext, num: int, den: int, max_m: Optional[int] = None
+) -> Optional[OrbitData]:
+    """orbit_data of num/den, reduced with 0 <= num < den; den is checked coprime to q.
 
     All orbit elements share a denominator, so one walk of num -> num * q mod
     den gives the size m and the least numerator, which is the canonical
     representative: the minimal (denominator, numerator) in the orbit.  With
-    max_m the walk stops after max_m steps, before a long orbit is listed.
+    max_m the walk stops after max_m steps, before a long orbit is listed; a
+    walk still open after ORBIT_ELEMENT_BUDGET steps that max_m allows is refused.
     """
-    x = as_dual(ctx, x)
     q = ctx.q
-    num, den = x.numerator, x.denominator
+    if not 0 <= num < den or gcd(num, den) != 1:
+        raise ValueError(f"{num}/{den} is not a reduced fraction in [0, 1)")
+    _check_coprime(q, num, den)
     # An orbit has fewer than den elements, so den alone never stops the walk.
     limit = den if max_m is None else max_m
+    stop = min(limit, LIMITS["ORBIT_ELEMENT_BUDGET"])
     least = num
     m = 1
     y = num * q % den
     while y != num:
-        if m >= limit:
-            return None
+        if m >= stop:
+            if m >= limit:
+                return None
+            what = f"elements walked in the sigma-orbit of {num}/{den}"
+            check_limit("ORBIT_ELEMENT_BUDGET", m + 1, what)
         if y < least:
             least = y
         y = y * q % den
         m += 1
-    level = q**m - 1
-    a, rem = divmod(least * level, den)
-    if rem:
-        raise InvariantViolation(f"orbit size {m} of {x} does not satisfy den | q^m - 1")
-    return _orbit_data(q, m, level, a)
+    # r = least * (q^m - 1) / den mod q - 1, from q^m mod den * (q - 1), which is >= 1.
+    t = pow(q, m, den * (q - 1)) - 1
+    if t % den:
+        raise InvariantViolation(f"orbit size {m} of {num}/{den} does not satisfy den | q^m - 1")
+    r = least * (t // den) % (q - 1)
+    return OrbitData(least, den, m, r, -1 if r % 2 else 1)
 
 
 def canonical_rep(ctx: QContext, x) -> Fraction:
@@ -180,8 +205,10 @@ def orbits_up_to(ctx: QContext, n: int, *, residue: Optional[int] = None) -> lis
                 if b == a:
                     break
             if length == e:
-                out.append(_orbit_data(q, e, level, a))
-    out.sort(key=lambda od: (od.rep.denominator, od.rep.numerator))
+                g = gcd(a, level)
+                r = a % (q - 1)
+                out.append(OrbitData(a // g, level // g, e, r, -1 if r % 2 else 1))
+    out.sort(key=lambda od: (od.den, od.num))
     return out
 
 
@@ -195,19 +222,18 @@ def phi(
     so beta = g_1 is a non-square; the result does not depend on that choice,
     which sqrt_exponent (default (q+1)/2) moves to test it.
     """
-    triples = []
-    for xi, size in blocks.items():
-        xi = as_dual(ctx, xi)
-        triples.append((xi, orbit_data(ctx, xi), size))
-    return phi_from_orbits(ctx, triples, sqrt_exponent)
+    # The pairing is taken at each key itself, which need not be the least member.
+    keys = [(as_dual(ctx, xi), size) for xi, size in blocks.items()]
+    pairs = [(replace(orbit_data(ctx, xi), num=xi.numerator), size) for xi, size in keys]
+    return phi_from_orbits(ctx, pairs, sqrt_exponent)
 
 
 def phi_from_orbits(
     ctx: QContext,
-    blocks: Iterable[tuple[Fraction, OrbitData, int]],
+    blocks: Iterable[tuple[OrbitData, int]],
     sqrt_exponent: Optional[int] = None,
 ) -> int:
-    """Phi over blocks (xi, orbit data of xi, block size), in integer arithmetic.
+    """Phi over blocks (orbit data of xi = num/den, block size), in integer arithmetic.
 
     The pairing exponents are summed mod q^2 - 1 and the norm residues mod
     q - 1; q^e is taken only modulo (q^2 - 1) times the denominator of xi,
@@ -221,20 +247,20 @@ def phi_from_orbits(
         sqrt_exponent = (q + 1) // 2
     total = 0
     pi_total = 0
-    for xi, data, size in blocks:
+    for data, size in blocks:
         if size < 1:
             raise ValueError("block sizes must be positive")
         e = data.m * size
         if e % 2:
-            raise ValueError(f"phi needs m_xi * |nu_xi| even; orbit {xi} gives {e}")
+            raise ValueError(f"phi needs m_xi * |nu_xi| even; orbit {data.rep} gives {e}")
         pi_total += size * data.r
         # <sqrt(beta), xi>_e with sqrt(beta) = g_e^(sqrt_exponent * (q^e-1)/(q^2-1)):
         # the exponent fraction collapses to sqrt_exponent * t_e / (q^2 - 1),
         # t_e = xi * (q^e - 1), needed mod q^2 - 1.  den divides q^e - 1, and
         # q is prime to den * (q^2 - 1), so q^e mod that is >= 1 and 1 mod den.
-        den = xi.denominator
+        den = data.den
         t_e = (pow(q, e, den * q2) - 1) // den
-        total += sqrt_exponent * xi.numerator * t_e
+        total += sqrt_exponent * data.num * t_e
     if pi_total % q1:
         raise ValueError("phi needs a trivial norm product over the blocks")
     total %= q2
@@ -247,27 +273,3 @@ def phi_from_orbits(
     raise InvariantViolation(
         f"phi pairing product exponent {Fraction(total, q2)} is not half-integral"
     )
-
-
-def in_sigma_tilde(ctx: QContext, x) -> bool:
-    """True iff q*x = -x in Q/Z (the 'twisted-fixed' locus)."""
-    return (ctx.q + 1) * as_dual(ctx, x) % 1 == 0
-
-
-def tilde_d(ctx: QContext, x) -> int:
-    """Sign comparing the q-power of a square root of x with its inverse.
-
-    For x with q*x = -x, pick zeta with 2*zeta = x; return +1 if
-    q*zeta = -zeta and -1 if q*zeta = -zeta + 1/2.  Well-defined since the
-    two choices of zeta differ by 1/2 and q is odd.
-    """
-    x = as_dual(ctx, x)
-    if not in_sigma_tilde(ctx, x):
-        raise ValueError(f"{x} does not satisfy q*x = -x")
-    zeta = x / 2
-    r = (ctx.q + 1) * zeta % 1
-    if r == 0:
-        return 1
-    if r == Fraction(1, 2):
-        return -1
-    raise InvariantViolation(f"tilde_d residue {r} is not half-integral")

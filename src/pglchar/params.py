@@ -57,10 +57,8 @@ class LabelShape:
     def phi(self) -> int:
         """The sign Phi (requires trivial Pi and all m_xi |nu_xi| even)."""
         if self._phi is None:
-            self._phi = dualgroup.phi_from_orbits(
-                self._ctx,
-                [(data.rep, data, size) for (data, _), size in zip(self._entries, self.sizes)],
-            )
+            blocks = [(data, size) for (data, _), size in zip(self._entries, self.sizes)]
+            self._phi = dualgroup.phi_from_orbits(self._ctx, blocks)
         return self._phi
 
 
@@ -69,11 +67,10 @@ class MultiPartition:
     """Mapping from sigma-orbits to nonempty partitions.
 
     Each entry pairs the OrbitData of an orbit (its canonical representative
-    rep, size m, norm residue r and sign d) with the orbit's partition.
-    Entries are stored sorted by (denominator, numerator) of rep, which
-    fixes the text form and the enumeration order.  Instances are built
-    through make_label()/parse_label(), which validate canonicality and the
-    weight condition sum m_xi * |nu_xi| = n.
+    num/den, size m, norm residue r and sign d) with the orbit's partition.
+    Entries are stored sorted by (den, num), which fixes the text form and
+    the enumeration order.  Instances are built through make_label() and
+    parse_label(), which validate canonicality and the weight condition.
     """
 
     ctx: QContext
@@ -85,9 +82,7 @@ class MultiPartition:
         return LabelShape(self.ctx, self.entries)
 
     def text(self) -> str:
-        return " + ".join(
-            f"{dualgroup.format_fraction(data.rep)}:{part}" for data, part in self.entries
-        )
+        return " + ".join(f"{data.num}/{data.den}:{part}" for data, part in self.entries)
 
     def __str__(self) -> str:
         return self.text()
@@ -97,32 +92,32 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
     """Build a validated label; keys are canonicalized to orbit representatives.
 
     entries may be a mapping or an iterable of (dual element, partition) pairs;
-    dual elements may be Fractions or ``a/b`` strings, partitions Partition
-    instances or iterables of parts.
+    dual elements may be Fractions, ``a/b`` strings or reduced pairs (num, den)
+    with 0 <= num < den, each read once into that pair, so the orbit walk and
+    the checks run on integers; partitions may be Partitions or iterables.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    if isinstance(entries, Mapping):
-        pairs: Iterable = entries.items()
-    else:
-        pairs = entries
-    # Keyed by (denominator, numerator) of the representative: the entry order.
+    pairs = entries.items() if isinstance(entries, Mapping) else entries
+    # Keyed by (den, num) of the representative: the entry order.
     canon: dict[tuple[int, int], tuple[OrbitData, Partition]] = {}
     for xi, part in pairs:
         if isinstance(xi, str):
-            xi = dualgroup.parse_fraction(xi)
-        data = dualgroup.orbit_data(ctx, xi, n)
+            num, den = dualgroup.parse_pair(xi)
+        elif isinstance(xi, tuple):
+            num, den = xi
+        else:
+            xi = Fraction(xi) % 1
+            num, den = xi.numerator, xi.denominator
+        data = dualgroup.pair_orbit_data(ctx, num, den, n)
         if data is None:
-            xi = dualgroup.format_fraction(dualgroup.as_dual(ctx, xi))
-            raise ValueError(f"the sigma-orbit of {xi} is longer than n = {n}")
+            raise ValueError(f"the sigma-orbit of {num}/{den} is longer than n = {n}")
         part = part if isinstance(part, Partition) else Partition(part)
         if not part:
             raise ValueError("label blocks must be nonempty partitions")
-        key = (data.rep.denominator, data.rep.numerator)
+        key = (data.den, data.num)
         if key in canon:
-            raise ValueError(
-                f"duplicate orbit key {dualgroup.format_fraction(data.rep)} after canonicalization"
-            )
+            raise ValueError(f"duplicate orbit key {data.num}/{data.den} after canonicalization")
         canon[key] = (data, part)
     ordered = tuple(canon[key] for key in sorted(canon))
     weight = sum(data.m * part.size() for data, part in ordered)
@@ -158,14 +153,14 @@ def parse_label(ctx: QContext, n: int, text: str) -> MultiPartition:
     after canonicalization and weight mismatches are rejected.
     """
     chunks = [c.strip() for c in text.split("+")]
-    if any(not c for c in chunks):
+    if not all(chunks):
         raise ValueError(f"empty label entry in {text!r}")
     pairs = []
     for chunk in chunks:
         frac_text, sep, part_text = chunk.partition(":")
         if not sep:
             raise ValueError(f"label entry {chunk!r} is missing ':'")
-        pairs.append((dualgroup.parse_fraction(frac_text), Partition.parse(part_text)))
+        pairs.append((dualgroup.parse_pair(frac_text), Partition.parse(part_text)))
     return make_label(ctx, n, pairs)
 
 
@@ -322,7 +317,7 @@ def random_labels(
         rng = random.Random(seed)
     out: list[MultiPartition] = []
     while len(out) < count:
-        entries: dict[Fraction, Partition] = {}
+        entries: dict[tuple[int, int], Partition] = {}
         remaining = n
         ok = True
         while remaining:
@@ -335,7 +330,7 @@ def random_labels(
             else:
                 ok = False
                 break
-            rep = data.rep
+            rep = (data.num, data.den)
             if rep in entries:
                 ok = False
                 break

@@ -30,12 +30,15 @@ class Partition(tuple):
     """Weakly decreasing tuple of positive integers."""
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        parts = tuple(int(x) for x in parts)
-        for i, x in enumerate(parts):
+        # Convert every part before checking any: a non-int is reported first.
+        parts = tuple(map(int, parts))
+        prev = parts[0] if parts else 1
+        for x in parts:
             if x < 1:
                 raise ValueError(f"partition parts must be positive, got {x}")
-            if i and parts[i - 1] < x:
+            if prev < x:
                 raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
+            prev = x
         return super().__new__(cls, parts)
 
     def size(self) -> int:
@@ -78,7 +81,7 @@ class Partition(tuple):
         return -1 if self.length_stats().ell0 % 2 else 1
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
@@ -93,7 +96,7 @@ class Partition(tuple):
         if not inner:
             return cls()
         try:
-            return cls(int(tok) for tok in inner.split(","))
+            return cls(map(int, inner.split(",")))
         except ValueError as exc:
             raise ValueError(f"cannot parse partition {text!r}: {exc}") from None
 

@@ -86,6 +86,38 @@ def test_one_huge_label_without_degrees_is_immediate(capsys, monkeypatch):
     assert out.splitlines()[1].split() == [f"0/1:[{n}]", "1"]
 
 
+def test_a_long_orbit_at_huge_n_is_refused_by_the_walk_budget(capsys):
+    # The orbit of 1/1000000007 under q = 3 has about 5 * 10^8 elements, and
+    # n = 10^11 allows them all: the walk stops at ORBIT_ELEMENT_BUDGET.
+    started = time.monotonic()
+    code, out, err = run(
+        capsys, "decompose", "--q", "3", "--n", "100000000000", "--subgroup", "pgo+",
+        "--label", "1/1000000007:[1]", "--no-degrees",
+    )
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "ORBIT_ELEMENT_BUDGET" in err
+
+
+@pytest.mark.parametrize(
+    "text,printed,mult",
+    [
+        ("1/3486784400:[5000000000]", "1/3486784400:[5000000000]", "0"),
+        ("2/3486784400:[5000000000]", "1/1743392200:[5000000000]", "1"),
+    ],
+)
+def test_a_short_orbit_at_huge_n_is_answered(capsys, text, printed, mult):
+    # den = 3^20 - 1 (or its half): an orbit of 20 elements at n = 10^11,
+    # which a charge of min(n, den) made up front would refuse.
+    code, out, _ = run(
+        capsys, "decompose", "--q", "3", "--n", "100000000000", "--subgroup", "pgo+",
+        "--label", text, "--no-degrees",
+    )
+    assert code == 0
+    assert out.splitlines()[1].split() == [printed, mult]
+
+
 def test_table_and_json_agree(capsys):
     args = ["decompose", "--q", "5", "--n", "2", "--subgroup", "pgo+"]
     code, table_out, _ = run(capsys, *args)

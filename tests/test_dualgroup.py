@@ -1,25 +1,26 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from pglchar import dualgroup
 from pglchar.dualgroup import (
     OrbitData,
     as_dual,
     canonical_rep,
-    in_sigma_tilde,
     orbit_data,
     orbits_up_to,
     parse_fraction,
     phi,
     q_context,
-    tilde_d,
 )
-from pglchar.errors import CapacityError
+from pglchar.errors import CapacityError, InvariantViolation
 
-# References: the sigma action on Fractions, with each orbit listed.  The
-# package walks an orbit once, on integers, in orbit_data.
+# References: the sigma action on Fractions, with each orbit listed, and
+# tilde_d, which only the tests read.  The package walks an orbit once, on
+# integers, in pair_orbit_data.
 
 # The unique element of order 2 fixed by sigma: q odd makes denominator 2 legal.
 ETA = Fraction(1, 2)
@@ -45,6 +46,30 @@ def norm(ctx, x):
     """N(xi) = (1 + q + ... + q^(m-1)) * xi, which lands in L^sigma."""
     m = len(orbit(ctx, x))
     return as_dual(ctx, x) * ((ctx.q**m - 1) // (ctx.q - 1)) % 1
+
+
+def in_sigma_tilde(ctx, x):
+    """True iff q*x = -x in Q/Z (the 'twisted-fixed' locus)."""
+    return (ctx.q + 1) * as_dual(ctx, x) % 1 == 0
+
+
+def tilde_d(ctx, x):
+    """Sign comparing the q-power of a square root of x with its inverse.
+
+    For x with q*x = -x, pick zeta with 2*zeta = x; return +1 if
+    q*zeta = -zeta and -1 if q*zeta = -zeta + 1/2.  Well-defined since the
+    two choices of zeta differ by 1/2 and q is odd.
+    """
+    x = as_dual(ctx, x)
+    if not in_sigma_tilde(ctx, x):
+        raise ValueError(f"{x} does not satisfy q*x = -x")
+    zeta = x / 2
+    r = (ctx.q + 1) * zeta % 1
+    if r == 0:
+        return 1
+    if r == Fraction(1, 2):
+        return -1
+    raise InvariantViolation(f"tilde_d residue {r} is not half-integral")
 
 
 Q3 = q_context(3)
@@ -216,7 +241,7 @@ def _fraction_orbit_data(ctx, x):
     rep = min(orb, key=lambda f: (f.denominator, f.numerator))
     nx = rep * ((ctx.q ** len(orb) - 1) // (ctx.q - 1)) % 1
     t = nx.numerator * ((ctx.q - 1) // nx.denominator)
-    return OrbitData(rep, len(orb), t, -1 if t % 2 else 1)
+    return OrbitData(rep.numerator, rep.denominator, len(orb), t, -1 if t % 2 else 1)
 
 
 def _fraction_orbits_up_to(ctx, n):
@@ -271,6 +296,58 @@ def test_canonical_rep_and_orbit_data_match_fraction_reference():
             expected = _fraction_orbit_data(ctx, x)
             assert canonical_rep(ctx, x) == expected.rep
             assert orbit_data(ctx, x) == expected
+
+
+_PAD = st.text(alphabet=" \t\n\r\f\v", max_size=2)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**40),
+    st.integers(min_value=1, max_value=10**40),
+    st.tuples(_PAD, _PAD, _PAD, _PAD),
+)
+def test_parse_pair_is_the_reduced_fraction_mod_1(a, b, pads):
+    text = f"{pads[0]}{a}{pads[1]}/{pads[2]}{b}{pads[3]}"
+    x = Fraction(a, b) % 1
+    assert dualgroup.parse_pair(text) == (x.numerator, x.denominator)
+    assert parse_fraction(text) == x
+
+
+# x = a / (q^e - 1): every element whose orbit has at most 8 members, with an
+# integer part from a >= q^e - 1.
+@given(
+    st.sampled_from([3, 5, 9, 27]),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0),
+)
+def test_orbit_data_matches_the_fraction_reference(q, e, a):
+    ctx = q_context(q)
+    x = Fraction(a % (4 * (q**e - 1)), q**e - 1)
+    expected = _fraction_orbit_data(ctx, x)
+    assert orbit_data(ctx, x) == expected
+    assert dualgroup.pair_orbit_data(ctx, expected.num, expected.den) == expected
+
+
+@given(st.sampled_from([3, 5, 9, 27]), st.integers(min_value=0), st.integers(min_value=1))
+def test_orbit_data_refuses_a_denominator_sharing_p(q, a, b):
+    x = Fraction(a, b * q)
+    assume(gcd(x.denominator, q) != 1)
+    message = f"{x % 1} has denominator not coprime to q = {q}"
+    for read in (as_dual, orbit_data):
+        with pytest.raises(ValueError) as info:
+            read(q_context(q), x)
+        assert str(info.value) == message
+
+
+def test_orbit_walk_stops_at_the_element_budget(monkeypatch):
+    monkeypatch.setitem(dualgroup.LIMITS, "ORBIT_ELEMENT_BUDGET", 10)
+    # 1/1000000007 has a long orbit; 1/(3^10 - 1) closes after exactly 10 steps.
+    with pytest.raises(CapacityError, match="ORBIT_ELEMENT_BUDGET"):
+        orbit_data(Q3, Fraction(1, 1000000007))
+    assert orbit_data(Q3, Fraction(1, 1000000007), 10) is None
+    assert orbit_data(Q3, Fraction(1, 3**10 - 1)).m == 10
+    with pytest.raises(CapacityError, match="ORBIT_ELEMENT_BUDGET"):
+        orbit_data(Q3, Fraction(1, 3**11 - 1))
 
 
 def test_orbit_data_stops_after_max_m_steps():

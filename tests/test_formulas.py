@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pglchar import dualgroup, formulas, involutions, oracle, params, symchar
-from pglchar.dualgroup import q_context, canonical_rep, tilde_d
+from pglchar.dualgroup import q_context, canonical_rep
 from pglchar.errors import InvariantViolation
 from pglchar.formulas import (
     Subgroup,
@@ -21,7 +21,7 @@ from pglchar.formulas import (
 from pglchar.params import MultiPartition, enumerate_labels, make_label
 from pglchar.partitions import Partition, partitions_of
 
-from test_dualgroup import orbit
+from test_dualgroup import orbit, tilde_d
 
 Q3 = q_context(3)
 Q5 = q_context(5)
@@ -195,9 +195,10 @@ def alternate_rep_label(mp):
     # replace every canonical representative by the orbit element with
     # maximal (denominator, numerator); multiplicities must not notice
     def alternate(data):
-        return max(orbit(mp.ctx, data.rep), key=lambda f: (f.denominator, f.numerator))
+        rep = max(orbit(mp.ctx, data.rep), key=lambda f: (f.denominator, f.numerator))
+        return replace(data, num=rep.numerator, den=rep.denominator)
 
-    entries = tuple((replace(data, rep=alternate(data)), part) for data, part in mp.entries)
+    entries = tuple((alternate(data), part) for data, part in mp.entries)
     return MultiPartition(mp.ctx, mp.n, entries)
 
 

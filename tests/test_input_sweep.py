@@ -52,6 +52,9 @@ def _argv_grid():
         for extra in ([], ["--no-degrees"]):
             yield ["decompose", "--q", "3", "--n", n, "--subgroup", subgroup,
                    "--label", f"0/1:[{n}]", *extra]
+    # An orbit of about 5 * 10^8 elements that n allows: the walk budget refuses it.
+    yield ["decompose", "--q", "3", "--n", "100000000000", "--subgroup", "pgo+",
+           "--label", "1/1000000007:[1]", "--no-degrees"]
     for size in ("-1", "0", "1", "9", "10", "x"):
         yield ["verify-identities", "--max-size", size]
     yield ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--label", "0/1:[2]",

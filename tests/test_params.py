@@ -1,4 +1,5 @@
 import gc
+import random
 from fractions import Fraction
 
 import pytest
@@ -89,10 +90,54 @@ def test_parse_label_examples():
         parse_label(Q3, 2, "0/1:[2] + ")  # dangling separator
 
 
+def _other_members_text(mp, rng):
+    """mp's text with each block named by a random orbit member, plus an
+    integer, in a shuffled order."""
+    q = mp.ctx.q
+    chunks = []
+    for data, part in mp.entries:
+        num = data.num * pow(q, rng.randrange(data.m), data.den) % data.den
+        chunks.append(f"{num + data.den * rng.randrange(3)}/{data.den}:{part}")
+    rng.shuffle(chunks)
+    return " + ".join(chunks)
+
+
+def _round_trip_cases():
+    for q, n in ((3, 2), (3, 4), (5, 2), (5, 4), (3, 6)):
+        ctx = q_context(q)
+        yield ctx, n, enumerate_labels(ctx, n, True)
+    for q, n in ((9, 8), (27, 6)):
+        ctx = q_context(q)
+        yield ctx, n, random_labels(ctx, n, 40, seed=q)
+
+
 def test_text_round_trip():
-    for ctx, n in ((Q3, 2), (Q3, 4), (Q5, 2)):
-        for mp in enumerate_labels(ctx, n, True):
+    rng = random.Random(22)
+    for ctx, n, labels in _round_trip_cases():
+        for mp in labels:
             assert parse_label(ctx, n, mp.text()) == mp
+            assert parse_label(ctx, n, _other_members_text(mp, rng)) == mp
+
+
+@pytest.mark.parametrize(
+    "n,text,message",
+    [
+        (2, "x/y:[2]", "cannot parse dual element 'x/y'; expected a/b"),
+        (2, "1/0:[2]", "denominator must be >= 1 in '1/0'"),
+        (2, "1/3:[2]", "1/3 has denominator not coprime to q = 3"),
+        (2, "1/1000000007:[1]", "the sigma-orbit of 1/1000000007 is longer than n = 2"),
+        (4, "1/4:[1] + 3/4:[1]", "duplicate orbit key 1/4 after canonicalization"),
+        (4, "0/1:[2]", "label weight 2 does not match n = 4"),
+        (2, "0/1:[1,2]", "cannot parse partition '[1,2]': partition parts must be weakly "
+                         "decreasing, got (1, 2)"),
+        (2, "0/1:[0,a]", "cannot parse partition '[0,a]': invalid literal for int() with "
+                         "base 10: 'a'"),
+    ],
+)
+def test_parse_errors_are_pinned(n, text, message):
+    with pytest.raises(ValueError) as info:
+        parse_label(Q3, n, text)
+    assert str(info.value) == message
 
 
 def test_enumerate_labels_q3_n2():
@@ -291,6 +336,13 @@ def test_label_search_leaves_no_cycle_behind():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_make_label_reads_reduced_pairs_and_refuses_others():
+    assert make_label(Q5, 2, {(1, 2): [2]}) == make_label(Q5, 2, {Fraction(3, 2): [2]})
+    for bad in ((2, 4), (3, 2), (-1, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            make_label(Q5, 2, {bad: [2]})
 
 
 def test_orbit_longer_than_n_is_rejected_before_listing():

@@ -36,9 +36,7 @@ def _ref_half_is_trivial(mp):
 
 
 def _ref_phi(mp):
-    return dualgroup.phi_from_orbits(
-        mp.ctx, [(data.rep, data, part.size()) for data, part in mp.entries]
-    )
+    return dualgroup.phi_from_orbits(mp.ctx, [(data, part.size()) for data, part in mp.entries])
 
 
 def _ref_quarter(total):
