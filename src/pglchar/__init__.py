@@ -6,30 +6,39 @@ labels, closed formulas on basic characters, and brute-force involution
 counting) are cross-checked against each other.  Group orders check the
 totals: sum(mult * degree) must be the index of the subgroup.  Double cosets,
 counted as orbits on forms, give sum(mult * mult) for a pair of subgroups.
-"""
 
-from .dualgroup import QContext, q_context
-from .errors import CapacityError, InvariantViolation
-from .formulas import DecompositionReport, Subgroup, decompose
-from .params import MultiPartition, make_label, parse_label
-from .partitions import Partition, partitions_of
-from .symchar import chi
+The exported names are imported from their modules on first use, so
+importing the package (or one module of it, such as the CLI) loads no other.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "DecompositionReport",
-    "InvariantViolation",
-    "MultiPartition",
-    "Partition",
-    "QContext",
-    "Subgroup",
-    "chi",
-    "decompose",
-    "make_label",
-    "parse_label",
-    "partitions_of",
-    "q_context",
-    "__version__",
-]
+# The module that defines each exported name.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("dualgroup", ("QContext", "q_context")),
+        ("errors", ("CapacityError", "InvariantViolation")),
+        ("formulas", ("DecompositionReport", "Subgroup", "decompose")),
+        ("params", ("MultiPartition", "make_label", "parse_label")),
+        ("partitions", ("Partition", "partitions_of")),
+        ("symchar", ("chi",)),
+    )
+    for name in names
+}
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -4,20 +4,17 @@ Subcommands: decompose, verify-identities, cross-check, orders, dcosets,
 forms.  Exit codes: 0 success, 2 argument error, 3 capacity error, 4 internal
 invariant violation (including a failed identity or route mismatch, which
 signals a bug and must be loud).
+
+Each cmd_* function imports the modules it runs, so a process loads only
+those; their functions are looked up on the modules at call time.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
-from . import formulas, involutions, oracle, params
-from .dualgroup import q_context
 from .errors import CapacityError, InvariantViolation, check_limit
-from .formulas import Subgroup
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -42,6 +39,7 @@ def _emit(fmt: str, payload: dict, headers: list[str], rows, footers=(), line=No
 
 
 def _emit_json(payload: dict) -> None:
+    import json
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -55,6 +53,8 @@ def _emit_table(headers: list[str], rows, footers=()) -> None:
 
 
 def _emit_csv(headers: list[str], rows, footers=()) -> None:
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
@@ -65,8 +65,10 @@ def _emit_csv(headers: list[str], rows, footers=()) -> None:
 
 
 def cmd_decompose(args) -> int:
+    from . import formulas, params
+    from .dualgroup import q_context
     ctx = q_context(args.q)
-    subgroup = Subgroup.parse(args.subgroup)
+    subgroup = formulas.Subgroup.parse(args.subgroup)
     with_degrees = not args.no_degrees
     if args.label is not None:
         label = params.parse_label(ctx, args.n, args.label)
@@ -91,6 +93,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
+    from . import involutions
     results = involutions.check_identities(args.max_size)
     failures = sum(not res.passed for res in results)
     headers = ["identity", "nu", "lhs", "rhs", "status"]
@@ -112,6 +115,8 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_cross_check(args) -> int:
+    from . import formulas, involutions, params
+    from .dualgroup import q_context
     ctx = q_context(args.q)
     if args.tier == "fast" and args.n > 2:
         raise CapacityError(f"n = {args.n} needs --tier slow")
@@ -121,7 +126,7 @@ def cmd_cross_check(args) -> int:
     # Each route gives one label's values for every subgroup in one pass, in
     # Subgroup order; mismatches are reported subgroup by subgroup, in label
     # order.  The involution route has no PGSp value.
-    subgroups = tuple(Subgroup)
+    subgroups = tuple(formulas.Subgroup)
     found = [[] for _ in subgroups]
     for label in labels:
         shape = label.shape()  # one shape serves the three routes
@@ -155,12 +160,14 @@ def cmd_cross_check(args) -> int:
 
 
 def cmd_orders(args) -> int:
+    from . import oracle
     data = oracle.orders(args.q, args.n).to_json_dict()
     _emit(args.format, {"schema_version": 1, **data}, ["field", "value"], data.items())
     return 0
 
 
 def cmd_dcosets(args) -> int:
+    from . import oracle
     count = oracle.double_cosets(args.q, args.n, args.h1, args.h2)
     fields = {"q": args.q, "n": args.n, "h1": args.h1, "h2": args.h2, "double_cosets": count}
     _emit(
@@ -174,6 +181,7 @@ def cmd_dcosets(args) -> int:
 
 
 def cmd_forms(args) -> int:
+    from . import oracle
     orbits = oracle.enumerate_forms(args.q, args.n)
     payload = {
         "schema_version": 1,

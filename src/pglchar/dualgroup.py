@@ -16,26 +16,24 @@ forced to (q-1)/2 at level 1 and (q+1)/2 at level 2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import LIMITS, InvariantViolation, check_limit
 
 _FRACTION_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*")
 
 
-@dataclass(frozen=True)
 class QContext:
-    """An odd prime power q = p^k with q >= 3; p and k are found from q."""
+    """An odd prime power q = p^k with q >= 3; p and k are found from q.
 
-    q: int
-    p: int = field(init=False)
-    k: int = field(init=False)
+    Immutable; contexts of equal q are equal and hash alike.
+    """
 
-    def __post_init__(self) -> None:
-        q = self.q
+    __slots__ = ("q", "p", "k")
+
+    def __init__(self, q: int) -> None:
         if not isinstance(q, int) or q < 3 or q % 2 == 0:
             raise ValueError(f"q must be an odd prime power >= 3, got {q!r}")
         check_limit("Q_BOUND", q, "q")
@@ -48,8 +46,22 @@ class QContext:
             k += 1
         if rest != 1:
             raise ValueError(f"q = {q} is not a prime power")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
+        for name, value in (("q", q), ("p", p), ("k", k)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"QContext is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return self.q == other.q if isinstance(other, QContext) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.q)
+
+    def __repr__(self) -> str:
+        return f"QContext(q={self.q}, p={self.p}, k={self.k})"
 
 
 def q_context(q: int) -> QContext:
@@ -57,8 +69,7 @@ def q_context(q: int) -> QContext:
     return QContext(q)
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitData:
+class OrbitData(NamedTuple):
     """A sigma-orbit: canonical representative num/den, size m, norm residue r, sign d.
 
     num/den is reduced, with 0 <= num < den.  The norm N(xi) lies in
@@ -224,7 +235,7 @@ def phi(
     """
     # The pairing is taken at each key itself, which need not be the least member.
     keys = [(as_dual(ctx, xi), size) for xi, size in blocks.items()]
-    pairs = [(replace(orbit_data(ctx, xi), num=xi.numerator), size) for xi, size in keys]
+    pairs = [(orbit_data(ctx, xi)._replace(num=xi.numerator), size) for xi, size in keys]
     return phi_from_orbits(ctx, pairs, sqrt_exponent)
 
 

@@ -10,7 +10,6 @@ never a rounding issue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -45,15 +44,13 @@ class Subgroup(Enum):
             raise ValueError(f"unknown subgroup {text!r}; expected pgsp, pgo+ or pgo-") from None
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     label: MultiPartition
     mult: int
     degree: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     subgroup: Subgroup
     ctx: QContext
     n: int

@@ -23,11 +23,10 @@ and one enumeration of a label's involution tuples serves both signs eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import symchar
 from .errors import InvariantViolation, check_limit
@@ -35,38 +34,52 @@ from .params import LabelShape, MultiPartition
 from .partitions import Partition, partitions_of
 
 
-@dataclass(frozen=True)
 class CentralizerInvolution:
     """An involution commuting with w_nu, recorded by its cycle statistics.
 
-    The type-1 counts are computed once, when the involution is built.
+    type1 lists the lengths of pointwise-fixed cycles, type2 those of
+    half-rotated cycles (all even), type3 one length per swapped pair of
+    cycles.  The type-1 counts are computed once, when the involution is
+    built.  Immutable; equal cycle data compare and hash equal.
     """
 
-    nu: Partition
-    type1: tuple[int, ...]  # lengths of pointwise-fixed cycles
-    type2: tuple[int, ...]  # lengths of half-rotated cycles (all even)
-    type3: tuple[int, ...]  # one length per swapped pair of cycles
-    ell1: int = field(init=False)
-    ell1_odd: int = field(init=False)
-    ell1_2mod4: int = field(init=False)
-    is_fixed_point_free: bool = field(init=False)
+    __slots__ = ("nu", "type1", "type2", "type3", "ell1", "ell1_odd", "ell1_2mod4",
+                 "is_fixed_point_free")
 
-    def __post_init__(self) -> None:
-        if any(l % 2 for l in self.type2):
+    def __init__(self, nu: Partition, type1: tuple, type2: tuple, type3: tuple) -> None:
+        if any(l % 2 for l in type2):
             raise InvariantViolation("type-2 cycles must have even length")
-        rebuilt = sorted(self.type1 + self.type2 + self.type3 + self.type3, reverse=True)
-        if rebuilt != list(self.nu):
-            raise InvariantViolation(
-                f"cycle lengths {rebuilt} do not reassemble the type {self.nu}"
-            )
-        object.__setattr__(self, "ell1", len(self.type1))
-        object.__setattr__(self, "ell1_odd", sum(1 for l in self.type1 if l % 2))
-        object.__setattr__(self, "ell1_2mod4", sum(1 for l in self.type1 if l % 4 == 2))
-        object.__setattr__(self, "is_fixed_point_free", not self.type1)
+        rebuilt = sorted(type1 + type2 + type3 + type3, reverse=True)
+        if rebuilt != list(nu):
+            raise InvariantViolation(f"cycle lengths {rebuilt} do not reassemble the type {nu}")
+        odd = sum(1 for l in type1 if l % 2)
+        two_mod_4 = sum(1 for l in type1 if l % 4 == 2)
+        values = (nu, type1, type2, type3, len(type1), odd, two_mod_4, not type1)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"CentralizerInvolution is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.nu, self.type1, self.type2, self.type3)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CentralizerInvolution):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"CentralizerInvolution({fields})"
 
 
-@dataclass(frozen=True)
-class IdentityCheckResult:
+class IdentityCheckResult(NamedTuple):
     name: str
     nu: Partition
     lhs: int

@@ -10,18 +10,19 @@ and are built in `formorbits` from standard forms, which reaches n = 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dualgroup import QContext, q_context
 from .errors import InvariantViolation, check_limit
-from .params import MultiPartition
-from .partitions import Partition
+
+if TYPE_CHECKING:  # annotations only: orders loads neither module
+    from .params import MultiPartition
+    from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class GroupOrders:
+class GroupOrders(NamedTuple):
     q: int
     n: int
     gl: int
@@ -37,7 +38,7 @@ class GroupOrders:
     index_pgo_minus: int
 
     def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
 
     def index_of(self, kind: str) -> int:
         """The index in PGL of the subgroup of kind pgsp, pgo+ or pgo-."""
@@ -265,14 +266,13 @@ def conjugacy_class_count(q: int, n: int) -> int:
 _FORM_KINDS = ("pgsp", "pgo+", "pgo-")
 
 
-@dataclass(frozen=True)
-class FormOrbit:
+class FormOrbit(NamedTuple):
     kind: str  # "pgsp" (skew class), "pgo+" or "pgo-"
     size: int
     stabilizer_order: int
 
     def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
 
 
 def _form_action(group: ProjectiveMatrixGroup, g: Matrix, h: Matrix) -> Matrix:

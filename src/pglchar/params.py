@@ -12,10 +12,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import dualgroup
 from .dualgroup import OrbitData, QContext
@@ -62,8 +61,7 @@ class LabelShape:
         return self._phi
 
 
-@dataclass(frozen=True, slots=True)
-class MultiPartition:
+class MultiPartition(NamedTuple):
     """Mapping from sigma-orbits to nonempty partitions.
 
     Each entry pairs the OrbitData of an orbit (its canonical representative

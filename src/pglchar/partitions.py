@@ -7,16 +7,14 @@ arithmetic and independent of q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from math import factorial
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import check_limit
 
 
-@dataclass(frozen=True)
-class LengthStats:
+class LengthStats(NamedTuple):
     """Cycle-length counts: total, even, odd, and the mod-4 split of the evens."""
 
     ell: int

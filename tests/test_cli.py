@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import time
@@ -264,9 +265,9 @@ def test_forms_capacity_exit(capsys):
 
 
 def test_route_mismatch_is_invariant_violation_exit(capsys, monkeypatch):
-    from pglchar import cli
+    from pglchar import formulas
 
-    monkeypatch.setattr(cli.formulas, "_pgsp_basic", lambda label, shape: 99)
+    monkeypatch.setattr(formulas, "_pgsp_basic", lambda label, shape: 99)
     code, _, err = run(capsys, "cross-check", "--q", "3", "--n", "2")
     assert code == 4
     assert "invariant violation" in err
@@ -296,7 +297,7 @@ def _off_by_one(route, shifted):
 def test_cross_check_reports_mismatches_by_subgroup_in_label_order(
     capsys, monkeypatch, module, name, route
 ):
-    from pglchar import cli, params
+    from pglchar import params
     from pglchar.dualgroup import q_context
     from pglchar.formulas import Subgroup
 
@@ -308,7 +309,7 @@ def test_cross_check_reports_mismatches_by_subgroup_in_label_order(
         keys = {"pgo+": 0, "pgo-": 1}
     else:
         keys = {sg.value: i for i, sg in enumerate(Subgroup)}
-    owner = getattr(cli, module)
+    owner = importlib.import_module(f"pglchar.{module}")
     monkeypatch.setattr(
         owner, name, _off_by_one(getattr(owner, name), [(keys[sg], off[sg]) for sg in off])
     )
@@ -428,12 +429,12 @@ def test_cache_flag_is_gone(capsys):
 
 
 def test_cross_check_refuses_large_n_before_enumerating(capsys, monkeypatch):
-    from pglchar import cli
+    from pglchar import params
 
     def fail(*args, **kwargs):
         raise AssertionError("enumerate_labels called before the capacity check")
 
-    monkeypatch.setattr(cli.params, "enumerate_labels", fail)
+    monkeypatch.setattr(params, "enumerate_labels", fail)
     code, out, err = run(capsys, "cross-check", "--q", "3", "--n", "10", "--tier", "slow")
     assert code == 3
     assert out == ""
@@ -470,7 +471,7 @@ def test_verify_identities_rejects_max_size_below_one(capsys, max_size):
 
 
 def test_single_label_decompose_goes_through_formulas(capsys, monkeypatch):
-    from pglchar import cli
+    from pglchar import formulas
 
     args = ["decompose", "--q", "5", "--n", "2", "--subgroup", "pgo+", "--include-zeros"]
     code, full, _ = run(capsys, *args, "--format", "json")
@@ -485,7 +486,7 @@ def test_single_label_decompose_goes_through_formulas(capsys, monkeypatch):
             "sum_m2": row["mult"] ** 2,
         }
     # The PGSp {0,1} check now covers a single label as well.
-    monkeypatch.setattr(cli.formulas, "mult_pgsp_irr", lambda label: 2)
+    monkeypatch.setattr(formulas, "mult_pgsp_irr", lambda label: 2)
     code, out, err = run(
         capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--label", "0/1:[2]"
     )

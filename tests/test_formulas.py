@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -196,7 +195,7 @@ def alternate_rep_label(mp):
     # maximal (denominator, numerator); multiplicities must not notice
     def alternate(data):
         rep = max(orbit(mp.ctx, data.rep), key=lambda f: (f.denominator, f.numerator))
-        return replace(data, num=rep.numerator, den=rep.denominator)
+        return data._replace(num=rep.numerator, den=rep.denominator)
 
     entries = tuple((alternate(data), part) for data, part in mp.entries)
     return MultiPartition(mp.ctx, mp.n, entries)

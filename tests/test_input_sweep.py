@@ -72,6 +72,13 @@ def _argv_grid():
     yield []
 
 
+def _run(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses the arguments
+        return exc.code
+
+
 def test_no_input_exits_4_or_raises(capsys):
     started = time.monotonic()
     bad = []
@@ -79,10 +86,7 @@ def test_no_input_exits_4_or_raises(capsys):
     count = 0
     for argv in _argv_grid():
         count += 1
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses the arguments
-            code = exc.code
+        code = _run(argv)
         err = capsys.readouterr().err
         codes.add(code)
         if code not in (0, 2, 3) or "Traceback" in err:
@@ -91,3 +95,40 @@ def test_no_input_exits_4_or_raises(capsys):
     assert codes == {0, 2, 3}
     assert count > 300
     assert time.monotonic() - started < 5.0
+
+
+class WorkStarted(Exception):
+    """Raised by the patched label search, form-orbit walk and Z_inv listing."""
+
+
+def test_every_refusal_comes_before_the_work(capsys, monkeypatch):
+    from pglchar import formorbits, involutions, oracle, params
+
+    def started(*args, **kwargs):
+        raise WorkStarted
+
+    oracle.enumerate_forms.cache_clear()  # a memoised answer would skip form_orbit
+
+    for module, name in ((params, "_search_labels"), (formorbits, "form_orbit"),
+                         (involutions, "_zinv")):
+        monkeypatch.setattr(module, name, started)
+    refused = []
+    worked = []
+    for argv in _argv_grid():
+        try:
+            code = _run(argv)
+        except WorkStarted:
+            worked.append(argv)
+            continue
+        if code == 3:
+            refused.append(argv)
+    capsys.readouterr()
+    assert len(refused) > 10
+    assert any(argv[0] == "forms" for argv in worked)
+    assert any(argv[0] == "verify-identities" for argv in worked)
+    assert any(argv[0] == "cross-check" for argv in worked)
+    # A row that reached the work must not be refused once the work is real.
+    monkeypatch.undo()
+    late = [argv for argv in worked if _run(argv) == 3]
+    capsys.readouterr()
+    assert late == []

@@ -1,0 +1,80 @@
+"""Each CLI command loads only the modules it runs, and never dataclasses or inspect.
+
+Every command runs as ``python -m pglchar.cli`` does, in a fresh interpreter
+started with -S (so no site-packages hook loads anything), and reports the
+modules loaded when it ends.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs the CLI as `-m` does, then writes sys.modules as the last line of stderr.
+CHILD = """\
+import runpy, sys
+sys.argv[0] = "pglchar"
+try:
+    runpy.run_module("pglchar.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write("\\n" + " ".join(sorted(sys.modules)) + "\\n")
+sys.exit(code)
+"""
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", CHILD, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.splitlines()[-1].split())
+
+
+NEVER = {"dataclasses", "inspect"}
+WORK = {f"pglchar.{name}" for name in ("formulas", "symchar", "involutions", "formorbits")}
+
+# (argv, modules it must not load)
+CASES = [
+    (["orders", "--q", "3", "--n", "2"], WORK | {"pglchar.params", "pglchar.partitions"}),
+    (
+        ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--format", "json"],
+        {"pglchar.involutions", "pglchar.formorbits"},
+    ),
+    (
+        ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--format", "csv"],
+        {"pglchar.involutions", "pglchar.formorbits"},
+    ),
+    (["verify-identities", "--max-size", "2"], {"pglchar.formulas", "pglchar.formorbits"}),
+    (["cross-check", "--q", "3", "--n", "2"], {"pglchar.formorbits"}),
+    (["forms", "--q", "3", "--n", "2"], {"pglchar.formulas", "pglchar.involutions"}),
+]
+
+
+@pytest.mark.parametrize("argv,absent", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+def test_a_command_loads_only_what_it_runs(argv, absent):
+    modules = loaded_modules(*argv)
+    assert modules & (NEVER | absent) == set()
+    # csv is loaded for --format csv only.
+    assert ("csv" in modules) == ("csv" in argv)
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    code = "import sys, pglchar; print(' '.join(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    modules = set(result.stdout.split())
+    assert {m for m in modules if m.startswith("pglchar")} == {"pglchar"}
+    assert modules & NEVER == set()
