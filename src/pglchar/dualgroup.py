@@ -25,15 +25,18 @@ from .errors import LIMITS, InvariantViolation, check_limit
 _FRACTION_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*")
 
 
-class QContext:
-    """An odd prime power q = p^k with q >= 3; p and k are found from q.
+class _QFields(NamedTuple):
+    q: int
+    p: int
+    k: int
 
-    Immutable; contexts of equal q are equal and hash alike.
-    """
 
-    __slots__ = ("q", "p", "k")
+class QContext(_QFields):
+    """An odd prime power q = p^k with q >= 3; p and k are found from q."""
 
-    def __init__(self, q: int) -> None:
+    __slots__ = ()
+
+    def __new__(cls, q: int):
         if not isinstance(q, int) or q < 3 or q % 2 == 0:
             raise ValueError(f"q must be an odd prime power >= 3, got {q!r}")
         check_limit("Q_BOUND", q, "q")
@@ -46,22 +49,7 @@ class QContext:
             k += 1
         if rest != 1:
             raise ValueError(f"q = {q} is not a prime power")
-        for name, value in (("q", q), ("p", p), ("k", k)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"QContext is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        return self.q == other.q if isinstance(other, QContext) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.q)
-
-    def __repr__(self) -> str:
-        return f"QContext(q={self.q}, p={self.p}, k={self.k})"
+        return super().__new__(cls, q, p, k)
 
 
 def q_context(q: int) -> QContext:

@@ -1,15 +1,21 @@
-"""Shared exception types and the capacity limits.
+"""Shared exception types, the capacity limits and the exact quotients.
 
 Argument errors are plain ValueError.  The two classes here separate "the
 request is too big for the desk-scale envelope" from "an exact identity the
 implementation relies on failed", because callers (notably the CLI) map them
 to different exit codes.
 
+Every exact quotient (a multiplicity, a group order, a degree) goes through
+exact_div.  by_sign finishes every route's orthogonal multiplicity,
+4 * mult = T1 + 2 * eps * T2 + T3, for both signs; each route has its own terms.
+
 LIMITS is the one table of capacity limits.  Each is checked through
 check_limit() before the work it guards starts.  enumerate_labels checks
 LABEL_BUDGET against the exact label count before its search, and again as
 it keeps each label, as a guard.
 """
+
+from fractions import Fraction
 
 LIMITS = {
     # q, checked before q_context factors it by trial division up to sqrt(q)
@@ -51,3 +57,38 @@ def check_limit(name: str, value: int, what: str) -> None:
     limit = LIMITS[name]
     if value > limit:
         raise CapacityError(f"{what}: {value} exceeds {name} = {limit}")
+
+
+def exact_div(total: int, den: int, what: str, *args, nonneg: bool = False) -> int:
+    """total / den as an int; a remainder (or with nonneg, a negative) is a bug.
+
+    The InvariantViolation names what.format(*args), formatted only then; a
+    {value} field in what shows the quotient.
+    """
+    quot, rem = divmod(total, den)
+    if rem or (nonneg and quot < 0):
+        kind = "non-integral" if rem else "negative"
+        raise InvariantViolation(f"{kind} {what.format(*args, value=Fraction(total, den))}")
+    return quot
+
+
+def by_sign(t1: int, t2: int, t3: int, what: str, label, nonneg: bool = False) -> tuple[int, int]:
+    """exact_div(T1 + 2 * eps * T2 + T3, 4, what, label, eps) for eps = +1, then -1.
+
+    The two totals differ by 4 * T2, so one divmod serves both; exact_div
+    runs only to raise, for the first sign that fails.  Callers on a hot path
+    pass nonneg by position: a keyword call costs more than the division.
+    """
+    plus, rem = divmod(t1 + 2 * t2 + t3, 4)
+    minus = plus - t2
+    if rem or nonneg and (plus < 0 or minus < 0):
+        for eps in (1, -1):
+            exact_div(t1 + 2 * eps * t2 + t3, 4, what, label, eps, nonneg=nonneg)
+    return plus, minus
+
+
+def sign_index(eps: int) -> int:
+    """The position of eps's value in by_sign's pair: 0 for +1, 1 for -1."""
+    if eps not in (1, -1):
+        raise ValueError(f"eps must be +1 or -1, got {eps}")
+    return 0 if eps == 1 else 1

@@ -3,8 +3,9 @@ orthogonal subgroups of PGL_n over F_q, plus the route through basic
 characters and a batch decomposition driver.
 
 The fractional coefficients (1/4, 1/2, eps/2) are cleared first: each
-formula sums four (or two) times the multiplicity as an int and divides at
-the end.  A remainder or a negative multiplicity is a hard internal error,
+formula sums four (or two) times the multiplicity as an int, and
+errors.by_sign (or errors.exact_div) divides at the end.  A remainder, or a
+negative multiplicity of an irreducible character, is a hard internal error,
 never a rounding issue.
 """
 
@@ -18,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import oracle, params, symchar
 from .dualgroup import QContext, q_context
-from .errors import InvariantViolation
+from .errors import InvariantViolation, by_sign, exact_div, sign_index
 from .params import LabelShape, MultiPartition, make_label
 from .partitions import Partition, partitions_of
 
@@ -83,22 +84,6 @@ def _require_descends(mp: MultiPartition, shape: LabelShape) -> LabelShape:
     if shape.pi:
         raise ValueError(f"label {mp} has nontrivial norm product; it does not descend to PGL")
     return shape
-
-
-def _check_eps(eps: int) -> None:
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
-
-
-def _as_nonneg_int(total: int, den: int, context: str, *args) -> int:
-    """total / den as an int; the error names context.format(*args)."""
-    quot, rem = divmod(total, den)
-    if rem or total < 0:
-        raise InvariantViolation(
-            f"{context.format(*args)} produced non-integral or negative value "
-            f"{Fraction(total, den)}"
-        )
-    return quot
 
 
 class _BlockStats(NamedTuple):
@@ -167,9 +152,8 @@ def _pgo_irr_terms(rho: MultiPartition, shape: LabelShape) -> tuple[int, int, in
     return t1, t2, t3
 
 
-def _pgo_irr(terms: tuple[int, int, int], eps: int, rho: MultiPartition) -> int:
-    t1, t2, t3 = terms
-    return _as_nonneg_int(t1 + 2 * eps * t2 + t3, 4, "mult_pgo_irr({}, {:+d})", rho, eps)
+# Names by_sign's value on an irreducible label; such a value is never negative.
+_PGO_IRR = "mult_pgo_irr({}, {:+d}) = {value}"
 
 
 def mult_pgsp_irr(rho: MultiPartition) -> int:
@@ -183,8 +167,7 @@ def mult_pgo_irr(rho: MultiPartition, eps: int) -> int:
     Sums four times the multiplicity, so every term is an integer.
     """
     shape = _require_descends(rho, rho.shape())
-    _check_eps(eps)
-    return _pgo_irr(_pgo_irr_terms(rho, shape), eps, rho)
+    return by_sign(*_pgo_irr_terms(rho, shape), _PGO_IRR, rho, True)[sign_index(eps)]
 
 
 def mult_irr(rho: MultiPartition, subgroup: Subgroup) -> int:
@@ -215,12 +198,10 @@ def mult_unipotent_gl_o(rho: Partition, eps: int) -> int:
     rho = Partition(rho)
     if rho.size() % 2 or not rho:
         raise ValueError(f"unipotent labels need |rho| = n even and positive, got {rho}")
-    _check_eps(eps)
+    sign_index(eps)  # eps must be +1 or -1
     stats = _block_stats(rho)
-    total = stats.prod_mult_plus_one
-    if stats.transpose_even:
-        total += eps
-    return _as_nonneg_int(total, 2, "mult_unipotent_gl_o({}, {:+d})", rho, eps)
+    total = stats.prod_mult_plus_one + stats.transpose_even * eps
+    return exact_div(total, 2, "mult_unipotent_gl_o({}, {:+d}) = {value}", rho, eps, nonneg=True)
 
 
 # Basic-character multiplicities (closed forms).  As for the irreducibles,
@@ -234,11 +215,6 @@ def _pgsp_basic(nu: MultiPartition, shape: LabelShape) -> int:
     for _, part in nu.entries:
         prod *= symchar.sum_chi_even(part)
     return prod
-
-
-def mult_pgsp_basic(nu: MultiPartition) -> int:
-    """Inner product of the basic character B_nu with Ind(1) from PGSp_n."""
-    return _pgsp_basic(nu, _require_descends(nu, nu.shape()))
 
 
 def _pgo_basic_terms(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
@@ -271,25 +247,6 @@ def _pgo_basic_terms(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, i
     return t1, t2, t3
 
 
-def _pgo_basic(terms: tuple[int, int, int], eps: int, nu: MultiPartition) -> int:
-    t1, t2, t3 = terms
-    total = t1 + 2 * eps * t2 + t3
-    quot, rem = divmod(total, 4)
-    if rem:
-        raise InvariantViolation(f"non-integral basic multiplicity {Fraction(total, 4)} for {nu}")
-    return quot
-
-
-def mult_pgo_basic(nu: MultiPartition, eps: int) -> int:
-    """Inner product of the basic character B_nu with Ind(1) from PGO_n^eps.
-
-    Sums four times the multiplicity, so every term is an integer.
-    """
-    shape = _require_descends(nu, nu.shape())
-    _check_eps(eps)
-    return _pgo_basic(_pgo_basic_terms(nu, shape), eps, nu)
-
-
 def basic_mults(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
     """The closed-form basic multiplicities for every subgroup, in Subgroup order.
 
@@ -297,7 +254,18 @@ def basic_mults(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
     may share with the other routes.
     """
     terms = _pgo_basic_terms(nu, _require_descends(nu, shape))
-    return _pgsp_basic(nu, shape), _pgo_basic(terms, 1, nu), _pgo_basic(terms, -1, nu)
+    plus, minus = by_sign(*terms, "basic multiplicity {value} for {} at eps = {:+d}", nu)
+    return _pgsp_basic(nu, shape), plus, minus
+
+
+def mult_pgsp_basic(nu: MultiPartition) -> int:
+    """Inner product of the basic character B_nu with Ind(1) from PGSp_n."""
+    return basic_mults(nu, nu.shape())[0]
+
+
+def mult_pgo_basic(nu: MultiPartition, eps: int) -> int:
+    """Inner product of the basic character B_nu with Ind(1) from PGO_n^eps."""
+    return basic_mults(nu, nu.shape())[1 + sign_index(eps)]
 
 
 def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
@@ -323,10 +291,10 @@ def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> tuple[int, in
         for _, value in choice:
             coeff *= value
         rho_label = MultiPartition(nu.ctx, nu.n, tuple([entry for entry, _ in choice]))
-        terms = _pgo_irr_terms(rho_label, shape)
+        irr = by_sign(*_pgo_irr_terms(rho_label, shape), _PGO_IRR, rho_label, True)
         sp += coeff * _pgsp_irr(rho_label, shape)
-        plus += coeff * _pgo_irr(terms, 1, rho_label)
-        minus += coeff * _pgo_irr(terms, -1, rho_label)
+        plus += coeff * irr[0]
+        minus += coeff * irr[1]
     sign = (-1) ** (nu.n + sum(shape.sizes))
     return sign * sp, sign * plus, sign * minus
 

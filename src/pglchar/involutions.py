@@ -9,10 +9,10 @@ even length only), or swapped with another cycle of the same length
 
 Route 3, threeterm_values, is the enumeration alone: it sums the three
 terms of a label's double-coset count over its tuples of such involutions,
-one per block, and reads no closed form.  check_identities walks Z_inv(nu)
-once per nu and compares four sums over it with the character sums of
-symchar; those identities are what make route 2's closed forms equal to
-this count.
+one per block, and reads no closed form; errors.by_sign turns the three
+sums into the values for both signs.  check_identities walks Z_inv(nu) once
+per nu and compares four sums over it with the character sums of symchar;
+those identities are what make route 2's closed forms equal to this count.
 
 Z_inv(nu) is listed straight from the centralizer of w_nu, cycle by cycle
 (_zinv), so no permutation of S_|nu| is ever built; the tests compare it,
@@ -23,30 +23,39 @@ and one enumeration of a label's involution tuples serves both signs eps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from typing import NamedTuple, Sequence
 
 from . import symchar
-from .errors import InvariantViolation, check_limit
+from .errors import InvariantViolation, by_sign, check_limit, sign_index
 from .params import LabelShape, MultiPartition
 from .partitions import Partition, partitions_of
 
 
-class CentralizerInvolution:
+class _InvolutionFields(NamedTuple):
+    nu: Partition
+    type1: tuple
+    type2: tuple
+    type3: tuple
+    ell1: int
+    ell1_odd: int
+    ell1_2mod4: int
+    is_fixed_point_free: bool
+
+
+class CentralizerInvolution(_InvolutionFields):
     """An involution commuting with w_nu, recorded by its cycle statistics.
 
     type1 lists the lengths of pointwise-fixed cycles, type2 those of
     half-rotated cycles (all even), type3 one length per swapped pair of
-    cycles.  The type-1 counts are computed once, when the involution is
-    built.  Immutable; equal cycle data compare and hash equal.
+    cycles.  It is built from those four; the type-1 counts are computed
+    then, once.
     """
 
-    __slots__ = ("nu", "type1", "type2", "type3", "ell1", "ell1_odd", "ell1_2mod4",
-                 "is_fixed_point_free")
+    __slots__ = ()
 
-    def __init__(self, nu: Partition, type1: tuple, type2: tuple, type3: tuple) -> None:
+    def __new__(cls, nu: Partition, type1: tuple, type2: tuple, type3: tuple):
         if any(l % 2 for l in type2):
             raise InvariantViolation("type-2 cycles must have even length")
         rebuilt = sorted(type1 + type2 + type3 + type3, reverse=True)
@@ -54,29 +63,7 @@ class CentralizerInvolution:
             raise InvariantViolation(f"cycle lengths {rebuilt} do not reassemble the type {nu}")
         odd = sum(1 for l in type1 if l % 2)
         two_mod_4 = sum(1 for l in type1 if l % 4 == 2)
-        values = (nu, type1, type2, type3, len(type1), odd, two_mod_4, not type1)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"CentralizerInvolution is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return (self.nu, self.type1, self.type2, self.type3)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CentralizerInvolution):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
-        return f"CentralizerInvolution({fields})"
+        return super().__new__(cls, nu, type1, type2, type3, len(type1), odd, two_mod_4, not type1)
 
 
 class IdentityCheckResult(NamedTuple):
@@ -216,10 +203,7 @@ def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
 
     One sign's value of threeterm_values.
     """
-    if eps not in (1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
-    plus, minus = threeterm_values(mp, mp.shape())
-    return plus if eps == 1 else minus
+    return threeterm_values(mp, mp.shape())[sign_index(eps)]
 
 
 def threeterm_values(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
@@ -234,11 +218,10 @@ def threeterm_values(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
     """
     if shape.pi:
         raise ValueError(f"label {mp} has nontrivial norm product")
-    for size in shape.sizes:
-        check_limit("ZINV_SIZE_BOUND", size, "label block size")
     entries = mp.entries
     data = [d for d, _ in entries]
-    # X: the tuples with no odd type-1 cycle on a block with d = -1.
+    # X: the tuples with no odd type-1 cycle on a block with d = -1.  Each
+    # block's size is checked by enumerate_zinv before any tuple is summed.
     zlists = [
         [w for w in enumerate_zinv(part) if d.d == 1 or not w.ell1_odd] for d, part in entries
     ]
@@ -257,17 +240,4 @@ def threeterm_values(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
     t3 = 0
     if all(d.m * size % 2 == 0 for d, size in zip(data, shape.sizes)):
         t3 = shape.phi() * s3
-    return _by_sign(s1, t2, t3, mp)
-
-
-def _by_sign(t1: int, t2: int, t3: int, mp: MultiPartition) -> tuple[int, int]:
-    """(T1 + 2 * eps * T2 + T3) / 4 for eps = +1 and then -1."""
-    return _quarter(t1 + 2 * t2 + t3, mp), _quarter(t1 - 2 * t2 + t3, mp)
-
-
-def _quarter(total: int, mp: MultiPartition) -> int:
-    """The three-term value from four times it; a remainder is a bug."""
-    quot, rem = divmod(total, 4)
-    if rem:
-        raise InvariantViolation(f"non-integral three-term value {Fraction(total, 4)} for {mp}")
-    return quot
+    return by_sign(s1, t2, t3, "three-term value {value} for {} at eps = {:+d}", mp)

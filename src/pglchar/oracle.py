@@ -15,7 +15,7 @@ from itertools import product as iter_product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dualgroup import QContext, q_context
-from .errors import InvariantViolation, check_limit
+from .errors import InvariantViolation, check_limit, exact_div
 
 if TYPE_CHECKING:  # annotations only: orders loads neither module
     from .params import MultiPartition
@@ -71,7 +71,7 @@ def orders(q: int, n: int) -> GroupOrders:
         base *= q ** (2 * i) - 1
     o_plus = base * (q**m - 1)
     o_minus = base * (q**m + 1)
-    pgl = _exact_div(gl, q - 1, "pgl")
+    pgl = exact_div(gl, q - 1, "|PGL| = {value}")
     return GroupOrders(
         q,
         n,
@@ -83,9 +83,9 @@ def orders(q: int, n: int) -> GroupOrders:
         sp,
         o_plus,
         o_minus,
-        _exact_div(pgl, sp, "index_pgsp"),
-        _exact_div(pgl, o_plus, "index_pgo_plus"),
-        _exact_div(pgl, o_minus, "index_pgo_minus"),
+        exact_div(pgl, sp, "index_pgsp = {value}"),
+        exact_div(pgl, o_plus, "index_pgo_plus = {value}"),
+        exact_div(pgl, o_minus, "index_pgo_minus = {value}"),
     )
 
 
@@ -96,14 +96,6 @@ def check_order_bits(q: int, n: int) -> None:
     order, index and degree.
     """
     check_limit("ORDER_BITS_BOUND", n * n * q.bit_length(), f"n^2 * bit_length(q) at q={q}, n={n}")
-
-
-def _exact_div(a: int, b: int, what: str, *args) -> int:
-    """a / b as an int; the error names what.format(*args)."""
-    quot, rem = divmod(a, b)
-    if rem:
-        raise InvariantViolation(f"{what.format(*args)}: {a} is not divisible by {b}")
-    return quot
 
 
 def degree(ctx: QContext, label: MultiPartition) -> int:
@@ -123,7 +115,7 @@ def degree(ctx: QContext, label: MultiPartition) -> int:
         block_num, block_den = _block_degree_factor(q**data.m, part)
         num *= block_num
         den *= block_den
-    return _exact_div(num, den, "degree({})", label)
+    return exact_div(num, den, "degree({}) = {value}", label)
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +302,7 @@ def enumerate_forms(q: int, n: int) -> tuple[FormOrbit, ...]:
     if len(orbits["pgo+"]) + len(orbits["pgo-"]) != symmetric or len(orbits["pgsp"]) != skew:
         raise InvariantViolation(f"form orbits do not cover the {symmetric} + {skew} classes")
     return tuple(
-        FormOrbit(kind, len(keys), _exact_div(ords.pgl, len(keys), "stabilizer of {}", kind))
+        FormOrbit(kind, len(keys), exact_div(ords.pgl, len(keys), "stabilizer of {} {value}", kind))
         for kind, keys in orbits.items()
     )
 
@@ -326,8 +318,8 @@ def _form_class_counts(q: int, n: int) -> tuple[int, int]:
     for i in range(1, m + 1):
         common *= q ** (2 * i - 1) - 1
     return (
-        _exact_div(q ** (m * (m + 1)) * common, q - 1, "symmetric classes"),
-        _exact_div(q ** (m * (m - 1)) * common, q - 1, "skew classes"),
+        exact_div(q ** (m * (m + 1)) * common, q - 1, "symmetric class count {value}"),
+        exact_div(q ** (m * (m - 1)) * common, q - 1, "skew class count {value}"),
     )
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pglchar import dualgroup, formulas, involutions, oracle, params, symchar
+from pglchar import dualgroup, errors, formulas, involutions, oracle, params, symchar
 from pglchar.dualgroup import q_context, canonical_rep
 from pglchar.errors import InvariantViolation
 from pglchar.formulas import (
@@ -472,15 +472,30 @@ def test_labels_are_formatted_only_for_errors(monkeypatch):
         decompose(Q3, 4, sg, with_degrees=True)
     for label in labels:
         mult_basic_via_transition(label, Subgroup.PGO_MINUS)
-    monkeypatch.undo()
     label = unipotent(Q3, [4])
+    assert errors.exact_div(8, 4, formulas._PGO_IRR, label, 1, nonneg=True) == 2
+    assert errors.by_sign(1, 0, 3, formulas._PGO_IRR, label, True) == (1, 1)
+    monkeypatch.undo()
     with pytest.raises(InvariantViolation) as info:
-        formulas._as_nonneg_int(-2, 4, "mult_pgo_irr({}, {:+d})", label, 1)
-    assert str(info.value) == (
-        "mult_pgo_irr(0/1:[4], +1) produced non-integral or negative value -1/2"
-    )
-    with pytest.raises(InvariantViolation, match=r"^degree\(0/1:\[4\]\): 7 is not divisible by 2$"):
-        oracle._exact_div(7, 2, "degree({})", label)
+        errors.exact_div(-2, 4, formulas._PGO_IRR, label, 1, nonneg=True)
+    assert str(info.value) == "non-integral mult_pgo_irr(0/1:[4], +1) = -1/2"
+    with pytest.raises(InvariantViolation) as info:
+        errors.by_sign(-4, 0, 0, formulas._PGO_IRR, label, True)
+    assert str(info.value) == "negative mult_pgo_irr(0/1:[4], +1) = -1"
+    with pytest.raises(InvariantViolation, match=r"^non-integral degree\(0/1:\[4\]\) = 7/2$"):
+        errors.exact_div(7, 2, "degree({}) = {value}", label)
+
+
+def test_a_negative_irreducible_multiplicity_is_refused(monkeypatch):
+    label = unipotent(Q3, [4])
+    assert mult_pgo_irr(label, -1) == 1
+    # T1 + 2 T2 + T3 = 0 and T1 - 2 T2 + T3 = -8: a multiple of 4, but negative.
+    monkeypatch.setattr(formulas, "_pgo_irr_terms", lambda rho, shape: (-4, 2, 0))
+    for eps in (1, -1):
+        with pytest.raises(InvariantViolation, match=r"^negative mult_pgo_irr\(0/1:\[4\], -1\) = -2$"):
+            mult_pgo_irr(label, eps)
+    with pytest.raises(InvariantViolation, match="^negative mult_pgo_irr"):
+        formulas.mults_via_transition(label, label.shape())
 
 
 def test_decompose_labels_matches_the_rows_of_decompose():

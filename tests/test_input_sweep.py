@@ -8,7 +8,11 @@ and feeds malformed and edge labels to decompose.
 
 import time
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from pglchar.cli import main
+from pglchar.dualgroup import q_context
+from pglchar.params import enumerate_labels
 
 # 2^40 + 1 is past Q_BOUND; 1099511627689 = 2^40 - 87 is the largest prime below it.
 QS = ["3", "9", "27", "15", "2", "1", "0", "-3", "3.0", "abc", str(2**40 + 1), "1099511627689"]
@@ -132,3 +136,59 @@ def test_every_refusal_comes_before_the_work(capsys, monkeypatch):
     late = [argv for argv in worked if _run(argv) == 3]
     capsys.readouterr()
     assert late == []
+
+
+# Label text for the hypothesis test: every label at three small (q, n) as it
+# is and with one character deleted, inserted or replaced; near misses built
+# from label pieces (bad fractions, partitions, separators); and free text.
+_VALID = [
+    (str(q), str(n), label.text())
+    for q, n in ((3, 2), (3, 4), (5, 4))
+    for label in enumerate_labels(q_context(q), n, False)
+]
+_CHARS = "0123456789/:[],+ -x"
+_numbers = st.one_of(st.integers(-3, 12), st.sampled_from([10**9 + 7, 2**64]))
+_fractions = st.one_of(
+    st.builds("{}/{}".format, _numbers, _numbers),
+    st.sampled_from(["0", "1/", "/2", "x/y", "1.5/2", "1/2/3", " 1/2 "]),
+)
+_partitions = st.one_of(
+    st.lists(st.integers(-1, 5), max_size=4).map(lambda parts: f"[{','.join(map(str, parts))}]"),
+    st.sampled_from(["[]", "[", "2", "[2,]", "[a]", "[ 2 ]", "[+2]"]),
+)
+_entries = st.builds("{}{}{}".format, _fractions, st.sampled_from([":", "", "::", " : "]), _partitions)
+
+
+@st.composite
+def _edited(draw):
+    q, n, text = draw(st.sampled_from(_VALID))
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 1))
+    return q, n, text[:at] + draw(st.text(_CHARS, max_size=1)) + text[at + cut:]
+
+
+LABEL_CASES = st.one_of(
+    st.sampled_from(_VALID),
+    _edited(),
+    st.tuples(
+        st.sampled_from(["3", "5", "9"]),
+        st.sampled_from(["2", "4", "6"]),
+        st.one_of(
+            st.lists(_entries, min_size=1, max_size=3).map(" + ".join),
+            st.lists(_entries, max_size=2).map(lambda entries: "+".join(entries) + " +"),
+            st.text(_CHARS, max_size=24),
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=LABEL_CASES, subgroup=st.sampled_from(["pgsp", "pgo+", "pgo-"]))
+def test_no_label_text_exits_4_or_raises(capsys, case, subgroup):
+    q, n, text = case
+    code = _run(["decompose", "--q", q, "--n", n, "--subgroup", subgroup,
+                 f"--label={text}", "--no-degrees"])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (case, err)
+    assert "Traceback" not in err

@@ -327,6 +327,18 @@ def test_threeterm_validation():
         threeterm_bruteforce(big, 1)
 
 
+def test_threeterm_refuses_a_block_past_the_bound_before_listing_it(monkeypatch):
+    def listed(nu):
+        raise AssertionError(f"Z_inv({nu}) listed before the ZINV_SIZE_BOUND check")
+
+    monkeypatch.setattr(involutions, "_zinv", listed)
+    mp = make_label(Q3, 10, {Fraction(0): [1] * 10})
+    with pytest.raises(CapacityError, match="ZINV_SIZE_BOUND = 9"):
+        involutions.threeterm_values(mp, mp.shape())
+    with pytest.raises(CapacityError, match="ZINV_SIZE_BOUND"):
+        threeterm_bruteforce(mp, -1)
+
+
 def _ref_threeterm(mp, eps):
     """The factorized and direct three-term values in Fraction arithmetic."""
     entries = mp.entries

@@ -71,6 +71,15 @@ def test_a_record_keeps_its_name_and_fields(name):
 
 
 @pytest.mark.parametrize("name", RECORDS)
+def test_a_record_is_a_named_tuple_of_its_fields(name):
+    make, fields = RECORDS[name]
+    record = make()
+    assert record._fields == fields
+    assert tuple(record) == tuple(getattr(record, field) for field in fields)
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("name", RECORDS)
 def test_a_record_is_immutable(name):
     make, fields = RECORDS[name]
     record = make()

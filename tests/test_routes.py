@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from pglchar import dualgroup, formulas, involutions, symchar
+from pglchar import cli, dualgroup, errors, formulas, involutions, symchar
 from pglchar.dualgroup import q_context
 from pglchar.formulas import Subgroup, _block_stats
 from pglchar.params import MultiPartition, enumerate_labels
@@ -276,16 +276,20 @@ def test_the_comparison_catches_a_wrong_t2_sign(monkeypatch, module, name, route
 
 
 def _by_sign_times(flip):
-    """A stand-in for involutions._by_sign that multiplies T2 by flip."""
+    """A stand-in for involutions.by_sign that multiplies T2 by flip.
 
-    def by_sign(t1, t2, t3, mp):
-        return tuple((t1 + 2 * eps * flip * t2 + t3) // 4 for eps in (1, -1))
+    involutions holds its own reference to errors.by_sign, so only the
+    involution route meets the stand-in.
+    """
+
+    def by_sign(t1, t2, t3, what, label):
+        return errors.by_sign(t1, flip * t2, t3, what, label)
 
     return by_sign
 
 
 def test_the_comparison_catches_a_wrong_t2_sign_in_the_involution_route(monkeypatch):
-    monkeypatch.setattr(involutions, "_by_sign", _by_sign_times(-1))
+    monkeypatch.setattr(involutions, "by_sign", _by_sign_times(-1))
     found = _disagreements(3, 4)
     assert len(found) == 20
     assert {route for route, _, _ in found} == {"involution"}
@@ -294,5 +298,51 @@ def test_the_comparison_catches_a_wrong_t2_sign_in_the_involution_route(monkeypa
 
 def test_the_involution_stand_in_without_a_flip_finds_nothing(monkeypatch):
     # The control for the test above: the same (plus, minus) shape, T2 kept.
-    monkeypatch.setattr(involutions, "_by_sign", _by_sign_times(1))
+    monkeypatch.setattr(involutions, "by_sign", _by_sign_times(1))
     assert _disagreements(3, 4) == []
+
+
+def _odd_t1_terms(real, seen):
+    """A route's terms function with T1 one too large; seen gets each label."""
+
+    def terms(label, shape):
+        seen.append(label)
+        t1, t2, t3 = real(label, shape)
+        return t1 + 1, t2, t3
+
+    return terms
+
+
+def _odd_t1_by_sign(real, seen):
+    """The involution route's by_sign with T1 one too large; seen gets each label."""
+
+    def by_sign(t1, t2, t3, what, label):
+        seen.append(label)
+        return real(t1 + 1, t2, t3, what, label)
+
+    return by_sign
+
+
+@pytest.mark.parametrize(
+    "module,name,wrap",
+    [
+        (formulas, "_pgo_irr_terms", _odd_t1_terms),
+        (formulas, "_pgo_basic_terms", _odd_t1_terms),
+        (involutions, "by_sign", _odd_t1_by_sign),
+    ],
+)
+def test_an_odd_t1_in_any_route_exits_4_naming_the_label(capsys, monkeypatch, module, name, wrap):
+    seen = []
+    monkeypatch.setattr(module, name, wrap(getattr(module, name), seen))
+    code = cli.main(["cross-check", "--q", "3", "--n", "4", "--tier", "slow"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "non-integral" in err
+    assert seen and seen[0].text() in err
+    if name == "_pgo_irr_terms":
+        seen.clear()
+        code = cli.main(["decompose", "--q", "3", "--n", "4", "--subgroup", "pgo+"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert f"non-integral mult_pgo_irr({seen[0].text()}, +1)" in captured.err
