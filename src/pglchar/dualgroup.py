@@ -51,6 +51,9 @@ class QContext(_QFields):
             raise ValueError(f"q = {q} is not a prime power")
         return super().__new__(cls, q, p, k)
 
+    def __getnewargs__(self) -> tuple[int]:  # pickle and copy rebuild from q alone
+        return (self.q,)
+
 
 def q_context(q: int) -> QContext:
     """The context for q; a q that is not an int is refused, not truncated."""

@@ -6,7 +6,8 @@ The fractional coefficients (1/4, 1/2, eps/2) are cleared first: each
 formula sums four (or two) times the multiplicity as an int, and
 errors.by_sign (or errors.exact_div) divides at the end.  A remainder, or a
 negative multiplicity of an irreducible character, is a hard internal error,
-never a rounding issue.
+never a rounding issue.  A label's multiplicity is one pass over its blocks,
+each read from _block_stats, memoised by value for the life of the process.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ def _require_descends(mp: MultiPartition, shape: LabelShape) -> LabelShape:
 
 
 class _BlockStats(NamedTuple):
-    """What the orthogonal multiplicity formulas read from one partition."""
+    """What the multiplicity formulas read from one partition."""
 
+    all_even: bool  # every part is even
     transpose_even: bool  # the transpose is even: every multiplicity is even
     prod_mult_plus_one: int  # prod over distinct parts i of (m_i + 1)
     odd_mults_even: bool  # every odd part has even multiplicity
@@ -105,6 +107,7 @@ def _block_stats(p: Partition) -> _BlockStats:
         if part % 2 == 0:
             prod_even *= mult + 1
     return _BlockStats(
+        p.is_even(),
         all(mult % 2 == 0 for mult in mults.values()),
         prod_all,
         all(mult % 2 == 0 for part, mult in mults.items() if part % 2),
@@ -118,37 +121,33 @@ def _block_stats(p: Partition) -> _BlockStats:
 
 
 def _pgsp_irr(rho: MultiPartition, shape: LabelShape) -> int:
-    if shape.half == 0 and all(part.is_even() for _, part in rho.entries):
-        return 1
-    return 0
+    if shape.half != 0:
+        return 0
+    for _, part in rho.entries:
+        if not _block_stats(part).all_even:
+            return 0
+    return 1
 
 
 def _pgo_irr_terms(rho: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
     """T1, T2 and T3 of the orthogonal multiplicity of rho."""
-    blocks = [(data, _block_stats(part)) for data, part in rho.entries]
-
-    t1 = 0
-    if all(data.d == 1 or stats.transpose_even for data, stats in blocks):
-        t1 = 1
-        for data, stats in blocks:
-            if data.d == 1:
-                t1 *= stats.prod_mult_plus_one
-
-    t2 = 1 if shape.half == 0 and all(stats.transpose_even for _, stats in blocks) else 0
-
-    t3 = 0
-    cond = all(
-        stats.odd_mults_even if (data.d == 1 and data.m % 2) else stats.transpose_even
-        for data, stats in blocks
-        if not (data.d == 1 and data.m % 2 == 0)
-    )
-    if cond:
-        t3 = (-1) ** (rho.n // 2) * shape.phi()
-        for data, stats in blocks:
-            if data.d == 1 and data.m % 2:
-                t3 *= stats.prod_even_mult_plus_one * stats.ell2_sign
-            elif data.d == 1:
-                t3 *= stats.prod_mult_plus_one
+    t1 = t3 = 1
+    all_transpose_even = t3_cond = True
+    for data, part in rho.entries:
+        stats = _block_stats(part)
+        if data.d != 1:
+            if not stats.transpose_even:
+                return 0, 0, 0  # every term's condition fails on this block
+            continue
+        t1 *= stats.prod_mult_plus_one
+        all_transpose_even = all_transpose_even and stats.transpose_even
+        if data.m % 2:
+            t3_cond = t3_cond and stats.odd_mults_even
+            t3 *= stats.prod_even_mult_plus_one * stats.ell2_sign
+        else:
+            t3 *= stats.prod_mult_plus_one
+    t2 = 1 if all_transpose_even and shape.half == 0 else 0
+    t3 = (-1) ** (rho.n // 2) * shape.phi() * t3 if t3_cond else 0
     return t1, t2, t3
 
 

@@ -65,6 +65,9 @@ class CentralizerInvolution(_InvolutionFields):
         two_mod_4 = sum(1 for l in type1 if l % 4 == 2)
         return super().__new__(cls, nu, type1, type2, type3, len(type1), odd, two_mod_4, not type1)
 
+    def __getnewargs__(self) -> tuple:  # pickle and copy rebuild from the four given fields
+        return self[:4]
+
 
 class IdentityCheckResult(NamedTuple):
     name: str

@@ -1,11 +1,13 @@
 """Formula-independent ground truth at desk scale.
 
 Closed-form group orders and q-analog hook-length degrees work for any odd
-prime power q.  The matrix-group computations are restricted to prime q.
-Conjugacy classes and the stabilizer elements are deliberately dumb: list
-every element of PGL_n and count, so in practice n = 2.  The orbits on forms
-and the double cosets never list PGL: they check their capacity limit here
-and are built in `formorbits` from standard forms, which reaches n = 4.
+prime power q; a degree's factors, prod (q^i - 1) per (q, n) and each block's
+hook factor per (q, m, partition), are memoised for the life of the process.
+The matrix-group computations are restricted to prime q.  Conjugacy classes
+and the stabilizer elements are deliberately dumb: list every element of
+PGL_n and count, so in practice n = 2.  The orbits on forms and the double
+cosets never list PGL: they check their capacity limit here and are built in
+`formorbits` from standard forms, which reaches n = 4.
 """
 
 from __future__ import annotations
@@ -107,20 +109,28 @@ def degree(ctx: QContext, label: MultiPartition) -> int:
     pinned by the sum-of-squares consistency tests.
     """
     q = ctx.q
-    num = 1
-    for i in range(1, label.n + 1):
-        num *= q**i - 1
+    num = _prod_qi_minus_one(q, label.n)
     den = 1
     for data, part in label.entries:
-        block_num, block_den = _block_degree_factor(q**data.m, part)
+        block_num, block_den = _block_degree_factor(q, data.m, part)
         num *= block_num
         den *= block_den
     return exact_div(num, den, "degree({}) = {value}", label)
 
 
 @lru_cache(maxsize=None)
-def _block_degree_factor(t: int, part: Partition) -> tuple[int, int]:
+def _prod_qi_minus_one(q: int, n: int) -> int:
+    """prod over 1 <= i <= n of (q^i - 1)."""
+    out = 1
+    for i in range(1, n + 1):
+        out *= q**i - 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def _block_degree_factor(q: int, m: int, part: Partition) -> tuple[int, int]:
     """t^n(rho) and prod over the cells of (t^hook - 1), for t = q^m."""
+    t = q**m
     num = t ** sum(i * p for i, p in enumerate(part))
     den = 1
     transpose = part.transpose()

@@ -78,8 +78,8 @@ class Partition(tuple):
         """Sign of a permutation of this cycle type: (-1)^(number of even parts)."""
         return -1 if self.length_stats().ell0 % 2 else 1
 
-    def __str__(self) -> str:
-        return "[" + ",".join(map(str, self)) + "]"
+    def __str__(self) -> str:  # memoised per partition for the life of the process
+        return _text(self)
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
@@ -97,6 +97,11 @@ class Partition(tuple):
             return cls(map(int, inner.split(",")))
         except ValueError as exc:
             raise ValueError(f"cannot parse partition {text!r}: {exc}") from None
+
+
+@lru_cache(maxsize=None)
+def _text(p: Partition) -> str:
+    return "[" + ",".join(map(str, p)) + "]"
 
 
 T = TypeVar("T")

@@ -368,13 +368,25 @@ def _ref_mult_unipotent_pgo(rho, eps):
     return int(total)
 
 
-@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (3, 6)])
+def _ref_mult_pgsp_irr(rho):
+    """1 when the half-norm product is trivial and every part of every block is even."""
+    if params.half_norm_product(rho) != 0:
+        return 0
+    return 1 if all(part.is_even() for _, part in rho.entries) else 0
+
+
+@pytest.mark.parametrize(
+    "q,n", [(3, 4), (5, 4), (9, 4), (3, 6), pytest.param(7, 6, marks=pytest.mark.slow)]
+)
 def test_integer_formulas_match_fraction_reference(q, n):
     ctx = q_context(q)
-    phis = 0
+    phis = sp = 0
     for label in enumerate_labels(ctx, n, True):
         for eps in (1, -1):
             assert mult_pgo_irr(label, eps) == _ref_mult_pgo_irr(label, eps), label
+        mult = mult_pgsp_irr(label)
+        assert mult == _ref_mult_pgsp_irr(label), label
+        sp += mult
         if all(data.m * part.size() % 2 == 0 for data, part in label.entries):
             for j in (0, 1):
                 exponent = (q + 1) // 2 + j * (q + 1)
@@ -382,7 +394,7 @@ def test_integer_formulas_match_fraction_reference(q, n):
                 assert dualgroup.phi(ctx, _block_sizes(label), exponent) == expected
             assert params.phi(label) == _ref_phi(ctx, _block_sizes(label), (q + 1) // 2)
             phis += 1
-    assert phis > 0
+    assert phis > 0 and sp > 0
 
 
 @pytest.mark.parametrize("q", [3, 5])

@@ -80,6 +80,47 @@ def test_degree_sum_of_squares_all_labels_is_gl_order():
         assert total == orders(q, n).gl
 
 
+def _ref_degree(ctx, label):
+    """The hook-length degree with every factor recomputed per call, as first written."""
+    q = ctx.q
+    num = 1
+    for i in range(1, label.n + 1):
+        num *= q**i - 1
+    den = 1
+    for data, part in label.entries:
+        t = q**data.m
+        num *= t ** sum(i * p for i, p in enumerate(part))
+        transpose = part.transpose()
+        for i, p in enumerate(part):
+            for j in range(p):
+                den *= t ** (p - j + transpose[j] - i - 1) - 1
+    assert num % den == 0
+    return num // den
+
+
+def _interleaved(*label_lists):
+    """The labels of every list, one from each list in turn."""
+    for group in itertools.zip_longest(*label_lists):
+        yield from (label for label in group if label is not None)
+
+
+def test_degree_matches_the_unmemoised_formula_in_interleaved_q_order():
+    # Consecutive labels differ in q, and labels of different q or n share
+    # blocks (m, partition), so a memo keyed without q, m or n returns a
+    # value computed for another label.
+    oracle._prod_qi_minus_one.cache_clear()
+    oracle._block_degree_factor.cache_clear()
+    full = [enumerate_labels(q_context(q), n, True) for q, n in ((3, 4), (5, 4), (9, 4), (3, 6))]
+    sampled = [
+        params.random_labels(q_context(q), n, 200, seed=q * 100 + n) for q, n in ((27, 6), (9, 8))
+    ]
+    checked = 0
+    for label in _interleaved(*full, *sampled):
+        assert degree(label.ctx, label) == _ref_degree(label.ctx, label), label
+        checked += 1
+    assert checked == sum(map(len, full)) + 400
+
+
 def test_projective_group_sizes():
     for q in (3, 5, 7):
         group = projective_group(q, 2)

@@ -5,7 +5,9 @@ use, and the README's library example.
 """
 
 import contextlib
+import copy
 import io
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +102,20 @@ def test_equal_records_compare_and_hash_equal(name):
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     assert all(getattr(a, field) == getattr(b, field) for field in fields)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize(
+    "clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_a_record_survives_pickle_and_copy(name, clone):
+    make, fields = RECORDS[name]
+    record = make()
+    again = clone(record)
+    assert type(again) is type(record)
+    assert again == record and hash(again) == hash(record)
+    assert all(getattr(again, field) == getattr(record, field) for field in fields)
 
 
 def test_records_of_different_values_differ():
