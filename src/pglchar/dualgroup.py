@@ -4,13 +4,16 @@ The direct limit of the character groups of F_{q^e}^x is modeled as the
 subgroup of Q/Z of fractions with denominator coprime to q; the q-th power
 map sigma acts as multiplication by q mod 1.  An element is carried as a
 reduced integer pair num/den with 0 <= num < den, from the text ``a/b`` to
-OrbitData; a Fraction is built only at the edge, in OrbitData.rep,
-parse_fraction, as_dual and phi().  All pairings with field
-elements are pure exponent arithmetic relative to a norm-compatible system
-of generators (g_e = g_{e'}^((q^e'-1)/(q^e-1)) for e | e'), so no finite
-field is ever constructed.  The only field elements the formulas pair with
-are -1, a fixed non-square beta and its square root; their exponents are
-forced to (q-1)/2 at level 1 and (q+1)/2 at level 2.
+OrbitData.  A Fraction is built only at the edge: in OrbitData.rep (which
+canonical_rep returns), parse_fraction, as_dual, orbit_data, phi(),
+params.make_label (Fraction keys), params.half_norm_product,
+params.random_labels, formulas.unipotent_label and the exit-4 messages of
+errors.exact_div and phi_from_orbits.  All pairings with field elements are
+pure exponent arithmetic relative to a norm-compatible system of generators
+(g_e = g_{e'}^((q^e'-1)/(q^e-1)) for e | e'), so no finite field is ever
+constructed.  The only field elements the formulas pair with are -1, a fixed
+non-square beta and its square root; their exponents are forced to (q-1)/2
+at level 1 and (q+1)/2 at level 2.
 """
 
 from __future__ import annotations

@@ -16,12 +16,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from math import prod
 from typing import Iterable, NamedTuple, Optional
 
 from . import oracle, params, symchar
 from .dualgroup import QContext, q_context
 from .errors import InvariantViolation, by_sign, exact_div, sign_index
-from .params import LabelShape, MultiPartition, make_label
+from .params import LabelShape, MultiPartition, make_label, require_descends
 from .partitions import Partition, partitions_of
 
 
@@ -78,13 +79,6 @@ class DecompositionReport(NamedTuple):
                 "sum_m2": self.sum_mult_squared,
             },
         }
-
-
-def _require_descends(mp: MultiPartition, shape: LabelShape) -> LabelShape:
-    """shape, the shape of mp; raises unless mp descends to PGL."""
-    if shape.pi:
-        raise ValueError(f"label {mp} has nontrivial norm product; it does not descend to PGL")
-    return shape
 
 
 class _BlockStats(NamedTuple):
@@ -155,9 +149,23 @@ def _pgo_irr_terms(rho: MultiPartition, shape: LabelShape) -> tuple[int, int, in
 _PGO_IRR = "mult_pgo_irr({}, {:+d}) = {value}"
 
 
+def _pgo_irr(rho: MultiPartition, shape: LabelShape) -> tuple[int, int]:
+    """The orthogonal multiplicities of rho for eps = +1 and -1, from one T1, T2, T3."""
+    return by_sign(*_pgo_irr_terms(rho, shape), _PGO_IRR, rho, True)
+
+
+def irr_mults(rho: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
+    """The irreducible multiplicities of rho for every subgroup, in Subgroup order.
+
+    shape is rho.shape(), or that of a label on the same orbits with the same
+    block sizes.  mult_irr and the two below compute one subgroup alone.
+    """
+    return (_pgsp_irr(rho, require_descends(rho, shape)), *_pgo_irr(rho, shape))
+
+
 def mult_pgsp_irr(rho: MultiPartition) -> int:
     """Multiplicity of the irreducible labelled rho in Ind(1) from PGSp_n."""
-    return _pgsp_irr(rho, _require_descends(rho, rho.shape()))
+    return _pgsp_irr(rho, require_descends(rho, rho.shape()))
 
 
 def mult_pgo_irr(rho: MultiPartition, eps: int) -> int:
@@ -165,8 +173,7 @@ def mult_pgo_irr(rho: MultiPartition, eps: int) -> int:
 
     Sums four times the multiplicity, so every term is an integer.
     """
-    shape = _require_descends(rho, rho.shape())
-    return by_sign(*_pgo_irr_terms(rho, shape), _PGO_IRR, rho, True)[sign_index(eps)]
+    return _pgo_irr(rho, require_descends(rho, rho.shape()))[sign_index(eps)]
 
 
 def mult_irr(rho: MultiPartition, subgroup: Subgroup) -> int:
@@ -252,7 +259,7 @@ def basic_mults(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
     One T1, T2, T3 serves both signs.  shape is nu.shape(), which the caller
     may share with the other routes.
     """
-    terms = _pgo_basic_terms(nu, _require_descends(nu, shape))
+    terms = _pgo_basic_terms(nu, require_descends(nu, shape))
     plus, minus = by_sign(*terms, "basic multiplicity {value} for {} at eps = {:+d}", nu)
     return _pgsp_basic(nu, shape), plus, minus
 
@@ -272,13 +279,13 @@ def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> tuple[int, in
 
     Expands B_nu over all irreducible labels with the same block sizes on the
     same orbits, for every subgroup at once, in Subgroup order: each rho-label
-    is built once, and its PGO terms serve both signs.  The entries of nu are
-    canonical and sorted already, so each rho-label is built directly on the
-    orbit data of nu.  Its shape is shape, that of nu (nu.shape(), which the
-    caller may share with the other routes), since a shape reads only the
-    orbits and the block sizes; so every rho-label descends once nu does.
+    is built once and read by irr_mults.  The entries of nu are canonical and
+    sorted already, so each rho-label is built directly on the orbit data of
+    nu.  Its shape is shape, that of nu (nu.shape(), which the caller may share
+    with the other routes), since a shape reads only the orbits and the block
+    sizes.
     """
-    _require_descends(nu, shape)
+    require_descends(nu, shape)
     # Per block, the rho-entries with chi(rho, nu_xi) != 0 and that value.
     columns = [
         [((data, rho), value) for rho, value in symchar.chi_column(part)]
@@ -286,14 +293,12 @@ def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> tuple[int, in
     ]
     sp = plus = minus = 0
     for choice in iter_product(*columns):
-        coeff = 1
-        for _, value in choice:
-            coeff *= value
-        rho_label = MultiPartition(nu.ctx, nu.n, tuple([entry for entry, _ in choice]))
-        irr = by_sign(*_pgo_irr_terms(rho_label, shape), _PGO_IRR, rho_label, True)
-        sp += coeff * _pgsp_irr(rho_label, shape)
-        plus += coeff * irr[0]
-        minus += coeff * irr[1]
+        entries, values = zip(*choice)
+        coeff = prod(values)
+        irr_sp, irr_plus, irr_minus = irr_mults(MultiPartition(nu.ctx, nu.n, entries), shape)
+        sp += coeff * irr_sp
+        plus += coeff * irr_plus
+        minus += coeff * irr_minus
     sign = (-1) ** (nu.n + sum(shape.sizes))
     return sign * sp, sign * plus, sign * minus
 
@@ -350,7 +355,7 @@ def decompose_labels(
 ) -> DecompositionReport:
     """The rows of decompose() for the given labels, in their order.
 
-    The totals run over the given labels only.
+    The totals run over the given labels only, each at ctx and n.
     """
     if with_degrees:
         oracle.check_order_bits(ctx.q, n)
@@ -358,6 +363,8 @@ def decompose_labels(
     sum_md = 0 if with_degrees else None
     sum_m2 = 0
     for label in labels:
+        if label.ctx != ctx or label.n != n:
+            raise ValueError(f"label {label} is not at q = {ctx.q}, n = {n}")
         mult = mult_irr(label, subgroup)
         if subgroup is Subgroup.PGSP and mult not in (0, 1):
             raise InvariantViolation(f"PGSp multiplicity {mult} outside {{0,1}} at {label}")

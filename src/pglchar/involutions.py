@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from . import symchar
 from .errors import InvariantViolation, by_sign, check_limit, sign_index
-from .params import LabelShape, MultiPartition
+from .params import LabelShape, MultiPartition, require_descends
 from .partitions import Partition, partitions_of
 
 
@@ -219,8 +219,7 @@ def threeterm_values(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
     Returns (eps = +1, eps = -1).  shape is mp.shape(), which the caller may
     share with the other routes.
     """
-    if shape.pi:
-        raise ValueError(f"label {mp} has nontrivial norm product")
+    require_descends(mp, shape)
     entries = mp.entries
     data = [d for d, _ in entries]
     # X: the tuples with no odd type-1 cycle on a block with d = -1.  Each

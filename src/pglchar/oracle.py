@@ -106,8 +106,10 @@ def degree(ctx: QContext, label: MultiPartition) -> int:
     q-analog hook-length formula: prod_(i<=n) (q^i - 1) times, per orbit,
     q^(m * n(rho)) / prod_(cells) (q^(m*hook) - 1), where n(rho) is the sum
     of (row index - 1) * part.  The orientation (n(rho), not n(rho')) is
-    pinned by the sum-of-squares consistency tests.
+    pinned by the sum-of-squares consistency tests.  ctx must be the label's.
     """
+    if label.ctx != ctx:
+        raise ValueError(f"label {label} is not at q = {ctx.q}")
     q = ctx.q
     num = _prod_qi_minus_one(q, label.n)
     den = 1

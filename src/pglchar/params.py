@@ -61,6 +61,13 @@ class LabelShape:
         return self._phi
 
 
+def require_descends(mp: MultiPartition, shape: LabelShape) -> LabelShape:
+    """shape, the shape of mp; raises unless mp descends to PGL (Pi = 0)."""
+    if shape.pi:
+        raise ValueError(f"label {mp} has nontrivial norm product; it does not descend to PGL")
+    return shape
+
+
 class MultiPartition(NamedTuple):
     """Mapping from sigma-orbits to nonempty partitions.
 
@@ -90,9 +97,9 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
     """Build a validated label; keys are canonicalized to orbit representatives.
 
     entries may be a mapping or an iterable of (dual element, partition) pairs;
-    dual elements may be Fractions, ``a/b`` strings or reduced pairs (num, den)
-    with 0 <= num < den, each read once into that pair, so the orbit walk and
-    the checks run on integers; partitions may be Partitions or iterables.
+    dual elements may be Fractions or reduced pairs (num, den) with
+    0 <= num < den, each read once into that pair, so the orbit walk and the
+    checks run on integers; partitions may be Partitions or iterables.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
@@ -100,9 +107,7 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
     # Keyed by (den, num) of the representative: the entry order.
     canon: dict[tuple[int, int], tuple[OrbitData, Partition]] = {}
     for xi, part in pairs:
-        if isinstance(xi, str):
-            num, den = dualgroup.parse_pair(xi)
-        elif isinstance(xi, tuple):
+        if isinstance(xi, tuple):
             num, den = xi
         else:
             xi = Fraction(xi) % 1
@@ -296,29 +301,20 @@ def label_count(
     return poly[n][0]
 
 
-def random_labels(
-    ctx: QContext,
-    n: int,
-    count: int,
-    *,
-    restrict_to_P_hat: bool = True,
-    seed=None,
-    rng: Optional[random.Random] = None,
-) -> list[MultiPartition]:
-    """Sample labels of weight n by rejection; not uniform, but covers strata.
+def random_labels(ctx: QContext, n: int, count: int, *, seed=None) -> list[MultiPartition]:
+    """Sample labels of weight n that descend to PGL, by rejection.
 
+    Not uniform, but covers strata; the same seed gives the same labels.
     Useful where full enumeration is out of the desk-scale envelope.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     out: list[MultiPartition] = []
     while len(out) < count:
         entries: dict[tuple[int, int], Partition] = {}
         remaining = n
-        ok = True
-        while remaining:
+        while remaining:  # a break leaves remaining > 0: the draw is rejected
             m = rng.randint(1, remaining)
             level = ctx.q**m - 1
             for _ in range(64):
@@ -326,20 +322,16 @@ def random_labels(
                 if data.m == m:
                     break
             else:
-                ok = False
                 break
             rep = (data.num, data.den)
             if rep in entries:
-                ok = False
                 break
             k = rng.randint(1, remaining // m)
-            parts = partitions_of(k)
-            entries[rep] = parts[rng.randrange(len(parts))]
+            entries[rep] = rng.choice(partitions_of(k))
             remaining -= m * k
-        if not ok:
+        if remaining:
             continue
         mp = make_label(ctx, n, entries)
-        if restrict_to_P_hat and not in_P_hat(mp):
-            continue
-        out.append(mp)
+        if in_P_hat(mp):
+            out.append(mp)
     return out

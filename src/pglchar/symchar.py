@@ -5,19 +5,19 @@ at a permutation of cycle type mu, normalised so that chi((m), mu) = 1 and
 chi(rho', mu) = sign(mu) * chi(rho, mu).  The recursion removes one border
 strip per part of mu, working on first-column hook lengths (beta-sets).
 
-Values are memoised in a module-level dict, and the nonzero column
-chi_column and each of the four weighted sums sum_chi_* are memoised per
-partition (memo_per_partition).  Writes are idempotent, so concurrent use
-from several threads can at worst duplicate work; clear_memo() empties the
-chi memo and the five per-partition memos together.
+Values are memoised by _chi's lru_cache, and the nonzero column chi_column
+and each of the four weighted sums sum_chi_* are memoised per partition
+(memo_per_partition).  Writes are idempotent, so concurrent use from several
+threads can at worst duplicate work; clear_memo() empties the chi memo and
+the five per-partition memos together.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import check_limit
 from .partitions import Partition, memo_per_partition, partitions_of
-
-_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
 
 def chi(rho, mu) -> int:
@@ -35,13 +35,10 @@ def chi(rho, mu) -> int:
     return _chi(rho, mu)
 
 
+@lru_cache(maxsize=None)
 def _chi(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
     if not mu:
         return 1
-    key = (rho, mu)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
     strip, rest = mu[0], mu[1:]
     length = len(rho)
     beta = [rho[i] + (length - 1 - i) for i in range(length)]
@@ -59,7 +56,6 @@ def _chi(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
             if v:
                 parts.append(v)
         total += (-1) ** height * _chi(tuple(parts), rest)
-    _memo[key] = total
     return total
 
 
@@ -74,8 +70,7 @@ def character_table(m: int) -> list[list[int]]:
 
 def clear_memo() -> None:
     """Empty the chi memo, the chi_column memo and the memos of the four sums."""
-    _memo.clear()
-    for memo in _PARTITION_MEMOS:
+    for memo in _MEMOS:
         memo.cache_clear()
 
 
@@ -135,7 +130,8 @@ def sum_chi_signed_even(nu: Partition) -> int:
     return total
 
 
-_PARTITION_MEMOS = (
+_MEMOS = (
+    _chi,
     chi_column,
     sum_chi_even,
     sum_chi_transpose_even,

@@ -531,3 +531,73 @@ def test_decompose_labels_checks_the_pgsp_invariant(monkeypatch):
     monkeypatch.setattr(formulas, "mult_pgsp_irr", lambda rho: 2)
     with pytest.raises(InvariantViolation, match="outside"):
         formulas.decompose_labels(Q3, 2, Subgroup.PGSP, [label], include_zeros=True)
+
+
+def test_decompose_labels_refuses_a_label_at_another_q_or_n():
+    label = params.parse_label(Q3, 2, "0/1:[1,1]")
+    assert formulas.decompose_labels(Q3, 2, Subgroup.PGO_PLUS, [label]).rows
+    with pytest.raises(ValueError, match=r"^label 0/1:\[1,1\] is not at q = 5, n = 2$"):
+        formulas.decompose_labels(Q5, 2, Subgroup.PGO_PLUS, [label], with_degrees=True)
+    with pytest.raises(ValueError, match=r"^label 0/1:\[1,1\] is not at q = 3, n = 4$"):
+        formulas.decompose_labels(Q3, 4, Subgroup.PGSP, [label], include_zeros=True)
+
+
+def _irr_labels():
+    for q, n in ((3, 4), (5, 4), (9, 4), (3, 6)):
+        yield from enumerate_labels(q_context(q), n, True)
+    yield from params.random_labels(q_context(27), 6, 200, seed=27)
+
+
+def test_irr_mults_equals_the_three_single_subgroup_functions():
+    for label in _irr_labels():
+        expected = (mult_pgsp_irr(label), mult_pgo_irr(label, 1), mult_pgo_irr(label, -1))
+        assert formulas.irr_mults(label, label.shape()) == expected, label
+        assert tuple(mult_irr(label, sg) for sg in Subgroup) == expected, label
+
+
+# The message of params.require_descends, the one descent check of the routes.
+NOT_DESCENDING = "label 1/8:[1] has nontrivial norm product; it does not descend to PGL"
+
+
+def test_every_route_refuses_a_label_off_pgl_with_the_shared_message():
+    label = make_label(Q3, 2, {Fraction(1, 8): [1]})
+    shape = label.shape()
+    assert shape.pi
+    calls = [
+        lambda: formulas.irr_mults(label, shape),
+        lambda: mult_pgsp_irr(label),
+        lambda: mult_pgo_irr(label, 1),
+        lambda: formulas.basic_mults(label, shape),
+        lambda: formulas.mults_via_transition(label, shape),
+        lambda: involutions.threeterm_values(label, shape),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == NOT_DESCENDING
+
+
+def _counting(monkeypatch, name):
+    """Wrap formulas.<name>; returns the list that gets the arguments of each call."""
+    real = getattr(formulas, name)
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(formulas, name, counted)
+    return seen
+
+
+def test_a_single_subgroup_decomposition_computes_only_its_own_subgroup(monkeypatch):
+    # mult_irr and the two selectors stay separate: computing all three
+    # subgroups per call, then selecting one, measured 40-60% slower on the
+    # in-process multiplicity layer.
+    pgo_terms = _counting(monkeypatch, "_pgo_irr_terms")
+    pgsp = _counting(monkeypatch, "_pgsp_irr")
+    decompose(Q3, 4, Subgroup.PGSP)
+    assert pgsp and not pgo_terms
+    pgsp.clear()
+    decompose(Q3, 4, Subgroup.PGO_PLUS)
+    assert pgo_terms and not pgsp

@@ -549,3 +549,10 @@ def test_double_cosets_check_each_generator(monkeypatch):
     monkeypatch.setattr(formorbits, "_similitude", transposed)
     with pytest.raises(InvariantViolation, match="does not scale the form"):
         double_cosets(5, 2, "pgo-", "pgo-")
+
+
+def test_degree_refuses_a_label_at_another_q():
+    label = params.parse_label(Q3, 2, "0/1:[1,1]")
+    assert degree(Q3, label) == 3
+    with pytest.raises(ValueError, match=r"^label 0/1:\[1,1\] is not at q = 5$"):
+        degree(Q5, label)

@@ -346,3 +346,17 @@ def test_an_odd_t1_in_any_route_exits_4_naming_the_label(capsys, monkeypatch, mo
         assert code == 4
         assert captured.out == ""
         assert f"non-integral mult_pgo_irr({seen[0].text()}, +1)" in captured.err
+
+
+def test_cross_check_catches_swapped_pgo_values_in_route_one(capsys, monkeypatch):
+    # The transition route reads route 1 only through formulas.irr_mults.
+    real = formulas.irr_mults
+
+    def swapped(rho, shape):
+        sp, plus, minus = real(rho, shape)
+        return sp, minus, plus
+
+    monkeypatch.setattr(formulas, "irr_mults", swapped)
+    code = cli.main(["cross-check", "--q", "3", "--n", "4", "--tier", "slow"])
+    assert code == 4
+    assert "route mismatches" in capsys.readouterr().err

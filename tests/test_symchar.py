@@ -200,10 +200,10 @@ SUMS = (
 def test_clear_memo_empties_every_memo_and_cold_values_are_unchanged():
     tables = [character_table(m) for m in range(7)]
     sums = [[fn(nu) for nu in partitions_of(m)] for m in range(7) for fn in SUMS]
-    assert symchar._memo
+    assert symchar._chi.cache_info().currsize
     assert all(fn.cache_info().currsize for fn in SUMS)
     symchar.clear_memo()
-    assert not symchar._memo
+    assert symchar._chi.cache_info().currsize == 0
     assert all(fn.cache_info().currsize == 0 for fn in SUMS)
     assert [character_table(m) for m in range(7)] == tables
     assert [[fn(nu) for nu in partitions_of(m)] for m in range(7) for fn in SUMS] == sums
