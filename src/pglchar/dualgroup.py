@@ -18,14 +18,11 @@ at level 1 and (q+1)/2 at level 2.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import LIMITS, InvariantViolation, check_limit
-
-_FRACTION_RE = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*")
 
 
 class _QFields(NamedTuple):
@@ -95,11 +92,19 @@ def as_dual(ctx: QContext, x) -> Fraction:
 
 
 def parse_pair(text: str) -> tuple[int, int]:
-    """Parse the text form ``a/b`` to the reduced pair (num, den) of a/b mod 1."""
-    m = _FRACTION_RE.fullmatch(text)
-    if not m:
+    """Parse the text form ``a/b`` to the reduced pair (num, den) of a/b mod 1.
+
+    a and b are decimal digits (str.isdecimal, so any Unicode digit of
+    category Nd) with optional whitespace (str.isspace) around each; signs,
+    underscores and a second ``/`` are refused.
+    """
+    a, sep, b = text.partition("/")
+    a = a.strip()
+    b = b.strip()
+    if not (sep and a.isdecimal() and b.isdecimal()):
         raise ValueError(f"cannot parse dual element {text!r}; expected a/b")
-    num, den = map(int, m.groups())
+    num = int(a)
+    den = int(b)
     if den < 1:
         raise ValueError(f"denominator must be >= 1 in {text!r}")
     num %= den

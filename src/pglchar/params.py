@@ -87,7 +87,7 @@ class MultiPartition(NamedTuple):
         return LabelShape(self.ctx, self.entries)
 
     def text(self) -> str:
-        return " + ".join(f"{data.num}/{data.den}:{part}" for data, part in self.entries)
+        return " + ".join([f"{data.num}/{data.den}:{part}" for data, part in self.entries])
 
     def __str__(self) -> str:
         return self.text()
@@ -101,32 +101,43 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
     0 <= num < den, each read once into that pair, so the orbit walk and the
     checks run on integers; partitions may be Partitions or iterables.
     """
+    pairs = entries.items() if isinstance(entries, Mapping) else entries
+    items = []
+    for xi, part in pairs:
+        if not isinstance(xi, tuple):
+            x = Fraction(xi) % 1
+            xi = (x.numerator, x.denominator)
+        items.append((xi, part if isinstance(part, Partition) else Partition(part)))
+    return _build_label(ctx, n, items)
+
+
+def _build_label(
+    ctx: QContext, n: int, items: Iterable[tuple[tuple[int, int], Partition]]
+) -> MultiPartition:
+    """The label of the (reduced pair, Partition) items; make_label and parse_label end here.
+
+    One pass walks each orbit, refuses empty blocks and repeated orbits and
+    adds up the weight; the weight is checked against n at the end.
+    """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    pairs = entries.items() if isinstance(entries, Mapping) else entries
     # Keyed by (den, num) of the representative: the entry order.
     canon: dict[tuple[int, int], tuple[OrbitData, Partition]] = {}
-    for xi, part in pairs:
-        if isinstance(xi, tuple):
-            num, den = xi
-        else:
-            xi = Fraction(xi) % 1
-            num, den = xi.numerator, xi.denominator
+    weight = 0
+    for (num, den), part in items:
         data = dualgroup.pair_orbit_data(ctx, num, den, n)
         if data is None:
             raise ValueError(f"the sigma-orbit of {num}/{den} is longer than n = {n}")
-        part = part if isinstance(part, Partition) else Partition(part)
         if not part:
             raise ValueError("label blocks must be nonempty partitions")
         key = (data.den, data.num)
         if key in canon:
             raise ValueError(f"duplicate orbit key {data.num}/{data.den} after canonicalization")
         canon[key] = (data, part)
-    ordered = tuple(canon[key] for key in sorted(canon))
-    weight = sum(data.m * part.size() for data, part in ordered)
+        weight += data.m * sum(part)
     if weight != n:
         raise ValueError(f"label weight {weight} does not match n = {n}")
-    return MultiPartition(ctx, n, ordered)
+    return MultiPartition(ctx, n, tuple([canon[key] for key in sorted(canon)]))
 
 
 def in_P_hat(mp: MultiPartition) -> bool:
@@ -150,21 +161,24 @@ def phi(mp: MultiPartition) -> int:
 
 
 def parse_label(ctx: QContext, n: int, text: str) -> MultiPartition:
-    """Parse the label grammar: entries ``frac:partition`` joined by ``+``.
+    """Parse the label grammar: entries ``a/b:partition`` joined by ``+``.
 
-    Example: ``0/1:[2,1] + 1/2:[1]``.  Keys are canonicalized; duplicates
-    after canonicalization and weight mismatches are rejected.
+    Example: ``0/1:[2,1] + 1/2:[1]``.  a, b and the partition's parts are
+    decimal digits with optional whitespace around them (dualgroup.parse_pair,
+    Partition.parse), as is the space around ``+`` and ``:``.  Keys are
+    canonicalized; duplicates after canonicalization and weight mismatches
+    are rejected.
     """
     chunks = [c.strip() for c in text.split("+")]
     if not all(chunks):
         raise ValueError(f"empty label entry in {text!r}")
-    pairs = []
+    items = []
     for chunk in chunks:
         frac_text, sep, part_text = chunk.partition(":")
         if not sep:
             raise ValueError(f"label entry {chunk!r} is missing ':'")
-        pairs.append((dualgroup.parse_pair(frac_text), Partition.parse(part_text)))
-    return make_label(ctx, n, pairs)
+        items.append((dualgroup.parse_pair(frac_text), Partition.parse(part_text)))
+    return _build_label(ctx, n, items)
 
 
 def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> list[MultiPartition]:

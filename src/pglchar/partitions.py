@@ -84,17 +84,33 @@ class Partition(tuple):
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        """Parse the text form ``[3,1,1]``; the empty partition is ``[]``."""
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def parse(text: str) -> "Partition":
+        """Parse the text form ``[3,1,1]``; the empty partition is ``[]``.
+
+        Between the brackets, parts are separated by commas; each part is
+        decimal digits (str.isdecimal) with optional whitespace
+        (str.isspace) around them, the grammar of ``a/b`` in
+        dualgroup.parse_pair.  Signs, underscores and empty parts are
+        refused.  The result is memoised per text for the life of the
+        process; a malformed text raises on every call and is not stored.
+        """
         text = text.strip()
         if not (text.startswith("[") and text.endswith("]")):
             raise ValueError(f"partition must look like [a,b,...], got {text!r}")
         inner = text[1:-1].strip()
         if not inner:
-            return cls()
+            return Partition()
         try:
-            return cls(map(int, inner.split(",")))
+            parts = []
+            for part in inner.split(","):
+                digits = part.strip()
+                if not digits.isdecimal():
+                    int(part)  # a part that is no number at all gets int()'s message
+                    raise ValueError(f"partition parts must be decimal digits, got {part!r}")
+                parts.append(int(digits))
+            return Partition(parts)
         except ValueError as exc:
             raise ValueError(f"cannot parse partition {text!r}: {exc}") from None
 

@@ -1,9 +1,10 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pglchar import dualgroup
 from pglchar.dualgroup import (
@@ -311,6 +312,44 @@ def test_parse_pair_is_the_reduced_fraction_mod_1(a, b, pads):
     x = Fraction(a, b) % 1
     assert dualgroup.parse_pair(text) == (x.numerator, x.denominator)
     assert parse_fraction(text) == x
+
+
+# The a/b grammar as the regular expression the parser once used: the
+# reference it must agree with.  \d is a Unicode decimal digit and \s
+# Unicode whitespace.
+_REFERENCE_PAIR = re.compile(r"\s*(\d+)\s*/\s*(\d+)\s*")
+
+_DIGITS = "0123456789\u0663\u0966\uff15"  # ASCII, Arabic-Indic 3, Devanagari 0, fullwidth 5
+_SPACES = " \t\n\x0b\x1c\u00a0\u2003"
+_NOISE = "+-_²xa/"
+
+
+@st.composite
+def _pair_texts(draw):
+    """Near-``a/b`` text: padded numbers around slashes, with one noise character
+    put in a third of the time; or free text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(_DIGITS + _SPACES + _NOISE, max_size=10))
+    pads = [draw(st.text(_SPACES, max_size=2)) for _ in range(4)]
+    a, b = (draw(st.text(_DIGITS, min_size=1, max_size=3)) for _ in range(2))
+    slash = draw(st.one_of(st.just("/"), st.sampled_from(["", "//", "/1/"])))
+    text = pads[0] + a + pads[1] + slash + pads[2] + b + pads[3]
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_NOISE)) + text[at:]
+    return text
+
+
+@settings(max_examples=300)
+@given(_pair_texts())
+def test_parse_pair_accepts_exactly_the_reference_grammar(text):
+    match = _REFERENCE_PAIR.fullmatch(text)
+    if match is None or int(match.group(2)) == 0:
+        with pytest.raises(ValueError):
+            dualgroup.parse_pair(text)
+    else:
+        x = Fraction(int(match.group(1)), int(match.group(2))) % 1
+        assert dualgroup.parse_pair(text) == (x.numerator, x.denominator)
 
 
 # x = a / (q^e - 1): every element whose orbit has at most 8 members, with an

@@ -43,6 +43,10 @@ LABELS_AT_Q3_N2 = [
 ]
 
 
+# int() reads the part 1_0 as 10, but a part is decimal digits, as in a/b.
+NON_DECIMAL_PART = ["decompose", "--q", "3", "--n", "10", "--subgroup", "pgo+", "--label", "0/1:[1_0]"]
+
+
 def _argv_grid():
     for q in QS:
         for n in NS:
@@ -52,6 +56,7 @@ def _argv_grid():
     for label in LABELS_AT_Q3_N2:
         for extra in ([], ["--no-degrees"]):
             yield ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+", f"--label={label}", *extra]
+    yield NON_DECIMAL_PART
     for n, subgroup in (("16000000", "pgo+"), ("100000000000", "pgo-")):
         for extra in ([], ["--no-degrees"]):
             yield ["decompose", "--q", "3", "--n", n, "--subgroup", subgroup,
@@ -99,6 +104,11 @@ def test_no_input_exits_4_or_raises(capsys):
     assert codes == {0, 2, 3}
     assert count > 300
     assert time.monotonic() - started < 5.0
+
+
+def test_a_part_that_is_not_decimal_digits_exits_2(capsys):
+    assert _run(NON_DECIMAL_PART) == 2
+    assert "partition parts must be decimal digits, got '1_0'" in capsys.readouterr().err
 
 
 class WorkStarted(Exception):

@@ -366,6 +366,61 @@ def test_enumerated_labels_carry_their_orbit_data(q, n):
                 assert data == dualgroup.orbit_data(ctx, data.rep)
 
 
+def _both_ways_cases():
+    for q, n in ((3, 4), (5, 4), (9, 4), (3, 6)):
+        ctx = q_context(q)
+        yield ctx, n, enumerate_labels(ctx, n, True)
+    ctx = q_context(27)
+    yield ctx, 6, random_labels(ctx, 6, 200, seed=27)
+
+
+def test_parse_label_and_make_label_build_the_same_label():
+    for ctx, n, labels in _both_ways_cases():
+        for mp in labels:
+            assert parse_label(ctx, n, mp.text()) == mp
+            assert make_label(ctx, n, {data.rep: list(part) for data, part in mp.entries}) == mp
+
+
+@pytest.mark.parametrize(
+    "n,text,entries",
+    [
+        (4, "1/4:[1] + 3/4:[1]", [(Fraction(1, 4), [1]), (Fraction(3, 4), [1])]),
+        (4, "0/1:[2]", {Fraction(0): [2]}),
+        (2, "0/1:[] + 1/2:[2]", {Fraction(0): [], Fraction(1, 2): [2]}),
+        (2, "1/1000000007:[1]", {Fraction(1, 1000000007): [1]}),
+    ],
+    ids=["duplicate", "weight", "empty block", "longer than n"],
+)
+def test_parse_label_and_make_label_refuse_with_the_same_message(n, text, entries):
+    with pytest.raises(ValueError) as parsed:
+        parse_label(Q3, n, text)
+    with pytest.raises(ValueError) as made:
+        make_label(Q3, n, entries)
+    assert str(parsed.value) == str(made.value)
+
+
+def test_parse_label_builds_each_partition_text_once(monkeypatch):
+    built = []
+    new = Partition.__new__
+
+    def counting(cls, parts=()):
+        parts = tuple(parts)
+        built.append(parts)
+        return new(cls, parts)
+
+    Partition.parse.cache_clear()
+    monkeypatch.setattr(Partition, "__new__", counting)
+    # 100 labels at n = 8 over 12 partition texts: [a,1] and [7-a].
+    texts = [f"{k}/1:[{a},1] + {2 * k + 1}/2:[{7 - a}]" for k in range(17) for a in range(1, 7)]
+    for text in texts[:100]:
+        assert parse_label(Q3, 8, text).n == 8
+    assert len(built) == 12
+    for _ in range(2):
+        with pytest.raises(ValueError, match="decimal digits"):
+            parse_label(Q3, 8, "0/1:[1_0]")
+    assert Partition.parse.cache_info().currsize == 12
+
+
 def test_orbit_data_does_not_change_equality_or_hash():
     for ctx, n in ((Q3, 4), (Q5, 4)):
         for mp in enumerate_labels(ctx, n, True):

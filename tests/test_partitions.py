@@ -1,7 +1,8 @@
 import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pglchar.errors import CapacityError
 from pglchar.partitions import Partition, partitions_of
@@ -165,3 +166,55 @@ def test_parse_errors():
         Partition.parse("3,1")
     with pytest.raises(ValueError):
         Partition.parse("[3,x]")
+
+
+@pytest.mark.parametrize("text", ["[+1,1]", "[1_0]", "[2,-1]", "[1,+0]", "[ 1_0 ]"])
+def test_parse_refuses_a_part_that_is_not_decimal_digits(text):
+    # int() reads every one of these parts; the part grammar is that of a/b.
+    with pytest.raises(ValueError, match="partition parts must be decimal digits"):
+        Partition.parse(text)
+
+
+# The part grammar, written as a regular expression: the reference that the
+# parser must agree with.  \d is a Unicode decimal digit and \s Unicode
+# whitespace, as str.isdecimal and str.isspace.
+_REFERENCE_PARTITION = re.compile(r"\s*\[\s*(\d+(?:\s*,\s*\d+)*)?\s*\]\s*")
+
+_DIGITS = "0123456789\u0663\u0966\uff15"  # ASCII, Arabic-Indic 3, Devanagari 0, fullwidth 5
+_SPACES = " \t\n\x0b\x1c\u00a0\u2003"
+_NOISE = "+-_/²xa[],"
+
+
+@st.composite
+def _partition_texts(draw):
+    """Near-partition text: padded parts between brackets, with one noise
+    character put in a third of the time; or free text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(_DIGITS + _SPACES + _NOISE, max_size=12))
+    pad = st.text(_SPACES, max_size=2)
+    part = st.tuples(pad, st.text(_DIGITS, min_size=1, max_size=2), pad).map("".join)
+    parts = draw(st.lists(part, max_size=4))
+    left, right = draw(st.one_of(st.just(("[", "]")), st.sampled_from([("[", ""), ("", "]")])))
+    text = draw(pad) + left + ",".join(parts) + right + draw(pad)
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_NOISE)) + text[at:]
+    return text
+
+
+@settings(max_examples=300)
+@given(_partition_texts())
+def test_parse_accepts_exactly_the_reference_grammar(text):
+    match = _REFERENCE_PARTITION.fullmatch(text)
+    expected = None
+    if match is not None:
+        parts = [int(part) for part in re.findall(r"\d+", match.group(1) or "")]
+        try:
+            expected = Partition(parts)
+        except ValueError:
+            pass
+    if expected is None:
+        with pytest.raises(ValueError):
+            Partition.parse(text)
+    else:
+        assert Partition.parse(text) == expected
