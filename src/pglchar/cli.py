@@ -3,7 +3,7 @@
 Subcommands: decompose, verify-identities, cross-check, orders, dcosets,
 forms.  Exit codes: 0 success, 2 argument error, 3 capacity error, 4 internal
 invariant violation (including a failed identity or route mismatch, which
-signals a bug and must be loud).
+signals a bug and must be loud), 141 stdout closed before all was written.
 
 Each cmd_* function imports the modules it runs, so a process loads only
 those; their functions are looked up on the modules at call time.
@@ -38,9 +38,15 @@ def _emit(fmt: str, payload: dict, headers: list[str], rows, footers=(), line=No
         _emit_table(headers, rows, footers)
 
 
+def _write(text: str) -> None:
+    """Write to stdout in pieces: one large write to a closed pipe can fail unseen."""
+    for start in range(0, len(text), 4096):
+        sys.stdout.write(text[start : start + 4096])
+
+
 def _emit_json(payload: dict) -> None:
     import json
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_table(headers: list[str], rows, footers=()) -> None:
@@ -54,12 +60,9 @@ def _emit_table(headers: list[str], rows, footers=()) -> None:
 
 def _emit_csv(headers: list[str], rows, footers=()) -> None:
     import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(headers)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
     for line in footers:
         print(f"#{line}")
 
@@ -80,16 +83,30 @@ def cmd_decompose(args) -> int:
             ctx, args.n, subgroup, include_zeros=args.include_zeros,
             with_degrees=with_degrees, unipotent_only=args.unipotent_only,
         )
-    payload = report.to_json_dict()
-    _emit(
-        args.format,
-        payload,
-        ["label", "mult"] + (["degree"] if with_degrees else []),
-        (list(row.values()) for row in payload["rows"]),
+    if args.format == "json":
+        _write(_decompose_json(report))
+        return 0
+    width = 3 if with_degrees else 2
+    (_emit_csv if args.format == "csv" else _emit_table)(
+        ["label", "mult", "degree"][:width],
+        ((row.label.text(), row.mult, row.degree)[:width] for row in report.rows),
         ([f"sum(mult*degree) = {report.sum_mult_times_degree}"] if with_degrees else [])
         + [f"sum(mult^2) = {report.sum_mult_squared}"],
     )
     return 0
+
+
+def _decompose_json(report) -> str:
+    """_emit_json's bytes for report.to_json_dict(), each row from a template, not a dict."""
+    import json
+    from json.encoder import encode_basestring_ascii as quote
+    frame = json.dumps(report._replace(rows=()).to_json_dict(), indent=2, sort_keys=True)
+    rows = ",\n".join([
+        ("    {\n" if row.degree is None else f'    {{\n      "degree": {row.degree},\n')
+        + f'      "label": {quote(row.label.text())},\n      "mult": {row.mult}\n    }}'
+        for row in report.rows
+    ])
+    return (frame.replace('"rows": []', f'"rows": [\n{rows}\n  ]') if rows else frame) + "\n"
 
 
 def cmd_verify_identities(args) -> int:
@@ -261,7 +278,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left (`| head`): no traceback, 128 + SIGPIPE
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -325,12 +325,10 @@ def decompose(
     One row per label with nonzero multiplicity (or all labels with
     include_zeros), in the deterministic enumeration order.  Degrees come
     from the q-analog hook-length formula when requested; over all labels,
-    sum(mult * degree) must then be the index |PGL_n : H|.
+    sum(mult * degree) must then be the index |PGL_n : H|.  A full
+    decomposition streams the label search and keeps only the rows.
     """
-    if unipotent_only:
-        labels = [unipotent_label(ctx, rho) for rho in partitions_of(n)]
-    else:
-        labels = params.enumerate_labels(ctx, n, True)
+    labels = [unipotent_label(ctx, rho) for rho in partitions_of(n)] if unipotent_only else None
     report = decompose_labels(
         ctx, n, subgroup, labels, include_zeros=include_zeros, with_degrees=with_degrees
     )
@@ -348,32 +346,37 @@ def decompose_labels(
     ctx: QContext,
     n: int,
     subgroup: Subgroup,
-    labels: Iterable[MultiPartition],
+    labels: Optional[Iterable[MultiPartition]],
     *,
     include_zeros: bool = False,
     with_degrees: bool = False,
 ) -> DecompositionReport:
     """The rows of decompose() for the given labels, in their order.
 
-    The totals run over the given labels only, each at ctx and n.
+    The totals run over the given labels only, each at ctx and n.  This is
+    the one row loop; labels None streams every label from the label search.
     """
     if with_degrees:
         oracle.check_order_bits(ctx.q, n)
     rows = []
-    sum_md = 0 if with_degrees else None
-    sum_m2 = 0
-    for label in labels:
-        if label.ctx != ctx or label.n != n:
-            raise ValueError(f"label {label} is not at q = {ctx.q}, n = {n}")
-        mult = mult_irr(label, subgroup)
+
+    def add(label: MultiPartition, mult: int) -> None:
         if subgroup is Subgroup.PGSP and mult not in (0, 1):
             raise InvariantViolation(f"PGSp multiplicity {mult} outside {{0,1}} at {label}")
-        sum_m2 += mult * mult
-        if mult == 0 and not include_zeros:
-            continue
-        degree = None
-        if with_degrees:
-            degree = oracle.degree(ctx, label)
-            sum_md += mult * degree
-        rows.append(Row(label, mult, degree))
+        if mult or include_zeros:
+            rows.append(Row(label, mult, oracle.degree(ctx, label) if with_degrees else None))
+
+    if labels is None:
+        i = sign_index(subgroup.eps) if subgroup.eps else None
+        def from_search(rho: MultiPartition, shape: LabelShape) -> None:
+            shape = require_descends(rho, shape)
+            add(rho, _pgsp_irr(rho, shape) if i is None else _pgo_irr(rho, shape)[i])
+        params.stream_labels(ctx, n, from_search)
+    for label in labels or ():
+        if label.ctx != ctx or label.n != n:
+            raise ValueError(f"label {label} is not at q = {ctx.q}, n = {n}")
+        add(label, mult_irr(label, subgroup))
+    # A label left out has mult 0, so the rows give both sums.
+    sum_md = sum(row.mult * row.degree for row in rows) if with_degrees else None
+    sum_m2 = sum(row.mult * row.mult for row in rows)
     return DecompositionReport(subgroup, ctx, n, tuple(rows), sum_md, sum_m2)

@@ -35,16 +35,15 @@ class LabelShape:
 
     __slots__ = ("sizes", "pi", "half", "_ctx", "_entries", "_phi")
 
-    def __init__(self, ctx: QContext, entries: tuple[tuple[OrbitData, Partition], ...]):
+    def __init__(self, ctx: QContext, entries: tuple, sizes=None, total=0, even=True):
+        if sizes is None:  # else the label search passes the sums it carried down
+            sizes = []
+            for data, part in entries:
+                size = part.size()
+                sizes.append(size)
+                total += size * data.r
+                even = even and size % 2 == 0
         q1 = ctx.q - 1
-        sizes = []
-        total = 0
-        even = True
-        for data, part in entries:
-            size = part.size()
-            sizes.append(size)
-            total += size * data.r
-            even = even and size % 2 == 0
         self.sizes = tuple(sizes)
         self.pi = total % q1
         # With every size even, total / 2 is the sum of (size / 2) * r.
@@ -193,29 +192,33 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
     The search skips branches that cannot end in a kept label.  An orbit of
     size n fills a label alone, as {xi:[1]}, which descends only when its
     norm residue r is 0, so restricted to P-hat level n lists only those
-    orbits.  The norm product Pi is carried down the search as a residue mod
-    q - 1: a block that fills the label is kept or dropped where it is
+    orbits.  The norm product Pi is carried down the search as a sum of
+    residues: a block that fills the label is kept or dropped where it is
     chosen, an orbit that can only fill the label is skipped unless its r
     makes Pi trivial, and a block is not chosen when no later orbit fits in
     what it leaves.  LABEL_BUDGET is checked against label_count before the
     search, and the search must keep exactly that many labels.
     """
+    out: list[MultiPartition] = []
+    stream_labels(ctx, n, out.append, restrict_to_P_hat, with_shapes=False)
+    return out
+
+
+def stream_labels(ctx: QContext, n: int, emit, restrict_to_P_hat=True, with_shapes=True) -> None:
+    """Call emit(label, label's LabelShape), or emit(label), on each label enumerate_labels lists."""
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     orbits = dualgroup.orbits_up_to(ctx, n, residue=0 if restrict_to_P_hat else None)
     total = label_count(ctx, n, orbits, restrict_to_P_hat)
     check_limit("LABEL_BUDGET", total, f"labels to keep at q={ctx.q}, n={n}")
-    out = _search_labels(ctx, n, orbits, restrict_to_P_hat)
-    if len(out) != total:
-        raise InvariantViolation(f"the label search kept {len(out)} labels; label_count is {total}")
-    return out
+    kept = _search_labels(ctx, n, orbits, restrict_to_P_hat, emit, with_shapes)
+    if kept != total:
+        raise InvariantViolation(f"the label search kept {kept} labels; label_count is {total}")
 
 
-def _search_labels(
-    ctx: QContext, n: int, orbits: list[OrbitData], restrict_to_P_hat: bool
-) -> list[MultiPartition]:
-    """The depth-first search of enumerate_labels over the given orbits."""
-    # Norms are residues mod `mod`; without the restriction every label is kept.
+def _search_labels(ctx: QContext, n: int, orbits: list, restrict_to_P_hat, emit, with_shapes):
+    """The search of stream_labels; returns the number of labels kept."""
+    # Pi is total mod `mod`; without the restriction every label is kept.
     mod = ctx.q - 1 if restrict_to_P_hat else 1
     # shorter[w]: indices of the orbits with m < w.  closers[w][r]: those with
     # m == w and norm residue r, which can only fill the rest w as a block [1].
@@ -231,43 +234,52 @@ def _search_labels(
             last[w] = i
     parts_of = [partitions_of(k) for k in range(n + 1)]
     one = parts_of[1][0]
-    out: list[MultiPartition] = []
+    kept = 0
 
-    def keep(entries: tuple[tuple[OrbitData, Partition], ...]) -> None:
-        check_limit("LABEL_BUDGET", len(out) + 1, "labels kept")
-        out.append(MultiPartition(ctx, n, entries))
+    def keep(entries: tuple, total: int, sizes: tuple, even: bool) -> None:
+        nonlocal kept
+        kept += 1
+        check_limit("LABEL_BUDGET", kept, "labels kept")
+        label = MultiPartition(ctx, n, entries)
+        if with_shapes:
+            emit(label, LabelShape(ctx, entries, sizes, total, even))
+        else:
+            emit(label)
 
-    def rec(start: int, remaining: int, norm: int, prefix: tuple) -> None:
-        # The orbits with m < remaining and the closers that make Pi trivial,
-        # merged in index order.
-        ends = closers[remaining][-norm % mod]
+    def rec(start: int, remaining: int, total: int, sizes: tuple, even: bool, prefix: tuple):
+        # Carried for LabelShape: total = sum(size * r), sizes, all even.  The
+        # orbits with m < remaining and the closers making Pi trivial, in order.
+        ends = closers[remaining][-total % mod]
         e = bisect_left(ends, start)
         candidates = shorter[remaining]
         for i in candidates[bisect_left(candidates, start) :]:
             while e < len(ends) and ends[e] < i:
-                keep(prefix + ((orbits[ends[e]], one),))
+                closer = orbits[ends[e]]
+                keep(prefix + ((closer, one),), total + closer.r, sizes + (1,), False)
                 e += 1
             data = orbits[i]
             for k in range(remaining // data.m, 0, -1):
                 rest = remaining - data.m * k
-                child_norm = (norm + k * data.r) % mod
+                child_total = total + k * data.r
                 if rest:
                     if last[rest] > i:
+                        child_sizes, child_even = sizes + (k,), even and k % 2 == 0
                         for part in parts_of[k]:
-                            rec(i + 1, rest, child_norm, prefix + ((data, part),))
-                elif child_norm == 0:
+                            entries = prefix + ((data, part),)
+                            rec(i + 1, rest, child_total, child_sizes, child_even, entries)
+                elif child_total % mod == 0:
+                    child_sizes, child_even = sizes + (k,), even and k % 2 == 0
                     for part in parts_of[k]:
-                        keep(prefix + ((data, part),))
+                        keep(prefix + ((data, part),), child_total, child_sizes, child_even)
         for j in ends[e:]:
-            keep(prefix + ((orbits[j], one),))
+            keep(prefix + ((orbits[j], one),), total + orbits[j].r, sizes + (1,), False)
 
     try:
-        rec(0, n, 0, ())
+        rec(0, n, 0, (), True, ())
     finally:
-        # rec refers to itself and holds keep; drop both so the search state
-        # is freed now.
+        # rec refers to itself and holds keep; drop both to free the search now.
         del rec, keep
-    return out
+    return kept
 
 
 def label_count(

@@ -588,3 +588,121 @@ def test_no_degrees_prints_no_degree_footer(capsys, fmt, footers):
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert "sum(mult*degree) = " in out and "None" not in out
+
+
+# decompose --format json writes its rows from a template; the reference is
+# json.dumps of DecompositionReport.to_json_dict.
+def _json_reports():
+    from pglchar import formulas, params
+    from pglchar.dualgroup import q_context
+
+    for q, n in ((3, 2), (5, 4), (9, 4), (3, 6)):
+        ctx = q_context(q)
+        for sg in formulas.Subgroup:
+            for with_degrees in (True, False):
+                for include_zeros in (False, True):
+                    yield formulas.decompose(
+                        ctx, n, sg, include_zeros=include_zeros, with_degrees=with_degrees
+                    )
+                yield formulas.decompose(
+                    ctx, n, sg, with_degrees=with_degrees, unipotent_only=True
+                )
+                yield formulas.decompose_labels(ctx, n, sg, [], with_degrees=with_degrees)
+    ctx = q_context(3)
+    for text in ("0/1:[2]", "1/2:[1,1]", "1/4:[1]"):
+        label = params.parse_label(ctx, 2, text)
+        for sg in formulas.Subgroup:
+            for with_degrees in (True, False):
+                yield formulas.decompose_labels(
+                    ctx, 2, sg, [label], include_zeros=True, with_degrees=with_degrees
+                )
+
+
+def test_decompose_json_writer_is_byte_identical_to_json_dumps():
+    from pglchar.cli import _decompose_json
+
+    reports = list(_json_reports())
+    assert any(not report.rows for report in reports)
+    assert any(report.sum_mult_times_degree is None and report.rows for report in reports)
+    for report in reports:
+        expected = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert _decompose_json(report) == expected
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--include-zeros"], ["--no-degrees"], ["--unipotent-only"], ["--label", "1/2:[1,1,1,1]"]],
+)
+def test_decompose_json_stdout_is_the_reference_bytes(capsys, extra):
+    from pglchar import formulas, params
+    from pglchar.dualgroup import q_context
+
+    ctx = q_context(5)
+    args = ["decompose", "--q", "5", "--n", "4", "--subgroup", "pgo-", "--format", "json"]
+    code, out, _ = run(capsys, *args, *extra)
+    assert code == 0
+    with_degrees = "--no-degrees" not in extra
+    if "--label" in extra:
+        label = params.parse_label(ctx, 4, extra[1])
+        report = formulas.decompose_labels(
+            ctx, 4, formulas.Subgroup.PGO_MINUS, [label], include_zeros=True,
+            with_degrees=with_degrees,
+        )
+    else:
+        report = formulas.decompose(
+            ctx, 4, formulas.Subgroup.PGO_MINUS, include_zeros="--include-zeros" in extra,
+            with_degrees=with_degrees, unipotent_only="--unipotent-only" in extra,
+        )
+    assert out == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_a_full_decompose_with_a_wrong_pgsp_multiplicity_exits_4(capsys, monkeypatch, fmt):
+    from pglchar import formulas
+
+    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho, shape: 2)
+    code, out, err = run(
+        capsys, "decompose", "--q", "3", "--n", "4", "--subgroup", "pgsp", "--format", fmt
+    )
+    assert code == 4
+    assert out == ""
+    assert "PGSp multiplicity 2 outside {0,1} at 0/1:[4]" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_a_full_decompose_against_an_index_off_by_one_exits_4(capsys, monkeypatch, fmt):
+    from pglchar import oracle
+
+    real = oracle.GroupOrders.index_of
+    monkeypatch.setattr(oracle.GroupOrders, "index_of", lambda self, kind: real(self, kind) + 1)
+    code, out, err = run(
+        capsys, "decompose", "--q", "3", "--n", "4", "--subgroup", "pgo-", "--format", fmt
+    )
+    assert code == 4
+    assert out == ""
+    assert "differs from the index" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_a_reader_that_closes_early_gets_no_traceback(fmt):
+    # 150 to 390 kB, well past a pipe's buffer, so the writer is still
+    # writing when the reader goes.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pglchar.cli", "decompose", "--q", "5", "--n", "6",
+         "--subgroup", "pgo+", "--include-zeros", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -601,3 +601,79 @@ def test_a_single_subgroup_decomposition_computes_only_its_own_subgroup(monkeypa
     pgsp.clear()
     decompose(Q3, 4, Subgroup.PGO_PLUS)
     assert pgo_terms and not pgsp
+
+
+# A full decompose streams the label search; decompose_labels over
+# enumerate_labels is its reference.
+STREAM_SIZES = [(3, 2), (5, 4), (9, 4), (3, 6)]
+
+
+@pytest.mark.parametrize("q,n", STREAM_SIZES)
+def test_a_streamed_decompose_equals_decompose_labels_over_the_label_list(q, n):
+    ctx = q_context(q)
+    labels = enumerate_labels(ctx, n, True)
+    for sg in Subgroup:
+        for include_zeros in (False, True):
+            for with_degrees in (False, True):
+                got = decompose(
+                    ctx, n, sg, include_zeros=include_zeros, with_degrees=with_degrees
+                )
+                expected = formulas.decompose_labels(
+                    ctx, n, sg, labels, include_zeros=include_zeros, with_degrees=with_degrees
+                )
+                assert got == expected, (sg, include_zeros, with_degrees)
+
+
+@pytest.mark.parametrize("q,n", STREAM_SIZES)
+def test_a_full_decompose_builds_no_label_list_and_no_second_shape(monkeypatch, q, n):
+    ctx = q_context(q)
+    expected = {
+        sg: decompose(ctx, n, sg, include_zeros=True, with_degrees=True) for sg in Subgroup
+    }
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a full decompose listed the labels or walked a label again")
+
+    monkeypatch.setattr(params, "enumerate_labels", fail)
+    monkeypatch.setattr(MultiPartition, "shape", fail)
+    for sg in Subgroup:
+        assert decompose(ctx, n, sg, include_zeros=True, with_degrees=True) == expected[sg]
+
+
+def test_the_search_shapes_equal_the_shapes_of_the_labels():
+    for q, n in STREAM_SIZES + [(5, 6)]:
+        ctx = q_context(q)
+        streamed = []
+        params.stream_labels(ctx, n, lambda label, shape: streamed.append((label, shape)))
+        assert [label for label, _ in streamed] == enumerate_labels(ctx, n, True)
+        for label, shape in streamed:
+            own = label.shape()
+            assert (shape.sizes, shape.pi, shape.half) == (own.sizes, own.pi, own.half), label
+            blocks = zip(label.entries, shape.sizes)
+            if all(data.m * size % 2 == 0 for (data, _), size in blocks):
+                assert shape.phi() == own.phi(), label
+
+
+def test_a_streamed_decompose_holds_less_memory_than_the_label_list():
+    import tracemalloc
+
+    ctx = q_context(5)
+    sg = Subgroup.PGO_PLUS
+
+    def streamed():
+        return decompose(ctx, 6, sg, with_degrees=True)
+
+    def listed():
+        labels = enumerate_labels(ctx, 6, True)
+        return formulas.decompose_labels(ctx, 6, sg, labels, with_degrees=True)
+
+    assert streamed() == listed()  # and every memo is warm for both
+    peaks = {}
+    for run in (listed, streamed):
+        tracemalloc.start()
+        try:
+            run()
+            peaks[run.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["streamed"] < peaks["listed"], peaks
