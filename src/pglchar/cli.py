@@ -39,7 +39,8 @@ def _emit(fmt: str, payload: dict, headers: list[str], rows, footers=(), line=No
 
 
 def _write(text: str) -> None:
-    """Write to stdout in pieces: one large write to a closed pipe can fail unseen."""
+    """Write to stdout in pieces of PIPE_BUF bytes.  Unbuffered (python -u), one large
+    write to a pipe whose reader left ends short, and the short count hides EPIPE."""
     for start in range(0, len(text), 4096):
         sys.stdout.write(text[start : start + 4096])
 
@@ -139,14 +140,14 @@ def cmd_cross_check(args) -> int:
         raise CapacityError(f"n = {args.n} needs --tier slow")
     # The involution route meets the block 0/1:[n], which every n has.
     check_limit("ZINV_SIZE_BOUND", args.n, "block size n")
-    labels = params.enumerate_labels(ctx, args.n, True)
+    search = params.label_search(ctx, args.n)
     # Each route gives one label's values for every subgroup in one pass, in
     # Subgroup order; mismatches are reported subgroup by subgroup, in label
     # order.  The involution route has no PGSp value.
     subgroups = tuple(formulas.Subgroup)
     found = [[] for _ in subgroups]
-    for label in labels:
-        shape = label.shape()  # one shape serves the three routes
+
+    def check(label, shape) -> None:  # the search's shape serves the three routes
         transition = formulas.mults_via_transition(label, shape)
         closed = formulas.basic_mults(label, shape)
         involution = (None, *involutions.threeterm_values(label, shape))
@@ -158,16 +159,18 @@ def cmd_cross_check(args) -> int:
                 found[i].append(
                     {"subgroup": subgroup.value, "label": label.text(), "routes": routes}
                 )
+
+    labels = search(check)
     mismatches = [item for items in found for item in items]
     rows = [
-        [subgroup.value, len(labels), "MISMATCH" if items else "agree"]
+        [subgroup.value, labels, "MISMATCH" if items else "agree"]
         for subgroup, items in zip(subgroups, found)
     ]
     payload = {
         "schema_version": 1,
         "q": args.q,
         "n": args.n,
-        "labels": len(labels),
+        "labels": labels,
         "mismatches": mismatches,
     }
     _emit(args.format, payload, ["subgroup", "labels", "status"], rows)

@@ -356,6 +356,7 @@ def decompose_labels(
     The totals run over the given labels only, each at ctx and n.  This is
     the one row loop; labels None streams every label from the label search.
     """
+    search = params.label_search(ctx, n) if labels is None else None
     if with_degrees:
         oracle.check_order_bits(ctx.q, n)
     rows = []
@@ -366,12 +367,12 @@ def decompose_labels(
         if mult or include_zeros:
             rows.append(Row(label, mult, oracle.degree(ctx, label) if with_degrees else None))
 
-    if labels is None:
+    if search:
         i = sign_index(subgroup.eps) if subgroup.eps else None
         def from_search(rho: MultiPartition, shape: LabelShape) -> None:
             shape = require_descends(rho, shape)
             add(rho, _pgsp_irr(rho, shape) if i is None else _pgo_irr(rho, shape)[i])
-        params.stream_labels(ctx, n, from_search)
+        search(from_search)
     for label in labels or ():
         if label.ctx != ctx or label.n != n:
             raise ValueError(f"label {label} is not at q = {ctx.q}, n = {n}")

@@ -200,24 +200,23 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
     search, and the search must keep exactly that many labels.
     """
     out: list[MultiPartition] = []
-    stream_labels(ctx, n, out.append, restrict_to_P_hat, with_shapes=False)
+    label_search(ctx, n, restrict_to_P_hat)(lambda label, shape: out.append(label))
     return out
 
 
-def stream_labels(ctx: QContext, n: int, emit, restrict_to_P_hat=True, with_shapes=True) -> None:
-    """Call emit(label, label's LabelShape), or emit(label), on each label enumerate_labels lists."""
+def label_search(ctx: QContext, n: int, restrict_to_P_hat: bool = True):
+    """Check n and LABEL_BUDGET now; return search(emit), which calls emit(label,
+    label's LabelShape) on each label enumerate_labels lists and returns their number."""
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     orbits = dualgroup.orbits_up_to(ctx, n, residue=0 if restrict_to_P_hat else None)
     total = label_count(ctx, n, orbits, restrict_to_P_hat)
     check_limit("LABEL_BUDGET", total, f"labels to keep at q={ctx.q}, n={n}")
-    kept = _search_labels(ctx, n, orbits, restrict_to_P_hat, emit, with_shapes)
-    if kept != total:
-        raise InvariantViolation(f"the label search kept {kept} labels; label_count is {total}")
+    return lambda emit: _search_labels(ctx, n, orbits, restrict_to_P_hat, total, emit)
 
 
-def _search_labels(ctx: QContext, n: int, orbits: list, restrict_to_P_hat, emit, with_shapes):
-    """The search of stream_labels; returns the number of labels kept."""
+def _search_labels(ctx: QContext, n: int, orbits: list, restrict_to_P_hat, count: int, emit):
+    """The search of label_search; it must keep `count` labels, and returns that number."""
     # Pi is total mod `mod`; without the restriction every label is kept.
     mod = ctx.q - 1 if restrict_to_P_hat else 1
     # shorter[w]: indices of the orbits with m < w.  closers[w][r]: those with
@@ -240,11 +239,7 @@ def _search_labels(ctx: QContext, n: int, orbits: list, restrict_to_P_hat, emit,
         nonlocal kept
         kept += 1
         check_limit("LABEL_BUDGET", kept, "labels kept")
-        label = MultiPartition(ctx, n, entries)
-        if with_shapes:
-            emit(label, LabelShape(ctx, entries, sizes, total, even))
-        else:
-            emit(label)
+        emit(MultiPartition(ctx, n, entries), LabelShape(ctx, entries, sizes, total, even))
 
     def rec(start: int, remaining: int, total: int, sizes: tuple, even: bool, prefix: tuple):
         # Carried for LabelShape: total = sum(size * r), sizes, all even.  The
@@ -279,6 +274,8 @@ def _search_labels(ctx: QContext, n: int, orbits: list, restrict_to_P_hat, emit,
     finally:
         # rec refers to itself and holds keep; drop both to free the search now.
         del rec, keep
+    if kept != count:
+        raise InvariantViolation(f"the label search kept {kept} labels; label_count is {count}")
     return kept
 
 

@@ -365,9 +365,9 @@ def test_cross_check_builds_one_shape_per_label(capsys, monkeypatch):
     class CountedShape(params.LabelShape):
         __slots__ = ()
 
-        def __init__(self, ctx, entries):
+        def __init__(self, ctx, entries, *sums):
             built.append(entries)
-            super().__init__(ctx, entries)
+            super().__init__(ctx, entries, *sums)
 
     monkeypatch.setattr(params, "LabelShape", CountedShape)
     code, out, _ = run(capsys, "cross-check", "--q", "3", "--n", "4", "--tier", "slow")
@@ -435,6 +435,7 @@ def test_cross_check_refuses_large_n_before_enumerating(capsys, monkeypatch):
         raise AssertionError("enumerate_labels called before the capacity check")
 
     monkeypatch.setattr(params, "enumerate_labels", fail)
+    monkeypatch.setattr(params, "label_search", fail)
     code, out, err = run(capsys, "cross-check", "--q", "3", "--n", "10", "--tier", "slow")
     assert code == 3
     assert out == ""
@@ -564,15 +565,18 @@ def test_multiplicity_without_degrees_skips_the_order_bound(capsys):
 
 @pytest.mark.parametrize("n", ["20000", "200000"])
 def test_orbit_budget_refuses_large_n_at_once(capsys, n):
-    started = time.monotonic()
-    code, out, err = run(
-        capsys, "decompose", "--q", "3", "--n", n, "--subgroup", "pgsp", "--no-degrees",
-    )
-    assert time.monotonic() - started < 1.0
-    assert code == 3
-    assert out == ""
-    assert "ORBIT_ELEMENT_BUDGET" in err
-    assert len(err) < 200
+    # With degrees n is past ORDER_BITS_BOUND too; the label budgets still
+    # speak first, as when decompose listed the labels before its rows.
+    for degrees in (["--no-degrees"], []):
+        started = time.monotonic()
+        code, out, err = run(
+            capsys, "decompose", "--q", "3", "--n", n, "--subgroup", "pgsp", *degrees,
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        assert out == ""
+        assert "ORBIT_ELEMENT_BUDGET" in err
+        assert len(err) < 200
 
 
 @pytest.mark.parametrize(
@@ -686,23 +690,24 @@ def test_a_full_decompose_against_an_index_off_by_one_exits_4(capsys, monkeypatc
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_a_reader_that_closes_early_gets_no_traceback(fmt):
     # 150 to 390 kB, well past a pipe's buffer, so the writer is still
-    # writing when the reader goes.
+    # writing when the reader goes; buffered and unbuffered stdout alike.
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "pglchar.cli", "decompose", "--q", "5", "--n", "6",
-         "--subgroup", "pgo+", "--include-zeros", "--format", fmt],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
+    for unbuffered in ("", "1"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pglchar.cli", "decompose", "--q", "5", "--n", "6",
+             "--subgroup", "pgo+", "--include-zeros", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered},
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141, unbuffered
+        assert err == b"", unbuffered

@@ -644,7 +644,7 @@ def test_the_search_shapes_equal_the_shapes_of_the_labels():
     for q, n in STREAM_SIZES + [(5, 6)]:
         ctx = q_context(q)
         streamed = []
-        params.stream_labels(ctx, n, lambda label, shape: streamed.append((label, shape)))
+        params.label_search(ctx, n)(lambda label, shape: streamed.append((label, shape)))
         assert [label for label, _ in streamed] == enumerate_labels(ctx, n, True)
         for label, shape in streamed:
             own = label.shape()
