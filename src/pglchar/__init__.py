@@ -19,9 +19,10 @@ _EXPORTS = {
     for module, names in (
         ("dualgroup", ("QContext", "q_context")),
         ("errors", ("CapacityError", "InvariantViolation")),
-        ("formulas", ("DecompositionReport", "Subgroup", "decompose")),
+        ("formulas", ("DecompositionReport", "decompose")),
         ("params", ("MultiPartition", "make_label", "parse_label")),
         ("partitions", ("Partition", "partitions_of")),
+        ("subgroups", ("Subgroup",)),
         ("symchar", ("chi",)),
     )
     for name in names

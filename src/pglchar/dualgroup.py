@@ -4,25 +4,27 @@ The direct limit of the character groups of F_{q^e}^x is modeled as the
 subgroup of Q/Z of fractions with denominator coprime to q; the q-th power
 map sigma acts as multiplication by q mod 1.  An element is carried as a
 reduced integer pair num/den with 0 <= num < den, from the text ``a/b`` to
-OrbitData.  A Fraction is built only at the edge: in OrbitData.rep (which
-canonical_rep returns), parse_fraction, as_dual, orbit_data, phi(),
-params.make_label (Fraction keys), params.half_norm_product,
-params.random_labels, formulas.unipotent_label and the exit-4 messages of
-errors.exact_div and phi_from_orbits.  All pairings with field elements are
-pure exponent arithmetic relative to a norm-compatible system of generators
-(g_e = g_{e'}^((q^e'-1)/(q^e-1)) for e | e'), so no finite field is ever
-constructed.  The only field elements the formulas pair with are -1, a fixed
-non-square beta and its square root; their exponents are forced to (q-1)/2
-at level 1 and (q+1)/2 at level 2.
+OrbitData.  A Fraction is built only at the edge, and fractions is
+imported only there: in OrbitData.rep (which canonical_rep returns),
+parse_fraction, as_dual, orbit_data, phi(), params.make_label (Fraction
+keys), params.half_norm_product, params.random_labels and the exit-4
+messages of errors.exact_div and phi_from_orbits.  All pairings with field
+elements are pure exponent arithmetic relative to a norm-compatible system
+of generators (g_e = g_{e'}^((q^e'-1)/(q^e-1)) for e | e'), so no finite
+field is ever constructed.  The only field elements the formulas pair with
+are -1, a fixed non-square beta and its square root; their exponents are
+forced to (q-1)/2 at level 1 and (q+1)/2 at level 2.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import LIMITS, InvariantViolation, check_limit
+
+if TYPE_CHECKING:  # annotations only: fractions is imported where a Fraction is built
+    from fractions import Fraction
 
 
 class _QFields(NamedTuple):
@@ -76,6 +78,7 @@ class OrbitData(NamedTuple):
 
     @property
     def rep(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.num, self.den)
 
 
@@ -86,6 +89,7 @@ def _check_coprime(q: int, num: int, den: int) -> None:
 
 def as_dual(ctx: QContext, x) -> Fraction:
     """Normalise x into [0,1) and check its denominator is coprime to q."""
+    from fractions import Fraction
     x = Fraction(x) % 1
     _check_coprime(ctx.q, x.numerator, x.denominator)
     return x
@@ -114,6 +118,7 @@ def parse_pair(text: str) -> tuple[int, int]:
 
 def parse_fraction(text: str) -> Fraction:
     """Parse the text form ``a/b`` (identity: ``0/1``)."""
+    from fractions import Fraction
     return Fraction(*parse_pair(text))
 
 
@@ -123,6 +128,7 @@ def format_fraction(x: Fraction) -> str:
 
 def orbit_data(ctx: QContext, x, max_m: Optional[int] = None) -> Optional[OrbitData]:
     """The OrbitData of the sigma-orbit of x, or None if it has more than max_m elements."""
+    from fractions import Fraction
     x = Fraction(x) % 1
     return pair_orbit_data(ctx, x.numerator, x.denominator, max_m)
 
@@ -171,6 +177,22 @@ def canonical_rep(ctx: QContext, x) -> Fraction:
     return orbit_data(ctx, x).rep
 
 
+def check_orbit_budget(ctx: QContext, n: int) -> None:
+    """Refuse, with ORBIT_ELEMENT_BUDGET, an n >= 1 whose orbits_up_to lists too much.
+
+    The estimate is q + q^2 + ... + q^n, the elements of the levels e <= n.
+    It reads only q and n, so a command can refuse before it loads the work.
+    """
+    # Stop summing once the budget is passed: q^e for large e is a huge int.
+    estimate = 0
+    for e in range(1, n + 1):
+        estimate += ctx.q**e
+        if estimate > LIMITS["ORBIT_ELEMENT_BUDGET"]:
+            break
+    what = f"dual elements to list at q={ctx.q}, n={n}, levels e <= {e}"
+    check_limit("ORBIT_ELEMENT_BUDGET", estimate, what)
+
+
 def orbits_up_to(ctx: QContext, n: int, *, residue: Optional[int] = None) -> list[OrbitData]:
     """All sigma-orbits with m_xi <= n, once each, sorted by representative.
 
@@ -183,20 +205,14 @@ def orbits_up_to(ctx: QContext, n: int, *, residue: Optional[int] = None) -> lis
     only a = residue mod (q - 1): as q = 1 mod (q - 1) and (q - 1) | q^n - 1,
     a -> a * q fixes a mod (q - 1), so that class is a union of orbits and
     its least unmarked a is still the least member of its orbit.  The
-    ORBIT_ELEMENT_BUDGET estimate is the same with or without residue.
+    ORBIT_ELEMENT_BUDGET estimate, check_orbit_budget, is the same with or
+    without residue.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if residue is not None and not 0 <= residue < ctx.q - 1:
         raise ValueError(f"residue must be in [0, {ctx.q - 1}), got {residue}")
-    # Stop summing once the budget is passed: q^e for large e is a huge int.
-    estimate = 0
-    for e in range(1, n + 1):
-        estimate += ctx.q**e
-        if estimate > LIMITS["ORBIT_ELEMENT_BUDGET"]:
-            break
-    what = f"dual elements to list at q={ctx.q}, n={n}, levels e <= {e}"
-    check_limit("ORBIT_ELEMENT_BUDGET", estimate, what)
+    check_orbit_budget(ctx, n)
     q = ctx.q
     out: list[OrbitData] = []
     for e in range(1, n + 1):
@@ -280,6 +296,7 @@ def phi_from_orbits(
         return -1
     # Guaranteed by the trivial norm product: the square of the pairing
     # product is <beta, Pi> = 1.
+    from fractions import Fraction
     raise InvariantViolation(
         f"phi pairing product exponent {Fraction(total, q2)} is not half-integral"
     )

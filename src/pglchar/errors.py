@@ -10,12 +10,13 @@ exact_div.  by_sign finishes every route's orthogonal multiplicity,
 4 * mult = T1 + 2 * eps * T2 + T3, for both signs; each route has its own terms.
 
 LIMITS is the one table of capacity limits.  Each is checked through
-check_limit() before the work it guards starts.  enumerate_labels checks
+check_limit() before the work it guards starts, and, where only q and n are
+needed, before the work's modules load: the CLI makes those checks (the
+ORBIT_ELEMENT_BUDGET estimate of dualgroup.check_orbit_budget,
+ZINV_SIZE_BOUND) before it imports them.  enumerate_labels checks
 LABEL_BUDGET against the exact label count before its search, and again as
 it keeps each label, as a guard.
 """
-
-from fractions import Fraction
 
 LIMITS = {
     # q, checked before q_context factors it by trial division up to sqrt(q)
@@ -67,6 +68,7 @@ def exact_div(total: int, den: int, what: str, *args, nonneg: bool = False) -> i
     """
     quot, rem = divmod(total, den)
     if rem or (nonneg and quot < 0):
+        from fractions import Fraction
         kind = "non-integral" if rem else "negative"
         raise InvariantViolation(f"{kind} {what.format(*args, value=Fraction(total, den))}")
     return quot

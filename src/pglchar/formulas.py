@@ -12,39 +12,17 @@ each read from _block_stats, memoised by value for the life of the process.
 
 from __future__ import annotations
 
-from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from math import prod
 from typing import Iterable, NamedTuple, Optional
 
-from . import oracle, params, symchar
+from . import params, symchar
 from .dualgroup import QContext, q_context
 from .errors import InvariantViolation, by_sign, exact_div, sign_index
 from .params import LabelShape, MultiPartition, make_label, require_descends
 from .partitions import Partition, partitions_of
-
-
-class Subgroup(Enum):
-    PGSP = "pgsp"
-    PGO_PLUS = "pgo+"
-    PGO_MINUS = "pgo-"
-
-    @property
-    def eps(self) -> Optional[int]:
-        if self is Subgroup.PGO_PLUS:
-            return 1
-        if self is Subgroup.PGO_MINUS:
-            return -1
-        return None
-
-    @classmethod
-    def parse(cls, text: str) -> "Subgroup":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown subgroup {text!r}; expected pgsp, pgo+ or pgo-") from None
+from .subgroups import Subgroup  # formulas.Subgroup stays a name of the API
 
 
 class Row(NamedTuple):
@@ -191,7 +169,7 @@ _UNIPOTENT_CTX = q_context(3)
 def unipotent_label(ctx: QContext, rho) -> MultiPartition:
     """The label {0/1: rho} of the unipotent character chi^rho (n = |rho|)."""
     rho = Partition(rho)
-    return make_label(ctx, rho.size(), {Fraction(0): rho})
+    return make_label(ctx, rho.size(), [((0, 1), rho)])
 
 
 def mult_unipotent_pgo(rho: Partition, eps: int) -> int:
@@ -328,6 +306,7 @@ def decompose(
     sum(mult * degree) must then be the index |PGL_n : H|.  A full
     decomposition streams the label search and keeps only the rows.
     """
+    from . import oracle  # loaded by the two batch drivers alone
     labels = [unipotent_label(ctx, rho) for rho in partitions_of(n)] if unipotent_only else None
     report = decompose_labels(
         ctx, n, subgroup, labels, include_zeros=include_zeros, with_degrees=with_degrees
@@ -356,6 +335,7 @@ def decompose_labels(
     The totals run over the given labels only, each at ctx and n.  This is
     the one row loop; labels None streams every label from the label search.
     """
+    from . import oracle
     search = params.label_search(ctx, n) if labels is None else None
     if with_degrees:
         oracle.check_order_bits(ctx.q, n)

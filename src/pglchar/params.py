@@ -12,14 +12,16 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter
-from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from . import dualgroup
 from .dualgroup import OrbitData, QContext
 from .errors import InvariantViolation, check_limit
 from .partitions import Partition, partitions_of
+
+if TYPE_CHECKING:  # annotations only: fractions is imported where a Fraction is built
+    from fractions import Fraction
 
 
 class LabelShape:
@@ -104,6 +106,7 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
     items = []
     for xi, part in pairs:
         if not isinstance(xi, tuple):
+            from fractions import Fraction
             x = Fraction(xi) % 1
             xi = (x.numerator, x.denominator)
         items.append((xi, part if isinstance(part, Partition) else Partition(part)))
@@ -150,6 +153,7 @@ def half_norm_product(mp: MultiPartition) -> Optional[Fraction]:
     For labels with trivial Pi the value is 0 (identity) or 1/2 (eta); the
     multiplicity formulas branch on exactly these three outcomes.
     """
+    from fractions import Fraction
     half = mp.shape().half
     return None if half is None else Fraction(half, mp.ctx.q - 1)
 
@@ -330,6 +334,7 @@ def random_labels(ctx: QContext, n: int, count: int, *, seed=None) -> list[Multi
     Not uniform, but covers strata; the same seed gives the same labels.
     Useful where full enumeration is out of the desk-scale envelope.
     """
+    from fractions import Fraction
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     rng = random.Random(seed)

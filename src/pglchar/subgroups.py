@@ -1,0 +1,31 @@
+"""The three subgroups H of PGL_n whose Ind(1) is decomposed: PGSp_n, PGO_n^+, PGO_n^-.
+
+Kept apart from formulas, which re-exports Subgroup, so the CLI reads a
+subgroup's name without loading the work.
+"""
+
+from __future__ import annotations
+
+from enum import Enum
+from typing import Optional
+
+
+class Subgroup(Enum):
+    PGSP = "pgsp"
+    PGO_PLUS = "pgo+"
+    PGO_MINUS = "pgo-"
+
+    @property
+    def eps(self) -> Optional[int]:
+        if self is Subgroup.PGO_PLUS:
+            return 1
+        if self is Subgroup.PGO_MINUS:
+            return -1
+        return None
+
+    @classmethod
+    def parse(cls, text: str) -> "Subgroup":
+        try:
+            return cls(text.strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown subgroup {text!r}; expected pgsp, pgo+ or pgo-") from None

@@ -389,6 +389,20 @@ def test_orbit_walk_stops_at_the_element_budget(monkeypatch):
         orbit_data(Q3, Fraction(1, 3**11 - 1))
 
 
+def test_the_orbit_listing_refuses_by_its_estimate_alone():
+    # q + q^2 + ... + q^n: 488,280 elements at (5,8); at (5,10) the sum
+    # passes the budget at e = 9, so the listing is refused before it starts.
+    message = (
+        "dual elements to list at q=5, n=10, levels e <= 9: 2441405 exceeds "
+        "ORBIT_ELEMENT_BUDGET = 2000000"
+    )
+    for refuse in (dualgroup.check_orbit_budget, orbits_up_to):
+        with pytest.raises(CapacityError) as info:
+            refuse(Q5, 10)
+        assert str(info.value) == message
+    dualgroup.check_orbit_budget(Q5, 8)
+
+
 def test_orbit_data_stops_after_max_m_steps():
     # The orbit of 1/1000000007 under q = 3 has about 5 * 10^8 elements.
     assert orbit_data(Q3, Fraction(1, 1000000007), 2) is None

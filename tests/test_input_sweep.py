@@ -46,6 +46,16 @@ LABELS_AT_Q3_N2 = [
 # int() reads the part 1_0 as 10, but a part is decimal digits, as in a/b.
 NON_DECIMAL_PART = ["decompose", "--q", "3", "--n", "10", "--subgroup", "pgo+", "--label", "0/1:[1_0]"]
 
+# (5,10) and (27,6) are past ORBIT_ELEMENT_BUDGET for a full decompose, which
+# is refused before the work loads; the argument error still comes first, and
+# the two forms that list no orbit still answer.
+PAST_ORBIT_BUDGET = [
+    (["decompose", "--q", "5", "--n", "10", "--subgroup", "so+"], 2),
+    (["decompose", "--q", "5", "--n", "10", "--subgroup", "pgsp"], 3),
+    (["decompose", "--q", "27", "--n", "6", "--subgroup", "pgo-", "--unipotent-only"], 0),
+    (["decompose", "--q", "5", "--n", "10", "--subgroup", "pgsp", "--label", "0/1:[2,2,2,2,2]"], 0),
+]
+
 
 def _argv_grid():
     for q in QS:
@@ -69,6 +79,8 @@ def _argv_grid():
     yield ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--label", "0/1:[2]",
            "--unipotent-only"]
     yield ["decompose", "--q", "3", "--n", "2", "--subgroup", "so+"]
+    for argv, _ in PAST_ORBIT_BUDGET:
+        yield argv
     yield ["decompose", "--q", "3", "--n", "100", "--subgroup", "pgsp", "--no-degrees"]
     yield ["cross-check", "--q", "3", "--n", "4", "--tier", "slow"]
     yield ["cross-check", "--q", "3", "--n", "10", "--tier", "slow"]
@@ -109,6 +121,14 @@ def test_no_input_exits_4_or_raises(capsys):
 def test_a_part_that_is_not_decimal_digits_exits_2(capsys):
     assert _run(NON_DECIMAL_PART) == 2
     assert "partition parts must be decimal digits, got '1_0'" in capsys.readouterr().err
+
+
+def test_past_the_orbit_budget_the_order_of_outcomes_holds(capsys):
+    codes = [_run(argv) for argv, _ in PAST_ORBIT_BUDGET]
+    err = capsys.readouterr().err
+    assert codes == [code for _, code in PAST_ORBIT_BUDGET]
+    assert "error: unknown subgroup 'so+'; expected pgsp, pgo+ or pgo-" in err
+    assert "ORBIT_ELEMENT_BUDGET" in err
 
 
 class WorkStarted(Exception):

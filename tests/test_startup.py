@@ -1,5 +1,7 @@
 """Each CLI command loads only the modules it runs, and never dataclasses or inspect.
 
+A refusal that needs only the arguments loads none of the work's modules.
+
 Every command runs as ``python -m pglchar.cli`` does, in a fresh interpreter
 started with -S (so no site-packages hook loads anything), and reports the
 modules loaded when it ends.
@@ -27,23 +29,27 @@ sys.exit(code)
 """
 
 
-def loaded_modules(*argv: str) -> set[str]:
+def loaded_modules(*argv: str, code: int = 0) -> set[str]:
     result = subprocess.run(
         [sys.executable, "-S", "-c", CHILD, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
     )
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == code, result.stderr
     return set(result.stderr.splitlines()[-1].split())
 
 
 NEVER = {"dataclasses", "inspect"}
 WORK = {f"pglchar.{name}" for name in ("formulas", "symchar", "involutions", "formorbits")}
+FRACTIONS = {"fractions", "decimal"}
 
 # (argv, modules it must not load)
 CASES = [
-    (["orders", "--q", "3", "--n", "2"], WORK | {"pglchar.params", "pglchar.partitions"}),
+    (
+        ["orders", "--q", "3", "--n", "2"],
+        WORK | FRACTIONS | {"pglchar.params", "pglchar.partitions"},
+    ),
     (
         ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--format", "json"],
         {"pglchar.involutions", "pglchar.formorbits"},
@@ -53,7 +59,7 @@ CASES = [
         {"pglchar.involutions", "pglchar.formorbits"},
     ),
     (["verify-identities", "--max-size", "2"], {"pglchar.formulas", "pglchar.formorbits"}),
-    (["cross-check", "--q", "3", "--n", "2"], {"pglchar.formorbits"}),
+    (["cross-check", "--q", "3", "--n", "2"], {"pglchar.formorbits", "pglchar.oracle"}),
     (["forms", "--q", "3", "--n", "2"], {"pglchar.formulas", "pglchar.involutions"}),
 ]
 
@@ -64,6 +70,22 @@ def test_a_command_loads_only_what_it_runs(argv, absent):
     assert modules & (NEVER | absent) == set()
     # csv is loaded for --format csv only.
     assert ("csv" in modules) == ("csv" in argv)
+
+
+# (argv, exit code) refused on the arguments alone: the orbit budget,
+# ZINV_SIZE_BOUND, and a size below 1.
+REFUSED = [
+    (["decompose", "--q", "5", "--n", "10", "--subgroup", "pgsp"], 3),
+    (["cross-check", "--q", "3", "--n", "10", "--tier", "slow"], 3),
+    (["verify-identities", "--max-size", "10"], 3),
+    (["verify-identities", "--max-size", "0"], 2),
+]
+UNLOADED = WORK | {f"pglchar.{name}" for name in ("params", "partitions", "oracle")}
+
+
+@pytest.mark.parametrize("argv,code", REFUSED, ids=[" ".join(argv) for argv, _ in REFUSED])
+def test_a_refusal_on_the_arguments_loads_no_work(argv, code):
+    assert loaded_modules(*argv, code=code) & (NEVER | UNLOADED) == set()
 
 
 def test_importing_the_package_loads_no_module_of_it():
