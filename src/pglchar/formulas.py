@@ -123,6 +123,21 @@ def _pgo_irr_terms(rho: MultiPartition, shape: LabelShape) -> tuple[int, int, in
     return t1, t2, t3
 
 
+# Block filters for the label search (params.label_search): a block that
+# fails one makes the multiplicity 0 on every label that holds it.
+
+
+def _pgsp_block_kept(d: int, part: Partition) -> bool:
+    """False when _pgsp_irr is 0 on every label with the block part."""
+    return _block_stats(part).all_even
+
+
+def _pgo_block_kept(d: int, part: Partition) -> bool:
+    """False when _pgo_irr_terms is 0, 0, 0 on every label with the block part on
+    an orbit of sign d."""
+    return d == 1 or _block_stats(part).transpose_even
+
+
 # Names by_sign's value on an irreducible label; such a value is never negative.
 _PGO_IRR = "mult_pgo_irr({}, {:+d}) = {value}"
 
@@ -333,10 +348,16 @@ def decompose_labels(
     """The rows of decompose() for the given labels, in their order.
 
     The totals run over the given labels only, each at ctx and n.  This is
-    the one row loop; labels None streams every label from the label search.
+    the one row loop; labels None streams every label from the label search,
+    which without include_zeros skips every block that forces mult 0.
     """
     from . import oracle
-    search = params.label_search(ctx, n) if labels is None else None
+    search = None
+    if labels is None:
+        kept = None
+        if not include_zeros:
+            kept = _pgsp_block_kept if subgroup is Subgroup.PGSP else _pgo_block_kept
+        search = params.label_search(ctx, n, True, kept)
     if with_degrees:
         oracle.check_order_bits(ctx.q, n)
     rows = []

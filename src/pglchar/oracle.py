@@ -267,7 +267,11 @@ def conjugacy_class_count(q: int, n: int) -> int:
 # Orbits on forms and double cosets (prime q), built in formorbits without
 # listing PGL.
 
-_FORM_KINDS = ("pgsp", "pgo+", "pgo-")
+
+def _check_kind(kind: str) -> None:
+    from .subgroups import EXPECTED, NAMES  # loaded on use: orders does not pay for it
+    if kind not in NAMES:
+        raise ValueError(f"unknown subgroup kind {kind!r}; {EXPECTED}")
 
 
 class FormOrbit(NamedTuple):
@@ -338,8 +342,7 @@ def _form_class_counts(q: int, n: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def subgroup_elements(q: int, n: int, kind: str) -> tuple[Matrix, ...]:
     """The stabilizer of the class of the kind's standard form, listed from PGL."""
-    if kind not in _FORM_KINDS:
-        raise ValueError(f"unknown subgroup kind {kind!r}; expected pgsp, pgo+ or pgo-")
+    _check_kind(kind)
     group = projective_group(q, n)
     from .formorbits import _primitive_root, _standard_form
 
@@ -358,9 +361,8 @@ def double_cosets(q: int, n: int, kind1: str, kind2: str) -> int:
     that index times the generators applied to the forms plus the q - 1
     scalings, whose images key the table of classes.
     """
-    for kind in (kind1, kind2):
-        if kind not in _FORM_KINDS:
-            raise ValueError(f"unknown subgroup kind {kind!r}; expected pgsp, pgo+ or pgo-")
+    _check_kind(kind1)
+    _check_kind(kind2)
     _require_prime(q)
     ords = orders(q, n)
     if ords.index_of(kind1) > ords.index_of(kind2):

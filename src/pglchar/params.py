@@ -208,35 +208,69 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
     return out
 
 
-def label_search(ctx: QContext, n: int, restrict_to_P_hat: bool = True):
+def label_search(ctx: QContext, n: int, restrict_to_P_hat: bool = True, block_filter=None):
     """Check n and LABEL_BUDGET now; return search(emit), which calls emit(label,
-    label's LabelShape) on each label enumerate_labels lists and returns their number."""
+    label's LabelShape) on each label enumerate_labels lists and returns their number.
+
+    With block_filter, a predicate on (orbit sign d, partition), the search
+    keeps only the labels whose every block passes it, and never walks into
+    a block that fails.  LABEL_BUDGET is still charged with every label.
+    """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     orbits = dualgroup.orbits_up_to(ctx, n, residue=0 if restrict_to_P_hat else None)
     total = label_count(ctx, n, orbits, restrict_to_P_hat)
     check_limit("LABEL_BUDGET", total, f"labels to keep at q={ctx.q}, n={n}")
-    return lambda emit: _search_labels(ctx, n, orbits, restrict_to_P_hat, total, emit)
+    parts_of = [partitions_of(k) for k in range(n + 1)]
+    # blocks[d][k]: the partitions of k that a block on an orbit of sign d may hold.
+    blocks = {d: parts_of for d in (1, -1)}
+    if block_filter is not None:
+        blocks = {
+            d: [[part for part in parts if block_filter(d, part)] for parts in parts_of]
+            for d in blocks
+        }
+        counts = {d: [len(parts) for parts in table] for d, table in blocks.items()}
+        total = label_count(ctx, n, orbits, restrict_to_P_hat, counts)
+    return lambda emit: _search_labels(ctx, n, orbits, restrict_to_P_hat, total, emit, blocks)
 
 
-def _search_labels(ctx: QContext, n: int, orbits: list, restrict_to_P_hat, count: int, emit):
-    """The search of label_search; it must keep `count` labels, and returns that number."""
+def _search_labels(
+    ctx: QContext, n: int, orbits: list, restrict_to_P_hat, count: int, emit, blocks: dict
+):
+    """The search of label_search over blocks[d][k], the partitions of k an orbit of
+    sign d may hold; it must keep `count` labels, and returns that number."""
     # Pi is total mod `mod`; without the restriction every label is kept.
     mod = ctx.q - 1 if restrict_to_P_hat else 1
-    # shorter[w]: indices of the orbits with m < w.  closers[w][r]: those with
-    # m == w and norm residue r, which can only fill the rest w as a block [1].
-    # last[w]: the largest index of an orbit with m <= w (-1 if none).
+    # An orbit's lightest block weighs m * k, k the least with a partition to
+    # hold.  plans[d, m], for the orbits of sign d and size m: None if that
+    # block is heavier than n (they are left unlisted), else whether they
+    # hold [1], the w > m it fits in, and every w it fits in.
+    plans = {}
+    for d, table in blocks.items():
+        for m in range(1, n + 1):
+            low = next((m * k for k in range(1, n // m + 1) if table[k]), n + 1)
+            plans[d, m] = None
+            if low <= n:
+                plans[d, m] = (low == m, range(max(m + 1, low), n + 1), range(low, n + 1))
+    # shorter[w]: indices of the orbits with m < w whose lightest block fits in
+    # w.  closers[w][r]: those with m == w, norm residue r and [1] to hold,
+    # which can only fill the rest w as a block [1].  last[w]: the largest
+    # index of an orbit whose lightest block fits in w (-1 if none).
     shorter: list[list[int]] = [[] for _ in range(n + 1)]
     closers = [[[] for _ in range(mod)] for _ in range(n + 1)]
     last = [-1] * (n + 1)
-    for i, data in enumerate(orbits):
-        closers[data.m][data.r % mod].append(i)
-        for w in range(data.m + 1, n + 1):
+    for i, (_, _, m, r, d) in enumerate(orbits):
+        plan = plans[d, m]
+        if plan is None:
+            continue
+        holds_one, above, fits = plan
+        if holds_one:
+            closers[m][r % mod].append(i)
+        for w in above:
             shorter[w].append(i)
-        for w in range(data.m, n + 1):
+        for w in fits:
             last[w] = i
-    parts_of = [partitions_of(k) for k in range(n + 1)]
-    one = parts_of[1][0]
+    one = Partition((1,))
     kept = 0
 
     def keep(entries: tuple, total: int, sizes: tuple, even: bool) -> None:
@@ -257,18 +291,22 @@ def _search_labels(ctx: QContext, n: int, orbits: list, restrict_to_P_hat, count
                 keep(prefix + ((closer, one),), total + closer.r, sizes + (1,), False)
                 e += 1
             data = orbits[i]
+            table = blocks[data.d]
             for k in range(remaining // data.m, 0, -1):
+                parts = table[k]
+                if not parts:
+                    continue
                 rest = remaining - data.m * k
                 child_total = total + k * data.r
                 if rest:
                     if last[rest] > i:
                         child_sizes, child_even = sizes + (k,), even and k % 2 == 0
-                        for part in parts_of[k]:
+                        for part in parts:
                             entries = prefix + ((data, part),)
                             rec(i + 1, rest, child_total, child_sizes, child_even, entries)
                 elif child_total % mod == 0:
                     child_sizes, child_even = sizes + (k,), even and k % 2 == 0
-                    for part in parts_of[k]:
+                    for part in parts:
                         keep(prefix + ((data, part),), child_total, child_sizes, child_even)
         for j in ends[e:]:
             keep(prefix + ((orbits[j], one),), total + orbits[j].r, sizes + (1,), False)
@@ -284,30 +322,39 @@ def _search_labels(ctx: QContext, n: int, orbits: list, restrict_to_P_hat, count
 
 
 def label_count(
-    ctx: QContext, n: int, orbits: Iterable[OrbitData], restrict_to_P_hat: bool = True
+    ctx: QContext,
+    n: int,
+    orbits: Iterable[OrbitData],
+    restrict_to_P_hat: bool = True,
+    counts: Optional[Mapping[int, list[int]]] = None,
 ) -> int:
     """The number of labels of weight n over the given orbits, without listing them.
 
     A label puts at most one partition on each orbit, so it is a choice per
     orbit of x^(m k) y^(k r) with p(k) ways, or of 1: x counts the weight and
-    y the norm residue mod q - 1.  Group the orbits by (m, r).  A class of c
-    orbits contributes (1 + h)^c = sum_{j <= n/m} C(c, j) h^j, where
+    y the norm residue mod q - 1.  Group the orbits by (m, r, d).  A class of
+    c orbits contributes (1 + h)^c = sum_{j <= n/m} C(c, j) h^j, where
     h = sum_k p(k) x^(m k) y^(k r).  The count is the x^n y^0 coefficient of
     the product over the classes; without the restriction to P-hat, y is
     dropped.  Every term of (1 + h)^c is a(K) x^(m K) y^(K r) for one K, so
-    a class multiplies in at most n/m + 1 terms.
+    a class multiplies in at most n/m + 1 terms.  counts[d][k], if given,
+    takes the place of p(k) on the orbits of sign d: the labels whose blocks
+    hold only the partitions it counts.
     """
     mod = ctx.q - 1 if restrict_to_P_hat else 1
-    classes = Counter((data.m, data.r % mod) for data in orbits)
-    # p[k]: the number of partitions of k.
-    p = [1] + [0] * n
-    for part in range(1, n + 1):
-        for k in range(part, n + 1):
-            p[k] += p[k - part]
+    classes = Counter((data.m, data.r % mod, data.d) for data in orbits)
+    if counts is None:
+        # p[k]: the number of partitions of k.
+        p = [1] + [0] * n
+        for part in range(1, n + 1):
+            for k in range(part, n + 1):
+                p[k] += p[k - part]
+        counts = {1: p, -1: p}
     # poly[w][y]: the choices over the classes so far of weight w and norm y.
     poly = [[0] * mod for _ in range(n + 1)]
     poly[0][0] = 1
-    for (m, r), c in classes.items():
+    for (m, r, d), c in classes.items():
+        p = counts[d]
         top = n // m
         # a[K]: the t^K coefficient of (1 + P(t))^c, P(t) = sum_{k >= 1} p(k) t^k.
         a = [1] + [0] * top

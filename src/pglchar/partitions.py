@@ -8,7 +8,6 @@ arithmetic and independent of q.
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from math import factorial
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import check_limit
@@ -66,13 +65,6 @@ class Partition(tuple):
         ell2mod4 = sum(1 for p in self if p % 4 == 2)
         ell1 = sum(1 for p in self if p % 2 == 1)
         return LengthStats(len(self), ell0mod4 + ell2mod4, ell1, ell0mod4, ell2mod4)
-
-    def centralizer_order(self) -> int:
-        """Order of the centralizer in S_|p| of a permutation of this cycle type."""
-        z = 1
-        for i, m in self.multiplicities().items():
-            z *= i**m * factorial(m)
-        return z
 
     def sign(self) -> int:
         """Sign of a permutation of this cycle type: (-1)^(number of even parts)."""

@@ -28,4 +28,9 @@ class Subgroup(Enum):
         try:
             return cls(text.strip().lower())
         except ValueError:
-            raise ValueError(f"unknown subgroup {text!r}; expected pgsp, pgo+ or pgo-") from None
+            raise ValueError(f"unknown subgroup {text!r}; {EXPECTED}") from None
+
+
+# The names in Subgroup order, and how an argument error lists them.
+NAMES = tuple(member.value for member in Subgroup)
+EXPECTED = f"expected {', '.join(NAMES[:-1])} or {NAMES[-1]}"

@@ -455,6 +455,31 @@ def test_decompose_refuses_past_label_budget_before_the_search(capsys, monkeypat
     assert "labels to keep at q=3, n=12: 265924 exceeds LABEL_BUDGET" in err
 
 
+def test_label_budget_counts_the_labels_a_pruned_search_skips(capsys, monkeypatch):
+    # At (5,4) the pgsp search keeps 14 of the 163 labels; the budget counts all.
+    from pglchar.errors import LIMITS
+
+    monkeypatch.setitem(LIMITS, "LABEL_BUDGET", 100)
+    code, out, err = run(capsys, "decompose", "--q", "5", "--n", "4", "--subgroup", "pgsp")
+    assert code == 3
+    assert out == ""
+    assert "labels to keep at q=5, n=4: 163 exceeds LABEL_BUDGET = 100" in err
+
+
+def test_include_zeros_emits_every_label(capsys):
+    from pglchar import dualgroup, params
+
+    ctx = dualgroup.q_context(5)
+    count = params.label_count(ctx, 4, dualgroup.orbits_up_to(ctx, 4, residue=0))
+    for subgroup in ("pgsp", "pgo+", "pgo-"):
+        code, out, _ = run(
+            capsys, "decompose", "--q", "5", "--n", "4", "--subgroup", subgroup,
+            "--include-zeros", "--format", "json",
+        )
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == count == 163
+
+
 @pytest.mark.parametrize("q", ["15", "21"])
 def test_orders_rejects_q_that_is_not_a_prime_power(capsys, q):
     code, out, err = run(capsys, "orders", "--q", q, "--n", "2")

@@ -677,3 +677,70 @@ def test_a_streamed_decompose_holds_less_memory_than_the_label_list():
         finally:
             tracemalloc.stop()
     assert peaks["streamed"] < peaks["listed"], peaks
+
+
+# Without include_zeros, a full decompose walks only the blocks that its
+# subgroup's filter keeps; a block the filter drops forces mult 0.
+FILTERS = [
+    (formulas._pgsp_block_kept, (Subgroup.PGSP,)),
+    (formulas._pgo_block_kept, (Subgroup.PGO_PLUS, Subgroup.PGO_MINUS)),
+]
+FILTER_SIZES = [(3, 2), (5, 4), (9, 4), (3, 6), (5, 6)]
+
+
+def _passes(label, block_filter):
+    return all(block_filter(data.d, part) for data, part in label.entries)
+
+
+@pytest.mark.parametrize("q,n", FILTER_SIZES)
+def test_a_label_the_block_filter_skips_has_mult_0(q, n):
+    ctx = q_context(q)
+    subgroups = tuple(Subgroup)
+    labels = enumerate_labels(ctx, n, True)
+    for block_filter, served in FILTERS:
+        skipped = [label for label in labels if not _passes(label, block_filter)]
+        assert skipped, block_filter.__name__
+        for label in skipped:
+            mults = formulas.irr_mults(label, label.shape())
+            assert [mults[subgroups.index(sg)] for sg in served] == [0] * len(served), label
+
+
+@pytest.mark.parametrize("q,n", FILTER_SIZES)
+@pytest.mark.parametrize("restrict", [True, False])
+def test_the_filtered_label_count_counts_the_labels_that_pass(q, n, restrict):
+    ctx = q_context(q)
+    orbits = dualgroup.orbits_up_to(ctx, n)
+    labels = enumerate_labels(ctx, n, restrict)
+    for block_filter, _ in FILTERS:
+        counts = {
+            d: [sum(block_filter(d, part) for part in partitions_of(k)) for k in range(n + 1)]
+            for d in (1, -1)
+        }
+        expected = sum(_passes(label, block_filter) for label in labels)
+        assert params.label_count(ctx, n, orbits, restrict, counts) == expected
+        kept = []
+        search = params.label_search(ctx, n, restrict, block_filter)
+        assert search(lambda label, shape: kept.append(label)) == expected
+        assert kept == [label for label in labels if _passes(label, block_filter)]
+
+
+def test_a_filtered_search_that_disagrees_with_its_count_is_an_invariant_violation(monkeypatch):
+    real = params.label_count
+    # Only the filtered count (counts given) is off by one; the budget's is not.
+    monkeypatch.setattr(params, "label_count", lambda *args: real(*args) + (len(args) > 4))
+    with pytest.raises(InvariantViolation, match="kept 14 labels; label_count is 15"):
+        decompose(Q5, 4, Subgroup.PGSP)
+    # The unfiltered searches are checked against the true count.
+    assert len(decompose(Q5, 4, Subgroup.PGSP, include_zeros=True).rows) == 163
+    assert len(enumerate_labels(Q5, 4, True)) == 163
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q,n,sg", [(7, 6, Subgroup.PGO_PLUS), (3, 8, Subgroup.PGSP)])
+def test_a_pruned_decompose_is_the_full_report_without_its_zero_rows(q, n, sg):
+    ctx = q_context(q)
+    full = decompose(ctx, n, sg, include_zeros=True, with_degrees=True)
+    pruned = decompose(ctx, n, sg, with_degrees=True)
+    assert pruned.rows == tuple(row for row in full.rows if row.mult)
+    assert pruned.sum_mult_times_degree == full.sum_mult_times_degree
+    assert pruned.sum_mult_squared == full.sum_mult_squared

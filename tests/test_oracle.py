@@ -252,6 +252,24 @@ def test_subgroup_elements_validate_the_kind_before_listing(monkeypatch):
         subgroup_elements(3, 2, "pso")
 
 
+def test_the_kind_messages_list_the_subgroup_names_in_order():
+    from pglchar.subgroups import EXPECTED
+
+    assert EXPECTED == "expected pgsp, pgo+ or pgo-"
+    calls = [
+        lambda: subgroup_elements(3, 2, "pso"),
+        lambda: double_cosets(3, 2, "pso", "pgsp"),
+        lambda: double_cosets(3, 2, "pgsp", "pso"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "unknown subgroup kind 'pso'; expected pgsp, pgo+ or pgo-"
+    with pytest.raises(ValueError) as exc:
+        Subgroup.parse("so3")
+    assert str(exc.value) == "unknown subgroup 'so3'; expected pgsp, pgo+ or pgo-"
+
+
 def _ref_form_classes(q, n):
     """Every nondegenerate symmetric and skew form, listed and normalised."""
     sym_slots = n * (n + 1) // 2

@@ -48,7 +48,7 @@ FRACTIONS = {"fractions", "decimal"}
 CASES = [
     (
         ["orders", "--q", "3", "--n", "2"],
-        WORK | FRACTIONS | {"pglchar.params", "pglchar.partitions"},
+        WORK | FRACTIONS | {"pglchar.params", "pglchar.partitions", "pglchar.subgroups"},
     ),
     (
         ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--format", "json"],
