@@ -79,16 +79,12 @@ def cmd_decompose(args) -> int:
         check_orbit_budget(ctx, args.n)
     from . import formulas, params
     with_degrees = not args.no_degrees
-    if args.label is not None:
-        label = params.parse_label(ctx, args.n, args.label)
-        report = formulas.decompose_labels(
-            ctx, args.n, subgroup, [label], include_zeros=True, with_degrees=with_degrees
-        )
-    else:
-        report = formulas.decompose(
-            ctx, args.n, subgroup, include_zeros=args.include_zeros,
-            with_degrees=with_degrees, unipotent_only=args.unipotent_only,
-        )
+    labels = None if args.label is None else [params.parse_label(ctx, args.n, args.label)]
+    report = formulas.decompose(
+        ctx, args.n, subgroup, labels=labels, with_degrees=with_degrees,
+        include_zeros=args.include_zeros or labels is not None,
+        unipotent_only=args.unipotent_only,
+    )
     if args.format == "json":
         _write(_decompose_json(report))
         return 0
@@ -226,6 +222,9 @@ def cmd_forms(args) -> int:
     return 0
 
 
+SUBGROUP_HELP = "pgsp, pgo+ or pgo-"  # the parser loads no subgroups; the work refuses others
+
+
 def _even_positive(text: str) -> int:
     value = int(text)
     if value < 2 or value % 2:
@@ -243,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose an induced character")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=_even_positive, required=True)
-    p.add_argument("--subgroup", required=True, help="pgsp, pgo+ or pgo-")
+    p.add_argument("--subgroup", required=True, help=SUBGROUP_HELP)
     only = p.add_mutually_exclusive_group()
     only.add_argument("--label", help="restrict to one label, e.g. '0/1:[2,1] + 1/2:[1]'")
     only.add_argument("--unipotent-only", action="store_true")
@@ -273,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dcosets", help="double-coset count from orbits on forms")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=_even_positive, required=True)
-    p.add_argument("--h1", required=True, choices=["pgsp", "pgo+", "pgo-"])
-    p.add_argument("--h2", required=True, choices=["pgsp", "pgo+", "pgo-"])
+    p.add_argument("--h1", required=True, help=SUBGROUP_HELP)
+    p.add_argument("--h2", required=True, help=SUBGROUP_HELP)
     _add_common(p)
     p.set_defaults(func=cmd_dcosets)
 

@@ -13,9 +13,9 @@ LIMITS is the one table of capacity limits.  Each is checked through
 check_limit() before the work it guards starts, and, where only q and n are
 needed, before the work's modules load: the CLI makes those checks (the
 ORBIT_ELEMENT_BUDGET estimate of dualgroup.check_orbit_budget,
-ZINV_SIZE_BOUND) before it imports them.  enumerate_labels checks
-LABEL_BUDGET against the exact label count before its search, and again as
-it keeps each label, as a guard.
+ZINV_SIZE_BOUND) before it imports them.  The label search checks
+LABEL_BUDGET once, against the exact label count, before it starts; keeping
+a label past that count is an InvariantViolation, raised before it is emitted.
 """
 
 LIMITS = {
@@ -54,9 +54,15 @@ class InvariantViolation(Exception):
 
 
 def check_limit(name: str, value: int, what: str) -> None:
-    """Raise CapacityError naming the limit if value exceeds LIMITS[name]."""
+    """Raise CapacityError naming the limit if value exceeds LIMITS[name].
+
+    A value of more than 30 digits shows as a power-of-ten bound read from its
+    bit length, never converted to decimal, so the message stays one short line.
+    """
     limit = LIMITS[name]
     if value > limit:
+        if value >= 10**30:  # 10^k < 2^(bits - 1) <= value, as 0.301029 < log10(2)
+            value = f"more than 10^{(value.bit_length() - 1) * 301029 // 10**6}"
         raise CapacityError(f"{what}: {value} exceeds {name} = {limit}")
 
 

@@ -309,6 +309,7 @@ def decompose(
     n: int,
     subgroup: Subgroup,
     *,
+    labels: Optional[Iterable[MultiPartition]] = None,
     include_zeros: bool = False,
     with_degrees: bool = False,
     unipotent_only: bool = False,
@@ -319,39 +320,16 @@ def decompose(
     include_zeros), in the deterministic enumeration order.  Degrees come
     from the q-analog hook-length formula when requested; over all labels,
     sum(mult * degree) must then be the index |PGL_n : H|.  A full
-    decomposition streams the label search and keeps only the rows.
+    decomposition streams the label search, which without include_zeros
+    skips every block that forces mult 0, and keeps only the rows.  Given
+    labels (each at ctx and n; unipotent_only gives {0/1: rho}) are
+    decomposed in their order, and the totals run over them alone.
     """
-    from . import oracle  # loaded by the two batch drivers alone
-    labels = [unipotent_label(ctx, rho) for rho in partitions_of(n)] if unipotent_only else None
-    report = decompose_labels(
-        ctx, n, subgroup, labels, include_zeros=include_zeros, with_degrees=with_degrees
-    )
-    if with_degrees and not unipotent_only:
-        index = oracle.orders(ctx.q, n).index_of(subgroup.value)
-        if report.sum_mult_times_degree != index:
-            raise InvariantViolation(
-                f"sum(mult*degree) = {report.sum_mult_times_degree} differs from "
-                f"the index {index} of {subgroup.value} in PGL_{n}(F_{ctx.q})"
-            )
-    return report
-
-
-def decompose_labels(
-    ctx: QContext,
-    n: int,
-    subgroup: Subgroup,
-    labels: Optional[Iterable[MultiPartition]],
-    *,
-    include_zeros: bool = False,
-    with_degrees: bool = False,
-) -> DecompositionReport:
-    """The rows of decompose() for the given labels, in their order.
-
-    The totals run over the given labels only, each at ctx and n.  This is
-    the one row loop; labels None streams every label from the label search,
-    which without include_zeros skips every block that forces mult 0.
-    """
-    from . import oracle
+    from . import oracle  # loaded by the batch driver alone
+    if unipotent_only:
+        if labels is not None:
+            raise ValueError("decompose takes labels or unipotent_only, not both")
+        labels = [unipotent_label(ctx, rho) for rho in partitions_of(n)]
     search = None
     if labels is None:
         kept = None
@@ -360,25 +338,32 @@ def decompose_labels(
         search = params.label_search(ctx, n, True, kept)
     if with_degrees:
         oracle.check_order_bits(ctx.q, n)
+    i = sign_index(subgroup.eps) if subgroup.eps else None
     rows = []
 
-    def add(label: MultiPartition, mult: int) -> None:
-        if subgroup is Subgroup.PGSP and mult not in (0, 1):
+    def add(label: MultiPartition, shape: LabelShape) -> None:
+        shape = require_descends(label, shape)
+        mult = _pgsp_irr(label, shape) if i is None else _pgo_irr(label, shape)[i]
+        if i is None and mult not in (0, 1):
             raise InvariantViolation(f"PGSp multiplicity {mult} outside {{0,1}} at {label}")
         if mult or include_zeros:
             rows.append(Row(label, mult, oracle.degree(ctx, label) if with_degrees else None))
 
     if search:
-        i = sign_index(subgroup.eps) if subgroup.eps else None
-        def from_search(rho: MultiPartition, shape: LabelShape) -> None:
-            shape = require_descends(rho, shape)
-            add(rho, _pgsp_irr(rho, shape) if i is None else _pgo_irr(rho, shape)[i])
-        search(from_search)
-    for label in labels or ():
-        if label.ctx != ctx or label.n != n:
-            raise ValueError(f"label {label} is not at q = {ctx.q}, n = {n}")
-        add(label, mult_irr(label, subgroup))
+        search(add)
+    else:
+        for label in labels:
+            if label.ctx != ctx or label.n != n:
+                raise ValueError(f"label {label} is not at q = {ctx.q}, n = {n}")
+            add(label, label.shape())
     # A label left out has mult 0, so the rows give both sums.
     sum_md = sum(row.mult * row.degree for row in rows) if with_degrees else None
     sum_m2 = sum(row.mult * row.mult for row in rows)
+    if search and with_degrees:
+        index = oracle.orders(ctx.q, n).index_of(subgroup.value)
+        if sum_md != index:
+            raise InvariantViolation(
+                f"sum(mult*degree) = {sum_md} differs from "
+                f"the index {index} of {subgroup.value} in PGL_{n}(F_{ctx.q})"
+            )
     return DecompositionReport(subgroup, ctx, n, tuple(rows), sum_md, sum_m2)

@@ -44,11 +44,8 @@ class GroupOrders(NamedTuple):
 
     def index_of(self, kind: str) -> int:
         """The index in PGL of the subgroup of kind pgsp, pgo+ or pgo-."""
-        return {
-            "pgsp": self.index_pgsp,
-            "pgo+": self.index_pgo_plus,
-            "pgo-": self.index_pgo_minus,
-        }[kind]
+        from .subgroups import NAMES  # loaded on use: orders does not pay for it
+        return dict(zip(NAMES, self[-3:]))[kind]
 
 
 def orders(q: int, n: int) -> GroupOrders:

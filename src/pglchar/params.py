@@ -276,7 +276,8 @@ def _search_labels(
     def keep(entries: tuple, total: int, sizes: tuple, even: bool) -> None:
         nonlocal kept
         kept += 1
-        check_limit("LABEL_BUDGET", kept, "labels kept")
+        if kept > count:  # refused before it is emitted: count <= LABEL_BUDGET
+            raise InvariantViolation(f"the label search kept {kept} labels; label_count is {count}")
         emit(MultiPartition(ctx, n, entries), LabelShape(ctx, entries, sizes, total, even))
 
     def rec(start: int, remaining: int, total: int, sizes: tuple, even: bool, prefix: tuple):

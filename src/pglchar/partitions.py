@@ -8,6 +8,7 @@ arithmetic and independent of q.
 from __future__ import annotations
 
 from functools import lru_cache, wraps
+from operator import index
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import check_limit
@@ -23,12 +24,20 @@ class LengthStats(NamedTuple):
     ell2mod4: int
 
 
+def _part(x) -> int:
+    """x as an int; a part that is not an integer (2.9, "3") is refused, not truncated."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"partition parts must be integers, got {x!r}") from None
+
+
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers."""
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        # Convert every part before checking any: a non-int is reported first.
-        parts = tuple(map(int, parts))
+        # Read every part before checking any: a non-integer is reported first.
+        parts = tuple(map(_part, parts))
         prev = parts[0] if parts else 1
         for x in parts:
             if x < 1:

@@ -227,6 +227,9 @@ def test_dcosets_reaches_n4(capsys):
         (["--q", "5", "--n", "4", "--h1", "pgo+", "--h2", "pgo+"], 3, "FORM_ACTION_BUDGET"),
         (["--q", "9", "--n", "4", "--h1", "pgo+", "--h2", "pgo+"], 2, "prime"),
         (["--q", "9", "--n", "2", "--h1", "pgsp", "--h2", "pgo-"], 2, "prime"),
+        # An unknown kind is refused by the oracle, before a q that is not prime.
+        (["--q", "9", "--n", "2", "--h1", "pgsp", "--h2", "so+"], 2,
+         "error: unknown subgroup kind 'so+'; expected pgsp, pgo+ or pgo-\n"),
     ],
 )
 def test_dcosets_refusals_are_immediate(capsys, argv, exit_code, message):
@@ -512,7 +515,7 @@ def test_single_label_decompose_goes_through_formulas(capsys, monkeypatch):
             "sum_m2": row["mult"] ** 2,
         }
     # The PGSp {0,1} check now covers a single label as well.
-    monkeypatch.setattr(formulas, "mult_pgsp_irr", lambda label: 2)
+    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho, shape: 2)
     code, out, err = run(
         capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--label", "0/1:[2]"
     )
@@ -636,14 +639,14 @@ def _json_reports():
                 yield formulas.decompose(
                     ctx, n, sg, with_degrees=with_degrees, unipotent_only=True
                 )
-                yield formulas.decompose_labels(ctx, n, sg, [], with_degrees=with_degrees)
+                yield formulas.decompose(ctx, n, sg, labels=[], with_degrees=with_degrees)
     ctx = q_context(3)
     for text in ("0/1:[2]", "1/2:[1,1]", "1/4:[1]"):
         label = params.parse_label(ctx, 2, text)
         for sg in formulas.Subgroup:
             for with_degrees in (True, False):
-                yield formulas.decompose_labels(
-                    ctx, 2, sg, [label], include_zeros=True, with_degrees=with_degrees
+                yield formulas.decompose(
+                    ctx, 2, sg, labels=[label], include_zeros=True, with_degrees=with_degrees
                 )
 
 
@@ -673,8 +676,8 @@ def test_decompose_json_stdout_is_the_reference_bytes(capsys, extra):
     with_degrees = "--no-degrees" not in extra
     if "--label" in extra:
         label = params.parse_label(ctx, 4, extra[1])
-        report = formulas.decompose_labels(
-            ctx, 4, formulas.Subgroup.PGO_MINUS, [label], include_zeros=True,
+        report = formulas.decompose(
+            ctx, 4, formulas.Subgroup.PGO_MINUS, labels=[label], include_zeros=True,
             with_degrees=with_degrees,
         )
     else:

@@ -90,6 +90,8 @@ def test_unipotent_gl_o_examples():
     assert mult_unipotent_gl_o(Partition([2, 2]), +1) == 2
     assert mult_unipotent_gl_o(Partition([4]), -1) == 1
     assert mult_unipotent_gl_o(Partition([1, 1]), -1) == 1
+    with pytest.raises(ValueError, match=r"^partition parts must be integers, got 2\.9$"):
+        mult_unipotent_gl_o([2.9], 1)  # not read as [2]
 
 
 def test_unipotent_pgo_examples():
@@ -514,32 +516,39 @@ def test_decompose_labels_matches_the_rows_of_decompose():
     for sg in Subgroup:
         full = decompose(Q5, 2, sg, include_zeros=True, with_degrees=True)
         for row in full.rows:
-            single = formulas.decompose_labels(
-                Q5, 2, sg, [row.label], include_zeros=True, with_degrees=True
+            single = formulas.decompose(
+                Q5, 2, sg, labels=[row.label], include_zeros=True, with_degrees=True
             )
             assert single.rows == (row,)
             assert single.sum_mult_times_degree == row.mult * row.degree
             assert single.sum_mult_squared == row.mult * row.mult
-        rows = formulas.decompose_labels(
-            Q5, 2, sg, [r.label for r in full.rows], include_zeros=True, with_degrees=True
+        rows = formulas.decompose(
+            Q5, 2, sg, labels=[r.label for r in full.rows], include_zeros=True, with_degrees=True
         )
         assert rows == full
 
 
 def test_decompose_labels_checks_the_pgsp_invariant(monkeypatch):
     label = unipotent(Q3, [2])
-    monkeypatch.setattr(formulas, "mult_pgsp_irr", lambda rho: 2)
+    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho, shape: 2)
     with pytest.raises(InvariantViolation, match="outside"):
-        formulas.decompose_labels(Q3, 2, Subgroup.PGSP, [label], include_zeros=True)
+        formulas.decompose(Q3, 2, Subgroup.PGSP, labels=[label], include_zeros=True)
 
 
 def test_decompose_labels_refuses_a_label_at_another_q_or_n():
     label = params.parse_label(Q3, 2, "0/1:[1,1]")
-    assert formulas.decompose_labels(Q3, 2, Subgroup.PGO_PLUS, [label]).rows
+    assert formulas.decompose(Q3, 2, Subgroup.PGO_PLUS, labels=[label]).rows
     with pytest.raises(ValueError, match=r"^label 0/1:\[1,1\] is not at q = 5, n = 2$"):
-        formulas.decompose_labels(Q5, 2, Subgroup.PGO_PLUS, [label], with_degrees=True)
+        formulas.decompose(Q5, 2, Subgroup.PGO_PLUS, labels=[label], with_degrees=True)
     with pytest.raises(ValueError, match=r"^label 0/1:\[1,1\] is not at q = 3, n = 4$"):
-        formulas.decompose_labels(Q3, 4, Subgroup.PGSP, [label], include_zeros=True)
+        formulas.decompose(Q3, 4, Subgroup.PGSP, labels=[label], include_zeros=True)
+
+
+def test_decompose_takes_labels_or_unipotent_only_not_both():
+    label = unipotent(Q3, [2])
+    with pytest.raises(ValueError, match="^decompose takes labels or unipotent_only, not both$"):
+        decompose(Q3, 2, Subgroup.PGO_PLUS, labels=[label], unipotent_only=True)
+
 
 
 def _irr_labels():
@@ -603,7 +612,7 @@ def test_a_single_subgroup_decomposition_computes_only_its_own_subgroup(monkeypa
     assert pgo_terms and not pgsp
 
 
-# A full decompose streams the label search; decompose_labels over
+# A full decompose streams the label search; decompose over the labels of
 # enumerate_labels is its reference.
 STREAM_SIZES = [(3, 2), (5, 4), (9, 4), (3, 6)]
 
@@ -618,8 +627,9 @@ def test_a_streamed_decompose_equals_decompose_labels_over_the_label_list(q, n):
                 got = decompose(
                     ctx, n, sg, include_zeros=include_zeros, with_degrees=with_degrees
                 )
-                expected = formulas.decompose_labels(
-                    ctx, n, sg, labels, include_zeros=include_zeros, with_degrees=with_degrees
+                expected = formulas.decompose(
+                    ctx, n, sg, labels=labels, include_zeros=include_zeros,
+                    with_degrees=with_degrees,
                 )
                 assert got == expected, (sg, include_zeros, with_degrees)
 
@@ -665,7 +675,7 @@ def test_a_streamed_decompose_holds_less_memory_than_the_label_list():
 
     def listed():
         labels = enumerate_labels(ctx, 6, True)
-        return formulas.decompose_labels(ctx, 6, sg, labels, with_degrees=True)
+        return formulas.decompose(ctx, 6, sg, labels=labels, with_degrees=True)
 
     assert streamed() == listed()  # and every memo is warm for both
     peaks = {}

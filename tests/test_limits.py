@@ -1,9 +1,12 @@
-"""The README's table of capacity limits against errors.LIMITS, the one home."""
+"""The README's table of capacity limits against errors.LIMITS, the one home,
+and the message of a refusal."""
 
 import re
 from pathlib import Path
 
-from pglchar.errors import LIMITS
+import pytest
+
+from pglchar.errors import LIMITS, CapacityError, check_limit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ROW = re.compile(r"^\| `([A-Z_]+)` \| ([^|]+) \|")
@@ -35,3 +38,19 @@ def test_value_parsing():
 
 def test_readme_limits_table_matches_limits():
     assert _readme_limits() == LIMITS
+
+
+@pytest.mark.parametrize(
+    "value,shown",
+    [
+        (10**30 - 1, str(10**30 - 1)),  # 30 digits: printed in full, as before
+        (10**30, "more than 10^29"),
+        (2**1000, "more than 10^301"),  # 2^1000 is about 1.07 * 10^301
+        (3**(362 * 362), "more than 10^62523"),  # 62,524 digits
+    ],
+    ids=["30 digits", "31 digits", "2^1000", "3^(362^2)"],
+)
+def test_a_refusal_prints_a_long_value_as_a_power_of_ten_bound(value, shown):
+    with pytest.raises(CapacityError) as info:
+        check_limit("LABEL_BUDGET", value, "labels")
+    assert str(info.value) == f"labels: {shown} exceeds LABEL_BUDGET = 250000"

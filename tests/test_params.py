@@ -38,6 +38,8 @@ def test_make_label_validation():
         make_label(Q3, 2, {Fraction(0): []})  # empty block
     with pytest.raises(ValueError):
         make_label(Q3, 2, [(Fraction(1, 8), [1]), (Fraction(3, 8), [1])])  # same orbit twice
+    with pytest.raises(ValueError, match=r"^partition parts must be integers, got 2\.5$"):
+        make_label(Q3, 2, {Fraction(0): [2.5]})  # not read as [2]
 
 
 def test_weight_uses_orbit_size():
@@ -223,12 +225,26 @@ def test_enumerate_labels_capacity(monkeypatch):
         enumerate_labels(Q3, 3, True)
 
 
-def test_label_budget_is_still_checked_per_label(monkeypatch):
-    # A count that is too low does not let the search keep past the budget.
+def test_label_budget_is_still_checked_per_label(capsys, monkeypatch):
+    # A count that is too low is a bug, not a capacity refusal: the label
+    # past it is refused before it is emitted, so none past LABEL_BUDGET is.
+    from pglchar.cli import main
+
+    labels = enumerate_labels(Q3, 4, True)
     monkeypatch.setitem(LIMITS, "LABEL_BUDGET", 3)
-    monkeypatch.setattr(params, "label_count", lambda *args: 0)
-    with pytest.raises(CapacityError, match="labels kept: 4 exceeds LABEL_BUDGET"):
-        enumerate_labels(Q3, 4, True)
+    for count in (0, 3):  # 3 = LABEL_BUDGET
+        monkeypatch.setattr(params, "label_count", lambda *args: count)
+        emitted = []
+        search = params.label_search(Q3, 4)
+        message = f"kept {count + 1} labels; label_count is {count}$"
+        with pytest.raises(InvariantViolation, match=message):
+            search(lambda label, shape: emitted.append(label))
+        assert emitted == labels[:count]
+        argv = ["decompose", "--q", "3", "--n", "4", "--subgroup", "pgo+", "--include-zeros"]
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"invariant violation: the label search {message[:-1]}\n"
 
 
 def test_search_that_disagrees_with_the_count_is_an_invariant_violation(monkeypatch):

@@ -27,6 +27,11 @@ def test_validation():
         Partition([2, 0])
     with pytest.raises(ValueError):
         Partition([-1])
+    # Refused, not truncated or parsed.
+    for parts, bad in (([2.9], "2.9"), (["3", "1"], "'3'"), ([3, 1.0], "1.0")):
+        message = f"^partition parts must be integers, got {re.escape(bad)}$"
+        with pytest.raises(ValueError, match=message):
+            Partition(parts)
 
 
 def test_transpose_examples():

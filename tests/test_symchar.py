@@ -93,6 +93,12 @@ def test_size_mismatch():
         chi([2], [1, 1, 1])
 
 
+def test_chi_refuses_a_fractional_part():
+    # int() would read them as [2] and [1,1], where chi is 1.
+    with pytest.raises(ValueError, match=r"^partition parts must be integers, got 2\.9$"):
+        chi([2.9], [1.2, 1.7])
+
+
 def test_trivial_row_is_one():
     for m in range(1, 9):
         for mu in partitions_of(m):
