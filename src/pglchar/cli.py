@@ -196,14 +196,16 @@ def cmd_orders(args) -> int:
 
 def cmd_dcosets(args) -> int:
     from . import oracle
-    count = oracle.double_cosets(args.q, args.n, args.h1, args.h2)
-    fields = {"q": args.q, "n": args.n, "h1": args.h1, "h2": args.h2, "double_cosets": count}
+    from .subgroups import Subgroup
+    h1, h2 = (Subgroup.parse(name).value for name in (args.h1, args.h2))
+    count = oracle.double_cosets(args.q, args.n, h1, h2)
+    fields = {"q": args.q, "n": args.n, "h1": h1, "h2": h2, "double_cosets": count}
     _emit(
         args.format,
         {"schema_version": 1, **fields},
         list(fields),
         [list(fields.values())],
-        line=f"double cosets {args.h1}\\PGL_{args.n}(F_{args.q})/{args.h2}: {count}",
+        line=f"double cosets {h1}\\PGL_{args.n}(F_{args.q})/{h2}: {count}",
     )
     return 0
 
@@ -222,7 +224,7 @@ def cmd_forms(args) -> int:
     return 0
 
 
-SUBGROUP_HELP = "pgsp, pgo+ or pgo-"  # the parser loads no subgroups; the work refuses others
+SUBGROUP_HELP = "pgsp, pgo+ or pgo-"  # the parser loads no subgroups; Subgroup.parse refuses others
 
 
 def _even_positive(text: str) -> int:

@@ -6,14 +6,16 @@ map sigma acts as multiplication by q mod 1.  An element is carried as a
 reduced integer pair num/den with 0 <= num < den, from the text ``a/b`` to
 OrbitData.  A Fraction is built only at the edge, and fractions is
 imported only there: in OrbitData.rep (which canonical_rep returns),
-parse_fraction, as_dual, orbit_data, phi(), params.make_label (Fraction
-keys), params.half_norm_product, params.random_labels and the exit-4
-messages of errors.exact_div and phi_from_orbits.  All pairings with field
-elements are pure exponent arithmetic relative to a norm-compatible system
-of generators (g_e = g_{e'}^((q^e'-1)/(q^e-1)) for e | e'), so no finite
-field is ever constructed.  The only field elements the formulas pair with
-are -1, a fixed non-square beta and its square root; their exponents are
-forced to (q-1)/2 at level 1 and (q+1)/2 at level 2.
+parse_fraction, as_dual (the one reader of a dual element given as a
+number, an int or a Fraction: orbit_data, phi() and params.make_label go
+through it), params.half_norm_product and the exit-4 messages of
+errors.exact_div and phi_from_orbits; params.random_labels builds none.
+All pairings with field elements are pure exponent arithmetic relative to
+a norm-compatible system of generators (g_e = g_{e'}^((q^e'-1)/(q^e-1))
+for e | e'), so no finite field is ever constructed.  The only field
+elements the formulas pair with are -1, a fixed non-square beta and its
+square root; their exponents are forced to (q-1)/2 at level 1 and (q+1)/2
+at level 2.
 """
 
 from __future__ import annotations
@@ -88,8 +90,10 @@ def _check_coprime(q: int, num: int, den: int) -> None:
 
 
 def as_dual(ctx: QContext, x) -> Fraction:
-    """Normalise x into [0,1) and check its denominator is coprime to q."""
+    """Normalise x, an int or a Fraction, into [0,1); its denominator must be coprime to q."""
     from fractions import Fraction
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"a dual element must be an int or a Fraction, got {x!r}")
     x = Fraction(x) % 1
     _check_coprime(ctx.q, x.numerator, x.denominator)
     return x
@@ -128,8 +132,7 @@ def format_fraction(x: Fraction) -> str:
 
 def orbit_data(ctx: QContext, x, max_m: Optional[int] = None) -> Optional[OrbitData]:
     """The OrbitData of the sigma-orbit of x, or None if it has more than max_m elements."""
-    from fractions import Fraction
-    x = Fraction(x) % 1
+    x = as_dual(ctx, x)
     return pair_orbit_data(ctx, x.numerator, x.denominator, max_m)
 
 
@@ -249,8 +252,11 @@ def phi(
     which sqrt_exponent (default (q+1)/2) moves to test it.
     """
     # The pairing is taken at each key itself, which need not be the least member.
-    keys = [(as_dual(ctx, xi), size) for xi, size in blocks.items()]
-    pairs = [(orbit_data(ctx, xi)._replace(num=xi.numerator), size) for xi, size in keys]
+    pairs = []
+    for xi, size in blocks.items():
+        xi = as_dual(ctx, xi)
+        data = pair_orbit_data(ctx, xi.numerator, xi.denominator)
+        pairs.append((data._replace(num=xi.numerator), size))
     return phi_from_orbits(ctx, pairs, sqrt_exponent)
 
 

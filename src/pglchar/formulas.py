@@ -325,7 +325,6 @@ def decompose(
     labels (each at ctx and n; unipotent_only gives {0/1: rho}) are
     decomposed in their order, and the totals run over them alone.
     """
-    from . import oracle  # loaded by the batch driver alone
     if unipotent_only:
         if labels is not None:
             raise ValueError("decompose takes labels or unipotent_only, not both")
@@ -337,6 +336,7 @@ def decompose(
             kept = _pgsp_block_kept if subgroup is Subgroup.PGSP else _pgo_block_kept
         search = params.label_search(ctx, n, True, kept)
     if with_degrees:
+        from . import oracle  # loaded for the degrees alone
         oracle.check_order_bits(ctx.q, n)
     i = sign_index(subgroup.eps) if subgroup.eps else None
     rows = []

@@ -54,7 +54,7 @@ def orders(q: int, n: int) -> GroupOrders:
     The images of Sp^F and O^F in PGL have index 2 in the form-class
     stabilizers and kernel {+1,-1}, so |PGSp| = |Sp| and |PGO^eps| = |O^eps|.
     """
-    if n < 2 or n % 2:
+    if not isinstance(n, int) or n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     q_context(q)  # q must be an odd prime power
     check_order_bits(q, n)
@@ -265,12 +265,6 @@ def conjugacy_class_count(q: int, n: int) -> int:
 # listing PGL.
 
 
-def _check_kind(kind: str) -> None:
-    from .subgroups import EXPECTED, NAMES  # loaded on use: orders does not pay for it
-    if kind not in NAMES:
-        raise ValueError(f"unknown subgroup kind {kind!r}; {EXPECTED}")
-
-
 class FormOrbit(NamedTuple):
     kind: str  # "pgsp" (skew class), "pgo+" or "pgo-"
     size: int
@@ -339,7 +333,8 @@ def _form_class_counts(q: int, n: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def subgroup_elements(q: int, n: int, kind: str) -> tuple[Matrix, ...]:
     """The stabilizer of the class of the kind's standard form, listed from PGL."""
-    _check_kind(kind)
+    from .subgroups import Subgroup  # loaded on use: orders does not pay for it
+    kind = Subgroup.parse(kind).value
     group = projective_group(q, n)
     from .formorbits import _primitive_root, _standard_form
 
@@ -358,8 +353,8 @@ def double_cosets(q: int, n: int, kind1: str, kind2: str) -> int:
     that index times the generators applied to the forms plus the q - 1
     scalings, whose images key the table of classes.
     """
-    _check_kind(kind1)
-    _check_kind(kind2)
+    from .subgroups import Subgroup  # loaded on use: orders does not pay for it
+    kind1, kind2 = (Subgroup.parse(kind).value for kind in (kind1, kind2))
     _require_prime(q)
     ords = orders(q, n)
     if ords.index_of(kind1) > ords.index_of(kind2):

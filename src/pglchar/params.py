@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter
-from math import comb
+from math import comb, gcd
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from . import dualgroup
@@ -98,16 +98,15 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
     """Build a validated label; keys are canonicalized to orbit representatives.
 
     entries may be a mapping or an iterable of (dual element, partition) pairs;
-    dual elements may be Fractions or reduced pairs (num, den) with
-    0 <= num < den, each read once into that pair, so the orbit walk and the
-    checks run on integers; partitions may be Partitions or iterables.
+    a dual element is an int or a Fraction (dualgroup.as_dual) or a reduced
+    pair (num, den), 0 <= num < den, read once into such a pair so the orbit
+    walk and the checks run on integers; partitions may be Partitions or iterables.
     """
     pairs = entries.items() if isinstance(entries, Mapping) else entries
     items = []
     for xi, part in pairs:
         if not isinstance(xi, tuple):
-            from fractions import Fraction
-            x = Fraction(xi) % 1
+            x = dualgroup.as_dual(ctx, xi)
             xi = (x.numerator, x.denominator)
         items.append((xi, part if isinstance(part, Partition) else Partition(part)))
     return _build_label(ctx, n, items)
@@ -121,7 +120,7 @@ def _build_label(
     One pass walks each orbit, refuses empty blocks and repeated orbits and
     adds up the weight; the weight is checked against n at the end.
     """
-    if n < 2 or n % 2:
+    if not isinstance(n, int) or n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     # Keyed by (den, num) of the representative: the entry order.
     canon: dict[tuple[int, int], tuple[OrbitData, Partition]] = {}
@@ -216,7 +215,7 @@ def label_search(ctx: QContext, n: int, restrict_to_P_hat: bool = True, block_fi
     keeps only the labels whose every block passes it, and never walks into
     a block that fails.  LABEL_BUDGET is still charged with every label.
     """
-    if n < 2 or n % 2:
+    if not isinstance(n, int) or n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     orbits = dualgroup.orbits_up_to(ctx, n, residue=0 if restrict_to_P_hat else None)
     total = label_count(ctx, n, orbits, restrict_to_P_hat)
@@ -382,8 +381,7 @@ def random_labels(ctx: QContext, n: int, count: int, *, seed=None) -> list[Multi
     Not uniform, but covers strata; the same seed gives the same labels.
     Useful where full enumeration is out of the desk-scale envelope.
     """
-    from fractions import Fraction
-    if n < 2 or n % 2:
+    if not isinstance(n, int) or n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     rng = random.Random(seed)
     out: list[MultiPartition] = []
@@ -394,7 +392,9 @@ def random_labels(ctx: QContext, n: int, count: int, *, seed=None) -> list[Multi
             m = rng.randint(1, remaining)
             level = ctx.q**m - 1
             for _ in range(64):
-                data = dualgroup.orbit_data(ctx, Fraction(rng.randrange(level), level))
+                a = rng.randrange(level)
+                g = gcd(a, level)
+                data = dualgroup.pair_orbit_data(ctx, a // g, level // g)
                 if data.m == m:
                     break
             else:

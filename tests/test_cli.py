@@ -227,9 +227,9 @@ def test_dcosets_reaches_n4(capsys):
         (["--q", "5", "--n", "4", "--h1", "pgo+", "--h2", "pgo+"], 3, "FORM_ACTION_BUDGET"),
         (["--q", "9", "--n", "4", "--h1", "pgo+", "--h2", "pgo+"], 2, "prime"),
         (["--q", "9", "--n", "2", "--h1", "pgsp", "--h2", "pgo-"], 2, "prime"),
-        # An unknown kind is refused by the oracle, before a q that is not prime.
+        # An unknown name is refused, by Subgroup.parse, before a q that is not prime.
         (["--q", "9", "--n", "2", "--h1", "pgsp", "--h2", "so+"], 2,
-         "error: unknown subgroup kind 'so+'; expected pgsp, pgo+ or pgo-\n"),
+         "error: unknown subgroup 'so+'; expected pgsp, pgo+ or pgo-\n"),
     ],
 )
 def test_dcosets_refusals_are_immediate(capsys, argv, exit_code, message):

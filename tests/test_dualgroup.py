@@ -120,6 +120,21 @@ def test_as_dual_rejects_denominator_sharing_p():
         dualgroup.as_dual(Q9, Fraction(1, 6))
 
 
+INEXACT = [0.1, 0.5, "1/2", None]
+
+
+@pytest.mark.parametrize("x", INEXACT, ids=repr)
+def test_a_dual_element_given_as_a_number_is_an_int_or_a_fraction(x):
+    message = f"^a dual element must be an int or a Fraction, got {re.escape(repr(x))}$"
+    for read in (as_dual, orbit_data, canonical_rep):
+        with pytest.raises(ValueError, match=message):
+            read(Q3, x)
+    with pytest.raises(ValueError, match=message):
+        phi(Q3, {x: 2})
+    assert as_dual(Q3, -1) == 0
+    assert as_dual(Q3, Fraction(5, 4)) == Fraction(1, 4)
+
+
 def test_sigma_examples():
     assert sigma(Q3, Fraction(1, 2)) == Fraction(1, 2)
     assert sigma(Q3, Fraction(1, 8)) == Fraction(3, 8)

@@ -512,7 +512,7 @@ def test_a_negative_irreducible_multiplicity_is_refused(monkeypatch):
         formulas.mults_via_transition(label, label.shape())
 
 
-def test_decompose_labels_matches_the_rows_of_decompose():
+def test_given_labels_match_the_rows_of_decompose():
     for sg in Subgroup:
         full = decompose(Q5, 2, sg, include_zeros=True, with_degrees=True)
         for row in full.rows:
@@ -528,14 +528,14 @@ def test_decompose_labels_matches_the_rows_of_decompose():
         assert rows == full
 
 
-def test_decompose_labels_checks_the_pgsp_invariant(monkeypatch):
+def test_given_labels_check_the_pgsp_invariant(monkeypatch):
     label = unipotent(Q3, [2])
     monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho, shape: 2)
     with pytest.raises(InvariantViolation, match="outside"):
         formulas.decompose(Q3, 2, Subgroup.PGSP, labels=[label], include_zeros=True)
 
 
-def test_decompose_labels_refuses_a_label_at_another_q_or_n():
+def test_a_given_label_at_another_q_or_n_is_refused():
     label = params.parse_label(Q3, 2, "0/1:[1,1]")
     assert formulas.decompose(Q3, 2, Subgroup.PGO_PLUS, labels=[label]).rows
     with pytest.raises(ValueError, match=r"^label 0/1:\[1,1\] is not at q = 5, n = 2$"):
@@ -618,7 +618,7 @@ STREAM_SIZES = [(3, 2), (5, 4), (9, 4), (3, 6)]
 
 
 @pytest.mark.parametrize("q,n", STREAM_SIZES)
-def test_a_streamed_decompose_equals_decompose_labels_over_the_label_list(q, n):
+def test_a_streamed_decompose_equals_decompose_over_the_given_label_list(q, n):
     ctx = q_context(q)
     labels = enumerate_labels(ctx, n, True)
     for sg in Subgroup:

@@ -57,6 +57,13 @@ PAST_ORBIT_BUDGET = [
 ]
 
 
+# A subgroup name is read by Subgroup.parse in every command: in any case,
+# with the spaces around it ignored.
+DCOSETS_NAMES = ["dcosets", "--q", "3", "--n", "2", "--h1", "PGSP", "--h2", " pgo+ "]
+DCOSETS_LOWER = ["dcosets", "--q", "3", "--n", "2", "--h1", "pgsp", "--h2", "pgo+"]
+DCOSETS_UNKNOWN = ["dcosets", "--q", "3", "--n", "2", "--h1", "so+", "--h2", "pgsp"]
+
+
 def _argv_grid():
     for q in QS:
         for n in NS:
@@ -88,6 +95,8 @@ def _argv_grid():
         yield ["forms", "--q", q, "--n", n]
         yield ["dcosets", "--q", q, "--n", n, "--h1", "pgsp", "--h2", "pgo-"]
     yield ["dcosets", "--q", "3", "--n", "2", "--h1", "pgsp", "--h2", "so+"]
+    yield DCOSETS_NAMES
+    yield DCOSETS_UNKNOWN
     # The FORM_ACTION_BUDGET charge at (3,362) has over 31,000 digits.
     yield ["forms", "--q", "3", "--n", "362"]
     yield ["dcosets", "--q", "3", "--n", "362", "--h1", "pgo+", "--h2", "pgo-"]
@@ -135,6 +144,16 @@ def test_past_the_orbit_budget_the_order_of_outcomes_holds(capsys):
     assert codes == [code for _, code in PAST_ORBIT_BUDGET]
     assert "error: unknown subgroup 'so+'; expected pgsp, pgo+ or pgo-" in err
     assert "ORBIT_ELEMENT_BUDGET" in err
+
+
+def test_dcosets_reads_a_subgroup_name_as_decompose_does(capsys):
+    for fmt in ("table", "csv", "json"):
+        assert _run([*DCOSETS_NAMES, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert _run([*DCOSETS_LOWER, "--format", fmt]) == 0
+        assert out == capsys.readouterr().out
+    assert _run(DCOSETS_UNKNOWN) == 2
+    assert capsys.readouterr().err == "error: unknown subgroup 'so+'; expected pgsp, pgo+ or pgo-\n"
 
 
 class WorkStarted(Exception):

@@ -248,7 +248,7 @@ def test_subgroup_elements_validate_the_kind_before_listing(monkeypatch):
         raise AssertionError("subgroup_elements listed PGL")
 
     monkeypatch.setattr(oracle, "projective_group", refuse)
-    with pytest.raises(ValueError, match="unknown subgroup kind"):
+    with pytest.raises(ValueError, match="unknown subgroup 'pso'"):
         subgroup_elements(3, 2, "pso")
 
 
@@ -264,10 +264,16 @@ def test_the_kind_messages_list_the_subgroup_names_in_order():
     for call in calls:
         with pytest.raises(ValueError) as exc:
             call()
-        assert str(exc.value) == "unknown subgroup kind 'pso'; expected pgsp, pgo+ or pgo-"
+        assert str(exc.value) == "unknown subgroup 'pso'; expected pgsp, pgo+ or pgo-"
     with pytest.raises(ValueError) as exc:
         Subgroup.parse("so3")
     assert str(exc.value) == "unknown subgroup 'so3'; expected pgsp, pgo+ or pgo-"
+
+
+def test_a_kind_is_read_as_subgroup_parse_reads_it():
+    assert double_cosets(3, 2, "PGSP", "pgsp") == double_cosets(3, 2, "pgsp", "pgsp")
+    assert double_cosets(3, 2, " pgo+ ", "PGO-") == double_cosets(3, 2, "pgo+", "pgo-")
+    assert subgroup_elements(3, 2, " PGO+ ") == subgroup_elements(3, 2, "pgo+")
 
 
 def _ref_form_classes(q, n):
@@ -540,7 +546,7 @@ def test_double_cosets_refuse_before_building_forms(monkeypatch):
         double_cosets(127, 2, "pgo+", "pgo+")
     with pytest.raises(ValueError, match="prime"):
         double_cosets(9, 2, "pgsp", "pgsp")
-    with pytest.raises(ValueError, match="unknown subgroup kind"):
+    with pytest.raises(ValueError, match="unknown subgroup 'pso'"):
         double_cosets(3, 2, "pgsp", "pso")
 
 

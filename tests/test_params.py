@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -359,6 +361,48 @@ def test_make_label_reads_reduced_pairs_and_refuses_others():
     for bad in ((2, 4), (3, 2), (-1, 2), (1, 0)):
         with pytest.raises(ValueError):
             make_label(Q5, 2, {bad: [2]})
+
+
+def test_make_label_reads_a_number_only_as_an_int_or_a_fraction():
+    assert make_label(Q3, 2, {1: [1, 1]}) == make_label(Q3, 2, {Fraction(0): [1, 1]})
+    # 0.1 as a Fraction has an orbit longer than n; "1/2" is text, read by parse_label.
+    for key in (0.1, "1/2"):
+        message = f"^a dual element must be an int or a Fraction, got {re.escape(repr(key))}$"
+        with pytest.raises(ValueError, match=message):
+            make_label(Q3, 2, {key: [1, 1]})
+    assert parse_label(Q3, 2, "1/2:[1,1]").text() == "1/2:[1,1]"
+
+
+def test_make_label_checks_the_denominator_as_it_reads_the_keys():
+    # The key 1/3 is refused while the keys are read, before the empty block.
+    with pytest.raises(ValueError, match=r"^1/3 has denominator not coprime to q = 3$"):
+        make_label(Q3, 2, {Fraction(0): [], Fraction(1, 3): [2]})
+
+
+def test_a_non_integer_n_is_refused():
+    from pglchar import formulas, oracle
+    from pglchar.subgroups import Subgroup
+
+    calls = [
+        lambda: parse_label(Q3, 2.0, "0/1:[2]"),
+        lambda: make_label(Q3, 2.0, {0: [2]}),
+        lambda: enumerate_labels(Q3, 2.0),
+        lambda: params.label_search(Q3, 2.0),
+        lambda: random_labels(Q3, 2.0, 1, seed=1),
+        lambda: formulas.decompose(Q3, 2.0, Subgroup.PGO_PLUS),
+        lambda: oracle.orders(3, 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^n must be even and >= 2, got 2\.0$"):
+            call()
+
+
+def test_random_labels_of_a_seed_are_pinned():
+    # Reducing a draw must not change it: the labels of one seed at (9,6), by digest.
+    texts = "\n".join(mp.text() for mp in random_labels(q_context(9), 6, 300, seed=20260811))
+    assert hashlib.sha256(texts.encode()).hexdigest() == (
+        "cebc4d22a1f627f3d1c62e70d98dc34a5a2c4d858b3558bf2703537685f42405"
+    )
 
 
 def test_orbit_longer_than_n_is_rejected_before_listing():

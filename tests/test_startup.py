@@ -58,6 +58,10 @@ CASES = [
         ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--format", "csv"],
         {"pglchar.involutions", "pglchar.formorbits"},
     ),
+    (
+        ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--no-degrees"],
+        {"pglchar.oracle", "pglchar.involutions", "pglchar.formorbits"},
+    ),
     (["verify-identities", "--max-size", "2"], {"pglchar.formulas", "pglchar.formorbits"}),
     (["cross-check", "--q", "3", "--n", "2"], {"pglchar.formorbits", "pglchar.oracle"}),
     (["forms", "--q", "3", "--n", "2"], {"pglchar.formulas", "pglchar.involutions"}),
