@@ -16,11 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CapacityError, InvariantViolation, check_limit
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["table", "json", "csv"], default="table")
+from .errors import CapacityError, InvariantViolation, check_limit, even_n
 
 
 def _emit(fmt: str, payload: dict, headers: list[str], rows, footers=(), line=None) -> None:
@@ -228,10 +224,11 @@ SUBGROUP_HELP = "pgsp, pgo+ or pgo-"  # the parser loads no subgroups; Subgroup.
 
 
 def _even_positive(text: str) -> int:
-    value = int(text)
-    if value < 2 or value % 2:
-        raise argparse.ArgumentTypeError(f"n must be even and >= 2, got {value}")
-    return value
+    value = int(text)  # argparse reports a ValueError here as an invalid value
+    try:
+        return even_n(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,50 +238,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", help="decompose an induced character")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_even_positive, required=True)
+    def command(name: str, func, help: str, q_n: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if q_n:
+            p.add_argument("--q", type=int, required=True)
+            p.add_argument("--n", type=_even_positive, required=True)
+        return p
+
+    p = command("decompose", cmd_decompose, "decompose an induced character")
     p.add_argument("--subgroup", required=True, help=SUBGROUP_HELP)
     only = p.add_mutually_exclusive_group()
     only.add_argument("--label", help="restrict to one label, e.g. '0/1:[2,1] + 1/2:[1]'")
     only.add_argument("--unipotent-only", action="store_true")
     p.add_argument("--include-zeros", action="store_true")
     p.add_argument("--no-degrees", action="store_true", help="skip the degree column")
-    _add_common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("verify-identities", help="check the combinatorial identities")
+    p = command("verify-identities", cmd_verify_identities, "check the combinatorial identities",
+                q_n=False)
     p.add_argument("--max-size", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_identities)
-
-    p = sub.add_parser("cross-check", help="three-route equality over all labels")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_even_positive, required=True)
+    p = command("cross-check", cmd_cross_check, "three-route equality over all labels")
     p.add_argument("--tier", choices=["fast", "slow"], default="fast")
-    _add_common(p)
-    p.set_defaults(func=cmd_cross_check)
-
-    p = sub.add_parser("orders", help="closed-form group orders and indices")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_even_positive, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_orders)
-
-    p = sub.add_parser("dcosets", help="double-coset count from orbits on forms")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_even_positive, required=True)
+    command("orders", cmd_orders, "closed-form group orders and indices")
+    p = command("dcosets", cmd_dcosets, "double-coset count from orbits on forms")
     p.add_argument("--h1", required=True, help=SUBGROUP_HELP)
     p.add_argument("--h2", required=True, help=SUBGROUP_HELP)
-    _add_common(p)
-    p.set_defaults(func=cmd_dcosets)
-
-    p = sub.add_parser("forms", help="orbits of PGL on forms up to scalars, built from standard forms")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_even_positive, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_forms)
-
+    command("forms", cmd_forms, "orbits of PGL on forms up to scalars, built from standard forms")
+    for p in sub.choices.values():  # last in every usage line
+        p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     return parser
 
 

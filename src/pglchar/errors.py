@@ -16,6 +16,8 @@ ORBIT_ELEMENT_BUDGET estimate of dualgroup.check_orbit_budget,
 ZINV_SIZE_BOUND) before it imports them.  The label search checks
 LABEL_BUDGET once, against the exact label count, before it starts; keeping
 a label past that count is an InvariantViolation, raised before it is emitted.
+
+The shared argument rules: even_n (n is an even int >= 2), sign_index (eps = +-1).
 """
 
 LIMITS = {
@@ -100,3 +102,10 @@ def sign_index(eps: int) -> int:
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     return 0 if eps == 1 else 1
+
+
+def even_n(n) -> int:
+    """n, if it is an even int >= 2: the n of every command, label and group order."""
+    if not isinstance(n, int) or n < 2 or n % 2:
+        raise ValueError(f"n must be even and >= 2, got {n}")
+    return n

@@ -17,7 +17,7 @@ from itertools import product as iter_product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dualgroup import QContext, q_context
-from .errors import InvariantViolation, check_limit, exact_div
+from .errors import InvariantViolation, check_limit, even_n, exact_div
 
 if TYPE_CHECKING:  # annotations only: orders loads neither module
     from .params import MultiPartition
@@ -54,8 +54,7 @@ def orders(q: int, n: int) -> GroupOrders:
     The images of Sp^F and O^F in PGL have index 2 in the form-class
     stabilizers and kernel {+1,-1}, so |PGSp| = |Sp| and |PGO^eps| = |O^eps|.
     """
-    if not isinstance(n, int) or n < 2 or n % 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    even_n(n)
     q_context(q)  # q must be an odd prime power
     check_order_bits(q, n)
     m = n // 2
@@ -283,7 +282,6 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"matrix oracle supports odd prime q only, got {q}")
 
 
-@lru_cache(maxsize=None)
 def enumerate_forms(q: int, n: int) -> tuple[FormOrbit, ...]:
     """Orbits of PGL on nondegenerate forms up to scalars: exactly three.
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from . import dualgroup
 from .dualgroup import OrbitData, QContext
-from .errors import InvariantViolation, check_limit
+from .errors import InvariantViolation, check_limit, even_n
 from .partitions import Partition, partitions_of
 
 if TYPE_CHECKING:  # annotations only: fractions is imported where a Fraction is built
@@ -99,7 +99,7 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
 
     entries may be a mapping or an iterable of (dual element, partition) pairs;
     a dual element is an int or a Fraction (dualgroup.as_dual) or a reduced
-    pair (num, den), 0 <= num < den, read once into such a pair so the orbit
+    pair (num, den) of two ints, 0 <= num < den, read once into such a pair so the orbit
     walk and the checks run on integers; partitions may be Partitions or iterables.
     """
     pairs = entries.items() if isinstance(entries, Mapping) else entries
@@ -108,6 +108,8 @@ def make_label(ctx: QContext, n: int, entries) -> MultiPartition:
         if not isinstance(xi, tuple):
             x = dualgroup.as_dual(ctx, xi)
             xi = (x.numerator, x.denominator)
+        elif len(xi) != 2 or type(xi[0]) is not int or type(xi[1]) is not int:
+            raise ValueError(f"a pair key must be two ints (num, den), got {xi!r}")
         items.append((xi, part if isinstance(part, Partition) else Partition(part)))
     return _build_label(ctx, n, items)
 
@@ -120,8 +122,7 @@ def _build_label(
     One pass walks each orbit, refuses empty blocks and repeated orbits and
     adds up the weight; the weight is checked against n at the end.
     """
-    if not isinstance(n, int) or n < 2 or n % 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    even_n(n)
     # Keyed by (den, num) of the representative: the entry order.
     canon: dict[tuple[int, int], tuple[OrbitData, Partition]] = {}
     weight = 0
@@ -215,8 +216,7 @@ def label_search(ctx: QContext, n: int, restrict_to_P_hat: bool = True, block_fi
     keeps only the labels whose every block passes it, and never walks into
     a block that fails.  LABEL_BUDGET is still charged with every label.
     """
-    if not isinstance(n, int) or n < 2 or n % 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    even_n(n)
     orbits = dualgroup.orbits_up_to(ctx, n, residue=0 if restrict_to_P_hat else None)
     total = label_count(ctx, n, orbits, restrict_to_P_hat)
     check_limit("LABEL_BUDGET", total, f"labels to keep at q={ctx.q}, n={n}")
@@ -381,8 +381,7 @@ def random_labels(ctx: QContext, n: int, count: int, *, seed=None) -> list[Multi
     Not uniform, but covers strata; the same seed gives the same labels.
     Useful where full enumeration is out of the desk-scale envelope.
     """
-    if not isinstance(n, int) or n < 2 or n % 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    even_n(n)
     rng = random.Random(seed)
     out: list[MultiPartition] = []
     while len(out) < count:

@@ -739,3 +739,34 @@ def test_a_reader_that_closes_early_gets_no_traceback(fmt):
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141, unbuffered
         assert err == b"", unbuffered
+
+
+# Each command's own options in declaration order; -h comes before them, --format after.
+OPTIONS = {
+    "decompose": ["--q", "--n", "--subgroup", "--label", "--unipotent-only", "--include-zeros",
+                  "--no-degrees"],
+    "verify-identities": ["--max-size"],
+    "cross-check": ["--q", "--n", "--tier"],
+    "orders": ["--q", "--n"],
+    "dcosets": ["--q", "--n", "--h1", "--h2"],
+    "forms": ["--q", "--n"],
+}
+
+
+def test_every_command_keeps_its_options():
+    import argparse
+
+    from pglchar.cli import build_parser
+
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands) == list(OPTIONS)
+    for name, sub in commands.items():
+        assert [s for a in sub._actions for s in a.option_strings] == [
+            "-h", "--help", *OPTIONS[name], "--format",
+        ], name
+        fmt = sub._actions[-1]
+        assert (fmt.choices, fmt.default) == (["table", "json", "csv"], "table"), name
+        assert sub.format_usage().rstrip().endswith("[--format {table,json,csv}]"), name
+        required = {s for a in sub._actions if a.required for s in a.option_strings}
+        assert ({"--q", "--n"} <= required) == (name != "verify-identities"), name

@@ -161,12 +161,10 @@ class WorkStarted(Exception):
 
 
 def test_every_refusal_comes_before_the_work(capsys, monkeypatch):
-    from pglchar import formorbits, involutions, oracle, params
+    from pglchar import formorbits, involutions, params
 
     def started(*args, **kwargs):
         raise WorkStarted
-
-    oracle.enumerate_forms.cache_clear()  # a memoised answer would skip form_orbit
 
     for module, name in ((params, "_search_labels"), (formorbits, "form_orbit"),
                          (involutions, "_zinv")):

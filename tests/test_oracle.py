@@ -179,11 +179,7 @@ def test_forms_never_invert(monkeypatch):
     expected = enumerate_forms(5, 2)
     monkeypatch.setattr(oracle, "_inverse", refuse)
     monkeypatch.setattr(formorbits, "_inverse", refuse)
-    enumerate_forms.cache_clear()
-    try:
-        assert enumerate_forms(5, 2) == expected
-    finally:
-        enumerate_forms.cache_clear()
+    assert enumerate_forms(5, 2) == expected
 
 
 def test_projective_group_validation():
@@ -365,11 +361,7 @@ def test_forms_never_list_pgl(monkeypatch):
         raise AssertionError("enumerate_forms listed PGL")
 
     monkeypatch.setattr(oracle, "projective_group", refuse)
-    enumerate_forms.cache_clear()
-    try:
-        sizes = [o.size for o in enumerate_forms(19, 2)]
-    finally:
-        enumerate_forms.cache_clear()
+    sizes = [o.size for o in enumerate_forms(19, 2)]
     assert sizes == [190, 1, 171]
 
 
@@ -388,6 +380,37 @@ def test_forms_refuse_before_building_forms(monkeypatch):
         enumerate_forms(9, 2)
 
 
+@pytest.mark.parametrize("name,args,exact", [
+    *(("enumerate_forms", (q, n), True) for q, n in ((3, 2), (5, 2), (19, 2), (3, 4))),
+    ("double_cosets", (3, 4, "pgsp", "pgsp"), True),  # every generator is applied
+    ("double_cosets", (7, 2, "pgo-", "pgo-"), True),
+    ("double_cosets", (5, 2, "pgo+", "pgo-"), False),  # O has fewer reflections than points
+    ("double_cosets", (3, 4, "pgo+", "pgo-"), False),
+    ("double_cosets", (3, 4, "pgsp", "pgo+"), False),
+], ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None)
+def test_form_action_budget_charges_bound_the_key_images(monkeypatch, name, args, exact):
+    # The charge is made in oracle, the images in formorbits: each map sends every key once.
+    images, charges = [0], []
+    right_images, right_check = formorbits._FormSpace.images, oracle.check_limit
+
+    def counted_images(space, keys, maps):
+        for image in right_images(space, keys, maps):
+            images[0] += len(keys)
+            yield image
+
+    def recorded_check(name, value, what):
+        if name == "FORM_ACTION_BUDGET":
+            charges.append(value)
+        right_check(name, value, what)
+
+    monkeypatch.setattr(formorbits._FormSpace, "images", counted_images)
+    monkeypatch.setattr(oracle, "check_limit", recorded_check)
+    getattr(oracle, name)(*args)
+    (charge,) = charges
+    assert 0 < images[0] <= charge
+    assert (images[0] == charge) == exact
+
+
 def test_forms_check_the_orbits_are_disjoint(monkeypatch):
     # pgo- forms taken from the pgo+ orbit: right in number, wrong in kind.
     right = formorbits.form_orbit
@@ -397,23 +420,15 @@ def test_forms_check_the_orbits_are_disjoint(monkeypatch):
         return space, keys[: orders(q, n).index_of(kind)]
 
     monkeypatch.setattr(formorbits, "form_orbit", plus_forms)
-    enumerate_forms.cache_clear()
-    try:
-        with pytest.raises(InvariantViolation, match="orbits meet"):
-            enumerate_forms(5, 2)
-    finally:
-        enumerate_forms.cache_clear()
+    with pytest.raises(InvariantViolation, match="orbits meet"):
+        enumerate_forms(5, 2)
 
 
 def test_forms_check_the_closed_counts(monkeypatch):
     right = oracle._form_class_counts
     monkeypatch.setattr(oracle, "_form_class_counts", lambda q, n: (right(q, n)[0] + 1, 1))
-    enumerate_forms.cache_clear()
-    try:
-        with pytest.raises(InvariantViolation, match="do not cover"):
-            enumerate_forms(5, 2)
-    finally:
-        enumerate_forms.cache_clear()
+    with pytest.raises(InvariantViolation, match="do not cover"):
+        enumerate_forms(5, 2)
 
 
 KINDS = {"pgsp": Subgroup.PGSP, "pgo+": Subgroup.PGO_PLUS, "pgo-": Subgroup.PGO_MINUS}

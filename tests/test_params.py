@@ -363,6 +363,15 @@ def test_make_label_reads_reduced_pairs_and_refuses_others():
             make_label(Q5, 2, {bad: [2]})
 
 
+def test_make_label_refuses_a_pair_key_that_is_not_two_ints():
+    assert make_label(Q3, 2, {(1, 2): [1, 1]}).text() == "1/2:[1,1]"
+    # Unchecked, a bool became the numerator and the others failed in the orbit walk.
+    for key in ((True, 2), (1, False), (1.0, 2), (Fraction(1, 2), 1), ("1", 2), (1, 2, 3), (1,)):
+        message = f"^a pair key must be two ints \\(num, den\\), got {re.escape(repr(key))}$"
+        with pytest.raises(ValueError, match=message):
+            make_label(Q3, 2, {key: [2]})
+
+
 def test_make_label_reads_a_number_only_as_an_int_or_a_fraction():
     assert make_label(Q3, 2, {1: [1, 1]}) == make_label(Q3, 2, {Fraction(0): [1, 1]})
     # 0.1 as a Fraction has an orbit longer than n; "1/2" is text, read by parse_label.
