@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CapacityError, InvariantViolation, check_limit, even_n
+from .errors import CapacityError, InvariantViolation, check_limit, even_n, parse_int
 
 
 def _emit(fmt: str, payload: dict, headers: list[str], rows, footers=(), line=None) -> None:
@@ -136,8 +136,8 @@ def cmd_verify_identities(args) -> int:
 def cmd_cross_check(args) -> int:
     from .dualgroup import check_orbit_budget, q_context
     ctx = q_context(args.q)
-    if args.tier == "fast" and args.n > 2:
-        raise CapacityError(f"n = {args.n} needs --tier slow")
+    if args.tier == "fast":
+        check_limit("FAST_TIER_N_BOUND", args.n, "n at --tier fast (use --tier slow)")
     # The involution route meets the block 0/1:[n], which every n has.
     check_limit("ZINV_SIZE_BOUND", args.n, "block size n")
     check_orbit_budget(ctx, args.n)
@@ -223,10 +223,11 @@ def cmd_forms(args) -> int:
 SUBGROUP_HELP = "pgsp, pgo+ or pgo-"  # the parser loads no subgroups; Subgroup.parse refuses others
 
 
-def _even_positive(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError here as an invalid value
+def _number(text: str, rule=None) -> int:
+    """An argparse type: parse_int(text), then rule(value); a ValueError is the argument's error."""
     try:
-        return even_n(value)
+        value = parse_int(text)
+        return rule(value) if rule else value
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -242,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if q_n:
-            p.add_argument("--q", type=int, required=True)
-            p.add_argument("--n", type=_even_positive, required=True)
+            p.add_argument("--q", type=_number, required=True)
+            p.add_argument("--n", type=lambda text: _number(text, even_n), required=True)
         return p
 
     p = command("decompose", cmd_decompose, "decompose an induced character")
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-degrees", action="store_true", help="skip the degree column")
     p = command("verify-identities", cmd_verify_identities, "check the combinatorial identities",
                 q_n=False)
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_number, required=True)
     p = command("cross-check", cmd_cross_check, "three-route equality over all labels")
     p.add_argument("--tier", choices=["fast", "slow"], default="fast")
     command("orders", cmd_orders, "closed-form group orders and indices")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
-from .errors import LIMITS, InvariantViolation, check_limit
+from .errors import LIMITS, InvariantViolation, check_limit, parse_int
 
 if TYPE_CHECKING:  # annotations only: fractions is imported where a Fraction is built
     from fractions import Fraction
@@ -92,7 +92,7 @@ def _check_coprime(q: int, num: int, den: int) -> None:
 def as_dual(ctx: QContext, x) -> Fraction:
     """Normalise x, an int or a Fraction, into [0,1); its denominator must be coprime to q."""
     from fractions import Fraction
-    if not isinstance(x, (int, Fraction)):
+    if type(x) is not int and not isinstance(x, Fraction):
         raise ValueError(f"a dual element must be an int or a Fraction, got {x!r}")
     x = Fraction(x) % 1
     _check_coprime(ctx.q, x.numerator, x.denominator)
@@ -102,17 +102,15 @@ def as_dual(ctx: QContext, x) -> Fraction:
 def parse_pair(text: str) -> tuple[int, int]:
     """Parse the text form ``a/b`` to the reduced pair (num, den) of a/b mod 1.
 
-    a and b are decimal digits (str.isdecimal, so any Unicode digit of
-    category Nd) with optional whitespace (str.isspace) around each; signs,
-    underscores and a second ``/`` are refused.
+    a and b are numbers as errors.parse_int reads them, so a second ``/`` is refused.
     """
     a, sep, b = text.partition("/")
-    a = a.strip()
-    b = b.strip()
-    if not (sep and a.isdecimal() and b.isdecimal()):
+    if not sep:
         raise ValueError(f"cannot parse dual element {text!r}; expected a/b")
-    num = int(a)
-    den = int(b)
+    try:
+        num, den = parse_int(a), parse_int(b)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse dual element {text!r}: {exc}") from None
     if den < 1:
         raise ValueError(f"denominator must be >= 1 in {text!r}")
     num %= den

@@ -17,7 +17,8 @@ ZINV_SIZE_BOUND) before it imports them.  The label search checks
 LABEL_BUDGET once, against the exact label count, before it starts; keeping
 a label past that count is an InvariantViolation, raised before it is emitted.
 
-The shared argument rules: even_n (n is an even int >= 2), sign_index (eps = +-1).
+The shared argument rules: even_n (n is an even int >= 2), sign_index (eps = +-1),
+parse_int (a number written as text).  An int argument must have type(x) is int: no bool.
 """
 
 LIMITS = {
@@ -44,6 +45,8 @@ LIMITS = {
     # scalings that key the class table; for the orbits on forms, the three
     # indices times GL_n's n(n - 1) + 1 generators
     "FORM_ACTION_BUDGET": 1_100_000,
+    # n for cross-check --tier fast; --tier slow lifts it
+    "FAST_TIER_N_BOUND": 2,
 }
 
 
@@ -99,13 +102,22 @@ def by_sign(t1: int, t2: int, t3: int, what: str, label, nonneg: bool = False) -
 
 def sign_index(eps: int) -> int:
     """The position of eps's value in by_sign's pair: 0 for +1, 1 for -1."""
-    if eps not in (1, -1):
+    if type(eps) is not int or eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     return 0 if eps == 1 else 1
 
 
 def even_n(n) -> int:
     """n, if it is an even int >= 2: the n of every command, label and group order."""
-    if not isinstance(n, int) or n < 2 or n % 2:
+    if type(n) is not int or n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     return n
+
+
+def parse_int(text: str) -> int:
+    """The int written as decimal digits (str.isdecimal), whitespace (str.isspace) around them
+    allowed, no sign or _: each number in text (CLI flags, a/b, partition parts) is read here."""
+    digits = text.strip()
+    if not digits.isdecimal():
+        raise ValueError(f"expected decimal digits, got {text!r}")
+    return int(digits)

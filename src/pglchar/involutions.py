@@ -147,6 +147,8 @@ def check_identities(max_size: int) -> list[IdentityCheckResult]:
 
     Each compares a sum over Z_inv(nu) with a character sum of symchar.
     """
+    if type(max_size) is not int:
+        raise ValueError(f"max_size must be an int, got {max_size!r}")
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     check_limit("ZINV_SIZE_BOUND", max_size, "max_size")

@@ -167,8 +167,8 @@ def parse_label(ctx: QContext, n: int, text: str) -> MultiPartition:
     """Parse the label grammar: entries ``a/b:partition`` joined by ``+``.
 
     Example: ``0/1:[2,1] + 1/2:[1]``.  a, b and the partition's parts are
-    decimal digits with optional whitespace around them (dualgroup.parse_pair,
-    Partition.parse), as is the space around ``+`` and ``:``.  Keys are
+    numbers as errors.parse_int reads them (dualgroup.parse_pair,
+    Partition.parse); whitespace around ``+`` and ``:`` is ignored.  Keys are
     canonicalized; duplicates after canonicalization and weight mismatches
     are rejected.
     """

@@ -8,10 +8,9 @@ arithmetic and independent of q.
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from operator import index
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
-from .errors import check_limit
+from .errors import check_limit, parse_int
 
 
 class LengthStats(NamedTuple):
@@ -24,20 +23,14 @@ class LengthStats(NamedTuple):
     ell2mod4: int
 
 
-def _part(x) -> int:
-    """x as an int; a part that is not an integer (2.9, "3") is refused, not truncated."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"partition parts must be integers, got {x!r}") from None
-
-
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers."""
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        # Read every part before checking any: a non-integer is reported first.
-        parts = tuple(map(_part, parts))
+        parts = tuple(parts)
+        for x in parts:  # a part that is not an int (True, 2.9, "3") is reported first
+            if type(x) is not int:
+                raise ValueError(f"partition parts must be integers, got {x!r}")
         prev = parts[0] if parts else 1
         for x in parts:
             if x < 1:
@@ -90,12 +83,10 @@ class Partition(tuple):
     def parse(text: str) -> "Partition":
         """Parse the text form ``[3,1,1]``; the empty partition is ``[]``.
 
-        Between the brackets, parts are separated by commas; each part is
-        decimal digits (str.isdecimal) with optional whitespace
-        (str.isspace) around them, the grammar of ``a/b`` in
-        dualgroup.parse_pair.  Signs, underscores and empty parts are
-        refused.  The result is memoised per text for the life of the
-        process; a malformed text raises on every call and is not stored.
+        Between the brackets, parts are separated by commas; each part is a
+        number as errors.parse_int reads it, so an empty part is refused.
+        The result is memoised per text for the life of the process; a
+        malformed text raises on every call and is not stored.
         """
         text = text.strip()
         if not (text.startswith("[") and text.endswith("]")):
@@ -104,14 +95,7 @@ class Partition(tuple):
         if not inner:
             return Partition()
         try:
-            parts = []
-            for part in inner.split(","):
-                digits = part.strip()
-                if not digits.isdecimal():
-                    int(part)  # a part that is no number at all gets int()'s message
-                    raise ValueError(f"partition parts must be decimal digits, got {part!r}")
-                parts.append(int(digits))
-            return Partition(parts)
+            return Partition([parse_int(part) for part in inner.split(",")])
         except ValueError as exc:
             raise ValueError(f"cannot parse partition {text!r}: {exc}") from None
 

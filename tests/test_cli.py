@@ -11,7 +11,10 @@ from pglchar.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses the arguments
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -496,7 +499,9 @@ def test_verify_identities_rejects_max_size_below_one(capsys, max_size):
     code, out, err = run(capsys, "verify-identities", "--max-size", max_size)
     assert code == 2
     assert out == ""
-    assert "max_size must be >= 1" in err
+    # -1 is refused as it is read: a number is decimal digits, with no sign.
+    expected = "max_size must be >= 1" if max_size == "0" else "expected decimal digits, got '-1'"
+    assert expected in err
 
 
 def test_single_label_decompose_goes_through_formulas(capsys, monkeypatch):

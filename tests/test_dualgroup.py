@@ -17,7 +17,7 @@ from pglchar.dualgroup import (
     phi,
     q_context,
 )
-from pglchar.errors import CapacityError, InvariantViolation
+from pglchar.errors import CapacityError, InvariantViolation, parse_int
 
 # References: the sigma action on Fractions, with each orbit listed, and
 # tilde_d, which only the tests read.  The package walks an orbit once, on
@@ -120,7 +120,7 @@ def test_as_dual_rejects_denominator_sharing_p():
         dualgroup.as_dual(Q9, Fraction(1, 6))
 
 
-INEXACT = [0.1, 0.5, "1/2", None]
+INEXACT = [0.1, 0.5, "1/2", None, True]
 
 
 @pytest.mark.parametrize("x", INEXACT, ids=repr)
@@ -365,6 +365,21 @@ def test_parse_pair_accepts_exactly_the_reference_grammar(text):
     else:
         x = Fraction(int(match.group(1)), int(match.group(2))) % 1
         assert dualgroup.parse_pair(text) == (x.numerator, x.denominator)
+
+
+_REFERENCE_NUMBER = re.compile(r"\s*(\d+)\s*")
+
+
+@settings(max_examples=300)
+@given(st.text(_DIGITS + _SPACES + _NOISE, max_size=8))
+def test_parse_int_accepts_exactly_the_reference_grammar(text):
+    match = _REFERENCE_NUMBER.fullmatch(text)
+    if match is None:
+        message = f"^expected decimal digits, got {re.escape(repr(text))}$"
+        with pytest.raises(ValueError, match=message):
+            parse_int(text)
+    else:
+        assert parse_int(text) == int(match.group(1))
 
 
 # x = a / (q^e - 1): every element whose orbit has at most 8 members, with an

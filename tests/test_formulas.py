@@ -74,8 +74,9 @@ def test_mult_pgo_irr_eta_rows_n2():
 def test_mult_pgo_irr_validation():
     with pytest.raises(ValueError):
         mult_pgo_irr(make_label(Q3, 2, {Fraction(1, 8): [1]}), 1)
-    with pytest.raises(ValueError):
-        mult_pgo_irr(unipotent(Q3, [2]), 0)
+    for eps in (0, True, 1.0, -1.0):  # eps is the int +1 or -1, not a value equal to one
+        with pytest.raises(ValueError, match=f"^eps must be \\+1 or -1, got {eps}$"):
+            mult_pgo_irr(unipotent(Q3, [2]), eps)
 
 
 def test_unipotent_pgsp_examples():

@@ -15,8 +15,10 @@ from pglchar.dualgroup import q_context
 from pglchar.params import enumerate_labels
 
 # 2^40 + 1 is past Q_BOUND; 1099511627689 = 2^40 - 87 is the largest prime below it.
-QS = ["3", "9", "27", "15", "2", "1", "0", "-3", "3.0", "abc", str(2**40 + 1), "1099511627689"]
-NS = ["2", "4", "3", "0", "-2", "100", "1000000"]
+# int() reads 1_1 as 11, +3 as 3 and 0_2 as 2, but a number is decimal digits only.
+QS = ["3", "9", "27", "15", "2", "1", "0", "-3", "3.0", "abc", str(2**40 + 1), "1099511627689",
+      "1_1", "+3"]
+NS = ["2", "4", "3", "0", "-2", "100", "1000000", "0_2"]
 
 LABELS_AT_Q3_N2 = [
     "0/1:[2]",
@@ -27,6 +29,7 @@ LABELS_AT_Q3_N2 = [
     "1/0:[1]",
     "-1/2:[2]",
     "x/y:[1]",
+    "0_0/1:[2]",
     "0/1:[2] +",
     "+ 0/1:[2]",
     "0/1:[1] + 0/1:[1]",  # one orbit twice
@@ -45,6 +48,17 @@ LABELS_AT_Q3_N2 = [
 
 # int() reads the part 1_0 as 10, but a part is decimal digits, as in a/b.
 NON_DECIMAL_PART = ["decompose", "--q", "3", "--n", "10", "--subgroup", "pgo+", "--label", "0/1:[1_0]"]
+
+# Every number is read by errors.parse_int, so each of these exits 2 with its
+# one message; int() would have read them all.
+MALFORMED_NUMBERS = [
+    (["orders", "--q", "1_1", "--n", "0_2"], "1_1"),
+    (["orders", "--q", "+3", "--n", "2"], "+3"),
+    (["verify-identities", "--max-size", "0_9"], "0_9"),
+    (["cross-check", "--q", "3", "--n", "0_2"], "0_2"),
+    (["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--label", "0_0/1:[2]"], "0_0"),
+    (["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--label", "0/1:[1_0]"], "1_0"),
+]
 
 # (5,10) and (27,6) are past ORBIT_ELEMENT_BUDGET for a full decompose, which
 # is refused before the work loads; the argument error still comes first, and
@@ -74,6 +88,8 @@ def _argv_grid():
         for extra in ([], ["--no-degrees"]):
             yield ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+", f"--label={label}", *extra]
     yield NON_DECIMAL_PART
+    for argv, _ in MALFORMED_NUMBERS:
+        yield argv
     for n, subgroup in (("16000000", "pgo+"), ("100000000000", "pgo-")):
         for extra in ([], ["--no-degrees"]):
             yield ["decompose", "--q", "3", "--n", n, "--subgroup", subgroup,
@@ -81,7 +97,7 @@ def _argv_grid():
     # An orbit of about 5 * 10^8 elements that n allows: the walk budget refuses it.
     yield ["decompose", "--q", "3", "--n", "100000000000", "--subgroup", "pgo+",
            "--label", "1/1000000007:[1]", "--no-degrees"]
-    for size in ("-1", "0", "1", "9", "10", "x"):
+    for size in ("-1", "0", "1", "9", "10", "x", "0_9"):
         yield ["verify-identities", "--max-size", size]
     yield ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--label", "0/1:[2]",
            "--unipotent-only"]
@@ -90,6 +106,7 @@ def _argv_grid():
         yield argv
     yield ["decompose", "--q", "3", "--n", "100", "--subgroup", "pgsp", "--no-degrees"]
     yield ["cross-check", "--q", "3", "--n", "4", "--tier", "slow"]
+    yield ["cross-check", "--q", "3", "--n", "4", "--tier", "fast"]  # FAST_TIER_N_BOUND
     yield ["cross-check", "--q", "3", "--n", "10", "--tier", "slow"]
     for q, n in (("3", "2"), ("9", "2"), ("5", "4"), ("1099511627689", "2")):
         yield ["forms", "--q", q, "--n", n]
@@ -135,7 +152,29 @@ def test_no_input_exits_4_or_raises(capsys):
 
 def test_a_part_that_is_not_decimal_digits_exits_2(capsys):
     assert _run(NON_DECIMAL_PART) == 2
-    assert "partition parts must be decimal digits, got '1_0'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot parse partition '[1_0]': expected decimal digits, got '1_0'" in err
+
+
+def test_a_malformed_number_exits_2_with_one_message(capsys):
+    for argv, number in MALFORMED_NUMBERS:
+        assert _run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f": expected decimal digits, got '{number}'\n"), err
+    # Whitespace around the digits and leading zeros are still read.
+    assert _run(["orders", "--q", "3", "--n", "2"]) == 0
+    expected = capsys.readouterr().out
+    for q, n in ((" 3 ", "2"), ("03", " 2"), ("3", "02")):
+        assert _run(["orders", "--q", q, "--n", n]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_the_fast_tier_limit_is_a_capacity_refusal(capsys):
+    assert _run(["cross-check", "--q", "3", "--n", "4"]) == 3
+    assert capsys.readouterr().err == (
+        "capacity error: n at --tier fast (use --tier slow): 4 exceeds FAST_TIER_N_BOUND = 2\n"
+    )
 
 
 def test_past_the_orbit_budget_the_order_of_outcomes_holds(capsys):

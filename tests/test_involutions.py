@@ -250,6 +250,13 @@ def test_check_identities_needs_a_positive_max_size(max_size):
         check_identities(max_size)
 
 
+@pytest.mark.parametrize("max_size", [2.5, True])
+def test_check_identities_takes_max_size_only_as_an_int(max_size):
+    # A library argument error is a ValueError, and True is not read as 1.
+    with pytest.raises(ValueError, match=f"^max_size must be an int, got {max_size}$"):
+        check_identities(max_size)
+
+
 def test_epsilon_nu_examples():
     assert epsilon_nu(make_label(Q3, 2, {Fraction(0): [1, 1]})) == 1
     assert epsilon_nu(make_label(Q3, 2, {Fraction(1, 2): [2]})) == -1

@@ -27,8 +27,9 @@ def test_validation():
         Partition([2, 0])
     with pytest.raises(ValueError):
         Partition([-1])
-    # Refused, not truncated or parsed.
-    for parts, bad in (([2.9], "2.9"), (["3", "1"], "'3'"), ([3, 1.0], "1.0")):
+    # Refused, not truncated, parsed or read as 1.
+    for parts, bad in (([2.9], "2.9"), (["3", "1"], "'3'"), ([3, 1.0], "1.0"),
+                       ([True, True], "True")):
         message = f"^partition parts must be integers, got {re.escape(bad)}$"
         with pytest.raises(ValueError, match=message):
             Partition(parts)
@@ -183,8 +184,8 @@ def test_parse_errors():
 
 @pytest.mark.parametrize("text", ["[+1,1]", "[1_0]", "[2,-1]", "[1,+0]", "[ 1_0 ]"])
 def test_parse_refuses_a_part_that_is_not_decimal_digits(text):
-    # int() reads every one of these parts; the part grammar is that of a/b.
-    with pytest.raises(ValueError, match="partition parts must be decimal digits"):
+    # int() reads every one of these parts; a part is read by errors.parse_int, as a/b is.
+    with pytest.raises(ValueError, match="expected decimal digits, got"):
         Partition.parse(text)
 
 
