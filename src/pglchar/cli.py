@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .errors import CapacityError, InvariantViolation, check_limit, even_n, parse_int
 
@@ -232,6 +233,7 @@ def _number(text: str, rule=None) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pglchar",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
-from .errors import LIMITS, InvariantViolation, check_limit, parse_int
+from .errors import LIMITS, InvariantViolation, check_limit, int_arg, parse_int
 
 if TYPE_CHECKING:  # annotations only: fractions is imported where a Fraction is built
     from fractions import Fraction
@@ -184,6 +184,8 @@ def check_orbit_budget(ctx: QContext, n: int) -> None:
     The estimate is q + q^2 + ... + q^n, the elements of the levels e <= n.
     It reads only q and n, so a command can refuse before it loads the work.
     """
+    if int_arg("n", n) < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     # Stop summing once the budget is passed: q^e for large e is a huge int.
     estimate = 0
     for e in range(1, n + 1):
@@ -209,7 +211,7 @@ def orbits_up_to(ctx: QContext, n: int, *, residue: Optional[int] = None) -> lis
     ORBIT_ELEMENT_BUDGET estimate, check_orbit_budget, is the same with or
     without residue.
     """
-    if n < 1:
+    if int_arg("n", n) < 1:
         raise ValueError("n must be >= 1")
     if residue is not None and not 0 <= residue < ctx.q - 1:
         raise ValueError(f"residue must be in [0, {ctx.q - 1}), got {residue}")

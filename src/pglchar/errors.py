@@ -18,7 +18,7 @@ LABEL_BUDGET once, against the exact label count, before it starts; keeping
 a label past that count is an InvariantViolation, raised before it is emitted.
 
 The shared argument rules: even_n (n is an even int >= 2), sign_index (eps = +-1),
-parse_int (a number written as text).  An int argument must have type(x) is int: no bool.
+int_arg (an int argument has type(x) is int: no bool), parse_int (a number written as text).
 """
 
 LIMITS = {
@@ -105,6 +105,13 @@ def sign_index(eps: int) -> int:
     if type(eps) is not int or eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
     return 0 if eps == 1 else 1
+
+
+def int_arg(name: str, value) -> int:
+    """value, if type(value) is int: a bool, float or str is a ValueError naming the argument."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def even_n(n) -> int:

@@ -1,19 +1,139 @@
-"""PGL_n(F_q) on forms, for prime q, without listing PGL.
+"""The matrix work of the oracles, for prime q: PGL_n(F_q) as matrices and on forms.
 
+oracle checks each request and charges its capacity limit; the work runs
+here, loaded only after the charge.  ProjectiveMatrixGroup lists PGL_n,
+so in practice n = 2, for the class count and the form stabilisers.
 X = PGL / H is the nondegenerate forms of H's kind up to scalars, under
 B -> g B g^T.  form_orbit reaches X from a standard form by generators of
-GL_n.  #(H1 \\ PGL / H2) is the number of H2-orbits on X for H1, joined by
-union-find over generators of H2.
+GL_n, without listing PGL.  #(H1 \\ PGL / H2) is the number of H2-orbits
+on X for H1, joined by union-find over generators of H2.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from functools import cached_property
 from itertools import product as iter_product
 
 from .errors import InvariantViolation
-from .oracle import Matrix, _inverse, _mat_mul, _scale, _transpose, orders
+from .oracle import orders
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def _mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
+        for i in range(n)
+    )
+
+
+def _transpose(a: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
+
+
+def _scale(a: Matrix, c: int, p: int) -> Matrix:
+    return tuple(tuple(v * c % p for v in row) for row in a)
+
+
+def _normalize(a: Matrix, p: int) -> Matrix:
+    """Scale so the first nonzero entry in row-major order is 1."""
+    for row in a:
+        for v in row:
+            if v:
+                return _scale(a, pow(v, p - 2, p), p)
+    raise ValueError("zero matrix has no projective normalization")
+
+
+def _det(a: Matrix, p: int) -> int:
+    n = len(a)
+    if n == 1:
+        return a[0][0] % p
+    if n == 2:
+        return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % p
+    total = 0
+    for j in range(n):
+        if a[0][j] == 0:
+            continue
+        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
+        total += (-1) ** j * a[0][j] * _det(minor, p)
+    return total % p
+
+
+def _inverse(a: Matrix, p: int) -> Matrix:
+    n = len(a)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = pow(work[col][col], p - 2, p)
+        work[col] = [v * inv % p for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [(v - factor * w) % p for v, w in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def _form_action(g: Matrix, form: Matrix, q: int) -> Matrix:
+    """g B g^T: g acting on the form B."""
+    return _mat_mul(_mat_mul(g, form, q), _transpose(g), q)
+
+
+class ProjectiveMatrixGroup:
+    """PGL_n(F_q) as the nonsingular matrices whose first nonzero entry is 1.
+
+    Only those (q^(n^2) - 1)/(q - 1) matrices are scanned, one per scalar
+    class, so none needs normalising.  Their number is checked against the
+    order formula.
+    """
+
+    def __init__(self, q: int, n: int):
+        self.q = q
+        self.n = n
+        flats = _projective_points(q, n * n)
+        rows = (tuple(flat[i * n : (i + 1) * n] for i in range(n)) for flat in flats)
+        self.elements = tuple(sorted(mat for mat in rows if _det(mat, q)))
+        expected = orders(q, n).pgl
+        if len(self.elements) != expected:
+            raise InvariantViolation(f"found {len(self)} elements, order formula says {expected}")
+
+    @cached_property
+    def inverse_of(self) -> dict[Matrix, Matrix]:
+        """Each element's inverse, built on first use."""
+        return {g: _normalize(_inverse(g, self.q), self.q) for g in self.elements}
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def mul(self, a: Matrix, b: Matrix) -> Matrix:
+        return _normalize(_mat_mul(a, b, self.q), self.q)
+
+    def class_count(self) -> int:
+        """The number of conjugacy classes, by conjugating each element by all."""
+        visited: set[Matrix] = set()
+        count = 0
+        for g in self.elements:
+            if g in visited:
+                continue
+            count += 1
+            for x in self.elements:
+                visited.add(self.mul(self.mul(x, g), self.inverse_of[x]))
+        return count
+
+    def form_stabilizer(self, kind: str) -> tuple[Matrix, ...]:
+        """The elements that fix the class of the kind's standard form."""
+        q = self.q
+        h = _normalize(_standard_form(q, self.n, kind, _primitive_root(q)), q)
+        elems = tuple(g for g in self.elements if _normalize(_form_action(g, h, q), q) == h)
+        if len(elems) * orders(q, self.n).index_of(kind) != len(self):
+            raise InvariantViolation(f"stabilizer of {kind} has {len(elems)} elements")
+        return elems
 
 
 def orbits_on_forms(q: int, n: int, kind1: str, kind2: str) -> int:
@@ -108,7 +228,7 @@ def _projective_points(q: int, n: int):
 
 
 def _check_scales(g: Matrix, form: Matrix, mu: int, q: int) -> Matrix:
-    if _mat_mul(_mat_mul(g, form, q), _transpose(g), q) != _scale(form, mu, q):
+    if _form_action(g, form, q) != _scale(form, mu, q):
         raise InvariantViolation(f"generator {g} does not scale the form {form} by {mu}")
     return g
 

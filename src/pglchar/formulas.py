@@ -170,6 +170,7 @@ def mult_pgo_irr(rho: MultiPartition, eps: int) -> int:
 
 
 def mult_irr(rho: MultiPartition, subgroup: Subgroup) -> int:
+    subgroup = Subgroup.parse(subgroup)
     if subgroup is Subgroup.PGSP:
         return mult_pgsp_irr(rho)
     return mult_pgo_irr(rho, subgroup.eps)
@@ -298,7 +299,8 @@ def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> tuple[int, in
 
 def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
     """One subgroup's value of mults_via_transition."""
-    return mults_via_transition(nu, nu.shape())[tuple(Subgroup).index(subgroup)]
+    i = tuple(Subgroup).index(Subgroup.parse(subgroup))
+    return mults_via_transition(nu, nu.shape())[i]
 
 
 # Batch driver.
@@ -325,6 +327,7 @@ def decompose(
     labels (each at ctx and n; unipotent_only gives {0/1: rho}) are
     decomposed in their order, and the totals run over them alone.
     """
+    subgroup = Subgroup.parse(subgroup)
     if unipotent_only:
         if labels is not None:
             raise ValueError("decompose takes labels or unipotent_only, not both")
@@ -360,7 +363,7 @@ def decompose(
     sum_md = sum(row.mult * row.degree for row in rows) if with_degrees else None
     sum_m2 = sum(row.mult * row.mult for row in rows)
     if search and with_degrees:
-        index = oracle.orders(ctx.q, n).index_of(subgroup.value)
+        index = oracle.orders(ctx.q, n).index_of(subgroup)
         if sum_md != index:
             raise InvariantViolation(
                 f"sum(mult*degree) = {sum_md} differs from "

@@ -28,7 +28,7 @@ from itertools import product as iter_product
 from typing import NamedTuple, Sequence
 
 from . import symchar
-from .errors import InvariantViolation, by_sign, check_limit, sign_index
+from .errors import InvariantViolation, by_sign, check_limit, int_arg, sign_index
 from .params import LabelShape, MultiPartition, require_descends
 from .partitions import Partition, partitions_of
 
@@ -147,9 +147,7 @@ def check_identities(max_size: int) -> list[IdentityCheckResult]:
 
     Each compares a sum over Z_inv(nu) with a character sum of symchar.
     """
-    if type(max_size) is not int:
-        raise ValueError(f"max_size must be an int, got {max_size!r}")
-    if max_size < 1:
+    if int_arg("max_size", max_size) < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     check_limit("ZINV_SIZE_BOUND", max_size, "max_size")
     out = []

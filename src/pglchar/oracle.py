@@ -1,25 +1,23 @@
-"""Formula-independent ground truth at desk scale.
+"""Formula-independent ground truth at desk scale: closed forms and the oracles' fronts.
 
 Closed-form group orders and q-analog hook-length degrees work for any odd
 prime power q; a degree's factors, prod (q^i - 1) per (q, n) and each block's
 hook factor per (q, m, partition), are memoised for the life of the process.
-The matrix-group computations are restricted to prime q.  Conjugacy classes
-and the stabilizer elements are deliberately dumb: list every element of
-PGL_n and count, so in practice n = 2.  The orbits on forms and the double
-cosets never list PGL: they check their capacity limit here and are built in
-`formorbits` from standard forms, which reaches n = 4.
+The matrix oracles (prime q only) are split by one rule: here each checks its
+input, charges its capacity limit and keeps its memo; every matrix is built
+and multiplied in `formorbits`, which is loaded only after the charge.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import product as iter_product
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dualgroup import QContext, q_context
 from .errors import InvariantViolation, check_limit, even_n, exact_div
 
-if TYPE_CHECKING:  # annotations only: orders loads neither module
+if TYPE_CHECKING:  # annotations only: orders loads none of these modules
+    from .formorbits import Matrix, ProjectiveMatrixGroup
     from .params import MultiPartition
     from .partitions import Partition
 
@@ -42,10 +40,10 @@ class GroupOrders(NamedTuple):
     def to_json_dict(self) -> dict:
         return self._asdict()
 
-    def index_of(self, kind: str) -> int:
-        """The index in PGL of the subgroup of kind pgsp, pgo+ or pgo-."""
-        from .subgroups import NAMES  # loaded on use: orders does not pay for it
-        return dict(zip(NAMES, self[-3:]))[kind]
+    def index_of(self, kind) -> int:
+        """The index in PGL of a Subgroup, or of the subgroup Subgroup.parse reads kind as."""
+        from .subgroups import Subgroup  # loaded on use: orders does not pay for it
+        return dict(zip(Subgroup, self[-3:]))[Subgroup.parse(kind)]
 
 
 def orders(q: int, n: int) -> GroupOrders:
@@ -139,129 +137,24 @@ def _block_degree_factor(q: int, m: int, part: Partition) -> tuple[int, int]:
     return num, den
 
 
-# Matrix oracle (prime q only).
-
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def _mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
-
-
-def _transpose(a: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
-
-
-def _scale(a: Matrix, c: int, p: int) -> Matrix:
-    return tuple(tuple(v * c % p for v in row) for row in a)
-
-
-def _normalize(a: Matrix, p: int) -> Matrix:
-    """Scale so the first nonzero entry in row-major order is 1."""
-    for row in a:
-        for v in row:
-            if v:
-                return _scale(a, pow(v, p - 2, p), p)
-    raise ValueError("zero matrix has no projective normalization")
-
-
-def _det(a: Matrix, p: int) -> int:
-    n = len(a)
-    if n == 1:
-        return a[0][0] % p
-    if n == 2:
-        return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % p
-    total = 0
-    for j in range(n):
-        if a[0][j] == 0:
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
-        total += (-1) ** j * a[0][j] * _det(minor, p)
-    return total % p
-
-
-def _inverse(a: Matrix, p: int) -> Matrix:
-    n = len(a)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], p - 2, p)
-        work[col] = [v * inv % p for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [(v - factor * w) % p for v, w in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-class ProjectiveMatrixGroup:
-    """PGL_n(F_p) as an explicit list of scalar-normalized matrices."""
-
-    def __init__(self, q: int, n: int, elements: tuple[Matrix, ...]):
-        self.q = q
-        self.n = n
-        self.elements = elements
-
-    @cached_property
-    def inverse_of(self) -> dict[Matrix, Matrix]:
-        """Each element's inverse, built on first use."""
-        return {g: _normalize(_inverse(g, self.q), self.q) for g in self.elements}
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def mul(self, a: Matrix, b: Matrix) -> Matrix:
-        return _normalize(_mat_mul(a, b, self.q), self.q)
+# The fronts of the matrix oracles.
 
 
 @lru_cache(maxsize=None)
 def projective_group(q: int, n: int) -> ProjectiveMatrixGroup:
-    """PGL_n(F_q) as the nonsingular matrices whose first nonzero entry is 1.
+    """PGL_n(F_q), listed by formorbits.ProjectiveMatrixGroup.
 
-    Only those (q^(n^2) - 1)/(q - 1) matrices are scanned, one per scalar
-    class, so none needs normalising.  MATRIX_SCAN_BUDGET still charges
-    q^(n^2), the bound on the scan.
+    MATRIX_SCAN_BUDGET charges q^(n^2), the bound on the matrices scanned.
     """
     _require_prime(q)
-    expected = orders(q, n).pgl
+    orders(q, n)  # n and the order bits are refused before the charge
     check_limit("MATRIX_SCAN_BUDGET", q ** (n * n), f"matrices to scan for n={n}, q={q}")
-    size = n * n
-    elements = []
-    for lead in range(size):
-        head = (0,) * lead + (1,)  # the first nonzero entry, in row-major order
-        for tail in iter_product(range(q), repeat=size - lead - 1):
-            flat = head + tail
-            mat = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            if _det(mat, q):
-                elements.append(mat)
-    if len(elements) != expected:
-        raise InvariantViolation(f"found {len(elements)} elements, order formula says {expected}")
-    return ProjectiveMatrixGroup(q, n, tuple(sorted(elements)))
+    from .formorbits import ProjectiveMatrixGroup  # loaded on use: no other command pays for it
+    return ProjectiveMatrixGroup(q, n)
 
 
 def conjugacy_class_count(q: int, n: int) -> int:
-    group = projective_group(q, n)
-    visited: set[Matrix] = set()
-    count = 0
-    for g in group.elements:
-        if g in visited:
-            continue
-        count += 1
-        for x in group.elements:
-            visited.add(group.mul(group.mul(x, g), group.inverse_of[x]))
-    return count
-
-
-# Orbits on forms and double cosets (prime q), built in formorbits without
-# listing PGL.
+    return projective_group(q, n).class_count()
 
 
 class FormOrbit(NamedTuple):
@@ -271,10 +164,6 @@ class FormOrbit(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return self._asdict()
-
-
-def _form_action(group: ProjectiveMatrixGroup, g: Matrix, h: Matrix) -> Matrix:
-    return _normalize(_mat_mul(_mat_mul(g, h, group.q), _transpose(g), group.q), group.q)
 
 
 def _require_prime(q: int) -> None:
@@ -299,7 +188,6 @@ def enumerate_forms(q: int, n: int) -> tuple[FormOrbit, ...]:
         f"forms of the three kinds times generators of GL_n at q={q}, n={n}",
     )
     from .formorbits import form_orbit  # loaded on use: no other command pays for it
-
     orbits = {kind: form_orbit(q, n, kind)[1] for kind in ("pgo+", "pgsp", "pgo-")}
     if not set(orbits["pgo+"]).isdisjoint(orbits["pgo-"]):
         raise InvariantViolation("the pgo+ and pgo- form orbits meet")
@@ -332,15 +220,8 @@ def _form_class_counts(q: int, n: int) -> tuple[int, int]:
 def subgroup_elements(q: int, n: int, kind: str) -> tuple[Matrix, ...]:
     """The stabilizer of the class of the kind's standard form, listed from PGL."""
     from .subgroups import Subgroup  # loaded on use: orders does not pay for it
-    kind = Subgroup.parse(kind).value
-    group = projective_group(q, n)
-    from .formorbits import _primitive_root, _standard_form
-
-    h = _normalize(_standard_form(q, n, kind, _primitive_root(q)), q)
-    elems = tuple(g for g in group.elements if _form_action(group, g, h) == h)
-    if len(elems) * orders(q, n).index_of(kind) != len(group):
-        raise InvariantViolation(f"stabilizer of {kind} has {len(elems)} elements")
-    return elems
+    kind = Subgroup.parse(kind).value  # refused before PGL is listed
+    return projective_group(q, n).form_stabilizer(kind)
 
 
 def double_cosets(q: int, n: int, kind1: str, kind2: str) -> int:
@@ -365,5 +246,4 @@ def double_cosets(q: int, n: int, kind1: str, kind2: str) -> int:
         f"forms of kind {kind1} times generators for {kind2} and scalings at q={q}, n={n}",
     )
     from .formorbits import orbits_on_forms  # loaded on use: no other command pays for it
-
     return orbits_on_forms(q, n, kind1, kind2)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from . import dualgroup
 from .dualgroup import OrbitData, QContext
-from .errors import InvariantViolation, check_limit, even_n
+from .errors import InvariantViolation, check_limit, even_n, int_arg
 from .partitions import Partition, partitions_of
 
 if TYPE_CHECKING:  # annotations only: fractions is imported where a Fraction is built
@@ -382,6 +382,7 @@ def random_labels(ctx: QContext, n: int, count: int, *, seed=None) -> list[Multi
     Useful where full enumeration is out of the desk-scale envelope.
     """
     even_n(n)
+    int_arg("count", count)
     rng = random.Random(seed)
     out: list[MultiPartition] = []
     while len(out) < count:

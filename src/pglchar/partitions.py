@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache, wraps
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
-from .errors import check_limit, parse_int
+from .errors import check_limit, int_arg, parse_int
 
 
 class LengthStats(NamedTuple):
@@ -139,7 +139,7 @@ def _partitions_of(m: int, cap: int) -> tuple[Partition, ...]:
 
 def partitions_of(m: int) -> tuple[Partition, ...]:
     """All partitions of m, in reverse-lexicographic order: (m) first, (1^m) last."""
-    if m < 0:
+    if int_arg("m", m) < 0:
         raise ValueError("m must be nonnegative")
     check_limit("PARTITIONS_OF_BOUND", m, "partitions_of m")
     return _partitions_of(m, m if m else 1)

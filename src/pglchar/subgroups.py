@@ -24,10 +24,13 @@ class Subgroup(Enum):
         return None
 
     @classmethod
-    def parse(cls, text: str) -> "Subgroup":
+    def parse(cls, text) -> "Subgroup":
+        """A member unchanged, or the member a name reads as, stripped and lower-cased."""
+        if isinstance(text, cls):
+            return text
         try:
             return cls(text.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise ValueError(f"unknown subgroup {text!r}; {EXPECTED}") from None
 
 

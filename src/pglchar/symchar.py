@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import check_limit
+from .errors import check_limit, int_arg
 from .partitions import Partition, memo_per_partition, partitions_of
 
 
@@ -61,7 +61,7 @@ def _chi(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 def character_table(m: int) -> list[list[int]]:
     """Full table for S_m: rows rho, columns mu, both in partitions_of(m) order."""
-    if m < 0:
+    if int_arg("m", m) < 0:
         raise ValueError("m must be nonnegative")
     check_limit("CHARACTER_TABLE_BOUND", m, "character_table m")
     parts = partitions_of(m)

@@ -758,6 +758,37 @@ OPTIONS = {
 }
 
 
+def test_mains_in_one_process_each_answer_as_a_fresh_process(capsys, monkeypatch):
+    # The parser is built once per process; answers, argparse errors and help do not share state.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from pglchar.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    runs = [
+        ["orders", "--q", "3", "--n", "2", "--format", "json"],
+        ["dcosets", "--q", "3", "--n", "2", "--h1", "pgsp", "--h2", "pgo+"],
+        ["forms", "--q", "3", "--n", "3"],
+        ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgo-", "--include-zeros"],
+        ["orders", "--q", "3"],
+        ["dcosets", "--help"],
+        ["orders", "--q", "3", "--n", "2"],
+    ]
+    for argv in runs:
+        fresh = subprocess.run([sys.executable, "-m", "pglchar.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser() is build_parser()
+
+
 def test_every_command_keeps_its_options():
     import argparse
 

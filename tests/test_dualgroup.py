@@ -11,6 +11,7 @@ from pglchar.dualgroup import (
     OrbitData,
     as_dual,
     canonical_rep,
+    check_orbit_budget,
     orbit_data,
     orbits_up_to,
     parse_fraction,
@@ -299,6 +300,18 @@ def test_orbits_up_to_residue_is_checked():
     # The budget prices every level in full, with or without the filter.
     with pytest.raises(CapacityError):
         orbits_up_to(Q9, 7, residue=0)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2"])
+def test_orbits_up_to_takes_n_only_as_an_int(n):
+    with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+        orbits_up_to(Q3, n)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2", 0, -1])
+def test_check_orbit_budget_takes_n_only_as_an_int_from_1(n):
+    with pytest.raises(ValueError, match=f"^n must be (an int|>= 1), got {re.escape(repr(n))}$"):
+        check_orbit_budget(Q3, n)
 
 
 def test_canonical_rep_and_orbit_data_match_fraction_reference():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from pglchar.formulas import (
 )
 from pglchar.params import MultiPartition, enumerate_labels, make_label
 from pglchar.partitions import Partition, partitions_of
+from pglchar.subgroups import EXPECTED
 
 from test_dualgroup import orbit, tilde_d
 
@@ -42,6 +44,54 @@ def test_subgroup_parse():
     assert Subgroup.PGSP.eps is None
     with pytest.raises(ValueError):
         Subgroup.parse("so3")
+
+
+# Not a subgroup: each is a ValueError that lists the three names.
+NOT_SUBGROUPS = ["so3", 5, None, ("pgsp",)]
+
+
+def _each_refused(call):
+    for value in NOT_SUBGROUPS:
+        with pytest.raises(ValueError, match=re.escape(f"unknown subgroup {value!r}; {EXPECTED}")):
+            call(value)
+
+
+def test_subgroup_parse_returns_a_member_unchanged_and_refuses_the_rest():
+    for member in Subgroup:
+        assert Subgroup.parse(member) is member
+    _each_refused(Subgroup.parse)
+
+
+def test_decompose_reads_its_subgroup_once_through_subgroup_parse(monkeypatch):
+    for member in Subgroup:
+        expected = decompose(Q3, 4, member, with_degrees=True)
+        assert decompose(Q3, 4, f" {member.value.upper()} ", with_degrees=True) == expected
+        assert decompose(Q3, 4, member.value, with_degrees=True).subgroup is member
+    _each_refused(lambda value: decompose(Q3, 2, value))
+    calls = []
+    real = Subgroup.parse.__func__
+    monkeypatch.setattr(Subgroup, "parse", classmethod(lambda cls, v: calls.append(v) or real(cls, v)))
+    assert len(decompose(Q3, 4, "pgo+", include_zeros=True).rows) > 1
+    assert calls == ["pgo+"]  # once per call, never per label
+
+
+def test_mult_irr_reads_its_subgroup_through_subgroup_parse():
+    labels = enumerate_labels(Q3, 2)
+    for rho in labels:
+        for member in Subgroup:
+            expected = mult_irr(rho, member)
+            assert mult_irr(rho, member.value) == mult_irr(rho, member.value.upper()) == expected
+    _each_refused(lambda value: mult_irr(labels[0], value))
+
+
+def test_mult_basic_via_transition_reads_its_subgroup_through_subgroup_parse():
+    labels = enumerate_labels(Q3, 2)
+    for nu in labels:
+        for member in Subgroup:
+            expected = mult_basic_via_transition(nu, member)
+            assert mult_basic_via_transition(nu, member.value) == expected
+            assert mult_basic_via_transition(nu, member.value.upper()) == expected
+    _each_refused(lambda value: mult_basic_via_transition(labels[0], value))
 
 
 def test_mult_pgsp_irr_examples():

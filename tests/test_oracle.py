@@ -139,9 +139,9 @@ def _ref_projective_elements(q, n):
     seen = set()
     for flat in itertools.product(range(q), repeat=n * n):
         mat = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        if oracle._det(mat, q) == 0:
+        if formorbits._det(mat, q) == 0:
             continue
-        seen.add(oracle._normalize(mat, q))
+        seen.add(formorbits._normalize(mat, q))
     return tuple(sorted(seen))
 
 
@@ -164,7 +164,7 @@ def test_matrix_scan_budget_refuses_the_first_large_group_before_scanning(monkey
     def refuse(a, p):
         raise AssertionError("projective_group scanned a matrix")
 
-    monkeypatch.setattr(oracle, "_det", refuse)
+    monkeypatch.setattr(formorbits, "_det", refuse)
     # |PGL_2(101)| = 1,030,200: the smallest prime q whose group passes a
     # million elements is refused on the scan bound, 101^4 > 5,000,000.
     assert orders(101, 2).pgl == 1_030_200
@@ -177,7 +177,6 @@ def test_forms_never_invert(monkeypatch):
         raise AssertionError("enumerate_forms inverted a matrix")
 
     expected = enumerate_forms(5, 2)
-    monkeypatch.setattr(oracle, "_inverse", refuse)
     monkeypatch.setattr(formorbits, "_inverse", refuse)
     assert enumerate_forms(5, 2) == expected
 
@@ -266,6 +265,16 @@ def test_the_kind_messages_list_the_subgroup_names_in_order():
     assert str(exc.value) == "unknown subgroup 'so3'; expected pgsp, pgo+ or pgo-"
 
 
+def test_index_of_reads_its_kind_through_subgroup_parse():
+    data = orders(3, 2)
+    for member, index in zip(Subgroup, (1, 6, 3)):
+        assert data.index_of(member) == data.index_of(member.value) == index
+        assert data.index_of(f" {member.value.upper()} ") == index
+    for value in ("so3", 5, None):
+        with pytest.raises(ValueError, match=r"; expected pgsp, pgo\+ or pgo-$"):
+            data.index_of(value)
+
+
 def test_a_kind_is_read_as_subgroup_parse_reads_it():
     assert double_cosets(3, 2, "PGSP", "pgsp") == double_cosets(3, 2, "pgsp", "pgsp")
     assert double_cosets(3, 2, " pgo+ ", "PGO-") == double_cosets(3, 2, "pgo+", "pgo-")
@@ -285,8 +294,8 @@ def _ref_form_classes(q, n):
                 mat[i][j] = mat[j][i] = flat[pos]
                 pos += 1
         mat = tuple(tuple(row) for row in mat)
-        if oracle._det(mat, q):
-            classes.add(oracle._normalize(mat, q))
+        if formorbits._det(mat, q):
+            classes.add(formorbits._normalize(mat, q))
     # Skew-symmetric: zero diagonal, negated lower triangle.
     for flat in itertools.product(range(q), repeat=n * (n - 1) // 2):
         mat = [[0] * n for _ in range(n)]
@@ -297,8 +306,8 @@ def _ref_form_classes(q, n):
                 mat[j][i] = (-flat[pos]) % q
                 pos += 1
         mat = tuple(tuple(row) for row in mat)
-        if oracle._det(mat, q):
-            classes.add(oracle._normalize(mat, q))
+        if formorbits._det(mat, q):
+            classes.add(formorbits._normalize(mat, q))
     return sorted(classes)
 
 
@@ -317,13 +326,13 @@ def _ref_enumerate_forms(q, n):
         orbit = set()
         stab = 0
         for g in group.elements:
-            image = oracle._form_action(group, g, seed)
+            image = formorbits._normalize(formorbits._form_action(g, seed, q), q)
             orbit.add(image)
             stab += image == seed
         assert orbit <= remaining
         remaining -= orbit
         assert stab * len(orbit) == len(group)
-        if oracle._transpose(seed) == oracle._scale(seed, q - 1, q):
+        if formorbits._transpose(seed) == formorbits._scale(seed, q - 1, q):
             kind = "pgsp"
         else:
             kind = {ords.index_pgo_plus: "pgo+", ords.index_pgo_minus: "pgo-"}[len(orbit)]
@@ -349,8 +358,8 @@ def test_forms_n4_cover_every_listed_class():
     sym_space, plus = formorbits.form_orbit(3, 4, "pgo+")
     skew_space, skew = formorbits.form_orbit(3, 4, "pgsp")
     minus = formorbits.form_orbit(3, 4, "pgo-")[1]
-    listed_skew = [m for m in listed if m != oracle._transpose(m)]
-    listed_sym = [m for m in listed if m == oracle._transpose(m)]
+    listed_skew = [m for m in listed if m != formorbits._transpose(m)]
+    listed_sym = [m for m in listed if m == formorbits._transpose(m)]
     assert (len(listed_sym), len(listed_skew)) == (18954, 234)
     assert {sym_space.normal(sym_space.key(m)) for m in listed_sym} == set(plus) | set(minus)
     assert {skew_space.normal(skew_space.key(m)) for m in listed_skew} == set(skew)
@@ -361,6 +370,7 @@ def test_forms_never_list_pgl(monkeypatch):
         raise AssertionError("enumerate_forms listed PGL")
 
     monkeypatch.setattr(oracle, "projective_group", refuse)
+    monkeypatch.setattr(formorbits, "ProjectiveMatrixGroup", refuse)
     sizes = [o.size for o in enumerate_forms(19, 2)]
     assert sizes == [190, 1, 171]
 
@@ -544,6 +554,7 @@ def test_double_cosets_never_list_pgl(monkeypatch):
         raise AssertionError("double_cosets listed PGL")
 
     monkeypatch.setattr(oracle, "projective_group", refuse)
+    monkeypatch.setattr(formorbits, "ProjectiveMatrixGroup", refuse)
     assert double_cosets(11, 2, "pgsp", "pgo+") == 1
     assert double_cosets(3, 2, "pgo+", "pgo+") == 3
 

@@ -362,6 +362,12 @@ def test_make_label_reads_reduced_pairs_and_refuses_others():
             make_label(Q5, 2, {bad: [2]})
 
 
+@pytest.mark.parametrize("count", [2.5, True, "2"])
+def test_random_labels_takes_count_only_as_an_int(count):
+    with pytest.raises(ValueError, match=f"^count must be an int, got {re.escape(repr(count))}$"):
+        random_labels(q_context(3), 2, count, seed=1)
+
+
 def test_make_label_refuses_a_pair_key_that_is_not_two_ints():
     assert make_label(Q3, 2, {(1, 2): [1, 1]}).text() == "1/2:[1,1]"
     # Unchecked, a bool became the numerator and the others failed in the orbit walk.

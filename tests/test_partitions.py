@@ -35,6 +35,12 @@ def test_validation():
             Partition(parts)
 
 
+@pytest.mark.parametrize("m", [2.5, True, "2"])
+def test_partitions_of_takes_m_only_as_an_int(m):
+    with pytest.raises(ValueError, match=f"^m must be an int, got {re.escape(repr(m))}$"):
+        partitions_of(m)
+
+
 def test_transpose_examples():
     assert Partition([2, 2]).transpose() == Partition([2, 2])
     assert Partition([3, 1]).transpose() == Partition([2, 1, 1])

@@ -92,6 +92,21 @@ def test_a_refusal_on_the_arguments_loads_no_work(argv, code):
     assert loaded_modules(*argv, code=code) & (NEVER | UNLOADED) == set()
 
 
+# (argv, exit code) refused on the FORM_ACTION_BUDGET charge that oracle makes
+# before it loads formorbits, where the matrix work is.
+CHARGED = [
+    (["dcosets", "--q", "5", "--n", "4", "--h1", "pgo+", "--h2", "pgo+"], 3),
+    (["forms", "--q", "5", "--n", "4"], 3),
+]
+
+
+@pytest.mark.parametrize("argv,code", CHARGED, ids=[" ".join(argv) for argv, _ in CHARGED])
+def test_a_refusal_on_the_oracle_charge_loads_no_formorbits(argv, code):
+    modules = loaded_modules(*argv, code=code)
+    assert "pglchar.oracle" in modules
+    assert modules & (NEVER | {"pglchar.formorbits"}) == set()
+
+
 def test_importing_the_package_loads_no_module_of_it():
     code = "import sys, pglchar; print(' '.join(sorted(sys.modules)))"
     result = subprocess.run(

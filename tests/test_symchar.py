@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,12 @@ def test_character_table_layout():
 def test_character_table_capacity():
     with pytest.raises(CapacityError):
         character_table(15)
+
+
+@pytest.mark.parametrize("m", [2.5, True, "2"])
+def test_character_table_takes_m_only_as_an_int(m):
+    with pytest.raises(ValueError, match=f"^m must be an int, got {re.escape(repr(m))}$"):
+        character_table(m)
 
 
 def test_clear_memo_then_rebuild_is_unchanged():
