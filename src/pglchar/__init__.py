@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("dualgroup", ("QContext", "q_context")),
-        ("errors", ("CapacityError", "InvariantViolation")),
+        ("errors", ("CapacityError", "InvariantViolation", "QContext", "q_context")),
         ("formulas", ("DecompositionReport", "decompose")),
         ("params", ("MultiPartition", "make_label", "parse_label")),
         ("partitions", ("Partition", "partitions_of")),

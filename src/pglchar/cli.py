@@ -8,7 +8,7 @@ signals a bug and must be loud), 141 stdout closed before all was written.
 Each cmd_* function imports the modules it runs, so a process loads only
 those; their functions are looked up on the modules at call time.  A
 refusal that needs only the arguments comes before that import, in the
-order the work would have raised it.
+order the work would have raised it; every rule it reads is in errors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import argparse
 import sys
 from functools import cache
 
-from .errors import CapacityError, InvariantViolation, check_limit, even_n, parse_int
+from .errors import CapacityError, InvariantViolation, check_limit, check_orbit_budget, even_n
+from .errors import parse_int, q_context
 
 
 def _emit(fmt: str, payload: dict, headers: list[str], rows, footers=(), line=None) -> None:
@@ -68,7 +69,6 @@ def _emit_csv(headers: list[str], rows, footers=()) -> None:
 
 
 def cmd_decompose(args) -> int:
-    from .dualgroup import check_orbit_budget, q_context
     from .subgroups import Subgroup
     ctx = q_context(args.q)
     subgroup = Subgroup.parse(args.subgroup)
@@ -135,7 +135,6 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_cross_check(args) -> int:
-    from .dualgroup import check_orbit_budget, q_context
     ctx = q_context(args.q)
     if args.tier == "fast":
         check_limit("FAST_TIER_N_BOUND", args.n, "n at --tier fast (use --tier slow)")

@@ -15,53 +15,19 @@ a norm-compatible system of generators (g_e = g_{e'}^((q^e'-1)/(q^e-1))
 for e | e'), so no finite field is ever constructed.  The only field
 elements the formulas pair with are -1, a fixed non-square beta and its
 square root; their exponents are forced to (q-1)/2 at level 1 and (q+1)/2
-at level 2.
+at level 2.  QContext and check_orbit_budget read only arguments, so live in errors.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import LIMITS, InvariantViolation, check_limit, int_arg, parse_int
+from .errors import QContext, check_orbit_budget, q_context  # defined in errors, read here too
 
 if TYPE_CHECKING:  # annotations only: fractions is imported where a Fraction is built
     from fractions import Fraction
-
-
-class _QFields(NamedTuple):
-    q: int
-    p: int
-    k: int
-
-
-class QContext(_QFields):
-    """An odd prime power q = p^k with q >= 3; p and k are found from q."""
-
-    __slots__ = ()
-
-    def __new__(cls, q: int):
-        if not isinstance(q, int) or q < 3 or q % 2 == 0:
-            raise ValueError(f"q must be an odd prime power >= 3, got {q!r}")
-        check_limit("Q_BOUND", q, "q")
-        # The least divisor d > 1 of q is its prime p.
-        p = next((d for d in range(3, isqrt(q) + 1, 2) if q % d == 0), q)
-        k = 0
-        rest = q
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        if rest != 1:
-            raise ValueError(f"q = {q} is not a prime power")
-        return super().__new__(cls, q, p, k)
-
-    def __getnewargs__(self) -> tuple[int]:  # pickle and copy rebuild from q alone
-        return (self.q,)
-
-
-def q_context(q: int) -> QContext:
-    """The context for q; a q that is not an int is refused, not truncated."""
-    return QContext(q)
 
 
 class OrbitData(NamedTuple):
@@ -176,24 +142,6 @@ def pair_orbit_data(
 def canonical_rep(ctx: QContext, x) -> Fraction:
     """Frozen orbit representative: minimal (denominator, numerator) in the orbit."""
     return orbit_data(ctx, x).rep
-
-
-def check_orbit_budget(ctx: QContext, n: int) -> None:
-    """Refuse, with ORBIT_ELEMENT_BUDGET, an n >= 1 whose orbits_up_to lists too much.
-
-    The estimate is q + q^2 + ... + q^n, the elements of the levels e <= n.
-    It reads only q and n, so a command can refuse before it loads the work.
-    """
-    if int_arg("n", n) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    # Stop summing once the budget is passed: q^e for large e is a huge int.
-    estimate = 0
-    for e in range(1, n + 1):
-        estimate += ctx.q**e
-        if estimate > LIMITS["ORBIT_ELEMENT_BUDGET"]:
-            break
-    what = f"dual elements to list at q={ctx.q}, n={n}, levels e <= {e}"
-    check_limit("ORBIT_ELEMENT_BUDGET", estimate, what)
 
 
 def orbits_up_to(ctx: QContext, n: int, *, residue: Optional[int] = None) -> list[OrbitData]:

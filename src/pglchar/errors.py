@@ -12,14 +12,18 @@ exact_div.  by_sign finishes every route's orthogonal multiplicity,
 LIMITS is the one table of capacity limits.  Each is checked through
 check_limit() before the work it guards starts, and, where only q and n are
 needed, before the work's modules load: the CLI makes those checks (the
-ORBIT_ELEMENT_BUDGET estimate of dualgroup.check_orbit_budget,
-ZINV_SIZE_BOUND) before it imports them.  The label search checks
-LABEL_BUDGET once, against the exact label count, before it starts; keeping
-a label past that count is an InvariantViolation, raised before it is emitted.
+ORBIT_ELEMENT_BUDGET estimate of check_orbit_budget, ZINV_SIZE_BOUND) before
+it imports them.  The label search checks LABEL_BUDGET once, against the
+exact label count, before it starts; keeping a label past that count is an
+InvariantViolation, raised before it is emitted.
 
-The shared argument rules: even_n (n is an even int >= 2), sign_index (eps = +-1),
-int_arg (an int argument has type(x) is int: no bool), parse_int (a number written as text).
+The argument rules, here so an argument-only refusal loads no other module:
+q_context (q is an odd prime power int >= 3), even_n (n is an even int >= 2), sign_index
+(eps = +-1), int_arg (type(x) is int: no bool), parse_int (a number written as text).
 """
+
+from math import isqrt
+from typing import NamedTuple
 
 LIMITS = {
     # q, checked before q_context factors it by trial division up to sqrt(q)
@@ -119,6 +123,59 @@ def even_n(n) -> int:
     if type(n) is not int or n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     return n
+
+
+class _QFields(NamedTuple):
+    q: int
+    p: int
+    k: int
+
+
+class QContext(_QFields):
+    """An odd prime power q = p^k with q >= 3; p and k are found from q."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int):
+        if type(q) is not int or q < 3 or q % 2 == 0:
+            raise ValueError(f"q must be an odd prime power >= 3, got {q!r}")
+        check_limit("Q_BOUND", q, "q")
+        # The least divisor d > 1 of q is its prime p.
+        p = next((d for d in range(3, isqrt(q) + 1, 2) if q % d == 0), q)
+        k = 0
+        rest = q
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if rest != 1:
+            raise ValueError(f"q = {q} is not a prime power")
+        return super().__new__(cls, q, p, k)
+
+    def __getnewargs__(self) -> tuple[int]:  # pickle and copy rebuild from q alone
+        return (self.q,)
+
+
+def q_context(q: int) -> QContext:
+    """The context for q; a q that is not an int (an int subclass included) is refused."""
+    return QContext(q)
+
+
+def check_orbit_budget(ctx: QContext, n: int) -> None:
+    """Refuse, with ORBIT_ELEMENT_BUDGET, an n >= 1 whose dualgroup.orbits_up_to lists too much.
+
+    The estimate is q + q^2 + ... + q^n, the elements of the levels e <= n.
+    It reads only q and n, so a command can refuse before it loads the work.
+    """
+    if int_arg("n", n) < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    # Stop summing once the budget is passed: q^e for large e is a huge int.
+    estimate = 0
+    for e in range(1, n + 1):
+        estimate += ctx.q**e
+        if estimate > LIMITS["ORBIT_ELEMENT_BUDGET"]:
+            break
+    what = f"dual elements to list at q={ctx.q}, n={n}, levels e <= {e}"
+    check_limit("ORBIT_ELEMENT_BUDGET", estimate, what)
 
 
 def parse_int(text: str) -> int:

@@ -18,8 +18,7 @@ from math import prod
 from typing import Iterable, NamedTuple, Optional
 
 from . import params, symchar
-from .dualgroup import QContext, q_context
-from .errors import InvariantViolation, by_sign, exact_div, sign_index
+from .errors import InvariantViolation, QContext, by_sign, exact_div, q_context, sign_index
 from .params import LabelShape, MultiPartition, make_label, require_descends
 from .partitions import Partition, partitions_of
 from .subgroups import Subgroup  # formulas.Subgroup stays a name of the API

@@ -10,9 +10,9 @@ even length only), or swapped with another cycle of the same length
 Route 3, threeterm_values, is the enumeration alone: it sums the three
 terms of a label's double-coset count over its tuples of such involutions,
 one per block, and reads no closed form; errors.by_sign turns the three
-sums into the values for both signs.  check_identities walks Z_inv(nu) once
-per nu and compares four sums over it with the character sums of symchar;
-those identities are what make route 2's closed forms equal to this count.
+sums into the values for both signs, and loads params only to refuse a label.
+check_identities walks Z_inv(nu) once per nu and compares four sums over it
+with symchar's character sums; they make route 2's closed forms equal this count.
 
 Z_inv(nu) is listed straight from the centralizer of w_nu, cycle by cycle
 (_zinv), so no permutation of S_|nu| is ever built; the tests compare it,
@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import symchar
 from .errors import InvariantViolation, by_sign, check_limit, int_arg, sign_index
-from .params import LabelShape, MultiPartition, require_descends
 from .partitions import Partition, partitions_of
+
+if TYPE_CHECKING:  # annotations only: check_identities loads no label code
+    from .params import LabelShape, MultiPartition
 
 
 class _InvolutionFields(NamedTuple):
@@ -219,7 +221,9 @@ def threeterm_values(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
     Returns (eps = +1, eps = -1).  shape is mp.shape(), which the caller may
     share with the other routes.
     """
-    require_descends(mp, shape)
+    if shape.pi:  # only a label that does not descend loads params, to refuse it
+        from .params import require_descends
+        require_descends(mp, shape)
     entries = mp.entries
     data = [d for d, _ in entries]
     # X: the tuples with no odd type-1 cycle on a block with d = -1.  Each

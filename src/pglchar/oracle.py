@@ -13,8 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dualgroup import QContext, q_context
-from .errors import InvariantViolation, check_limit, even_n, exact_div
+from .errors import InvariantViolation, QContext, check_limit, even_n, exact_div, q_context
 
 if TYPE_CHECKING:  # annotations only: orders loads none of these modules
     from .formorbits import Matrix, ProjectiveMatrixGroup
@@ -69,16 +68,7 @@ def orders(q: int, n: int) -> GroupOrders:
     o_minus = base * (q**m + 1)
     pgl = exact_div(gl, q - 1, "|PGL| = {value}")
     return GroupOrders(
-        q,
-        n,
-        gl,
-        sp,
-        o_plus,
-        o_minus,
-        pgl,
-        sp,
-        o_plus,
-        o_minus,
+        q, n, gl, sp, o_plus, o_minus, pgl, sp, o_plus, o_minus,
         exact_div(pgl, sp, "index_pgsp = {value}"),
         exact_div(pgl, o_plus, "index_pgo_plus = {value}"),
         exact_div(pgl, o_minus, "index_pgo_minus = {value}"),
@@ -216,11 +206,14 @@ def _form_class_counts(q: int, n: int) -> tuple[int, int]:
     )
 
 
-@lru_cache(maxsize=None)
 def subgroup_elements(q: int, n: int, kind: str) -> tuple[Matrix, ...]:
     """The stabilizer of the class of the kind's standard form, listed from PGL."""
     from .subgroups import Subgroup  # loaded on use: orders does not pay for it
-    kind = Subgroup.parse(kind).value  # refused before PGL is listed
+    return _form_stabilizer(q, n, Subgroup.parse(kind).value)  # one memo entry per subgroup
+
+
+@lru_cache(maxsize=None)
+def _form_stabilizer(q: int, n: int, kind: str) -> tuple[Matrix, ...]:
     return projective_group(q, n).form_stabilizer(kind)
 
 

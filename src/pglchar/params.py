@@ -16,8 +16,8 @@ from math import comb, gcd
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from . import dualgroup
-from .dualgroup import OrbitData, QContext
-from .errors import InvariantViolation, check_limit, even_n, int_arg
+from .dualgroup import OrbitData
+from .errors import InvariantViolation, QContext, check_limit, even_n, int_arg
 from .partitions import Partition, partitions_of
 
 if TYPE_CHECKING:  # annotations only: fractions is imported where a Fraction is built

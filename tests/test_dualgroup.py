@@ -1,12 +1,13 @@
 import random
 import re
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pglchar import dualgroup
+from pglchar import dualgroup, errors
 from pglchar.dualgroup import (
     OrbitData,
     as_dual,
@@ -87,16 +88,27 @@ def test_q_context_validation():
             q_context(bad)
 
 
-@pytest.mark.parametrize("bad", [3.7, 5.9, 9.0, "9"])
+class Q(IntEnum):
+    FIVE = 5
+
+
+@pytest.mark.parametrize("bad", [3.7, 5.9, 9.0, "9", Q.FIVE])
 def test_q_context_refuses_a_non_integer(bad):
-    with pytest.raises(ValueError):
+    # An int subclass is refused as a bool is, not kept as the context's q.
+    message = f"q must be an odd prime power >= 3, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         q_context(bad)
+
+
+def test_the_q_rule_and_the_orbit_estimate_live_in_errors():
+    for name in ("QContext", "q_context", "check_orbit_budget"):
+        assert getattr(dualgroup, name) is getattr(errors, name)
 
 
 def test_q_context_factors_q_once(monkeypatch):
     calls = []
-    real = dualgroup.isqrt
-    monkeypatch.setattr(dualgroup, "isqrt", lambda x: calls.append(x) or real(x))
+    real = errors.isqrt
+    monkeypatch.setattr(errors, "isqrt", lambda x: calls.append(x) or real(x))
     for q, p, k in ((1_099_511_627_689, 1_099_511_627_689, 1), (3**5, 3, 5)):
         # 1_099_511_627_689 is the largest prime below Q_BOUND.
         ctx = q_context(q)

@@ -281,6 +281,21 @@ def test_a_kind_is_read_as_subgroup_parse_reads_it():
     assert subgroup_elements(3, 2, " PGO+ ") == subgroup_elements(3, 2, "pgo+")
 
 
+def test_subgroup_elements_filters_pgl_once_for_every_spelling(monkeypatch):
+    calls = []
+    real = formorbits.ProjectiveMatrixGroup.form_stabilizer
+    monkeypatch.setattr(
+        formorbits.ProjectiveMatrixGroup,
+        "form_stabilizer",
+        lambda group, kind: calls.append(kind) or real(group, kind),
+    )
+    oracle._form_stabilizer.cache_clear()  # the memo is read after Subgroup.parse
+    first = subgroup_elements(5, 2, "pgo+")
+    for spelling in (" PGO+ ", "Pgo+", Subgroup.PGO_PLUS):
+        assert subgroup_elements(5, 2, spelling) is first
+    assert calls == ["pgo+"]
+
+
 def _ref_form_classes(q, n):
     """Every nondegenerate symmetric and skew form, listed and normalised."""
     sym_slots = n * (n + 1) // 2
@@ -444,9 +459,43 @@ def test_forms_check_the_closed_counts(monkeypatch):
 KINDS = {"pgsp": Subgroup.PGSP, "pgo+": Subgroup.PGO_PLUS, "pgo-": Subgroup.PGO_MINUS}
 
 
+def _pgl2_mul(q):
+    """The product of PGL_2(F_q) in closed form, scaled so the first nonzero entry is 1.
+
+    A product of nonsingular matrices has a nonzero first row, which holds
+    that entry; the scaling reads a table of inverses mod q.
+    """
+    inverse = [0] + [pow(x, -1, q) for x in range(1, q)]
+
+    def mul(a, b):
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        c00 = (a00 * b00 + a01 * b10) % q
+        c01 = (a00 * b01 + a01 * b11) % q
+        s = inverse[c00 or c01]
+        return (
+            (c00 * s % q, c01 * s % q),
+            ((a10 * b00 + a11 * b10) * s % q, (a10 * b01 + a11 * b11) * s % q),
+        )
+
+    return mul
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_the_closed_form_product_is_the_group_product(q):
+    group = projective_group(q, 2)
+    mul = _pgl2_mul(q)
+    for a in group.elements:
+        for b in group.elements:
+            assert mul(a, b) == group.mul(a, b), (a, b)
+
+
 def _ref_double_cosets(q, n, kind1, kind2):
-    """#(H1 \\ PGL / H2) by brute force: a search over every element of PGL."""
+    """#(H1 \\ PGL_2 / H2) by brute force: a search over every element of PGL_2."""
+    if n != 2:
+        raise ValueError(f"the brute-force double-coset count is for n = 2 only, got {n}")
     group = projective_group(q, n)
+    mul = _pgl2_mul(q)
     h1 = subgroup_elements(q, n, kind1)
     h2 = subgroup_elements(q, n, kind2)
     visited = set()
@@ -460,16 +509,21 @@ def _ref_double_cosets(q, n, kind1, kind2):
         while frontier:
             x = frontier.pop()
             for h in h1:
-                y = group.mul(h, x)
+                y = mul(h, x)
                 if y not in visited:
                     visited.add(y)
                     frontier.append(y)
             for h in h2:
-                y = group.mul(x, h)
+                y = mul(x, h)
                 if y not in visited:
                     visited.add(y)
                     frontier.append(y)
     return count
+
+
+def test_the_brute_force_double_cosets_refuse_n_past_2():
+    with pytest.raises(ValueError, match="for n = 2 only, got 4"):
+        _ref_double_cosets(3, 4, "pgsp", "pgsp")
 
 
 def _pair_sums(q, n):

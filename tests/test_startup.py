@@ -1,6 +1,8 @@
 """Each CLI command loads only the modules it runs, and never dataclasses or inspect.
 
 A refusal that needs only the arguments loads none of the work's modules.
+The q rule and the orbit estimate are in errors, so no command that lists no
+orbit loads pglchar.dualgroup, and verify-identities loads no label code.
 
 Every command runs as ``python -m pglchar.cli`` does, in a fresh interpreter
 started with -S (so no site-packages hook loads anything), and reports the
@@ -43,12 +45,13 @@ def loaded_modules(*argv: str, code: int = 0) -> set[str]:
 NEVER = {"dataclasses", "inspect"}
 WORK = {f"pglchar.{name}" for name in ("formulas", "symchar", "involutions", "formorbits")}
 FRACTIONS = {"fractions", "decimal"}
+DUAL = "pglchar.dualgroup"
 
 # (argv, modules it must not load)
 CASES = [
     (
         ["orders", "--q", "3", "--n", "2"],
-        WORK | FRACTIONS | {"pglchar.params", "pglchar.partitions", "pglchar.subgroups"},
+        WORK | FRACTIONS | {"pglchar.params", "pglchar.partitions", "pglchar.subgroups", DUAL},
     ),
     (
         ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--format", "json"],
@@ -62,9 +65,16 @@ CASES = [
         ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--no-degrees"],
         {"pglchar.oracle", "pglchar.involutions", "pglchar.formorbits"},
     ),
-    (["verify-identities", "--max-size", "2"], {"pglchar.formulas", "pglchar.formorbits"}),
+    (
+        ["verify-identities", "--max-size", "2"],
+        {"pglchar.formulas", "pglchar.formorbits", "pglchar.params", DUAL},
+    ),
     (["cross-check", "--q", "3", "--n", "2"], {"pglchar.formorbits", "pglchar.oracle"}),
-    (["forms", "--q", "3", "--n", "2"], {"pglchar.formulas", "pglchar.involutions"}),
+    (["forms", "--q", "3", "--n", "2"], {"pglchar.formulas", "pglchar.involutions", DUAL}),
+    (
+        ["dcosets", "--q", "3", "--n", "2", "--h1", "pgsp", "--h2", "pgo+"],
+        {"pglchar.formulas", "pglchar.involutions", "pglchar.params", DUAL},
+    ),
 ]
 
 
@@ -80,11 +90,13 @@ def test_a_command_loads_only_what_it_runs(argv, absent):
 # ZINV_SIZE_BOUND, and a size below 1.
 REFUSED = [
     (["decompose", "--q", "5", "--n", "10", "--subgroup", "pgsp"], 3),
+    (["decompose", "--q", "9", "--n", "8", "--subgroup", "pgsp"], 3),
+    (["decompose", "--q", "27", "--n", "6", "--subgroup", "pgo-"], 3),
     (["cross-check", "--q", "3", "--n", "10", "--tier", "slow"], 3),
     (["verify-identities", "--max-size", "10"], 3),
     (["verify-identities", "--max-size", "0"], 2),
 ]
-UNLOADED = WORK | {f"pglchar.{name}" for name in ("params", "partitions", "oracle")}
+UNLOADED = WORK | {f"pglchar.{name}" for name in ("params", "partitions", "oracle", "dualgroup")}
 
 
 @pytest.mark.parametrize("argv,code", REFUSED, ids=[" ".join(argv) for argv, _ in REFUSED])
@@ -104,7 +116,7 @@ CHARGED = [
 def test_a_refusal_on_the_oracle_charge_loads_no_formorbits(argv, code):
     modules = loaded_modules(*argv, code=code)
     assert "pglchar.oracle" in modules
-    assert modules & (NEVER | {"pglchar.formorbits"}) == set()
+    assert modules & (NEVER | {"pglchar.formorbits", DUAL}) == set()
 
 
 def test_importing_the_package_loads_no_module_of_it():
