@@ -149,10 +149,10 @@ def cmd_cross_check(args) -> int:
     subgroups = tuple(formulas.Subgroup)
     found = [[] for _ in subgroups]
 
-    def check(label, shape) -> None:  # the search's shape serves the three routes
-        transition = formulas.mults_via_transition(label, shape)
-        closed = formulas.basic_mults(label, shape)
-        involution = (None, *involutions.threeterm_values(label, shape))
+    def check(label) -> None:  # the label's one shape serves the three routes
+        transition = formulas.mults_via_transition(label)
+        closed = formulas.basic_mults(label)
+        involution = (None, *involutions.threeterm_values(label))
         if transition == closed and transition[1:] == involution[1:]:
             return
         for i, subgroup in enumerate(subgroups):

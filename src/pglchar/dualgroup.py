@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
-from .errors import LIMITS, InvariantViolation, check_limit, int_arg, parse_int
+from .errors import LIMITS, InvariantViolation, check_limit, parse_int
 from .errors import QContext, check_orbit_budget, q_context  # defined in errors, read here too
 
 if TYPE_CHECKING:  # annotations only: fractions is imported where a Fraction is built
@@ -159,11 +159,9 @@ def orbits_up_to(ctx: QContext, n: int, *, residue: Optional[int] = None) -> lis
     ORBIT_ELEMENT_BUDGET estimate, check_orbit_budget, is the same with or
     without residue.
     """
-    if int_arg("n", n) < 1:
-        raise ValueError("n must be >= 1")
+    check_orbit_budget(ctx, n)  # n is an int >= 1
     if residue is not None and not 0 <= residue < ctx.q - 1:
         raise ValueError(f"residue must be in [0, {ctx.q - 1}), got {residue}")
-    check_orbit_budget(ctx, n)
     q = ctx.q
     out: list[OrbitData] = []
     for e in range(1, n + 1):

@@ -7,7 +7,8 @@ formula sums four (or two) times the multiplicity as an int, and
 errors.by_sign (or errors.exact_div) divides at the end.  A remainder, or a
 negative multiplicity of an irreducible character, is a hard internal error,
 never a rounding issue.  A label's multiplicity is one pass over its blocks,
-each read from _block_stats, memoised by value for the life of the process.
+each read from _block_stats, memoised by value for the life of the process,
+and over the shape the label holds, so every route takes the label alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import params, symchar
 from .errors import InvariantViolation, QContext, by_sign, exact_div, q_context, sign_index
-from .params import LabelShape, MultiPartition, make_label, require_descends
+from .params import MultiPartition, make_label, require_descends
 from .partitions import Partition, partitions_of
 from .subgroups import Subgroup  # formulas.Subgroup stays a name of the API
 
@@ -91,8 +92,8 @@ def _block_stats(p: Partition) -> _BlockStats:
 # T1 + 2 * eps * T2 + T3, and the terms do not depend on eps.
 
 
-def _pgsp_irr(rho: MultiPartition, shape: LabelShape) -> int:
-    if shape.half != 0:
+def _pgsp_irr(rho: MultiPartition) -> int:
+    if rho.shape.half != 0:
         return 0
     for _, part in rho.entries:
         if not _block_stats(part).all_even:
@@ -100,7 +101,7 @@ def _pgsp_irr(rho: MultiPartition, shape: LabelShape) -> int:
     return 1
 
 
-def _pgo_irr_terms(rho: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
+def _pgo_irr_terms(rho: MultiPartition) -> tuple[int, int, int]:
     """T1, T2 and T3 of the orthogonal multiplicity of rho."""
     t1 = t3 = 1
     all_transpose_even = t3_cond = True
@@ -117,8 +118,8 @@ def _pgo_irr_terms(rho: MultiPartition, shape: LabelShape) -> tuple[int, int, in
             t3 *= stats.prod_even_mult_plus_one * stats.ell2_sign
         else:
             t3 *= stats.prod_mult_plus_one
-    t2 = 1 if all_transpose_even and shape.half == 0 else 0
-    t3 = (-1) ** (rho.n // 2) * shape.phi() * t3 if t3_cond else 0
+    t2 = 1 if all_transpose_even and rho.shape.half == 0 else 0
+    t3 = (-1) ** (rho.n // 2) * rho.shape.phi() * t3 if t3_cond else 0
     return t1, t2, t3
 
 
@@ -141,23 +142,22 @@ def _pgo_block_kept(d: int, part: Partition) -> bool:
 _PGO_IRR = "mult_pgo_irr({}, {:+d}) = {value}"
 
 
-def _pgo_irr(rho: MultiPartition, shape: LabelShape) -> tuple[int, int]:
+def _pgo_irr(rho: MultiPartition) -> tuple[int, int]:
     """The orthogonal multiplicities of rho for eps = +1 and -1, from one T1, T2, T3."""
-    return by_sign(*_pgo_irr_terms(rho, shape), _PGO_IRR, rho, True)
+    return by_sign(*_pgo_irr_terms(rho), _PGO_IRR, rho, True)
 
 
-def irr_mults(rho: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
+def irr_mults(rho: MultiPartition) -> tuple[int, int, int]:
     """The irreducible multiplicities of rho for every subgroup, in Subgroup order.
 
-    shape is rho.shape(), or that of a label on the same orbits with the same
-    block sizes.  mult_irr and the two below compute one subgroup alone.
+    mult_irr and the two below compute one subgroup alone.
     """
-    return (_pgsp_irr(rho, require_descends(rho, shape)), *_pgo_irr(rho, shape))
+    return (_pgsp_irr(require_descends(rho)), *_pgo_irr(rho))
 
 
 def mult_pgsp_irr(rho: MultiPartition) -> int:
     """Multiplicity of the irreducible labelled rho in Ind(1) from PGSp_n."""
-    return _pgsp_irr(rho, require_descends(rho, rho.shape()))
+    return _pgsp_irr(require_descends(rho))
 
 
 def mult_pgo_irr(rho: MultiPartition, eps: int) -> int:
@@ -165,7 +165,7 @@ def mult_pgo_irr(rho: MultiPartition, eps: int) -> int:
 
     Sums four times the multiplicity, so every term is an integer.
     """
-    return _pgo_irr(rho, require_descends(rho, rho.shape()))[sign_index(eps)]
+    return _pgo_irr(require_descends(rho))[sign_index(eps)]
 
 
 def mult_irr(rho: MultiPartition, subgroup: Subgroup) -> int:
@@ -207,8 +207,8 @@ def mult_unipotent_gl_o(rho: Partition, eps: int) -> int:
 # 4 * mult_pgo_basic(nu, eps) is T1 + 2 * eps * T2 + T3.
 
 
-def _pgsp_basic(nu: MultiPartition, shape: LabelShape) -> int:
-    if shape.half != 0:
+def _pgsp_basic(nu: MultiPartition) -> int:
+    if nu.shape.half != 0:
         return 0
     prod = 1
     for _, part in nu.entries:
@@ -216,9 +216,9 @@ def _pgsp_basic(nu: MultiPartition, shape: LabelShape) -> int:
     return prod
 
 
-def _pgo_basic_terms(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
+def _pgo_basic_terms(nu: MultiPartition) -> tuple[int, int, int]:
     """T1, T2 and T3 of the orthogonal basic multiplicity of nu."""
-    blocks = [(data, part, size) for (data, part), size in zip(nu.entries, shape.sizes)]
+    blocks = [(data, part, size) for (data, part), size in zip(nu.entries, nu.shape.sizes)]
 
     t1 = 1
     for data, part, size in blocks:
@@ -228,14 +228,14 @@ def _pgo_basic_terms(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, i
             t1 *= symchar.sum_chi_transpose_even(part)
 
     t2 = 0
-    if shape.half == 0:
+    if nu.shape.half == 0:
         t2 = 1
         for _, part, _ in blocks:
             t2 *= symchar.sum_chi_transpose_even(part)
 
     t3 = 0
     if all(data.m * size % 2 == 0 for data, _, size in blocks):
-        t3 = shape.phi()
+        t3 = nu.shape.phi()
         for data, part, size in blocks:
             if data.d == 1 and data.m % 2:
                 t3 *= symchar.sum_chi_signed_even(part)
@@ -246,39 +246,37 @@ def _pgo_basic_terms(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, i
     return t1, t2, t3
 
 
-def basic_mults(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
+def basic_mults(nu: MultiPartition) -> tuple[int, int, int]:
     """The closed-form basic multiplicities for every subgroup, in Subgroup order.
 
-    One T1, T2, T3 serves both signs.  shape is nu.shape(), which the caller
-    may share with the other routes.
+    One T1, T2, T3 serves both signs.
     """
-    terms = _pgo_basic_terms(nu, require_descends(nu, shape))
+    terms = _pgo_basic_terms(require_descends(nu))
     plus, minus = by_sign(*terms, "basic multiplicity {value} for {} at eps = {:+d}", nu)
-    return _pgsp_basic(nu, shape), plus, minus
+    return _pgsp_basic(nu), plus, minus
 
 
 def mult_pgsp_basic(nu: MultiPartition) -> int:
     """Inner product of the basic character B_nu with Ind(1) from PGSp_n."""
-    return basic_mults(nu, nu.shape())[0]
+    return basic_mults(nu)[0]
 
 
 def mult_pgo_basic(nu: MultiPartition, eps: int) -> int:
     """Inner product of the basic character B_nu with Ind(1) from PGO_n^eps."""
-    return basic_mults(nu, nu.shape())[1 + sign_index(eps)]
+    return basic_mults(nu)[1 + sign_index(eps)]
 
 
-def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> tuple[int, int, int]:
+def mults_via_transition(nu: MultiPartition) -> tuple[int, int, int]:
     """Basic-character multiplicities through the irreducible transition matrix.
 
     Expands B_nu over all irreducible labels with the same block sizes on the
     same orbits, for every subgroup at once, in Subgroup order: each rho-label
     is built once and read by irr_mults.  The entries of nu are canonical and
     sorted already, so each rho-label is built directly on the orbit data of
-    nu.  Its shape is shape, that of nu (nu.shape(), which the caller may share
-    with the other routes), since a shape reads only the orbits and the block
-    sizes.
+    nu, and holds nu's shape, since a shape reads only the orbits and the
+    block sizes.
     """
-    require_descends(nu, shape)
+    shape = require_descends(nu).shape
     # Per block, the rho-entries with chi(rho, nu_xi) != 0 and that value.
     columns = [
         [((data, rho), value) for rho, value in symchar.chi_column(part)]
@@ -288,7 +286,7 @@ def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> tuple[int, in
     for choice in iter_product(*columns):
         entries, values = zip(*choice)
         coeff = prod(values)
-        irr_sp, irr_plus, irr_minus = irr_mults(MultiPartition(nu.ctx, nu.n, entries), shape)
+        irr_sp, irr_plus, irr_minus = irr_mults(nu._make((nu.ctx, nu.n, entries, shape)))
         sp += coeff * irr_sp
         plus += coeff * irr_plus
         minus += coeff * irr_minus
@@ -299,7 +297,7 @@ def mults_via_transition(nu: MultiPartition, shape: LabelShape) -> tuple[int, in
 def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
     """One subgroup's value of mults_via_transition."""
     i = tuple(Subgroup).index(Subgroup.parse(subgroup))
-    return mults_via_transition(nu, nu.shape())[i]
+    return mults_via_transition(nu)[i]
 
 
 # Batch driver.
@@ -343,9 +341,9 @@ def decompose(
     i = sign_index(subgroup.eps) if subgroup.eps else None
     rows = []
 
-    def add(label: MultiPartition, shape: LabelShape) -> None:
-        shape = require_descends(label, shape)
-        mult = _pgsp_irr(label, shape) if i is None else _pgo_irr(label, shape)[i]
+    def add(label: MultiPartition) -> None:
+        require_descends(label)
+        mult = _pgsp_irr(label) if i is None else _pgo_irr(label)[i]
         if i is None and mult not in (0, 1):
             raise InvariantViolation(f"PGSp multiplicity {mult} outside {{0,1}} at {label}")
         if mult or include_zeros:
@@ -357,7 +355,7 @@ def decompose(
         for label in labels:
             if label.ctx != ctx or label.n != n:
                 raise ValueError(f"label {label} is not at q = {ctx.q}, n = {n}")
-            add(label, label.shape())
+            add(label)
     # A label left out has mult 0, so the rows give both sums.
     sum_md = sum(row.mult * row.degree for row in rows) if with_degrees else None
     sum_m2 = sum(row.mult * row.mult for row in rows)

@@ -9,8 +9,9 @@ even length only), or swapped with another cycle of the same length
 
 Route 3, threeterm_values, is the enumeration alone: it sums the three
 terms of a label's double-coset count over its tuples of such involutions,
-one per block, and reads no closed form; errors.by_sign turns the three
-sums into the values for both signs, and loads params only to refuse a label.
+one per block, and reads of the label only its entries and the shape it
+holds, no closed form; errors.by_sign turns the three sums into the values
+for both signs, and params is loaded only to refuse a label.
 check_identities walks Z_inv(nu) once per nu and compares four sums over it
 with symchar's character sums; they make route 2's closed forms equal this count.
 
@@ -32,7 +33,7 @@ from .errors import InvariantViolation, by_sign, check_limit, int_arg, sign_inde
 from .partitions import Partition, partitions_of
 
 if TYPE_CHECKING:  # annotations only: check_identities loads no label code
-    from .params import LabelShape, MultiPartition
+    from .params import MultiPartition
 
 
 class _InvolutionFields(NamedTuple):
@@ -208,22 +209,21 @@ def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
 
     One sign's value of threeterm_values.
     """
-    return threeterm_values(mp, mp.shape())[sign_index(eps)]
+    return threeterm_values(mp)[sign_index(eps)]
 
 
-def threeterm_values(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
+def threeterm_values(mp: MultiPartition) -> tuple[int, int]:
     """The three-term double-coset count for eps = +1 and -1, by enumeration.
 
     4 times the count is T1 + 2 * eps * T2 + T3.  One pass over the label's
     involution tuples (one tuple per block, from enumerate_zinv) sums all
     three terms for both signs; no involution or character sum is read, so
     the value is independent of the closed forms it is compared with.
-    Returns (eps = +1, eps = -1).  shape is mp.shape(), which the caller may
-    share with the other routes.
+    Returns (eps = +1, eps = -1).
     """
-    if shape.pi:  # only a label that does not descend loads params, to refuse it
+    if mp.shape.pi:  # only a label that does not descend loads params, to refuse it
         from .params import require_descends
-        require_descends(mp, shape)
+        require_descends(mp)
     entries = mp.entries
     data = [d for d, _ in entries]
     # X: the tuples with no odd type-1 cycle on a block with d = -1.  Each
@@ -242,8 +242,8 @@ def threeterm_values(mp: MultiPartition, shape: LabelShape) -> tuple[int, int]:
         in_y = all(d.m % 2 == 0 or w.ell1_odd == 0 for d, w in zip(data, ws))
         if in_y:
             s3 += phi_w(ws, mp) * (-2) ** ell1_total
-    t2 = epsilon_nu(mp) * ff_count if shape.half == 0 else 0
+    t2 = epsilon_nu(mp) * ff_count if mp.shape.half == 0 else 0
     t3 = 0
-    if all(d.m * size % 2 == 0 for d, size in zip(data, shape.sizes)):
-        t3 = shape.phi() * s3
+    if all(d.m * size % 2 == 0 for d, size in zip(data, mp.shape.sizes)):
+        t3 = mp.shape.phi() * s3
     return by_sign(s1, t2, t3, "three-term value {value} for {} at eps = {:+d}", mp)

@@ -4,7 +4,8 @@ A label assigns a nonempty partition to finitely many sigma-orbits of the
 dual group so that the orbit sizes weighted by partition sizes sum to n.
 Labels parametrize both the irreducible characters (rho-labels) and the
 basic characters (nu-labels); the subset with trivial norm product consists
-of exactly those that descend from GL_n to PGL_n.
+of exactly those that descend from GL_n to PGL_n.  A label holds its shape
+(LabelShape): all that the formulas read of it besides its partitions.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ class LabelShape:
     sizes are the block sizes in entry order; pi is the norm product Pi and
     half the product of N(xi)^(|nu_xi|/2) (None when some block size is odd),
     both as residues mod q - 1.  Phi is computed on first use.  All of them
-    depend only on the orbits and the block sizes, so labels that share
-    both may share one LabelShape.  Code that reads a label's shape more
-    than once builds it once, with MultiPartition.shape(), and passes it on.
+    depend only on the orbits and the block sizes, so the rho-labels of one
+    nu share nu's LabelShape.  Shapes compare by (sizes, pi, half).
     """
 
     __slots__ = ("sizes", "pi", "half", "_ctx", "_entries", "_phi")
@@ -61,31 +61,56 @@ class LabelShape:
             self._phi = dualgroup.phi_from_orbits(self._ctx, blocks)
         return self._phi
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, __class__):  # this class, whatever the module's name is bound to
+            return NotImplemented
+        return (self.sizes, self.pi, self.half) == (other.sizes, other.pi, other.half)
 
-def require_descends(mp: MultiPartition, shape: LabelShape) -> LabelShape:
-    """shape, the shape of mp; raises unless mp descends to PGL (Pi = 0)."""
-    if shape.pi:
+    def __hash__(self) -> int:
+        return hash((self.sizes, self.pi, self.half))
+
+    def __repr__(self) -> str:  # a label's repr shows it
+        return f"LabelShape(sizes={self.sizes}, pi={self.pi}, half={self.half})"
+
+
+def require_descends(mp: MultiPartition) -> MultiPartition:
+    """mp, if it descends to PGL (Pi = 0); else a ValueError."""
+    if mp.shape.pi:
         raise ValueError(f"label {mp} has nontrivial norm product; it does not descend to PGL")
-    return shape
+    return mp
 
 
-class MultiPartition(NamedTuple):
-    """Mapping from sigma-orbits to nonempty partitions.
+class _LabelFields(NamedTuple):
+    ctx: QContext
+    n: int
+    entries: tuple[tuple[OrbitData, Partition], ...]
+    shape: LabelShape
+
+
+class MultiPartition(_LabelFields):
+    """Mapping from sigma-orbits to nonempty partitions, with its LabelShape.
 
     Each entry pairs the OrbitData of an orbit (its canonical representative
     num/den, size m, norm residue r and sign d) with the orbit's partition.
     Entries are stored sorted by (den, num), which fixes the text form and
     the enumeration order.  Instances are built through make_label() and
     parse_label(), which validate canonicality and the weight condition.
+    The shape is built from the entries, also by _replace; the label search
+    and the transition route pass the shape of theirs to _make.
     """
 
-    ctx: QContext
-    n: int
-    entries: tuple[tuple[OrbitData, Partition], ...]
+    __slots__ = ()
 
-    def shape(self) -> LabelShape:
-        """A new LabelShape of this label; the label keeps none."""
-        return LabelShape(self.ctx, self.entries)
+    def __new__(cls, ctx: QContext, n: int, entries: tuple):
+        return super().__new__(cls, ctx, n, entries, LabelShape(ctx, entries))
+
+    def __getnewargs__(self) -> tuple:  # pickle and copy rebuild from the three given fields
+        return self[:3]
+
+    def _replace(self, **changes) -> MultiPartition:  # a shape among changes is refused
+        return MultiPartition(**{**dict(zip(self._fields[:3], self)), **changes})
+
+    __replace__ = _replace  # copy.replace
 
     def text(self) -> str:
         return " + ".join([f"{data.num}/{data.den}:{part}" for data, part in self.entries])
@@ -144,7 +169,7 @@ def _build_label(
 
 def in_P_hat(mp: MultiPartition) -> bool:
     """True iff the label descends to PGL, i.e. Pi is trivial."""
-    return mp.shape().pi == 0
+    return mp.shape.pi == 0
 
 
 def half_norm_product(mp: MultiPartition) -> Optional[Fraction]:
@@ -154,13 +179,13 @@ def half_norm_product(mp: MultiPartition) -> Optional[Fraction]:
     multiplicity formulas branch on exactly these three outcomes.
     """
     from fractions import Fraction
-    half = mp.shape().half
+    half = mp.shape.half
     return None if half is None else Fraction(half, mp.ctx.q - 1)
 
 
 def phi(mp: MultiPartition) -> int:
     """The sign Phi of the label (requires trivial Pi and all m_xi |nu_xi| even)."""
-    return mp.shape().phi()
+    return mp.shape.phi()
 
 
 def parse_label(ctx: QContext, n: int, text: str) -> MultiPartition:
@@ -204,13 +229,13 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
     search, and the search must keep exactly that many labels.
     """
     out: list[MultiPartition] = []
-    label_search(ctx, n, restrict_to_P_hat)(lambda label, shape: out.append(label))
+    label_search(ctx, n, restrict_to_P_hat)(out.append)
     return out
 
 
 def label_search(ctx: QContext, n: int, restrict_to_P_hat: bool = True, block_filter=None):
-    """Check n and LABEL_BUDGET now; return search(emit), which calls emit(label,
-    label's LabelShape) on each label enumerate_labels lists and returns their number.
+    """Check n and LABEL_BUDGET now; return search(emit), which calls emit(label) on
+    each label enumerate_labels lists and returns their number.
 
     With block_filter, a predicate on (orbit sign d, partition), the search
     keeps only the labels whose every block passes it, and never walks into
@@ -277,7 +302,7 @@ def _search_labels(
         kept += 1
         if kept > count:  # refused before it is emitted: count <= LABEL_BUDGET
             raise InvariantViolation(f"the label search kept {kept} labels; label_count is {count}")
-        emit(MultiPartition(ctx, n, entries), LabelShape(ctx, entries, sizes, total, even))
+        emit(MultiPartition._make((ctx, n, entries, LabelShape(ctx, entries, sizes, total, even))))
 
     def rec(start: int, remaining: int, total: int, sizes: tuple, even: bool, prefix: tuple):
         # Carried for LabelShape: total = sum(size * r), sizes, all even.  The

@@ -273,7 +273,7 @@ def test_forms_capacity_exit(capsys):
 def test_route_mismatch_is_invariant_violation_exit(capsys, monkeypatch):
     from pglchar import formulas
 
-    monkeypatch.setattr(formulas, "_pgsp_basic", lambda label, shape: 99)
+    monkeypatch.setattr(formulas, "_pgsp_basic", lambda label: 99)
     code, _, err = run(capsys, "cross-check", "--q", "3", "--n", "2")
     assert code == 4
     assert "invariant violation" in err
@@ -282,8 +282,8 @@ def test_route_mismatch_is_invariant_violation_exit(capsys, monkeypatch):
 def _off_by_one(route, shifted):
     """The route, with 1 added to value number key on the label text, for each (key, text)."""
 
-    def patched(label, shape):
-        values = list(route(label, shape))
+    def patched(label):
+        values = list(route(label))
         for key, text in shifted:
             if label.text() == text:
                 values[key] += 1
@@ -520,7 +520,7 @@ def test_single_label_decompose_goes_through_formulas(capsys, monkeypatch):
             "sum_m2": row["mult"] ** 2,
         }
     # The PGSp {0,1} check now covers a single label as well.
-    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho, shape: 2)
+    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho: 2)
     code, out, err = run(
         capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--label", "0/1:[2]"
     )
@@ -697,7 +697,7 @@ def test_decompose_json_stdout_is_the_reference_bytes(capsys, extra):
 def test_a_full_decompose_with_a_wrong_pgsp_multiplicity_exits_4(capsys, monkeypatch, fmt):
     from pglchar import formulas
 
-    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho, shape: 2)
+    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho: 2)
     code, out, err = run(
         capsys, "decompose", "--q", "3", "--n", "4", "--subgroup", "pgsp", "--format", fmt
     )

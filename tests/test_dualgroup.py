@@ -314,9 +314,10 @@ def test_orbits_up_to_residue_is_checked():
         orbits_up_to(Q9, 7, residue=0)
 
 
-@pytest.mark.parametrize("n", [2.5, True, "2"])
+@pytest.mark.parametrize("n", [2.5, True, "2", 0, -1])
 def test_orbits_up_to_takes_n_only_as_an_int(n):
-    with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+    rule = ">= 1" if type(n) is int else "an int"
+    with pytest.raises(ValueError, match=f"^n must be {rule}, got {re.escape(repr(n))}$"):
         orbits_up_to(Q3, n)
 
 

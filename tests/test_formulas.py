@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -555,12 +556,12 @@ def test_a_negative_irreducible_multiplicity_is_refused(monkeypatch):
     label = unipotent(Q3, [4])
     assert mult_pgo_irr(label, -1) == 1
     # T1 + 2 T2 + T3 = 0 and T1 - 2 T2 + T3 = -8: a multiple of 4, but negative.
-    monkeypatch.setattr(formulas, "_pgo_irr_terms", lambda rho, shape: (-4, 2, 0))
+    monkeypatch.setattr(formulas, "_pgo_irr_terms", lambda rho: (-4, 2, 0))
     for eps in (1, -1):
         with pytest.raises(InvariantViolation, match=r"^negative mult_pgo_irr\(0/1:\[4\], -1\) = -2$"):
             mult_pgo_irr(label, eps)
     with pytest.raises(InvariantViolation, match="^negative mult_pgo_irr"):
-        formulas.mults_via_transition(label, label.shape())
+        formulas.mults_via_transition(label)
 
 
 def test_given_labels_match_the_rows_of_decompose():
@@ -581,7 +582,7 @@ def test_given_labels_match_the_rows_of_decompose():
 
 def test_given_labels_check_the_pgsp_invariant(monkeypatch):
     label = unipotent(Q3, [2])
-    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho, shape: 2)
+    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho: 2)
     with pytest.raises(InvariantViolation, match="outside"):
         formulas.decompose(Q3, 2, Subgroup.PGSP, labels=[label], include_zeros=True)
 
@@ -611,7 +612,7 @@ def _irr_labels():
 def test_irr_mults_equals_the_three_single_subgroup_functions():
     for label in _irr_labels():
         expected = (mult_pgsp_irr(label), mult_pgo_irr(label, 1), mult_pgo_irr(label, -1))
-        assert formulas.irr_mults(label, label.shape()) == expected, label
+        assert formulas.irr_mults(label) == expected, label
         assert tuple(mult_irr(label, sg) for sg in Subgroup) == expected, label
 
 
@@ -621,20 +622,37 @@ NOT_DESCENDING = "label 1/8:[1] has nontrivial norm product; it does not descend
 
 def test_every_route_refuses_a_label_off_pgl_with_the_shared_message():
     label = make_label(Q3, 2, {Fraction(1, 8): [1]})
-    shape = label.shape()
-    assert shape.pi
+    assert label.shape.pi
     calls = [
-        lambda: formulas.irr_mults(label, shape),
+        lambda: formulas.irr_mults(label),
         lambda: mult_pgsp_irr(label),
         lambda: mult_pgo_irr(label, 1),
-        lambda: formulas.basic_mults(label, shape),
-        lambda: formulas.mults_via_transition(label, shape),
-        lambda: involutions.threeterm_values(label, shape),
+        lambda: formulas.basic_mults(label),
+        lambda: formulas.mults_via_transition(label),
+        lambda: involutions.threeterm_values(label),
     ]
     for call in calls:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == NOT_DESCENDING
+
+
+def test_every_route_reads_the_shape_from_the_label_alone():
+    # A label and the shape of another label once went in side by side, and
+    # these routes answered (1, 0, 0) or raised InvariantViolation for 1/2:[2].
+    label = params.parse_label(Q3, 2, "1/2:[2]")
+    other = params.parse_label(Q3, 2, "0/1:[1,1]")
+    assert formulas.irr_mults(label) == (0, 0, 0)
+    assert formulas.irr_mults(other) == (0, 1, 0)
+    assert formulas.basic_mults(label) == formulas.mults_via_transition(label) == (0, 0, 0)
+    assert involutions.threeterm_values(label) == (0, 0)
+    # A label built from the other's entries reads the other's values.
+    moved = label._replace(entries=other.entries)
+    assert moved == other
+    assert formulas.irr_mults(moved) == formulas.irr_mults(other)
+    assert formulas.basic_mults(moved) == formulas.basic_mults(other)
+    assert formulas.mults_via_transition(moved) == formulas.mults_via_transition(other)
+    assert involutions.threeterm_values(moved) == involutions.threeterm_values(other)
 
 
 def _counting(monkeypatch, name):
@@ -685,34 +703,67 @@ def test_a_streamed_decompose_equals_decompose_over_the_given_label_list(q, n):
                 assert got == expected, (sg, include_zeros, with_degrees)
 
 
+def _count_shapes(monkeypatch) -> list:
+    """Count the LabelShapes built from now on; returns the list of their entries."""
+    built = []
+
+    class CountedShape(params.LabelShape):
+        __slots__ = ()
+
+        def __init__(self, ctx, entries, *sums):
+            built.append(entries)
+            super().__init__(ctx, entries, *sums)
+
+    monkeypatch.setattr(params, "LabelShape", CountedShape)
+    return built
+
+
 @pytest.mark.parametrize("q,n", STREAM_SIZES)
 def test_a_full_decompose_builds_no_label_list_and_no_second_shape(monkeypatch, q, n):
     ctx = q_context(q)
+    labels = enumerate_labels(ctx, n, True)
     expected = {
         sg: decompose(ctx, n, sg, include_zeros=True, with_degrees=True) for sg in Subgroup
     }
 
     def fail(*args, **kwargs):
-        raise AssertionError("a full decompose listed the labels or walked a label again")
+        raise AssertionError("a full decompose listed the labels")
 
     monkeypatch.setattr(params, "enumerate_labels", fail)
-    monkeypatch.setattr(MultiPartition, "shape", fail)
+    built = _count_shapes(monkeypatch)
     for sg in Subgroup:
         assert decompose(ctx, n, sg, include_zeros=True, with_degrees=True) == expected[sg]
+        # One shape per searched label, built where the search keeps it.
+        assert Counter(built) == Counter(label.entries for label in labels), sg
+        built.clear()
+
+
+def test_a_query_builds_one_shape():
+    # The sequence of one single-label query: read the label, its
+    # multiplicity for each subgroup, its degree.
+    for q, n, text in [(3, 2, "1/2:[2]"), (9, 8, "3/8:[1,1] + 141/728:[1,1]")]:
+        ctx = q_context(q)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            built = _count_shapes(monkeypatch)
+            label = params.parse_label(ctx, n, text)
+            mults = [mult_irr(label, sg) for sg in Subgroup]
+            oracle.degree(ctx, label)
+        assert built == [label.entries], text
+        assert mults == list(formulas.irr_mults(label)), text
 
 
 def test_the_search_shapes_equal_the_shapes_of_the_labels():
     for q, n in STREAM_SIZES + [(5, 6)]:
         ctx = q_context(q)
         streamed = []
-        params.label_search(ctx, n)(lambda label, shape: streamed.append((label, shape)))
-        assert [label for label, _ in streamed] == enumerate_labels(ctx, n, True)
-        for label, shape in streamed:
-            own = label.shape()
-            assert (shape.sizes, shape.pi, shape.half) == (own.sizes, own.pi, own.half), label
-            blocks = zip(label.entries, shape.sizes)
+        params.label_search(ctx, n)(streamed.append)
+        assert streamed == enumerate_labels(ctx, n, True)
+        for label in streamed:
+            own = params.LabelShape(ctx, label.entries)
+            assert label.shape == own, label  # equal sizes, pi and half
+            blocks = zip(label.entries, own.sizes)
             if all(data.m * size % 2 == 0 for (data, _), size in blocks):
-                assert shape.phi() == own.phi(), label
+                assert label.shape.phi() == own.phi(), label
 
 
 def test_a_streamed_decompose_holds_less_memory_than_the_label_list():
@@ -762,7 +813,7 @@ def test_a_label_the_block_filter_skips_has_mult_0(q, n):
         skipped = [label for label in labels if not _passes(label, block_filter)]
         assert skipped, block_filter.__name__
         for label in skipped:
-            mults = formulas.irr_mults(label, label.shape())
+            mults = formulas.irr_mults(label)
             assert [mults[subgroups.index(sg)] for sg in served] == [0] * len(served), label
 
 
@@ -781,7 +832,7 @@ def test_the_filtered_label_count_counts_the_labels_that_pass(q, n, restrict):
         assert params.label_count(ctx, n, orbits, restrict, counts) == expected
         kept = []
         search = params.label_search(ctx, n, restrict, block_filter)
-        assert search(lambda label, shape: kept.append(label)) == expected
+        assert search(kept.append) == expected
         assert kept == [label for label in labels if _passes(label, block_filter)]
 
 

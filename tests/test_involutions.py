@@ -341,7 +341,7 @@ def test_threeterm_refuses_a_block_past_the_bound_before_listing_it(monkeypatch)
     monkeypatch.setattr(involutions, "_zinv", listed)
     mp = make_label(Q3, 10, {Fraction(0): [1] * 10})
     with pytest.raises(CapacityError, match="ZINV_SIZE_BOUND = 9"):
-        involutions.threeterm_values(mp, mp.shape())
+        involutions.threeterm_values(mp)
     with pytest.raises(CapacityError, match="ZINV_SIZE_BOUND"):
         threeterm_bruteforce(mp, -1)
 
@@ -397,7 +397,7 @@ def _ref_threeterm(mp, eps):
 def test_integer_threeterm_matches_fraction_reference(q):
     for mp in enumerate_labels(q_context(q), 4, True):
         # threeterm_values returns (eps = +1, eps = -1).
-        values = involutions.threeterm_values(mp, mp.shape())
+        values = involutions.threeterm_values(mp)
         for value, eps in zip(values, (1, -1)):
             factorized, direct = _ref_threeterm(mp, eps)
             assert factorized == direct == value, mp
@@ -418,7 +418,7 @@ def test_threeterm_reads_no_involution_sum(monkeypatch, q):
     for name in ("sum_chi_even", "sum_chi_transpose_even", "sum_chi_weighted",
                  "sum_chi_signed_even", "chi_column"):
         monkeypatch.setattr(symchar, name, refuse)
-    assert [involutions.threeterm_values(mp, mp.shape()) for mp in labels] == expected
+    assert [involutions.threeterm_values(mp) for mp in labels] == expected
 
 
 def test_threeterm_refuses_an_odd_quadruple(monkeypatch):

@@ -52,9 +52,9 @@ def test_weight_uses_orbit_size():
 
 def test_pi_examples():
     # Pi as a residue mod q - 1: Pi = 1/2 at q = 3 is the residue 1.
-    assert make_label(Q3, 2, {Fraction(0): [1, 1]}).shape().pi == 0
-    assert make_label(Q3, 2, {Fraction(1, 2): [2]}).shape().pi == 0
-    assert make_label(Q3, 2, {Fraction(1, 8): [1]}).shape().pi == 1
+    assert make_label(Q3, 2, {Fraction(0): [1, 1]}).shape.pi == 0
+    assert make_label(Q3, 2, {Fraction(1, 2): [2]}).shape.pi == 0
+    assert make_label(Q3, 2, {Fraction(1, 8): [1]}).shape.pi == 1
 
 
 def test_in_P_hat_examples():
@@ -76,7 +76,7 @@ def test_half_norm_doubles_to_pi():
         for mp in enumerate_labels(ctx, n, False):
             half = half_norm_product(mp)
             if half is not None:
-                assert (2 * half) % 1 == Fraction(mp.shape().pi, ctx.q - 1)
+                assert (2 * half) % 1 == Fraction(mp.shape.pi, ctx.q - 1)
 
 
 def test_parse_label_examples():
@@ -239,7 +239,7 @@ def test_label_budget_is_still_checked_per_label(capsys, monkeypatch):
         search = params.label_search(Q3, 4)
         message = f"kept {count + 1} labels; label_count is {count}$"
         with pytest.raises(InvariantViolation, match=message):
-            search(lambda label, shape: emitted.append(label))
+            search(emitted.append)
         assert emitted == labels[:count]
         argv = ["decompose", "--q", "3", "--n", "4", "--subgroup", "pgo+", "--include-zeros"]
         assert main(argv) == 4
@@ -503,3 +503,24 @@ def test_orbit_data_does_not_change_equality_or_hash():
             assert parsed == mp and hash(parsed) == hash(mp)
             assert parsed.text() == mp.text()
             assert repr(parsed) == repr(mp)
+
+
+def test_a_label_holds_the_shape_of_its_own_entries():
+    label = parse_label(Q3, 2, "1/2:[2]")
+    other = parse_label(Q3, 2, "0/1:[1,1]")
+    fresh = params.LabelShape(Q3, other.entries)
+    assert label.shape == params.LabelShape(Q3, label.entries) != fresh
+    assert (fresh.sizes, fresh.pi, fresh.half) == ((2,), 0, 0)
+    # Every way to a label with other entries builds their shape; none keeps the old one.
+    for moved in (
+        label._replace(entries=other.entries),
+        label.__replace__(entries=other.entries),  # copy.replace
+        params.MultiPartition(Q3, 2, other.entries),
+    ):
+        assert moved.shape == fresh and moved == other and hash(moved) == hash(other)
+    # A shape is never given beside the entries.
+    with pytest.raises(TypeError):
+        label._replace(shape=fresh)
+    with pytest.raises(TypeError):
+        params.MultiPartition(Q3, 2, other.entries, label.shape)
+    assert (label.shape.sizes, label.shape.pi, label.shape.half) == ((2,), 0, 1)

@@ -30,7 +30,7 @@ RECORDS = {
     ),
     "MultiPartition": (
         lambda: params.parse_label(Q5, 2, "1/2:[1,1]"),
-        ("ctx", "n", "entries"),
+        ("ctx", "n", "entries", "shape"),
     ),
     "Row": (
         lambda: formulas.decompose(Q5, 2, formulas.Subgroup.PGO_MINUS).rows[0],

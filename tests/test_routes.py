@@ -198,10 +198,9 @@ def _disagreements(q, n):
     """(route, subgroup, label) wherever a per-label function differs from the reference."""
     out = []
     for label in enumerate_labels(q_context(q), n, True):
-        shape = label.shape()
-        transition = dict(zip(Subgroup, formulas.mults_via_transition(label, shape), strict=True))
-        closed = dict(zip(Subgroup, formulas.basic_mults(label, shape), strict=True))
-        involution = dict(zip((1, -1), involutions.threeterm_values(label, shape), strict=True))
+        transition = dict(zip(Subgroup, formulas.mults_via_transition(label), strict=True))
+        closed = dict(zip(Subgroup, formulas.basic_mults(label), strict=True))
+        involution = dict(zip((1, -1), involutions.threeterm_values(label), strict=True))
         for sg in Subgroup:
             if transition[sg] != _ref_transition(label, sg):
                 out.append(("transition", sg.value, label.text()))
@@ -224,10 +223,9 @@ def test_per_label_routes_equal_the_per_subgroup_reference_at_3_8():
 
 def test_per_subgroup_functions_select_from_the_per_label_ones():
     for label in enumerate_labels(q_context(5), 4, True):
-        shape = label.shape()
-        transition = dict(zip(Subgroup, formulas.mults_via_transition(label, shape), strict=True))
-        closed = dict(zip(Subgroup, formulas.basic_mults(label, shape), strict=True))
-        involution = dict(zip((1, -1), involutions.threeterm_values(label, shape), strict=True))
+        transition = dict(zip(Subgroup, formulas.mults_via_transition(label), strict=True))
+        closed = dict(zip(Subgroup, formulas.basic_mults(label), strict=True))
+        involution = dict(zip((1, -1), involutions.threeterm_values(label), strict=True))
         for sg in Subgroup:
             assert formulas.mult_basic_via_transition(label, sg) == transition[sg]
             if sg.eps is None:
@@ -264,8 +262,8 @@ def test_the_comparison_catches_a_wrong_chi(monkeypatch):
 def test_the_comparison_catches_a_wrong_t2_sign(monkeypatch, module, name, route):
     real = getattr(module, name)
 
-    def flipped(label, shape):
-        t1, t2, t3 = real(label, shape)
+    def flipped(label):
+        t1, t2, t3 = real(label)
         return t1, -t2, t3
 
     monkeypatch.setattr(module, name, flipped)
@@ -305,9 +303,9 @@ def test_the_involution_stand_in_without_a_flip_finds_nothing(monkeypatch):
 def _odd_t1_terms(real, seen):
     """A route's terms function with T1 one too large; seen gets each label."""
 
-    def terms(label, shape):
+    def terms(label):
         seen.append(label)
-        t1, t2, t3 = real(label, shape)
+        t1, t2, t3 = real(label)
         return t1 + 1, t2, t3
 
     return terms
@@ -352,8 +350,8 @@ def test_cross_check_catches_swapped_pgo_values_in_route_one(capsys, monkeypatch
     # The transition route reads route 1 only through formulas.irr_mults.
     real = formulas.irr_mults
 
-    def swapped(rho, shape):
-        sp, plus, minus = real(rho, shape)
+    def swapped(rho):
+        sp, plus, minus = real(rho)
         return sp, minus, plus
 
     monkeypatch.setattr(formulas, "irr_mults", swapped)
