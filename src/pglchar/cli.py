@@ -14,6 +14,7 @@ order the work would have raised it; every rule it reads is in errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from functools import cache
 
@@ -77,33 +78,37 @@ def cmd_decompose(args) -> int:
     from . import formulas, params
     with_degrees = not args.no_degrees
     labels = None if args.label is None else [params.parse_label(ctx, args.n, args.label)]
+    texts = []  # each row's label text, which a full decompose carries down the search
     report = formulas.decompose(
         ctx, args.n, subgroup, labels=labels, with_degrees=with_degrees,
         include_zeros=args.include_zeros or labels is not None,
-        unipotent_only=args.unipotent_only,
+        unipotent_only=args.unipotent_only, texts=texts,
     )
     if args.format == "json":
-        _write(_decompose_json(report))
+        _write(_decompose_json(report, texts))
         return 0
     width = 3 if with_degrees else 2
     (_emit_csv if args.format == "csv" else _emit_table)(
         ["label", "mult", "degree"][:width],
-        ((row.label.text(), row.mult, row.degree)[:width] for row in report.rows),
+        ((text, row.mult, row.degree)[:width] for text, row in zip(texts, report.rows)),
         ([f"sum(mult*degree) = {report.sum_mult_times_degree}"] if with_degrees else [])
         + [f"sum(mult^2) = {report.sum_mult_squared}"],
     )
     return 0
 
 
-def _decompose_json(report) -> str:
-    """_emit_json's bytes for report.to_json_dict(), each row from a template, not a dict."""
+def _decompose_json(report, texts=None) -> str:
+    """_emit_json's bytes for report.to_json_dict(), each row from a template, not a dict;
+    texts, if given, are the rows' label texts."""
     import json
     from json.encoder import encode_basestring_ascii as quote
+    if texts is None:
+        texts = [row.label.text() for row in report.rows]
     frame = json.dumps(report._replace(rows=()).to_json_dict(), indent=2, sort_keys=True)
     rows = ",\n".join([
         ("    {\n" if row.degree is None else f'    {{\n      "degree": {row.degree},\n')
-        + f'      "label": {quote(row.label.text())},\n      "mult": {row.mult}\n    }}'
-        for row in report.rows
+        + f'      "label": {quote(text)},\n      "mult": {row.mult}\n    }}'
+        for text, row in zip(texts, report.rows)
     ])
     return (frame.replace('"rows": []', f'"rows": [\n{rows}\n  ]') if rows else frame) + "\n"
 
@@ -275,6 +280,12 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)  # print every answer that is computed
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command leaves at most a few hundred objects in reference cycles, and
+    # reference counting frees what it builds when it returns, so the cyclic
+    # collector, which would walk every row and memo it holds again and
+    # again, is paused while it runs.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit
@@ -292,6 +303,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

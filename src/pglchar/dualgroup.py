@@ -9,7 +9,7 @@ imported only there: in OrbitData.rep (which canonical_rep returns),
 parse_fraction, as_dual (the one reader of a dual element given as a
 number, an int or a Fraction: orbit_data, phi() and params.make_label go
 through it), params.half_norm_product and the exit-4 messages of
-errors.exact_div and phi_from_orbits; params.random_labels builds none.
+errors.exact_div and phi_sign; params.random_labels builds none.
 All pairings with field elements are pure exponent arithmetic relative to
 a norm-compatible system of generators (g_e = g_{e'}^((q^e'-1)/(q^e-1))
 for e | e'), so no finite field is ever constructed.  The only field
@@ -213,16 +213,10 @@ def phi_from_orbits(
 ) -> int:
     """Phi over blocks (orbit data of xi = num/den, block size), in integer arithmetic.
 
-    The pairing exponents are summed mod q^2 - 1 and the norm residues mod
-    q - 1; q^e is taken only modulo (q^2 - 1) times the denominator of xi,
-    so a huge block costs no more than a small one.  sqrt_exponent defaults
+    The pairing exponents (phi_term) are summed and the norm residues taken
+    mod q - 1; phi_sign reads the sign from the sum.  sqrt_exponent defaults
     to the frozen (q+1)/2 of phi().
     """
-    q = ctx.q
-    q1 = q - 1
-    q2 = q * q - 1
-    if sqrt_exponent is None:
-        sqrt_exponent = (q + 1) // 2
     total = 0
     pi_total = 0
     for data, size in blocks:
@@ -232,16 +226,31 @@ def phi_from_orbits(
         if e % 2:
             raise ValueError(f"phi needs m_xi * |nu_xi| even; orbit {data.rep} gives {e}")
         pi_total += size * data.r
-        # <sqrt(beta), xi>_e with sqrt(beta) = g_e^(sqrt_exponent * (q^e-1)/(q^2-1)):
-        # the exponent fraction collapses to sqrt_exponent * t_e / (q^2 - 1),
-        # t_e = xi * (q^e - 1), needed mod q^2 - 1.  den divides q^e - 1, and
-        # q is prime to den * (q^2 - 1), so q^e mod that is >= 1 and 1 mod den.
-        den = data.den
-        t_e = (pow(q, e, den * q2) - 1) // den
-        total += sqrt_exponent * data.num * t_e
-    if pi_total % q1:
+        total += phi_term(ctx.q, data, e)
+    if pi_total % (ctx.q - 1):
         raise ValueError("phi needs a trivial norm product over the blocks")
-    total %= q2
+    return phi_sign(ctx.q, total, sqrt_exponent)
+
+
+def phi_term(q: int, data: OrbitData, e: int) -> int:
+    """One block's term of Phi, for the orbit data of xi = num/den and e = m * size.
+
+    <sqrt(beta), xi>_e with sqrt(beta) = g_e^(sqrt_exponent * (q^e-1)/(q^2-1)):
+    the exponent fraction collapses to sqrt_exponent * t_e / (q^2 - 1),
+    t_e = xi * (q^e - 1), needed mod q^2 - 1.  This is t_e: den divides
+    q^e - 1, and q is prime to den * (q^2 - 1), so q^e modulo that is >= 1
+    and 1 mod den, and a huge block costs no more than a small one.
+    """
+    den = data.den
+    return data.num * ((pow(q, e, den * (q * q - 1)) - 1) // den)
+
+
+def phi_sign(q: int, total: int, sqrt_exponent: Optional[int] = None) -> int:
+    """Phi from the sum of its blocks' phi_term, over a trivial norm product."""
+    q2 = q * q - 1
+    if sqrt_exponent is None:
+        sqrt_exponent = (q + 1) // 2
+    total = sqrt_exponent * total % q2
     if total == 0:
         return 1
     if 2 * total == q2:

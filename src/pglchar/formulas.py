@@ -6,9 +6,13 @@ The fractional coefficients (1/4, 1/2, eps/2) are cleared first: each
 formula sums four (or two) times the multiplicity as an int, and
 errors.by_sign (or errors.exact_div) divides at the end.  A remainder, or a
 negative multiplicity of an irreducible character, is a hard internal error,
-never a rounding issue.  A label's multiplicity is one pass over its blocks,
-each read from _block_stats, memoised by value for the life of the process,
-and over the shape the label holds, so every route takes the label alone.
+never a rounding issue.  Each subgroup has one per-block step, which gives a
+block's factors of the terms from _block_stats (both memoised by value for
+the life of the process).  A label's multiplicity folds the step over its
+blocks and reads the rest from the shape the label holds, so every route
+takes the label alone; a full decompose folds the same step down the label
+search, with each block's degree factors, Phi term and text, one step per
+search node.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from itertools import product as iter_product
 from math import prod
 from typing import Iterable, NamedTuple, Optional
 
-from . import params, symchar
+from . import dualgroup, params
 from .errors import InvariantViolation, QContext, by_sign, exact_div, q_context, sign_index
 from .params import MultiPartition, make_label, require_descends
 from .partitions import Partition, partitions_of
@@ -88,54 +92,60 @@ def _block_stats(p: Partition) -> _BlockStats:
     )
 
 
-# Irreducible-character multiplicities.  4 * mult_pgo_irr(rho, eps) is
-# T1 + 2 * eps * T2 + T3, and the terms do not depend on eps.
+# Irreducible-character multiplicities.  Each term of one is a product over
+# the label's blocks times a factor read from its shape: the PGSp
+# multiplicity is one term, and 4 * mult_pgo_irr(rho, eps) is
+# T1 + 2 * eps * T2 + T3, whose terms do not depend on eps.  A subgroup's
+# step(d, m, part) is the tuple of a block's factors of its terms, on an
+# orbit of sign d and size m.  _pgsp_irr and _pgo_irr_terms fold the step
+# over one label's blocks; a full decompose folds the same step down the
+# label search (params.label_search), which never walks into a block whose
+# factors are all 0: the multiplicity is 0 on every label that holds it.
+
+
+@lru_cache(maxsize=None)
+def _pgsp_step(d: int, m: int, part: Partition) -> tuple[int]:
+    """The PGSp factor of a block: 1 if every part is even, else 0."""
+    return (1,) if _block_stats(part).all_even else (0,)
+
+
+@lru_cache(maxsize=None)
+def _pgo_step(d: int, m: int, part: Partition) -> tuple[int, int, int]:
+    """The factors of T1, T2 and T3 of a block; T3 is (-1)^(n/2) Phi times their product."""
+    stats = _block_stats(part)
+    if d != 1:
+        return (1, 1, 1) if stats.transpose_even else (0, 0, 0)
+    if m % 2 == 0:
+        t3 = stats.prod_mult_plus_one
+    elif stats.odd_mults_even:
+        t3 = stats.prod_even_mult_plus_one * stats.ell2_sign
+    else:
+        t3 = 0
+    return stats.prod_mult_plus_one, int(stats.transpose_even), t3
 
 
 def _pgsp_irr(rho: MultiPartition) -> int:
     if rho.shape.half != 0:
         return 0
-    for _, part in rho.entries:
-        if not _block_stats(part).all_even:
-            return 0
-    return 1
+    mult = 1
+    for data, part in rho.entries:
+        mult *= _pgsp_step(data.d, data.m, part)[0]
+    return mult
 
 
 def _pgo_irr_terms(rho: MultiPartition) -> tuple[int, int, int]:
     """T1, T2 and T3 of the orthogonal multiplicity of rho."""
-    t1 = t3 = 1
-    all_transpose_even = t3_cond = True
+    t1 = t2 = t3 = 1
     for data, part in rho.entries:
-        stats = _block_stats(part)
-        if data.d != 1:
-            if not stats.transpose_even:
-                return 0, 0, 0  # every term's condition fails on this block
-            continue
-        t1 *= stats.prod_mult_plus_one
-        all_transpose_even = all_transpose_even and stats.transpose_even
-        if data.m % 2:
-            t3_cond = t3_cond and stats.odd_mults_even
-            t3 *= stats.prod_even_mult_plus_one * stats.ell2_sign
-        else:
-            t3 *= stats.prod_mult_plus_one
-    t2 = 1 if all_transpose_even and rho.shape.half == 0 else 0
-    t3 = (-1) ** (rho.n // 2) * rho.shape.phi() * t3 if t3_cond else 0
+        f1, f2, f3 = _pgo_step(data.d, data.m, part)
+        t1 *= f1
+        t2 *= f2
+        t3 *= f3
+    if rho.shape.half != 0:
+        t2 = 0
+    if t3:  # every m * size is even, as Phi needs
+        t3 *= (-1) ** (rho.n // 2) * rho.shape.phi()
     return t1, t2, t3
-
-
-# Block filters for the label search (params.label_search): a block that
-# fails one makes the multiplicity 0 on every label that holds it.
-
-
-def _pgsp_block_kept(d: int, part: Partition) -> bool:
-    """False when _pgsp_irr is 0 on every label with the block part."""
-    return _block_stats(part).all_even
-
-
-def _pgo_block_kept(d: int, part: Partition) -> bool:
-    """False when _pgo_irr_terms is 0, 0, 0 on every label with the block part on
-    an orbit of sign d."""
-    return d == 1 or _block_stats(part).transpose_even
 
 
 # Names by_sign's value on an irreducible label; such a value is never negative.
@@ -205,6 +215,23 @@ def mult_unipotent_gl_o(rho: Partition, eps: int) -> int:
 
 # Basic-character multiplicities (closed forms).  As for the irreducibles,
 # 4 * mult_pgo_basic(nu, eps) is T1 + 2 * eps * T2 + T3.
+
+
+class _Symchar:
+    """Stands in for pglchar.symchar until an attribute of it is first read.
+
+    That read imports symchar, loaded on use as decompose never reads it,
+    and puts the module in this stand-in's place, so the routes below pay
+    for no import statement per call: three of them cost 2 us a label.
+    """
+
+    def __getattr__(self, name: str):
+        global symchar
+        from . import symchar
+        return getattr(symchar, name)
+
+
+symchar = _Symchar()
 
 
 def _pgsp_basic(nu: MultiPartition) -> int:
@@ -312,6 +339,7 @@ def decompose(
     include_zeros: bool = False,
     with_degrees: bool = False,
     unipotent_only: bool = False,
+    texts: Optional[list] = None,
 ) -> DecompositionReport:
     """Decomposition of Ind(1) over the labels that descend to PGL_n.
 
@@ -319,43 +347,41 @@ def decompose(
     include_zeros), in the deterministic enumeration order.  Degrees come
     from the q-analog hook-length formula when requested; over all labels,
     sum(mult * degree) must then be the index |PGL_n : H|.  A full
-    decomposition streams the label search, which without include_zeros
-    skips every block that forces mult 0, and keeps only the rows.  Given
-    labels (each at ctx and n; unipotent_only gives {0/1: rho}) are
-    decomposed in their order, and the totals run over them alone.
+    decomposition folds its subgroup's step down the label search (which
+    without include_zeros skips every block that forces mult 0), with each
+    block's degree factors, Phi term and text, and builds a label only for a
+    row.  Given labels (each at ctx and n; unipotent_only gives {0/1: rho})
+    are decomposed in their order, and the totals run over them alone.
+    texts, if given, gets the text of each row's label, in row order.
     """
     subgroup = Subgroup.parse(subgroup)
     if unipotent_only:
         if labels is not None:
             raise ValueError("decompose takes labels or unipotent_only, not both")
         labels = [unipotent_label(ctx, rho) for rho in partitions_of(n)]
+    step = _pgsp_step if subgroup is Subgroup.PGSP else _pgo_step
     search = None
     if labels is None:
-        kept = None
-        if not include_zeros:
-            kept = _pgsp_block_kept if subgroup is Subgroup.PGSP else _pgo_block_kept
-        search = params.label_search(ctx, n, True, kept)
+        search = params.label_search(ctx, n, True, None if include_zeros else step)
     if with_degrees:
         from . import oracle  # loaded for the degrees alone
         oracle.check_order_bits(ctx.q, n)
     i = sign_index(subgroup.eps) if subgroup.eps else None
     rows = []
-
-    def add(label: MultiPartition) -> None:
-        require_descends(label)
-        mult = _pgsp_irr(label) if i is None else _pgo_irr(label)[i]
-        if i is None and mult not in (0, 1):
-            raise InvariantViolation(f"PGSp multiplicity {mult} outside {{0,1}} at {label}")
-        if mult or include_zeros:
-            rows.append(Row(label, mult, oracle.degree(ctx, label) if with_degrees else None))
-
     if search:
-        search(add)
+        if texts is None:
+            texts = []
+        search(*_row_fold(ctx, n, step, i, include_zeros, with_degrees, rows, texts))
     else:
         for label in labels:
             if label.ctx != ctx or label.n != n:
                 raise ValueError(f"label {label} is not at q = {ctx.q}, n = {n}")
-            add(label)
+            require_descends(label)
+            mult = _pgsp_mult(_pgsp_irr(label), label) if i is None else _pgo_irr(label)[i]
+            if mult or include_zeros:
+                rows.append(Row(label, mult, oracle.degree(ctx, label) if with_degrees else None))
+                if texts is not None:
+                    texts.append(label.text())
     # A label left out has mult 0, so the rows give both sums.
     sum_md = sum(row.mult * row.degree for row in rows) if with_degrees else None
     sum_m2 = sum(row.mult * row.mult for row in rows)
@@ -367,3 +393,61 @@ def decompose(
                 f"the index {index} of {subgroup.value} in PGL_{n}(F_{ctx.q})"
             )
     return DecompositionReport(subgroup, ctx, n, tuple(rows), sum_md, sum_m2)
+
+
+def _pgsp_mult(mult: int, label) -> int:
+    """mult, a PGSp multiplicity: 0 or 1 (the multiplicity-free case), else a bug at label."""
+    if mult not in (0, 1):
+        raise InvariantViolation(f"PGSp multiplicity {mult} outside {{0,1}} at {label}")
+    return mult
+
+
+def _row_fold(ctx: QContext, n: int, step, i, include_zeros, with_degrees, rows, texts):
+    """(emit, fold) for the label search of a full decompose (params.label_search).
+
+    A block's value, taken once per entry, is its degree factors, its Phi
+    term (where T3's factor is nonzero, so m * size is even), its text and
+    its factors under step; PGSp's one term takes T1's place.  The search
+    multiplies, adds and joins them down each branch, and emit finishes a
+    label's multiplicity from them and its shape sums: it builds the label,
+    and divides out the degree, only for a row.
+    """
+    q = ctx.q
+    q1 = q - 1
+    sign = (-1) ** (n // 2)
+    pad = (1, 1) if i is None else ()
+    phi_term, phi_sign = dualgroup.phi_term, dualgroup.phi_sign
+    make_label, make_shape = MultiPartition._make, params.LabelShape
+    add_row, add_text = rows.append, texts.append
+    if with_degrees:
+        from . import oracle
+        block_degree_factor, degree_text = oracle.block_degree_factor, oracle.DEGREE
+
+    def block(data, part) -> tuple:
+        factors = step(data.d, data.m, part)
+        num, den = block_degree_factor(q, data.m, part) if with_degrees else (1, 1)
+        phi = phi_term(q, data, data.m * sum(part)) if not pad and factors[2] else 0
+        return (num, den, phi, f" + {data.num}/{data.den}:{part}") + factors + pad
+
+    def join(acc: tuple, value: tuple) -> tuple:
+        num, den, phi, text, t1, t2, t3 = acc
+        b_num, b_den, b_phi, b_text, f1, f2, f3 = value
+        return num * b_num, den * b_den, phi + b_phi, text + b_text, t1 * f1, t2 * f2, t3 * f3
+
+    def emit(acc: tuple, entries: tuple, total: int, sizes: tuple, even: bool) -> None:
+        num, den, phi, text, t1, t2, t3 = acc
+        text = text[3:]
+        half_zero = even and total // 2 % q1 == 0  # the shape's half is 0
+        if i is None:
+            mult = _pgsp_mult(t1 if half_zero else 0, text)
+        else:
+            if t3:
+                t3 *= sign * phi_sign(q, phi)
+            mult = by_sign(t1, t2 if half_zero else 0, t3, _PGO_IRR, text, True)[i]
+        if mult or include_zeros:
+            label = make_label((ctx, n, entries, make_shape(ctx, entries, sizes, total, even)))
+            add_row(Row(label, mult, exact_div(num, den, degree_text, text) if with_degrees else None))
+            add_text(text)
+
+    start = (oracle.prod_qi_minus_one(q, n) if with_degrees else 1, 1, 0, "", 1, 1, 1)
+    return emit, (block, join, start)

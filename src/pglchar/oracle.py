@@ -2,7 +2,8 @@
 
 Closed-form group orders and q-analog hook-length degrees work for any odd
 prime power q; a degree's factors, prod (q^i - 1) per (q, n) and each block's
-hook factor per (q, m, partition), are memoised for the life of the process.
+hook factor per (q, m, partition), are memoised for the life of the process,
+and a full decompose multiplies the same factors down the label search.
 The matrix oracles (prime q only) are split by one rule: here each checks its
 input, charges its capacity limit and keeps its memo; every matrix is built
 and multiplied in `formorbits`, which is loaded only after the charge.
@@ -84,6 +85,11 @@ def check_order_bits(q: int, n: int) -> None:
     check_limit("ORDER_BITS_BOUND", n * n * q.bit_length(), f"n^2 * bit_length(q) at q={q}, n={n}")
 
 
+# Names exact_div's quotient for a degree: degree's, and a full decompose's,
+# which carries the products of block_degree_factor down the label search.
+DEGREE = "degree({}) = {value}"
+
+
 def degree(ctx: QContext, label: MultiPartition) -> int:
     """Degree of the irreducible character with the given label.
 
@@ -95,17 +101,17 @@ def degree(ctx: QContext, label: MultiPartition) -> int:
     if label.ctx != ctx:
         raise ValueError(f"label {label} is not at q = {ctx.q}")
     q = ctx.q
-    num = _prod_qi_minus_one(q, label.n)
+    num = prod_qi_minus_one(q, label.n)
     den = 1
     for data, part in label.entries:
-        block_num, block_den = _block_degree_factor(q, data.m, part)
+        block_num, block_den = block_degree_factor(q, data.m, part)
         num *= block_num
         den *= block_den
-    return exact_div(num, den, "degree({}) = {value}", label)
+    return exact_div(num, den, DEGREE, label)
 
 
 @lru_cache(maxsize=None)
-def _prod_qi_minus_one(q: int, n: int) -> int:
+def prod_qi_minus_one(q: int, n: int) -> int:
     """prod over 1 <= i <= n of (q^i - 1)."""
     out = 1
     for i in range(1, n + 1):
@@ -114,7 +120,7 @@ def _prod_qi_minus_one(q: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _block_degree_factor(q: int, m: int, part: Partition) -> tuple[int, int]:
+def block_degree_factor(q: int, m: int, part: Partition) -> tuple[int, int]:
     """t^n(rho) and prod over the cells of (t^hook - 1), for t = q^m."""
     t = q**m
     num = t ** sum(i * p for i, p in enumerate(part))

@@ -6,14 +6,19 @@ Labels parametrize both the irreducible characters (rho-labels) and the
 basic characters (nu-labels); the subset with trivial norm product consists
 of exactly those that descend from GL_n to PGL_n.  A label holds its shape
 (LabelShape): all that the formulas read of it besides its partitions.
+
+label_search is the one search over the labels of weight n.  It carries the
+shape sums down each branch, and, given a fold, any value a caller adds up
+block by block, so a caller reads a label's values one step per search node
+and builds the label only if it keeps it.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from collections import Counter
 from math import comb, gcd
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from . import dualgroup
@@ -233,36 +238,68 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
     return out
 
 
-def label_search(ctx: QContext, n: int, restrict_to_P_hat: bool = True, block_filter=None):
-    """Check n and LABEL_BUDGET now; return search(emit), which calls emit(label) on
-    each label enumerate_labels lists and returns their number.
+def label_search(ctx: QContext, n: int, restrict_to_P_hat: bool = True, step=None):
+    """Check n and LABEL_BUDGET now; return search(emit, fold=None), which calls
+    emit(label) on each label enumerate_labels lists and returns their number.
 
-    With block_filter, a predicate on (orbit sign d, partition), the search
-    keeps only the labels whose every block passes it, and never walks into
-    a block that fails.  LABEL_BUDGET is still charged with every label.
+    With step, a subgroup's per-block step (formulas): step(d, m, part) is the
+    tuple of a block's factors of the multiplicity's terms, on an orbit of
+    sign d and size m.  A block whose factors are all 0 makes the
+    multiplicity 0 on every label that holds it, so the search keeps only
+    the labels without such a block and never walks into one.  LABEL_BUDGET
+    is still charged with every label.
+
+    With fold = (block, join, start), the search carries a value down each
+    branch instead of building labels: a block adds block(data, part), taken
+    once per entry in a dict local to the search, by acc = join(acc, value),
+    from start.  It calls emit(acc, entries, total, sizes, even) instead of
+    emit(label): total, sizes and even are the sums LabelShape reads, so the
+    caller builds a label, as the search does, only for a label it keeps.
     """
     even_n(n)
     orbits = dualgroup.orbits_up_to(ctx, n, residue=0 if restrict_to_P_hat else None)
     total = label_count(ctx, n, orbits, restrict_to_P_hat)
     check_limit("LABEL_BUDGET", total, f"labels to keep at q={ctx.q}, n={n}")
     parts_of = [partitions_of(k) for k in range(n + 1)]
-    # blocks[d][k]: the partitions of k that a block on an orbit of sign d may hold.
-    blocks = {d: parts_of for d in (1, -1)}
-    if block_filter is not None:
+    # blocks[d, m][k]: the partitions of k that a block on an orbit of sign d
+    # and size m may hold, for k <= n / m.
+    blocks = {(d, m): parts_of[: n // m + 1] for d in (1, -1) for m in range(1, n + 1)}
+    if step is not None:
         blocks = {
-            d: [[part for part in parts if block_filter(d, part)] for parts in parts_of]
-            for d in blocks
+            (d, m): [[part for part in parts if any(step(d, m, part))] for parts in table]
+            for (d, m), table in blocks.items()
         }
-        counts = {d: [len(parts) for parts in table] for d, table in blocks.items()}
+        counts = {key: [len(parts) for parts in table] for key, table in blocks.items()}
         total = label_count(ctx, n, orbits, restrict_to_P_hat, counts)
-    return lambda emit: _search_labels(ctx, n, orbits, restrict_to_P_hat, total, emit, blocks)
+
+    return lambda emit, fold=None: _search_labels(
+        ctx, n, orbits, restrict_to_P_hat, total, emit, blocks, fold
+    )
+
+
+def _no_value(acc, value) -> None:
+    """The join of a search that builds labels, which carries nothing."""
+
+
+class _OnFirstUse(dict):
+    """A dict that fills a missing key with make(key) on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _search_labels(
-    ctx: QContext, n: int, orbits: list, restrict_to_P_hat, count: int, emit, blocks: dict
+    ctx: QContext, n: int, orbits: list, restrict_to_P_hat, count: int, emit, blocks: dict, fold
 ):
-    """The search of label_search over blocks[d][k], the partitions of k an orbit of
-    sign d may hold; it must keep `count` labels, and returns that number."""
+    """The search of label_search over blocks[d, m][k], the partitions of k an orbit
+    of sign d and size m may hold; it must keep `count` labels, and returns that number."""
+    block, join, start_acc = fold or (None, _no_value, None)
     # Pi is total mod `mod`; without the restriction every label is kept.
     mod = ctx.q - 1 if restrict_to_P_hat else 1
     # An orbit's lightest block weighs m * k, k the least with a partition to
@@ -270,20 +307,22 @@ def _search_labels(
     # block is heavier than n (they are left unlisted), else whether they
     # hold [1], the w > m it fits in, and every w it fits in.
     plans = {}
-    for d, table in blocks.items():
-        for m in range(1, n + 1):
-            low = next((m * k for k in range(1, n // m + 1) if table[k]), n + 1)
-            plans[d, m] = None
-            if low <= n:
-                plans[d, m] = (low == m, range(max(m + 1, low), n + 1), range(low, n + 1))
+    for (d, m), table in blocks.items():
+        low = next((m * k for k in range(1, n // m + 1) if table[k]), n + 1)
+        plans[d, m] = None
+        if low <= n:
+            plans[d, m] = (low == m, range(max(m + 1, low), n + 1), range(low, n + 1))
     # shorter[w]: indices of the orbits with m < w whose lightest block fits in
     # w.  closers[w][r]: those with m == w, norm residue r and [1] to hold,
     # which can only fill the rest w as a block [1].  last[w]: the largest
     # index of an orbit whose lightest block fits in w (-1 if none).
+    # tables[i]: the blocks[d, m] of orbit i.
     shorter: list[list[int]] = [[] for _ in range(n + 1)]
     closers = [[[] for _ in range(mod)] for _ in range(n + 1)]
     last = [-1] * (n + 1)
+    tables = []
     for i, (_, _, m, r, d) in enumerate(orbits):
+        tables.append(blocks[d, m])
         plan = plans[d, m]
         if plan is None:
             continue
@@ -295,16 +334,31 @@ def _search_labels(
         for w in fits:
             last[w] = i
     one = Partition((1,))
+    stride = n + 1
+
+    def entries_of(key: int) -> list:
+        data = orbits[key // stride]
+        parts = tables[key // stride][key % stride]
+        return [(((data, part),), block and block(data, part)) for part in parts]
+
+    # values[i * stride + k]: for each part of tables[i][k], the one-entry tuple
+    # ((orbit i, part),), which every label with that block shares, and
+    # block(orbit i, part).  closing[j]: block(orbit j, [1]) for a closer.
+    values = _OnFirstUse(entries_of)
+    closing = [None] * len(orbits)
     kept = 0
 
-    def keep(entries: tuple, total: int, sizes: tuple, even: bool) -> None:
+    def keep(entries: tuple, total: int, sizes: tuple, even: bool, acc) -> None:
         nonlocal kept
         kept += 1
         if kept > count:  # refused before it is emitted: count <= LABEL_BUDGET
             raise InvariantViolation(f"the label search kept {kept} labels; label_count is {count}")
-        emit(MultiPartition._make((ctx, n, entries, LabelShape(ctx, entries, sizes, total, even))))
+        if fold:
+            emit(acc, entries, total, sizes, even)
+        else:
+            emit(MultiPartition._make((ctx, n, entries, LabelShape(ctx, entries, sizes, total, even))))
 
-    def rec(start: int, remaining: int, total: int, sizes: tuple, even: bool, prefix: tuple):
+    def rec(start: int, remaining: int, total: int, sizes: tuple, even: bool, prefix: tuple, acc):
         # Carried for LabelShape: total = sum(size * r), sizes, all even.  The
         # orbits with m < remaining and the closers making Pi trivial, in order.
         ends = closers[remaining][-total % mod]
@@ -312,32 +366,37 @@ def _search_labels(
         candidates = shorter[remaining]
         for i in candidates[bisect_left(candidates, start) :]:
             while e < len(ends) and ends[e] < i:
-                closer = orbits[ends[e]]
-                keep(prefix + ((closer, one),), total + closer.r, sizes + (1,), False)
+                j = ends[e]
+                closer, value = orbits[j], closing[j]
+                if block and value is None:
+                    value = closing[j] = block(closer, one)
+                keep(prefix + ((closer, one),), total + closer.r, sizes + (1,), False, join(acc, value))
                 e += 1
             data = orbits[i]
-            table = blocks[data.d]
+            table = tables[i]
             for k in range(remaining // data.m, 0, -1):
                 parts = table[k]
                 if not parts:
                     continue
                 rest = remaining - data.m * k
                 child_total = total + k * data.r
-                if rest:
-                    if last[rest] > i:
-                        child_sizes, child_even = sizes + (k,), even and k % 2 == 0
-                        for part in parts:
-                            entries = prefix + ((data, part),)
-                            rec(i + 1, rest, child_total, child_sizes, child_even, entries)
-                elif child_total % mod == 0:
-                    child_sizes, child_even = sizes + (k,), even and k % 2 == 0
-                    for part in parts:
-                        keep(prefix + ((data, part),), child_total, child_sizes, child_even)
+                if rest and last[rest] <= i or not rest and child_total % mod:
+                    continue
+                child_sizes, child_even = sizes + (k,), even and k % 2 == 0
+                for entry, value in values[i * stride + k]:
+                    entries = prefix + entry
+                    if rest:
+                        rec(i + 1, rest, child_total, child_sizes, child_even, entries, join(acc, value))
+                    else:
+                        keep(entries, child_total, child_sizes, child_even, join(acc, value))
         for j in ends[e:]:
-            keep(prefix + ((orbits[j], one),), total + orbits[j].r, sizes + (1,), False)
+            closer, value = orbits[j], closing[j]
+            if block and value is None:
+                value = closing[j] = block(closer, one)
+            keep(prefix + ((closer, one),), total + closer.r, sizes + (1,), False, join(acc, value))
 
     try:
-        rec(0, n, 0, (), True, ())
+        rec(0, n, 0, (), True, (), start_acc)
     finally:
         # rec refers to itself and holds keep; drop both to free the search now.
         del rec, keep
@@ -351,7 +410,7 @@ def label_count(
     n: int,
     orbits: Iterable[OrbitData],
     restrict_to_P_hat: bool = True,
-    counts: Optional[Mapping[int, list[int]]] = None,
+    counts: Optional[Mapping[tuple[int, int], list[int]]] = None,
 ) -> int:
     """The number of labels of weight n over the given orbits, without listing them.
 
@@ -362,24 +421,24 @@ def label_count(
     h = sum_k p(k) x^(m k) y^(k r).  The count is the x^n y^0 coefficient of
     the product over the classes; without the restriction to P-hat, y is
     dropped.  Every term of (1 + h)^c is a(K) x^(m K) y^(K r) for one K, so
-    a class multiplies in at most n/m + 1 terms.  counts[d][k], if given,
-    takes the place of p(k) on the orbits of sign d: the labels whose blocks
-    hold only the partitions it counts.
+    a class multiplies in at most n/m + 1 terms.  counts[d, m][k], if given
+    for k <= n/m, takes the place of p(k) on the orbits of sign d and size m:
+    the labels whose blocks hold only the partitions it counts.
     """
     mod = ctx.q - 1 if restrict_to_P_hat else 1
-    classes = Counter((data.m, data.r % mod, data.d) for data in orbits)
-    if counts is None:
-        # p[k]: the number of partitions of k.
-        p = [1] + [0] * n
-        for part in range(1, n + 1):
-            for k in range(part, n + 1):
-                p[k] += p[k - part]
-        counts = {1: p, -1: p}
+    classes = Counter()
+    for (m, r, d), c in Counter(map(itemgetter(2, 3, 4), orbits)).items():
+        classes[m, r % mod, d] += c
+    # partition_counts[k]: the number of partitions of k.
+    partition_counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            partition_counts[k] += partition_counts[k - part]
     # poly[w][y]: the choices over the classes so far of weight w and norm y.
     poly = [[0] * mod for _ in range(n + 1)]
     poly[0][0] = 1
     for (m, r, d), c in classes.items():
-        p = counts[d]
+        p = partition_counts if counts is None else counts[d, m]
         top = n // m
         # a[K]: the t^K coefficient of (1 + P(t))^c, P(t) = sum_{k >= 1} p(k) t^k.
         a = [1] + [0] * top
@@ -406,6 +465,7 @@ def random_labels(ctx: QContext, n: int, count: int, *, seed=None) -> list[Multi
     Not uniform, but covers strata; the same seed gives the same labels.
     Useful where full enumeration is out of the desk-scale envelope.
     """
+    import random  # loaded on use: the commands do not pay for it
     even_n(n)
     int_arg("count", count)
     rng = random.Random(seed)

@@ -60,10 +60,11 @@ def _chi(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 
 def character_table(m: int) -> list[list[int]]:
-    """Full table for S_m: rows rho, columns mu, both in partitions_of(m) order."""
-    if int_arg("m", m) < 0:
-        raise ValueError("m must be nonnegative")
-    check_limit("CHARACTER_TABLE_BOUND", m, "character_table m")
+    """Full table for S_m: rows rho, columns mu, both in partitions_of(m) order.
+
+    partitions_of refuses a negative m.
+    """
+    check_limit("CHARACTER_TABLE_BOUND", int_arg("m", m), "character_table m")
     parts = partitions_of(m)
     return [[chi(rho, mu) for mu in parts] for rho in parts]
 

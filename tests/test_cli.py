@@ -384,10 +384,16 @@ def test_cross_check_builds_one_shape_per_label(capsys, monkeypatch):
 def test_full_decompose_checks_sum_md_against_the_index(capsys, monkeypatch):
     from pglchar import oracle
 
-    real = oracle.degree
-    monkeypatch.setattr(
-        oracle, "degree", lambda ctx, label: real(ctx, label) + (label.text() == "0/1:[2]")
-    )
+    # A full decompose multiplies the block factors down the label search;
+    # doubling the one of [2] on an orbit of size 1 makes the degree of
+    # 0/1:[2], the trivial character, 2.
+    real = oracle.block_degree_factor
+
+    def doubled(q, m, part):
+        num, den = real(q, m, part)
+        return (2 * num if (m, part) == (1, (2,)) else num), den
+
+    monkeypatch.setattr(oracle, "block_degree_factor", doubled)
     base = ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgo+"]
     for extra in ([], ["--include-zeros"], ["--format", "json"]):
         code, out, err = run(capsys, *base, *extra)
@@ -697,7 +703,9 @@ def test_decompose_json_stdout_is_the_reference_bytes(capsys, extra):
 def test_a_full_decompose_with_a_wrong_pgsp_multiplicity_exits_4(capsys, monkeypatch, fmt):
     from pglchar import formulas
 
-    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho: 2)
+    # A full decompose folds the PGSp step down the label search: a factor 2
+    # on every block makes the multiplicity of the first label, 0/1:[4], 2.
+    monkeypatch.setattr(formulas, "_pgsp_step", lambda d, m, part: (2,))
     code, out, err = run(
         capsys, "decompose", "--q", "3", "--n", "4", "--subgroup", "pgsp", "--format", fmt
     )

@@ -671,14 +671,19 @@ def _counting(monkeypatch, name):
 def test_a_single_subgroup_decomposition_computes_only_its_own_subgroup(monkeypatch):
     # mult_irr and the two selectors stay separate: computing all three
     # subgroups per call, then selecting one, measured 40-60% slower on the
-    # in-process multiplicity layer.
-    pgo_terms = _counting(monkeypatch, "_pgo_irr_terms")
-    pgsp = _counting(monkeypatch, "_pgsp_irr")
-    decompose(Q3, 4, Subgroup.PGSP)
-    assert pgsp and not pgo_terms
-    pgsp.clear()
-    decompose(Q3, 4, Subgroup.PGO_PLUS)
-    assert pgo_terms and not pgsp
+    # in-process multiplicity layer.  A full decompose folds its subgroup's
+    # step down the search and calls no per-label function.
+    pgo_step = _counting(monkeypatch, "_pgo_step")
+    pgsp_step = _counting(monkeypatch, "_pgsp_step")
+    per_label = [_counting(monkeypatch, name) for name in ("_pgo_irr_terms", "_pgsp_irr")]
+    for include_zeros in (False, True):
+        decompose(Q3, 4, Subgroup.PGSP, include_zeros=include_zeros, with_degrees=True)
+        assert pgsp_step and not pgo_step
+        pgsp_step.clear()
+        decompose(Q3, 4, Subgroup.PGO_PLUS, include_zeros=include_zeros, with_degrees=True)
+        assert pgo_step and not pgsp_step
+        pgo_step.clear()
+    assert per_label == [[], []]
 
 
 # A full decompose streams the label search; decompose over the labels of
@@ -703,6 +708,57 @@ def test_a_streamed_decompose_equals_decompose_over_the_given_label_list(q, n):
                 assert got == expected, (sg, include_zeros, with_degrees)
 
 
+@pytest.mark.parametrize(
+    "q,n,subgroups",
+    [pytest.param(q, n, tuple(Subgroup), id=f"{q},{n}") for q, n in STREAM_SIZES + [(5, 6)]]
+    + [pytest.param(7, 6, (Subgroup.PGO_PLUS,), marks=pytest.mark.slow, id="7,6,pgo+")],
+)
+def test_the_carried_rows_equal_the_per_label_functions(q, n, subgroups):
+    # A full decompose carries each row's multiplicity, degree and text down
+    # the label search; the per-label functions compute them from the label.
+    ctx = q_context(q)
+    labels = enumerate_labels(ctx, n, True)
+    for sg in subgroups:
+        listed = formulas.decompose(
+            ctx, n, sg, labels=labels, include_zeros=True, with_degrees=True
+        )
+        for include_zeros in (False, True):
+            texts = []
+            got = decompose(
+                ctx, n, sg, include_zeros=include_zeros, with_degrees=True, texts=texts
+            )
+            assert list(got.rows) == [row for row in listed.rows if row.mult or include_zeros]
+            assert got[-2:] == listed[-2:]  # sum(mult * degree), sum(mult^2)
+            assert texts == [row.label.text() for row in got.rows]
+            for row in got.rows:
+                assert row.mult == mult_irr(row.label, sg), row.label
+                assert row.degree == oracle.degree(ctx, row.label), row.label
+
+
+def test_a_fork_of_the_odd_m_t3_factor_shows_on_both_paths(capsys, monkeypatch):
+    # mult_pgo_irr and a full decompose read one per-block step: a sign flip
+    # of T3's factor on odd-m blocks of sign 1 reaches both.
+    from pglchar.cli import main
+
+    label = params.parse_label(Q3, 4, "0/1:[2,1,1]")  # T3's factor -2 on an orbit of size 1
+    assert (mult_pgo_irr(label, 1), mult_pgo_irr(label, -1)) == (1, 1)
+    real = formulas._pgo_step
+
+    def flipped(d, m, part):
+        t1, t2, t3 = real(d, m, part)
+        return (t1, t2, -t3) if d == 1 and m % 2 else (t1, t2, t3)
+
+    monkeypatch.setattr(formulas, "_pgo_step", flipped)
+    assert (mult_pgo_irr(label, 1), mult_pgo_irr(label, -1)) == (2, 2)
+    # T3 of 0/1:[2,2] is 3, so the flip makes its multiplicity 1/2: by_sign
+    # refuses it before the sums reach the index check.
+    code = main(["decompose", "--q", "3", "--n", "4", "--subgroup", "pgo+"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err == "invariant violation: non-integral mult_pgo_irr(0/1:[2,2], +1) = 1/2\n"
+
+
 def _count_shapes(monkeypatch) -> list:
     """Count the LabelShapes built from now on; returns the list of their entries."""
     built = []
@@ -723,7 +779,9 @@ def test_a_full_decompose_builds_no_label_list_and_no_second_shape(monkeypatch, 
     ctx = q_context(q)
     labels = enumerate_labels(ctx, n, True)
     expected = {
-        sg: decompose(ctx, n, sg, include_zeros=True, with_degrees=True) for sg in Subgroup
+        (sg, include_zeros): decompose(ctx, n, sg, include_zeros=include_zeros, with_degrees=True)
+        for sg in Subgroup
+        for include_zeros in (False, True)
     }
 
     def fail(*args, **kwargs):
@@ -731,11 +789,31 @@ def test_a_full_decompose_builds_no_label_list_and_no_second_shape(monkeypatch, 
 
     monkeypatch.setattr(params, "enumerate_labels", fail)
     built = _count_shapes(monkeypatch)
-    for sg in Subgroup:
-        assert decompose(ctx, n, sg, include_zeros=True, with_degrees=True) == expected[sg]
-        # One shape per searched label, built where the search keeps it.
-        assert Counter(built) == Counter(label.entries for label in labels), sg
+    for (sg, include_zeros), report in expected.items():
+        assert decompose(ctx, n, sg, include_zeros=include_zeros, with_degrees=True) == report
+        # One shape per row, built where the search keeps its label: with
+        # include_zeros that is every searched label.
+        assert Counter(built) == Counter(row.label.entries for row in report.rows), sg
+        if include_zeros:
+            assert [row.label for row in report.rows] == labels
         built.clear()
+
+
+@pytest.mark.slow
+def test_a_full_decompose_at_7_6_builds_a_shape_only_for_a_row(monkeypatch):
+    # The pgo+ search walks 9,415 labels at (7,6); 6,881 of them are rows.
+    ctx = q_context(7)
+    orbits = dualgroup.orbits_up_to(ctx, 6, residue=0)
+    counts = {
+        (d, m): [sum(any(formulas._pgo_step(d, m, part)) for part in partitions_of(k))
+                 for k in range(6 // m + 1)]
+        for d in (1, -1)
+        for m in range(1, 7)
+    }
+    assert params.label_count(ctx, 6, orbits, True, counts) == 9415
+    built = _count_shapes(monkeypatch)
+    report = decompose(ctx, 6, Subgroup.PGO_PLUS, with_degrees=True)
+    assert len(report.rows) == len(built) == 6881
 
 
 def test_a_query_builds_one_shape():
@@ -791,17 +869,18 @@ def test_a_streamed_decompose_holds_less_memory_than_the_label_list():
     assert peaks["streamed"] < peaks["listed"], peaks
 
 
-# Without include_zeros, a full decompose walks only the blocks that its
-# subgroup's filter keeps; a block the filter drops forces mult 0.
-FILTERS = [
-    (formulas._pgsp_block_kept, (Subgroup.PGSP,)),
-    (formulas._pgo_block_kept, (Subgroup.PGO_PLUS, Subgroup.PGO_MINUS)),
+# Without include_zeros, a full decompose walks only the blocks with a
+# nonzero factor under its subgroup's step; a block whose factors are all 0
+# forces mult 0.
+STEPS = [
+    (formulas._pgsp_step, (Subgroup.PGSP,)),
+    (formulas._pgo_step, (Subgroup.PGO_PLUS, Subgroup.PGO_MINUS)),
 ]
 FILTER_SIZES = [(3, 2), (5, 4), (9, 4), (3, 6), (5, 6)]
 
 
-def _passes(label, block_filter):
-    return all(block_filter(data.d, part) for data, part in label.entries)
+def _passes(label, step):
+    return all(any(step(data.d, data.m, part)) for data, part in label.entries)
 
 
 @pytest.mark.parametrize("q,n", FILTER_SIZES)
@@ -809,9 +888,9 @@ def test_a_label_the_block_filter_skips_has_mult_0(q, n):
     ctx = q_context(q)
     subgroups = tuple(Subgroup)
     labels = enumerate_labels(ctx, n, True)
-    for block_filter, served in FILTERS:
-        skipped = [label for label in labels if not _passes(label, block_filter)]
-        assert skipped, block_filter.__name__
+    for step, served in STEPS:
+        skipped = [label for label in labels if not _passes(label, step)]
+        assert skipped, step.__name__
         for label in skipped:
             mults = formulas.irr_mults(label)
             assert [mults[subgroups.index(sg)] for sg in served] == [0] * len(served), label
@@ -823,17 +902,19 @@ def test_the_filtered_label_count_counts_the_labels_that_pass(q, n, restrict):
     ctx = q_context(q)
     orbits = dualgroup.orbits_up_to(ctx, n)
     labels = enumerate_labels(ctx, n, restrict)
-    for block_filter, _ in FILTERS:
+    for step, _ in STEPS:
         counts = {
-            d: [sum(block_filter(d, part) for part in partitions_of(k)) for k in range(n + 1)]
+            (d, m): [sum(any(step(d, m, part)) for part in partitions_of(k))
+                     for k in range(n // m + 1)]
             for d in (1, -1)
+            for m in range(1, n + 1)
         }
-        expected = sum(_passes(label, block_filter) for label in labels)
+        expected = sum(_passes(label, step) for label in labels)
         assert params.label_count(ctx, n, orbits, restrict, counts) == expected
         kept = []
-        search = params.label_search(ctx, n, restrict, block_filter)
+        search = params.label_search(ctx, n, restrict, step)
         assert search(kept.append) == expected
-        assert kept == [label for label in labels if _passes(label, block_filter)]
+        assert kept == [label for label in labels if _passes(label, step)]
 
 
 def test_a_filtered_search_that_disagrees_with_its_count_is_an_invariant_violation(monkeypatch):

@@ -108,8 +108,8 @@ def test_degree_matches_the_unmemoised_formula_in_interleaved_q_order():
     # Consecutive labels differ in q, and labels of different q or n share
     # blocks (m, partition), so a memo keyed without q, m or n returns a
     # value computed for another label.
-    oracle._prod_qi_minus_one.cache_clear()
-    oracle._block_degree_factor.cache_clear()
+    oracle.prod_qi_minus_one.cache_clear()
+    oracle.block_degree_factor.cache_clear()
     full = [enumerate_labels(q_context(q), n, True) for q, n in ((3, 4), (5, 4), (9, 4), (3, 6))]
     sampled = [
         params.random_labels(q_context(q), n, 200, seed=q * 100 + n) for q, n in ((27, 6), (9, 8))

@@ -338,12 +338,20 @@ def test_an_odd_t1_in_any_route_exits_4_naming_the_label(capsys, monkeypatch, mo
     assert "non-integral" in err
     assert seen and seen[0].text() in err
     if name == "_pgo_irr_terms":
-        seen.clear()
+        # A full decompose folds _pgo_step down the label search instead: a T1
+        # factor one too large makes T1 of the first label, 0/1:[4], odd.
+        real = formulas._pgo_step
+
+        def odd_t1_step(d, m, part):
+            t1, t2, t3 = real(d, m, part)
+            return t1 + 1, t2, t3
+
+        monkeypatch.setattr(formulas, "_pgo_step", odd_t1_step)
         code = cli.main(["decompose", "--q", "3", "--n", "4", "--subgroup", "pgo+"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert f"non-integral mult_pgo_irr({seen[0].text()}, +1)" in captured.err
+        assert "non-integral mult_pgo_irr(0/1:[4], +1)" in captured.err
 
 
 def test_cross_check_catches_swapped_pgo_values_in_route_one(capsys, monkeypatch):

@@ -55,15 +55,15 @@ CASES = [
     ),
     (
         ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--format", "json"],
-        {"pglchar.involutions", "pglchar.formorbits"},
+        {"pglchar.symchar", "pglchar.involutions", "pglchar.formorbits"},
     ),
     (
         ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--format", "csv"],
-        {"pglchar.involutions", "pglchar.formorbits"},
+        {"pglchar.symchar", "pglchar.involutions", "pglchar.formorbits"},
     ),
     (
         ["decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--no-degrees"],
-        {"pglchar.oracle", "pglchar.involutions", "pglchar.formorbits"},
+        {"pglchar.oracle", "pglchar.symchar", "pglchar.involutions", "pglchar.formorbits"},
     ),
     (
         ["verify-identities", "--max-size", "2"],

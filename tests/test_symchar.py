@@ -166,6 +166,29 @@ def test_character_table_capacity():
         character_table(15)
 
 
+def test_character_table_leaves_a_negative_m_to_partitions_of(monkeypatch):
+    # partitions_of is the one home of the rule; character_table once made
+    # the same check with the same text first.
+    real = symchar.partitions_of
+    asked = []
+
+    def recorded(m):
+        asked.append(m)
+        return real(m)
+
+    monkeypatch.setattr(symchar, "partitions_of", recorded)
+    with pytest.raises(ValueError, match="^m must be nonnegative$"):
+        character_table(-1)
+    assert asked == [-1]
+
+    def fail(m):
+        raise AssertionError("a table was started past CHARACTER_TABLE_BOUND")
+
+    monkeypatch.setattr(symchar, "partitions_of", fail)
+    with pytest.raises(CapacityError, match="character_table m: 15 exceeds CHARACTER_TABLE_BOUND = 14"):
+        character_table(15)
+
+
 @pytest.mark.parametrize("m", [2.5, True, "2"])
 def test_character_table_takes_m_only_as_an_int(m):
     with pytest.raises(ValueError, match=f"^m must be an int, got {re.escape(repr(m))}$"):
