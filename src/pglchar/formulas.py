@@ -6,20 +6,18 @@ The fractional coefficients (1/4, 1/2, eps/2) are cleared first: each
 formula sums four (or two) times the multiplicity as an int, and
 errors.by_sign (or errors.exact_div) divides at the end.  A remainder, or a
 negative multiplicity of an irreducible character, is a hard internal error,
-never a rounding issue.  Each subgroup has one per-block step, which gives a
-block's factors of the terms from _block_stats (both memoised by value for
-the life of the process).  A label's multiplicity folds the step over its
-blocks and reads the rest from the shape the label holds, so every route
-takes the label alone; a full decompose folds the same step down the label
-search, with each block's degree factors, Phi term and text, one step per
-search node.
+never a rounding issue.  Each route folds per-block tables over a label's
+blocks (lru_caches keyed by value, never by label, for the life of the
+process; cache_clear empties one): route 1 and a full decompose fold
+_pgsp_step or _pgo_step and finish in _pgo_finish, the closed forms fold
+_basic_step and the transition route _transition_column, which
+symchar.clear_memo() leaves as they are.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iter_product
-from math import prod
 from typing import Iterable, NamedTuple, Optional
 
 from . import dualgroup, params
@@ -97,10 +95,8 @@ def _block_stats(p: Partition) -> _BlockStats:
 # multiplicity is one term, and 4 * mult_pgo_irr(rho, eps) is
 # T1 + 2 * eps * T2 + T3, whose terms do not depend on eps.  A subgroup's
 # step(d, m, part) is the tuple of a block's factors of its terms, on an
-# orbit of sign d and size m.  _pgsp_irr and _pgo_irr_terms fold the step
-# over one label's blocks; a full decompose folds the same step down the
-# label search (params.label_search), which never walks into a block whose
-# factors are all 0: the multiplicity is 0 on every label that holds it.
+# orbit of sign d and size m.  The label search never walks into a block
+# whose factors are all 0: the multiplicity is 0 on every label holding it.
 
 
 @lru_cache(maxsize=None)
@@ -133,28 +129,27 @@ def _pgsp_irr(rho: MultiPartition) -> int:
     return mult
 
 
-def _pgo_irr_terms(rho: MultiPartition) -> tuple[int, int, int]:
-    """T1, T2 and T3 of the orthogonal multiplicity of rho."""
+_PGO_IRR = "mult_pgo_irr({}, {:+d}) = {value}"
+
+
+def _pgo_finish(t1: int, t2: int, t3: int, half_zero: bool, phi: int, label) -> tuple[int, int]:
+    """An irreducible label's orthogonal multiplicities (eps = +1, -1), never negative,
+    from its blocks' factor products: T2 counts if the label's half is 0, and T3 is
+    signed by phi = (-1)^(n/2) Phi, read only where T3 != 0."""
+    return by_sign(t1, t2 if half_zero else 0, t3 * phi, _PGO_IRR, label, True)
+
+
+def _pgo_irr(rho: MultiPartition) -> tuple[int, int]:
+    """rho's orthogonal multiplicities (eps = +1, -1): _pgo_step folded, then finished."""
     t1 = t2 = t3 = 1
     for data, part in rho.entries:
         f1, f2, f3 = _pgo_step(data.d, data.m, part)
         t1 *= f1
         t2 *= f2
         t3 *= f3
-    if rho.shape.half != 0:
-        t2 = 0
-    if t3:  # every m * size is even, as Phi needs
-        t3 *= (-1) ** (rho.n // 2) * rho.shape.phi()
-    return t1, t2, t3
-
-
-# Names by_sign's value on an irreducible label; such a value is never negative.
-_PGO_IRR = "mult_pgo_irr({}, {:+d}) = {value}"
-
-
-def _pgo_irr(rho: MultiPartition) -> tuple[int, int]:
-    """The orthogonal multiplicities of rho for eps = +1 and -1, from one T1, T2, T3."""
-    return by_sign(*_pgo_irr_terms(rho), _PGO_IRR, rho, True)
+    shape = rho.shape  # T3 != 0: every m * size is even, as Phi needs
+    phi = (-1) ** (rho.n // 2) * shape.phi() if t3 else 0
+    return _pgo_finish(t1, t2, t3, shape.half == 0, phi, rho)
 
 
 def irr_mults(rho: MultiPartition) -> tuple[int, int, int]:
@@ -217,60 +212,35 @@ def mult_unipotent_gl_o(rho: Partition, eps: int) -> int:
 # 4 * mult_pgo_basic(nu, eps) is T1 + 2 * eps * T2 + T3.
 
 
-class _Symchar:
-    """Stands in for pglchar.symchar until an attribute of it is first read.
+@lru_cache(maxsize=None)
+def _basic_step(d: int, m: int, part: Partition) -> tuple[int, int, int, int]:
+    """The closed forms' factors of a block from symchar's four sums: PGSp's,
+    then those of T1, T2 and T3 (0 where m * size is odd, as T3 is then 0)."""
+    from . import symchar  # loaded on use: decompose reads neither table
+    size = part.size()
+    even = symchar.sum_chi_transpose_even(part)
+    t1 = (-1) ** size * symchar.sum_chi_weighted(part) if d == 1 else even
+    if m * size % 2:
+        t3 = 0
+    elif d == 1 and m % 2:
+        t3 = symchar.sum_chi_signed_even(part)
+    else:
+        t3 = (-1) ** (m * size // 2) * (t1 if d == 1 else even)
+    return symchar.sum_chi_even(part), t1, even, t3
 
-    That read imports symchar, loaded on use as decompose never reads it,
-    and puts the module in this stand-in's place, so the routes below pay
-    for no import statement per call: three of them cost 2 us a label.
-    """
 
-    def __getattr__(self, name: str):
-        global symchar
-        from . import symchar
-        return getattr(symchar, name)
-
-
-symchar = _Symchar()
-
-
-def _pgsp_basic(nu: MultiPartition) -> int:
+def _basic_terms(nu: MultiPartition) -> tuple[int, int, int, int]:
+    """nu's PGSp multiplicity and T1, T2, T3: _basic_step folded, then nu's half and Phi."""
+    sp = t1 = t2 = t3 = 1
+    for data, part in nu.entries:
+        f0, f1, f2, f3 = _basic_step(data.d, data.m, part)
+        sp *= f0
+        t1 *= f1
+        t2 *= f2
+        t3 *= f3
     if nu.shape.half != 0:
-        return 0
-    prod = 1
-    for _, part in nu.entries:
-        prod *= symchar.sum_chi_even(part)
-    return prod
-
-
-def _pgo_basic_terms(nu: MultiPartition) -> tuple[int, int, int]:
-    """T1, T2 and T3 of the orthogonal basic multiplicity of nu."""
-    blocks = [(data, part, size) for (data, part), size in zip(nu.entries, nu.shape.sizes)]
-
-    t1 = 1
-    for data, part, size in blocks:
-        if data.d == 1:
-            t1 *= (-1) ** size * symchar.sum_chi_weighted(part)
-        else:
-            t1 *= symchar.sum_chi_transpose_even(part)
-
-    t2 = 0
-    if nu.shape.half == 0:
-        t2 = 1
-        for _, part, _ in blocks:
-            t2 *= symchar.sum_chi_transpose_even(part)
-
-    t3 = 0
-    if all(data.m * size % 2 == 0 for data, _, size in blocks):
-        t3 = nu.shape.phi()
-        for data, part, size in blocks:
-            if data.d == 1 and data.m % 2:
-                t3 *= symchar.sum_chi_signed_even(part)
-            elif data.d == 1:
-                t3 *= (-1) ** (size + data.m * size // 2) * symchar.sum_chi_weighted(part)
-            else:
-                t3 *= (-1) ** (data.m * size // 2) * symchar.sum_chi_transpose_even(part)
-    return t1, t2, t3
+        sp = t2 = 0
+    return sp, t1, t2, (t3 * nu.shape.phi() if t3 else 0)
 
 
 def basic_mults(nu: MultiPartition) -> tuple[int, int, int]:
@@ -278,9 +248,8 @@ def basic_mults(nu: MultiPartition) -> tuple[int, int, int]:
 
     One T1, T2, T3 serves both signs.
     """
-    terms = _pgo_basic_terms(require_descends(nu))
-    plus, minus = by_sign(*terms, "basic multiplicity {value} for {} at eps = {:+d}", nu)
-    return _pgsp_basic(nu), plus, minus
+    sp, *terms = _basic_terms(require_descends(nu))
+    return (sp, *by_sign(*terms, "basic multiplicity {value} for {} at eps = {:+d}", nu))
 
 
 def mult_pgsp_basic(nu: MultiPartition) -> int:
@@ -293,32 +262,60 @@ def mult_pgo_basic(nu: MultiPartition, eps: int) -> int:
     return basic_mults(nu)[1 + sign_index(eps)]
 
 
+@lru_cache(maxsize=None)
+def _transition_column(d: int, m: int, part: Partition) -> tuple[tuple, ...]:
+    """The transition route's table for a block: (rho, chi(rho, part), rho's
+    _pgsp_step and _pgo_step factors) for each rho of symchar.chi_column(part)."""
+    from . import symchar
+    return tuple(
+        (rho, value, *_pgsp_step(d, m, rho), *_pgo_step(d, m, rho))
+        for rho, value in symchar.chi_column(part)
+    )
+
+
+class _RhoName:
+    """The text of nu's transition term `choice`, as a rho-label."""
+
+    __slots__ = ("nu", "choice")
+
+    def __str__(self) -> str:
+        nu = self.nu
+        entries = tuple((data, entry[0]) for (data, _), entry in zip(nu.entries, self.choice))
+        return nu._make((nu.ctx, nu.n, entries, nu.shape)).text()
+
+
 def mults_via_transition(nu: MultiPartition) -> tuple[int, int, int]:
     """Basic-character multiplicities through the irreducible transition matrix.
 
     Expands B_nu over all irreducible labels with the same block sizes on the
-    same orbits, for every subgroup at once, in Subgroup order: each rho-label
-    is built once and read by irr_mults.  The entries of nu are canonical and
-    sorted already, so each rho-label is built directly on the orbit data of
-    nu, and holds nu's shape, since a shape reads only the orbits and the
-    block sizes.
+    same orbits, for every subgroup at once, in Subgroup order.  A rho-label
+    has nu's shape, which reads only the orbits and the block sizes, so each
+    rho-term folds one _transition_column entry per block, and _pgo_finish
+    finishes and nonneg-checks it; its label is built only for a message.
     """
     shape = require_descends(nu).shape
-    # Per block, the rho-entries with chi(rho, nu_xi) != 0 and that value.
-    columns = [
-        [((data, rho), value) for rho, value in symchar.chi_column(part)]
-        for data, part in nu.entries
-    ]
-    sp = plus = minus = 0
+    half_zero = shape.half == 0
+    columns = [_transition_column(data.d, data.m, part) for data, part in nu.entries]
+    finish, name = _pgo_finish, _RhoName()
+    name.nu = nu
+    sp = plus = minus = phi = 0
     for choice in iter_product(*columns):
-        entries, values = zip(*choice)
-        coeff = prod(values)
-        irr_sp, irr_plus, irr_minus = irr_mults(nu._make((nu.ctx, nu.n, entries, shape)))
-        sp += coeff * irr_sp
+        coeff = s = t1 = t2 = t3 = 1
+        for _, value, f0, f1, f2, f3 in choice:
+            coeff *= value
+            s *= f0
+            t1 *= f1
+            t2 *= f2
+            t3 *= f3
+        if t3 and not phi:  # (-1)^(n/2) Phi, read only where T3 != 0
+            phi = (-1) ** (nu.n // 2) * shape.phi()
+        name.choice = choice
+        irr_plus, irr_minus = finish(t1, t2, t3, half_zero, phi, name)
+        sp += coeff * s
         plus += coeff * irr_plus
         minus += coeff * irr_minus
     sign = (-1) ** (nu.n + sum(shape.sizes))
-    return sign * sp, sign * plus, sign * minus
+    return sign * sp * half_zero, sign * plus, sign * minus
 
 
 def mult_basic_via_transition(nu: MultiPartition, subgroup: Subgroup) -> int:
@@ -409,14 +406,14 @@ def _row_fold(ctx: QContext, n: int, step, i, include_zeros, with_degrees, rows,
     term (where T3's factor is nonzero, so m * size is even), its text and
     its factors under step; PGSp's one term takes T1's place.  The search
     multiplies, adds and joins them down each branch, and emit finishes a
-    label's multiplicity from them and its shape sums: it builds the label,
-    and divides out the degree, only for a row.
+    label's multiplicity from them and its shape sums, building the label
+    and dividing out the degree only for a row.
     """
     q = ctx.q
     q1 = q - 1
     sign = (-1) ** (n // 2)
     pad = (1, 1) if i is None else ()
-    phi_term, phi_sign = dualgroup.phi_term, dualgroup.phi_sign
+    phi_term, phi_sign, finish = dualgroup.phi_term, dualgroup.phi_sign, _pgo_finish
     make_label, make_shape = MultiPartition._make, params.LabelShape
     add_row, add_text = rows.append, texts.append
     if with_degrees:
@@ -441,9 +438,7 @@ def _row_fold(ctx: QContext, n: int, step, i, include_zeros, with_degrees, rows,
         if i is None:
             mult = _pgsp_mult(t1 if half_zero else 0, text)
         else:
-            if t3:
-                t3 *= sign * phi_sign(q, phi)
-            mult = by_sign(t1, t2 if half_zero else 0, t3, _PGO_IRR, text, True)[i]
+            mult = finish(t1, t2, t3, half_zero, sign * phi_sign(q, phi) if t3 else 0, text)[i]
         if mult or include_zeros:
             label = make_label((ctx, n, entries, make_shape(ctx, entries, sizes, total, even)))
             add_row(Row(label, mult, exact_div(num, den, degree_text, text) if with_degrees else None))

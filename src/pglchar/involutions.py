@@ -11,7 +11,10 @@ Route 3, threeterm_values, is the enumeration alone: it sums the three
 terms of a label's double-coset count over its tuples of such involutions,
 one per block, and reads of the label only its entries and the shape it
 holds, no closed form; errors.by_sign turns the three sums into the values
-for both signs, and params is loaded only to refuse a label.
+for both signs, and params is loaded only to refuse a label.  What it reads
+of an involution on a block is in the block's table, _block_involutions, an
+lru_cache keyed by the block's (sign, size, partition), never by label, and
+kept for the life of the process (cache_clear empties it), as _zinv is.
 check_identities walks Z_inv(nu) once per nu and compares four sums over it
 with symchar's character sums; they make route 2's closed forms equal this count.
 
@@ -179,6 +182,20 @@ def epsilon_nu(mp: MultiPartition) -> int:
     return sign
 
 
+def _block_sign(d: int, m: int, w: CentralizerInvolution) -> int:
+    """One block's factor of Phi_w, w on an orbit of sign d and size m; outside Y, a ValueError."""
+    sign = 1
+    for length in w.type1:
+        if (m * length) % 2:
+            raise ValueError("tuple lies outside Y: odd m_xi * length on a type-1 cycle")
+        sign *= (-1) ** (m * length // 2)
+    for length in w.type2:
+        sign *= d ** (m * length // 2)
+    for length in w.type3:
+        sign *= d ** (m * length)
+    return sign
+
+
 def phi_w(ws: Sequence[CentralizerInvolution], mp: MultiPartition) -> int:
     """The sign of a per-orbit involution tuple, defined on the set Y.
 
@@ -193,15 +210,24 @@ def phi_w(ws: Sequence[CentralizerInvolution], mp: MultiPartition) -> int:
     for (data, part), w in zip(entries, ws):
         if w.nu != part:
             raise ValueError(f"involution for block {part} has type {w.nu}")
-        for length in w.type1:
-            if (data.m * length) % 2:
-                raise ValueError("tuple lies outside Y: odd m_xi * length on a type-1 cycle")
-            sign *= (-1) ** (data.m * length // 2)
-        for length in w.type2:
-            sign *= data.d ** (data.m * length // 2)
-        for length in w.type3:
-            sign *= data.d ** (data.m * length)
+        sign *= _block_sign(data.d, data.m, w)
     return sign
+
+
+@lru_cache(maxsize=None)
+def _block_involutions(d: int, m: int, part: Partition) -> tuple[tuple[int, bool, int], ...]:
+    """The involution route's table for a block part on an orbit of sign d and size m.
+
+    One entry per w in Z_inv(part) that lies in X on the block (any w if d = 1,
+    else one with no odd type-1 cycle): (-2)^ell1, whether w is fixed-point
+    free, and its factor of Phi_w if w lies in Y on the block (m even or no
+    odd type-1 cycle), else 0.
+    """
+    return tuple(
+        ((-2) ** w.ell1, w.is_fixed_point_free, 0 if m % 2 and w.ell1_odd else _block_sign(d, m, w))
+        for w in enumerate_zinv(part)
+        if d == 1 or not w.ell1_odd
+    )
 
 
 def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
@@ -215,35 +241,31 @@ def threeterm_bruteforce(mp: MultiPartition, eps: int) -> int:
 def threeterm_values(mp: MultiPartition) -> tuple[int, int]:
     """The three-term double-coset count for eps = +1 and -1, by enumeration.
 
-    4 times the count is T1 + 2 * eps * T2 + T3.  One pass over the label's
-    involution tuples (one tuple per block, from enumerate_zinv) sums all
-    three terms for both signs; no involution or character sum is read, so
-    the value is independent of the closed forms it is compared with.
+    4 times the count is T1 + 2 * eps * T2 + T3.  One walk over every tuple
+    in X of the label's involutions (one per block, each an entry of the
+    block's _block_involutions) sums all three terms for both signs: T1 sums
+    the tuple's (-2)^ell1, T2 counts the fixed-point-free tuples, and T3 sums
+    Phi_w (-2)^ell1 over the tuples in Y.  No character sum is read, so the
+    value is independent of the closed forms it is compared with.
     Returns (eps = +1, eps = -1).
     """
     if mp.shape.pi:  # only a label that does not descend loads params, to refuse it
         from .params import require_descends
         require_descends(mp)
-    entries = mp.entries
-    data = [d for d, _ in entries]
-    # X: the tuples with no odd type-1 cycle on a block with d = -1.  Each
-    # block's size is checked by enumerate_zinv before any tuple is summed.
-    zlists = [
-        [w for w in enumerate_zinv(part) if d.d == 1 or not w.ell1_odd] for d, part in entries
-    ]
-    s1 = 0
-    s3 = 0
-    ff_count = 0
-    for ws in iter_product(*zlists):
-        ell1_total = sum(w.ell1 for w in ws)
-        s1 += (-2) ** ell1_total
-        if all(w.is_fixed_point_free for w in ws):
-            ff_count += 1
-        in_y = all(d.m % 2 == 0 or w.ell1_odd == 0 for d, w in zip(data, ws))
-        if in_y:
-            s3 += phi_w(ws, mp) * (-2) ** ell1_total
+    # Each block's size is checked by enumerate_zinv before any tuple is summed.
+    tables = [_block_involutions(data.d, data.m, part) for data, part in mp.entries]
+    s1 = s3 = ff_count = 0
+    for ws in iter_product(*tables):
+        weight = ff = sign = 1
+        for w_weight, w_ff, w_sign in ws:
+            weight *= w_weight
+            ff *= w_ff
+            sign *= w_sign
+        s1 += weight
+        ff_count += ff
+        s3 += sign * weight
     t2 = epsilon_nu(mp) * ff_count if mp.shape.half == 0 else 0
-    t3 = 0
-    if all(d.m * size % 2 == 0 for d, size in zip(data, mp.shape.sizes)):
-        t3 = mp.shape.phi() * s3
+    # A block of odd m * size has an odd type-1 cycle, with m odd, in each of
+    # its involutions, so s3 is 0 unless every m * size is even, as Phi needs.
+    t3 = mp.shape.phi() * s3 if s3 else 0
     return by_sign(s1, t2, t3, "three-term value {value} for {} at eps = {:+d}", mp)

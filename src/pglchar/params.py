@@ -229,9 +229,9 @@ def enumerate_labels(ctx: QContext, n: int, restrict_to_P_hat: bool = True) -> l
     orbits.  The norm product Pi is carried down the search as a sum of
     residues: a block that fills the label is kept or dropped where it is
     chosen, an orbit that can only fill the label is skipped unless its r
-    makes Pi trivial, and a block is not chosen when no later orbit fits in
-    what it leaves.  LABEL_BUDGET is checked against label_count before the
-    search, and the search must keep exactly that many labels.
+    makes Pi trivial, and an orbit is offered only where a block of it fills
+    the rest or leaves one a later orbit fits in.  LABEL_BUDGET is checked
+    against label_count before the search, which must keep exactly that many.
     """
     out: list[MultiPartition] = []
     label_search(ctx, n, restrict_to_P_hat)(out.append)
@@ -302,37 +302,39 @@ def _search_labels(
     block, join, start_acc = fold or (None, _no_value, None)
     # Pi is total mod `mod`; without the restriction every label is kept.
     mod = ctx.q - 1 if restrict_to_P_hat else 1
-    # An orbit's lightest block weighs m * k, k the least with a partition to
-    # hold.  plans[d, m], for the orbits of sign d and size m: None if that
-    # block is heavier than n (they are left unlisted), else whether they
-    # hold [1], the w > m it fits in, and every w it fits in.
-    plans = {}
-    for (d, m), table in blocks.items():
-        low = next((m * k for k in range(1, n // m + 1) if table[k]), n + 1)
-        plans[d, m] = None
-        if low <= n:
-            plans[d, m] = (low == m, range(max(m + 1, low), n + 1), range(low, n + 1))
-    # shorter[w]: indices of the orbits with m < w whose lightest block fits in
-    # w.  closers[w][r]: those with m == w, norm residue r and [1] to hold,
-    # which can only fill the rest w as a block [1].  last[w]: the largest
-    # index of an orbit whose lightest block fits in w (-1 if none).
-    # tables[i]: the blocks[d, m] of orbit i.
-    shorter: list[list[int]] = [[] for _ in range(n + 1)]
-    closers = [[[] for _ in range(mod)] for _ in range(n + 1)]
-    last = [-1] * (n + 1)
+    # tables[i]: orbit i's blocks[d, m].  members[d, m]: the indices of the
+    # orbits of sign d and size m.
+    members = {key: [] for key in blocks}
     tables = []
-    for i, (_, _, m, r, d) in enumerate(orbits):
+    for i, (_, _, m, _, d) in enumerate(orbits):
         tables.append(blocks[d, m])
-        plan = plans[d, m]
-        if plan is None:
+        members[d, m].append(i)
+    # In index order: last[w], the largest index of an orbit whose lightest
+    # block fits in w (-1 if none); closers[w][r], the orbits with m == w,
+    # norm residue r and [1] to hold, which fill the rest w only as [1]; and
+    # shorter[w], those with m < w and a block that fills w or leaves a rest
+    # a later orbit fits in.
+    last = [-1] * (n + 1)
+    closers = [[[] for _ in range(mod)] for _ in range(n + 1)]
+    shorter: list[list[int]] = [[] for _ in range(n + 1)]
+    for (d, m), indices in members.items():
+        if not indices:
             continue
-        holds_one, above, fits = plan
-        if holds_one:
-            closers[m][r % mod].append(i)
-        for w in above:
-            shorter[w].append(i)
-        for w in fits:
-            last[w] = i
+        low = next((m * k for k in range(1, n // m + 1) if blocks[d, m][k]), n + 1)
+        for w in range(low, n + 1):
+            last[w] = max(last[w], indices[-1])
+        if low == m:
+            for i in indices:
+                closers[m][orbits[i].r % mod].append(i)
+    for (d, m), indices in members.items():
+        table = blocks[d, m]
+        for w in range(m + 1, n + 1):
+            rests = [w - m * k for k in range(1, w // m + 1) if table[k]]
+            below = len(orbits) if 0 in rests else max([last[r] for r in rests], default=-1)
+            shorter[w] += indices[: bisect_left(indices, below)]
+    for lists in (shorter, *closers):
+        for indices in lists:
+            indices.sort()
     one = Partition((1,))
     stride = n + 1
 

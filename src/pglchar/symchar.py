@@ -70,7 +70,11 @@ def character_table(m: int) -> list[list[int]]:
 
 
 def clear_memo() -> None:
-    """Empty the chi memo, the chi_column memo and the memos of the four sums."""
+    """Empty the chi memo, the chi_column memo and the memos of the four sums.
+
+    The tables formulas builds from these values (_basic_step and
+    _transition_column) keep theirs; each one's cache_clear empties it.
+    """
     for memo in _MEMOS:
         memo.cache_clear()
 

@@ -273,7 +273,8 @@ def test_forms_capacity_exit(capsys):
 def test_route_mismatch_is_invariant_violation_exit(capsys, monkeypatch):
     from pglchar import formulas
 
-    monkeypatch.setattr(formulas, "_pgsp_basic", lambda label: 99)
+    real = formulas._basic_terms  # the closed forms' PGSp value is its first term
+    monkeypatch.setattr(formulas, "_basic_terms", lambda label: (99, *real(label)[1:]))
     code, _, err = run(capsys, "cross-check", "--q", "3", "--n", "2")
     assert code == 4
     assert "invariant violation" in err

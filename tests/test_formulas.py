@@ -503,10 +503,11 @@ def test_integer_basic_form_matches_fraction_reference(q):
             assert mult_pgo_basic(label, eps) == _ref_mult_pgo_basic(label, eps), label
 
 
-def test_basic_form_refuses_an_odd_quadruple(monkeypatch):
+def test_basic_form_refuses_an_odd_quadruple(monkeypatch, fresh_route_tables):
     label = unipotent(Q3, [2])
     assert mult_pgo_basic(label, 1) == 0
     monkeypatch.setattr(symchar, "sum_chi_weighted", lambda nu: 1)
+    formulas._basic_step.cache_clear()  # its table holds the true sum for [2]
     with pytest.raises(InvariantViolation, match="non-integral basic multiplicity"):
         mult_pgo_basic(label, 1)
 
@@ -552,11 +553,13 @@ def test_labels_are_formatted_only_for_errors(monkeypatch):
         errors.exact_div(7, 2, "degree({}) = {value}", label)
 
 
-def test_a_negative_irreducible_multiplicity_is_refused(monkeypatch):
+def test_a_negative_irreducible_multiplicity_is_refused(monkeypatch, fresh_route_tables):
     label = unipotent(Q3, [4])
     assert mult_pgo_irr(label, -1) == 1
     # T1 + 2 T2 + T3 = 0 and T1 - 2 T2 + T3 = -8: a multiple of 4, but negative.
-    monkeypatch.setattr(formulas, "_pgo_irr_terms", lambda rho: (-4, 2, 0))
+    # Every label here has one block, whose factors are then its terms; the
+    # transition route reads them from its table, emptied by the fixture.
+    monkeypatch.setattr(formulas, "_pgo_step", lambda d, m, part: (-4, 2, 0))
     for eps in (1, -1):
         with pytest.raises(InvariantViolation, match=r"^negative mult_pgo_irr\(0/1:\[4\], -1\) = -2$"):
             mult_pgo_irr(label, eps)
@@ -675,7 +678,7 @@ def test_a_single_subgroup_decomposition_computes_only_its_own_subgroup(monkeypa
     # step down the search and calls no per-label function.
     pgo_step = _counting(monkeypatch, "_pgo_step")
     pgsp_step = _counting(monkeypatch, "_pgsp_step")
-    per_label = [_counting(monkeypatch, name) for name in ("_pgo_irr_terms", "_pgsp_irr")]
+    per_label = [_counting(monkeypatch, name) for name in ("_pgo_irr", "_pgsp_irr")]
     for include_zeros in (False, True):
         decompose(Q3, 4, Subgroup.PGSP, include_zeros=include_zeros, with_degrees=True)
         assert pgsp_step and not pgo_step
@@ -752,6 +755,28 @@ def test_a_fork_of_the_odd_m_t3_factor_shows_on_both_paths(capsys, monkeypatch):
     assert (mult_pgo_irr(label, 1), mult_pgo_irr(label, -1)) == (2, 2)
     # T3 of 0/1:[2,2] is 3, so the flip makes its multiplicity 1/2: by_sign
     # refuses it before the sums reach the index check.
+    code = main(["decompose", "--q", "3", "--n", "4", "--subgroup", "pgo+"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err == "invariant violation: non-integral mult_pgo_irr(0/1:[2,2], +1) = 1/2\n"
+
+
+def test_a_flipped_phi_in_the_one_finish_shows_on_both_paths(capsys, monkeypatch):
+    # mult_pgo_irr and a full decompose finish every orthogonal multiplicity
+    # in _pgo_finish: a sign flip of (-1)^(n/2) Phi there reaches both.
+    from pglchar.cli import main
+
+    label = params.parse_label(Q3, 4, "0/1:[2,1,1]")  # T3 = -2
+    assert (mult_pgo_irr(label, 1), mult_pgo_irr(label, -1)) == (1, 1)
+    real = formulas._pgo_finish
+
+    def flipped(t1, t2, t3, half_zero, phi, label):
+        return real(t1, t2, t3, half_zero, -phi, label)
+
+    monkeypatch.setattr(formulas, "_pgo_finish", flipped)
+    assert (mult_pgo_irr(label, 1), mult_pgo_irr(label, -1)) == (2, 2)
+    # T3 of 0/1:[2,2] is 3: flipped, its multiplicity is 1/2, which by_sign refuses.
     code = main(["decompose", "--q", "3", "--n", "4", "--subgroup", "pgo+"])
     out, err = capsys.readouterr()
     assert code == 4

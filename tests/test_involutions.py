@@ -421,18 +421,21 @@ def test_threeterm_reads_no_involution_sum(monkeypatch, q):
     assert [involutions.threeterm_values(mp) for mp in labels] == expected
 
 
-def test_threeterm_refuses_an_odd_quadruple(monkeypatch):
+def test_threeterm_refuses_an_odd_quadruple(monkeypatch, fresh_route_tables):
     mp = make_label(Q3, 2, {Fraction(0): [2]})
     assert threeterm_bruteforce(mp, 1) == 0
     # Dropping T3 leaves T1 + 2 T2 = -1 - 2, which is not a multiple of 4.
-    monkeypatch.setattr(involutions, "phi_w", lambda ws, mp: 0)
+    # The route reads Phi_w's block factors from its table, built again here.
+    monkeypatch.setattr(involutions, "_block_sign", lambda d, m, w: 0)
+    involutions._block_involutions.cache_clear()
     with pytest.raises(InvariantViolation, match="non-integral three-term value -3/4"):
         threeterm_bruteforce(mp, 1)
 
 
 @pytest.fixture
-def one_alignment_per_pair(monkeypatch):
-    """Z_inv with one alignment per swapped pair of l-cycles instead of l."""
+def one_alignment_per_pair(monkeypatch, fresh_route_tables):
+    """Z_inv with one alignment per swapped pair of l-cycles instead of l; the
+    involution route's table is emptied before and after, so it reads the fault."""
     real = involutions._zinv
 
     def faulty(nu):

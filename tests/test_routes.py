@@ -9,6 +9,7 @@ entries itself, not from its shape.
 """
 
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -211,7 +212,9 @@ def _disagreements(q, n):
     return out
 
 
-@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (9, 4), (3, 6)])
+@pytest.mark.parametrize(
+    "q,n", [(3, 4), (5, 4), (9, 4), (3, 6), pytest.param(5, 6, marks=pytest.mark.slow)]
+)
 def test_per_label_routes_equal_the_per_subgroup_reference(q, n):
     assert _disagreements(q, n) == []
 
@@ -219,6 +222,62 @@ def test_per_label_routes_equal_the_per_subgroup_reference(q, n):
 @pytest.mark.slow
 def test_per_label_routes_equal_the_per_subgroup_reference_at_3_8():
     assert _disagreements(3, 8) == []
+
+
+def _per_term_basic_factors(data, part):
+    """A block's factors of the closed forms, as the per-label code wrote them out:
+    PGSp's, then those of T1, T2 and T3 (0 where m * size is odd)."""
+    size = part.size()
+    even = symchar.sum_chi_transpose_even(part)
+    weighted = (-1) ** size * symchar.sum_chi_weighted(part)
+    if data.m * size % 2:
+        t3 = 0
+    elif data.d == 1 and data.m % 2:
+        t3 = symchar.sum_chi_signed_even(part)
+    else:
+        t3 = (-1) ** (data.m * size // 2) * (weighted if data.d == 1 else even)
+    return symchar.sum_chi_even(part), weighted if data.d == 1 else even, even, t3
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (5, 4), (3, 6)])
+def test_each_route_table_equals_the_per_term_code(q, n):
+    # Each route folds a per-block table over the label's blocks.  The code it
+    # replaced computed each term from the label: the symchar sums of each
+    # block, the multiplicities of each rho-label, and phi_w on each tuple.
+    for nu in enumerate_labels(q_context(q), n, True):
+        entries = nu.entries
+        keys = [(data.d, data.m, part) for data, part in entries]
+        half_zero = nu.shape.half == 0
+        for (data, part), key in zip(entries, keys):
+            assert formulas._basic_step(*key) == _per_term_basic_factors(data, part), nu
+
+        columns = [formulas._transition_column(*key) for key in keys]
+        for (_, part), column in zip(entries, columns):
+            chi = [(rho, symchar.chi(rho, part)) for rho in partitions_of(part.size())]
+            assert [entry[:2] for entry in column] == [pair for pair in chi if pair[1]], nu
+        for choice in product(*columns):
+            rho = MultiPartition(
+                nu.ctx, nu.n, tuple((data, entry[0]) for (data, _), entry in zip(entries, choice))
+            )
+            s, t1, t2, t3 = (prod(entry[i] for entry in choice) for i in range(2, 6))
+            phi = (-1) ** (n // 2) * _ref_phi(rho) if t3 else 0
+            got = (s if half_zero else 0, *formulas._pgo_finish(t1, t2, t3, half_zero, phi, rho))
+            assert got == tuple(_ref_mult_irr(rho, sg) for sg in Subgroup), rho
+
+        tables = [involutions._block_involutions(*key) for key in keys]
+        in_x = [
+            [w for w in involutions.enumerate_zinv(part) if data.d == 1 or not w.ell1_odd]
+            for data, part in entries
+        ]
+        for ws, row in zip(product(*in_x), product(*tables), strict=True):
+            weight = (-2) ** sum(w.ell1 for w in ws)
+            in_y = all(data.m % 2 == 0 or not w.ell1_odd for (data, _), w in zip(entries, ws))
+            expected = (
+                weight,
+                all(w.is_fixed_point_free for w in ws),
+                involutions.phi_w(ws, nu) if in_y else 0,
+            )
+            assert tuple(prod(column) for column in zip(*row)) == expected, (nu, ws)
 
 
 def test_per_subgroup_functions_select_from_the_per_label_ones():
@@ -236,7 +295,7 @@ def test_per_subgroup_functions_select_from_the_per_label_ones():
                 assert involutions.threeterm_bruteforce(label, sg.eps) == involution[sg.eps]
 
 
-def test_the_comparison_catches_a_wrong_chi(monkeypatch):
+def test_the_comparison_catches_a_wrong_chi(monkeypatch, fresh_route_tables):
     real = symchar.chi_column
 
     def wrong(mu):
@@ -253,20 +312,21 @@ def test_the_comparison_catches_a_wrong_chi(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "module,name,route",
-    [
-        (formulas, "_pgo_irr_terms", "transition"),
-        (formulas, "_pgo_basic_terms", "closed-form"),
-    ],
+    "name,route", [("_pgo_finish", "transition"), ("_basic_terms", "closed-form")]
 )
-def test_the_comparison_catches_a_wrong_t2_sign(monkeypatch, module, name, route):
-    real = getattr(module, name)
+def test_the_comparison_catches_a_wrong_t2_sign(monkeypatch, name, route):
+    # The transition route reads route 1's T2 where _pgo_finish finishes each
+    # rho-term; the closed forms read theirs from _basic_terms.
+    real = getattr(formulas, name)
 
-    def flipped(label):
-        t1, t2, t3 = real(label)
-        return t1, -t2, t3
+    def finish(t1, t2, *rest):
+        return real(t1, -t2, *rest)
 
-    monkeypatch.setattr(module, name, flipped)
+    def terms(label):
+        sp, t1, t2, t3 = real(label)
+        return sp, t1, -t2, t3
+
+    monkeypatch.setattr(formulas, name, finish if name == "_pgo_finish" else terms)
     found = _disagreements(3, 4)
     assert found
     assert {r for r, _, _ in found} == {route}
@@ -300,13 +360,23 @@ def test_the_involution_stand_in_without_a_flip_finds_nothing(monkeypatch):
     assert _disagreements(3, 4) == []
 
 
-def _odd_t1_terms(real, seen):
-    """A route's terms function with T1 one too large; seen gets each label."""
+def _odd_t1_finish(real, seen):
+    """Route 1's finish with T1 one too large; seen gets each label it names."""
+
+    def finish(t1, t2, t3, half_zero, phi, label):
+        seen.append(label)
+        return real(t1 + 1, t2, t3, half_zero, phi, label)
+
+    return finish
+
+
+def _odd_t1_basic_terms(real, seen):
+    """The closed forms' terms with T1 one too large; seen gets each label."""
 
     def terms(label):
         seen.append(label)
-        t1, t2, t3 = real(label)
-        return t1 + 1, t2, t3
+        sp, t1, t2, t3 = real(label)
+        return sp, t1 + 1, t2, t3
 
     return terms
 
@@ -324,8 +394,8 @@ def _odd_t1_by_sign(real, seen):
 @pytest.mark.parametrize(
     "module,name,wrap",
     [
-        (formulas, "_pgo_irr_terms", _odd_t1_terms),
-        (formulas, "_pgo_basic_terms", _odd_t1_terms),
+        (formulas, "_pgo_finish", _odd_t1_finish),
+        (formulas, "_basic_terms", _odd_t1_basic_terms),
         (involutions, "by_sign", _odd_t1_by_sign),
     ],
 )
@@ -336,17 +406,10 @@ def test_an_odd_t1_in_any_route_exits_4_naming_the_label(capsys, monkeypatch, mo
     err = capsys.readouterr().err
     assert code == 4
     assert "non-integral" in err
-    assert seen and seen[0].text() in err
-    if name == "_pgo_irr_terms":
-        # A full decompose folds _pgo_step down the label search instead: a T1
-        # factor one too large makes T1 of the first label, 0/1:[4], odd.
-        real = formulas._pgo_step
-
-        def odd_t1_step(d, m, part):
-            t1, t2, t3 = real(d, m, part)
-            return t1 + 1, t2, t3
-
-        monkeypatch.setattr(formulas, "_pgo_step", odd_t1_step)
+    assert seen and str(seen[0]) in err
+    if name == "_pgo_finish":
+        # A full decompose finishes each row with the same _pgo_finish: T1 of
+        # the first label, 0/1:[4], is odd.
         code = cli.main(["decompose", "--q", "3", "--n", "4", "--subgroup", "pgo+"])
         captured = capsys.readouterr()
         assert code == 4
@@ -355,14 +418,15 @@ def test_an_odd_t1_in_any_route_exits_4_naming_the_label(capsys, monkeypatch, mo
 
 
 def test_cross_check_catches_swapped_pgo_values_in_route_one(capsys, monkeypatch):
-    # The transition route reads route 1 only through formulas.irr_mults.
-    real = formulas.irr_mults
+    # The transition route reads route 1's orthogonal values only through
+    # formulas._pgo_finish, which finishes each rho-term.
+    real = formulas._pgo_finish
 
-    def swapped(rho):
-        sp, plus, minus = real(rho)
-        return sp, minus, plus
+    def swapped(*args):
+        plus, minus = real(*args)
+        return minus, plus
 
-    monkeypatch.setattr(formulas, "irr_mults", swapped)
+    monkeypatch.setattr(formulas, "_pgo_finish", swapped)
     code = cli.main(["cross-check", "--q", "3", "--n", "4", "--tier", "slow"])
     assert code == 4
     assert "route mismatches" in capsys.readouterr().err
