@@ -3,8 +3,9 @@
 Every case runs cli.main in-process with COLUMNS=80, so argparse wraps its
 help at 80 columns.  transcript.json maps each command line to the sha256 of
 json.dumps([stdout, stderr, exit code]).  The cases are --help for the top
-level and each command, argparse's errors, the refusals (exit 2 and 3) and
-small answers in the three formats; each runs in well under 50 ms.
+level and each command, argparse's errors, the refusals (exit 2 and 3),
+small answers in the three formats and a grid of decompositions, given
+labels, cross-checks and identities; each runs in well under 50 ms.
 
 argparse's help and error text can change between Python versions; the
 digests were written with Python 3.11.  A change that means to alter the
@@ -93,11 +94,49 @@ ANSWERS = [
     for fmt in FORMATS
 ]
 
-CASES = HELP + ARGPARSE_ERRORS + REFUSALS + ANSWERS
+# The byte-identity grid: every subgroup, format and row option of decompose at
+# seven sizes, each label at (3,4) given alone, three-route cross-checks and
+# the identities; cases already listed above are not repeated.
+GRID_SIZES = ((3, 2), (5, 2), (3, 4), (5, 4), (9, 4), (3, 6), (27, 2))
+GRID_OPTIONS = ([], ["--include-zeros"], ["--no-degrees"], ["--unipotent-only"],
+                ["--unipotent-only", "--include-zeros", "--no-degrees"])
+SUBGROUPS = ("pgsp", "pgo+", "pgo-")
+
+
+def _grid() -> list[list[str]]:
+    from pglchar import params
+    from pglchar.errors import q_context
+    grid = [
+        ["decompose", "--q", str(q), "--n", str(n), "--subgroup", subgroup, *options,
+         "--format", fmt]
+        for q, n in GRID_SIZES
+        for subgroup in SUBGROUPS
+        for options in GRID_OPTIONS
+        for fmt in FORMATS
+    ]
+    grid += [
+        ["decompose", "--q", "3", "--n", "4", "--subgroup", subgroup, "--label", label.text()]
+        for label in params.enumerate_labels(q_context(3), 4)
+        for subgroup in SUBGROUPS
+    ]
+    grid += [
+        [*argv, "--format", fmt]
+        for argv in (
+            *(["cross-check", "--q", q, "--n", n, "--tier", "slow"]
+              for q, n in (("3", "4"), ("5", "4"), ("3", "6"))),
+            ["verify-identities", "--max-size", "5"],
+        )
+        for fmt in FORMATS
+    ]
+    listed = {key(argv) for argv in HELP + ARGPARSE_ERRORS + REFUSALS + ANSWERS}
+    return [argv for argv in grid if key(argv) not in listed]
 
 
 def key(argv: list[str]) -> str:
     return shlex.join(["pglchar", *argv])
+
+
+CASES = HELP + ARGPARSE_ERRORS + REFUSALS + ANSWERS + _grid()
 
 
 def digest(argv: list[str]) -> str:
