@@ -187,15 +187,12 @@ def orbits_up_to(ctx: QContext, n: int, *, residue: Optional[int] = None) -> lis
     return out
 
 
-def phi(
-    ctx: QContext, blocks: Mapping[Fraction, int], sqrt_exponent: Optional[int] = None
-) -> int:
+def phi(ctx: QContext, blocks: Mapping[Fraction, int]) -> int:
     """The sign Phi of a label given as a map orbit-representative -> block size.
 
     Defined when the norm product over the blocks is trivial and every
     m_xi * size is even.  Uses the frozen square root sqrt(beta) = g_2^((q+1)/2),
-    so beta = g_1 is a non-square; the result does not depend on that choice,
-    which sqrt_exponent (default (q+1)/2) moves to test it.
+    so beta = g_1 is a non-square; the result does not depend on that choice.
     """
     # The pairing is taken at each key itself, which need not be the least member.
     pairs = []
@@ -203,19 +200,15 @@ def phi(
         xi = as_dual(ctx, xi)
         data = pair_orbit_data(ctx, xi.numerator, xi.denominator)
         pairs.append((data._replace(num=xi.numerator), size))
-    return phi_from_orbits(ctx, pairs, sqrt_exponent)
+    return phi_from_orbits(ctx, pairs)
 
 
-def phi_from_orbits(
-    ctx: QContext,
-    blocks: Iterable[tuple[OrbitData, int]],
-    sqrt_exponent: Optional[int] = None,
-) -> int:
+def phi_from_orbits(ctx: QContext, blocks: Iterable[tuple[OrbitData, int]]) -> int:
     """Phi over blocks (orbit data of xi = num/den, block size), in integer arithmetic.
 
     The pairing exponents (phi_term) are summed and the norm residues taken
-    mod q - 1; phi_sign reads the sign from the sum.  sqrt_exponent defaults
-    to the frozen (q+1)/2 of phi().
+    mod q - 1; phi_sign reads the sign from the sum, at the frozen
+    sqrt(beta) of phi().
     """
     total = 0
     pi_total = 0
@@ -229,14 +222,14 @@ def phi_from_orbits(
         total += phi_term(ctx.q, data, e)
     if pi_total % (ctx.q - 1):
         raise ValueError("phi needs a trivial norm product over the blocks")
-    return phi_sign(ctx.q, total, sqrt_exponent)
+    return phi_sign(ctx.q, total)
 
 
 def phi_term(q: int, data: OrbitData, e: int) -> int:
     """One block's term of Phi, for the orbit data of xi = num/den and e = m * size.
 
-    <sqrt(beta), xi>_e with sqrt(beta) = g_e^(sqrt_exponent * (q^e-1)/(q^2-1)):
-    the exponent fraction collapses to sqrt_exponent * t_e / (q^2 - 1),
+    <sqrt(beta), xi>_e with sqrt(beta) = g_e^((q+1)/2 * (q^e-1)/(q^2-1)):
+    the exponent fraction collapses to (q+1)/2 * t_e / (q^2 - 1),
     t_e = xi * (q^e - 1), needed mod q^2 - 1.  This is t_e: den divides
     q^e - 1, and q is prime to den * (q^2 - 1), so q^e modulo that is >= 1
     and 1 mod den, and a huge block costs no more than a small one.
@@ -245,12 +238,11 @@ def phi_term(q: int, data: OrbitData, e: int) -> int:
     return data.num * ((pow(q, e, den * (q * q - 1)) - 1) // den)
 
 
-def phi_sign(q: int, total: int, sqrt_exponent: Optional[int] = None) -> int:
-    """Phi from the sum of its blocks' phi_term, over a trivial norm product."""
+def phi_sign(q: int, total: int) -> int:
+    """Phi from the sum of its blocks' phi_term, over a trivial norm product:
+    the pairing with sqrt(beta) = g_2^((q+1)/2) is 1 or -1."""
     q2 = q * q - 1
-    if sqrt_exponent is None:
-        sqrt_exponent = (q + 1) // 2
-    total = sqrt_exponent * total % q2
+    total = (q + 1) // 2 * total % q2
     if total == 0:
         return 1
     if 2 * total == q2:

@@ -49,8 +49,6 @@ LIMITS = {
     # scalings that key the class table; for the orbits on forms, the three
     # indices times GL_n's n(n - 1) + 1 generators
     "FORM_ACTION_BUDGET": 1_100_000,
-    # n for cross-check --tier fast; --tier slow lifts it
-    "FAST_TIER_N_BOUND": 2,
 }
 
 

@@ -8,7 +8,7 @@ errors.by_sign (or errors.exact_div) divides at the end.  A remainder, or a
 negative multiplicity of an irreducible character, is a hard internal error,
 never a rounding issue.  Each route folds per-block tables over a label's
 blocks (lru_caches keyed by value, never by label, for the life of the
-process; cache_clear empties one): route 1 and a full decompose fold
+process; cache_clear empties one): route 1 and every decompose row fold
 _pgsp_step or _pgo_step and finish in _pgo_finish, the closed forms fold
 _basic_step and the transition route _transition_column, which
 symchar.clear_memo() leaves as they are.
@@ -61,35 +61,6 @@ class DecompositionReport(NamedTuple):
         }
 
 
-class _BlockStats(NamedTuple):
-    """What the multiplicity formulas read from one partition."""
-
-    all_even: bool  # every part is even
-    transpose_even: bool  # the transpose is even: every multiplicity is even
-    prod_mult_plus_one: int  # prod over distinct parts i of (m_i + 1)
-    odd_mults_even: bool  # every odd part has even multiplicity
-    prod_even_mult_plus_one: int  # prod over distinct even parts i of (m_i + 1)
-    ell2_sign: int  # (-1)^(number of parts = 2 mod 4)
-
-
-@lru_cache(maxsize=None)
-def _block_stats(p: Partition) -> _BlockStats:
-    mults = p.multiplicities()
-    prod_all = prod_even = 1
-    for part, mult in mults.items():
-        prod_all *= mult + 1
-        if part % 2 == 0:
-            prod_even *= mult + 1
-    return _BlockStats(
-        p.is_even(),
-        all(mult % 2 == 0 for mult in mults.values()),
-        prod_all,
-        all(mult % 2 == 0 for part, mult in mults.items() if part % 2),
-        prod_even,
-        (-1) ** p.length_stats().ell2mod4,
-    )
-
-
 # Irreducible-character multiplicities.  Each term of one is a product over
 # the label's blocks times a factor read from its shape: the PGSp
 # multiplicity is one term, and 4 * mult_pgo_irr(rho, eps) is
@@ -102,22 +73,31 @@ def _block_stats(p: Partition) -> _BlockStats:
 @lru_cache(maxsize=None)
 def _pgsp_step(d: int, m: int, part: Partition) -> tuple[int]:
     """The PGSp factor of a block: 1 if every part is even, else 0."""
-    return (1,) if _block_stats(part).all_even else (0,)
+    return (int(part.is_even()),)
 
 
 @lru_cache(maxsize=None)
 def _pgo_step(d: int, m: int, part: Partition) -> tuple[int, int, int]:
-    """The factors of T1, T2 and T3 of a block; T3 is (-1)^(n/2) Phi times their product."""
-    stats = _block_stats(part)
+    """The factors of T1, T2 and T3 of a block; T3 is (-1)^(n/2) Phi times their product.
+
+    With m_i the multiplicity of the part i: T2's is [every m_i even], and all
+    three are on sign -1.  On sign 1, T1's is prod (m_i + 1), and T3's is T1's
+    if m is even, else [odd parts' m_i even] (-1)^ell2mod4 prod_{i even} (m_i + 1).
+    """
+    mults = part.multiplicities()
+    t2 = int(all(mult % 2 == 0 for mult in mults.values()))
     if d != 1:
-        return (1, 1, 1) if stats.transpose_even else (0, 0, 0)
+        return t2, t2, t2
+    t1 = t3 = 1
+    for i, mult in mults.items():
+        t1 *= mult + 1
+        if i % 2 == 0:
+            t3 *= mult + 1
+        elif mult % 2:
+            t3 = 0
     if m % 2 == 0:
-        t3 = stats.prod_mult_plus_one
-    elif stats.odd_mults_even:
-        t3 = stats.prod_even_mult_plus_one * stats.ell2_sign
-    else:
-        t3 = 0
-    return stats.prod_mult_plus_one, int(stats.transpose_even), t3
+        return t1, t2, t1
+    return t1, t2, t3 * (-1) ** part.length_stats().ell2mod4
 
 
 def _pgsp_irr(rho: MultiPartition) -> int:
@@ -203,8 +183,8 @@ def mult_unipotent_gl_o(rho: Partition, eps: int) -> int:
     if rho.size() % 2 or not rho:
         raise ValueError(f"unipotent labels need |rho| = n even and positive, got {rho}")
     sign_index(eps)  # eps must be +1 or -1
-    stats = _block_stats(rho)
-    total = stats.prod_mult_plus_one + stats.transpose_even * eps
+    t1, t2, _ = _pgo_step(1, 1, rho)  # the one block of {0/1: rho}
+    total = t1 + t2 * eps
     return exact_div(total, 2, "mult_unipotent_gl_o({}, {:+d}) = {value}", rho, eps, nonneg=True)
 
 
@@ -343,13 +323,14 @@ def decompose(
     One row per label with nonzero multiplicity (or all labels with
     include_zeros), in the deterministic enumeration order.  Degrees come
     from the q-analog hook-length formula when requested; over all labels,
-    sum(mult * degree) must then be the index |PGL_n : H|.  A full
-    decomposition folds its subgroup's step down the label search (which
-    without include_zeros skips every block that forces mult 0), with each
-    block's degree factors, Phi term and text, and builds a label only for a
-    row.  Given labels (each at ctx and n; unipotent_only gives {0/1: rho})
-    are decomposed in their order, and the totals run over them alone.
-    texts, if given, gets the text of each row's label, in row order.
+    sum(mult * degree) must then be the index |PGL_n : H|.  Each row folds
+    its subgroup's step over the label's blocks, with each block's degree
+    factors, Phi term and text (_row_fold).  A full decomposition folds down
+    the label search (which without include_zeros skips every block that
+    forces mult 0), and builds a label only for a row.  Given labels (each at
+    ctx and n; unipotent_only gives {0/1: rho}) are folded one by one, in
+    their order, and the totals run over them alone.  texts, if given, gets
+    the text of each row's label, in row order.
     """
     subgroup = Subgroup.parse(subgroup)
     if unipotent_only:
@@ -365,20 +346,22 @@ def decompose(
         oracle.check_order_bits(ctx.q, n)
     i = sign_index(subgroup.eps) if subgroup.eps else None
     rows = []
+    emit, fold = _row_fold(ctx, n, step, i, include_zeros, with_degrees, rows,
+                           [] if texts is None else texts)
     if search:
-        if texts is None:
-            texts = []
-        search(*_row_fold(ctx, n, step, i, include_zeros, with_degrees, rows, texts))
+        search(emit, fold)
     else:
+        block, join, start = fold
         for label in labels:
             if label.ctx != ctx or label.n != n:
                 raise ValueError(f"label {label} is not at q = {ctx.q}, n = {n}")
             require_descends(label)
-            mult = _pgsp_mult(_pgsp_irr(label), label) if i is None else _pgo_irr(label)[i]
-            if mult or include_zeros:
-                rows.append(Row(label, mult, oracle.degree(ctx, label) if with_degrees else None))
-                if texts is not None:
-                    texts.append(label.text())
+            acc, total, sizes, even = start, 0, (), True  # as the search carries them
+            for data, part in label.entries:
+                acc = join(acc, block(data, part))
+                size = part.size()
+                total, sizes, even = total + size * data.r, sizes + (size,), even and size % 2 == 0
+            emit(acc, label.entries, total, sizes, even)
     # A label left out has mult 0, so the rows give both sums.
     sum_md = sum(row.mult * row.degree for row in rows) if with_degrees else None
     sum_m2 = sum(row.mult * row.mult for row in rows)
@@ -392,22 +375,17 @@ def decompose(
     return DecompositionReport(subgroup, ctx, n, tuple(rows), sum_md, sum_m2)
 
 
-def _pgsp_mult(mult: int, label) -> int:
-    """mult, a PGSp multiplicity: 0 or 1 (the multiplicity-free case), else a bug at label."""
-    if mult not in (0, 1):
-        raise InvariantViolation(f"PGSp multiplicity {mult} outside {{0,1}} at {label}")
-    return mult
-
-
 def _row_fold(ctx: QContext, n: int, step, i, include_zeros, with_degrees, rows, texts):
-    """(emit, fold) for the label search of a full decompose (params.label_search).
+    """(emit, fold) of decompose's rows, as params.label_search takes them.
 
     A block's value, taken once per entry, is its degree factors, its Phi
     term (where T3's factor is nonzero, so m * size is even), its text and
     its factors under step; PGSp's one term takes T1's place.  The search
-    multiplies, adds and joins them down each branch, and emit finishes a
+    (or decompose, over a given label's blocks) multiplies, adds and joins
+    them down each branch, and emit finishes a
     label's multiplicity from them and its shape sums, building the label
-    and dividing out the degree only for a row.
+    and dividing out the degree only for a row.  A PGSp multiplicity outside
+    {0,1} (the multiplicity-free case) is a bug.
     """
     q = ctx.q
     q1 = q - 1
@@ -436,7 +414,9 @@ def _row_fold(ctx: QContext, n: int, step, i, include_zeros, with_degrees, rows,
         text = text[3:]
         half_zero = even and total // 2 % q1 == 0  # the shape's half is 0
         if i is None:
-            mult = _pgsp_mult(t1 if half_zero else 0, text)
+            mult = t1 if half_zero else 0
+            if mult not in (0, 1):
+                raise InvariantViolation(f"PGSp multiplicity {mult} outside {{0,1}} at {text}")
         else:
             mult = finish(t1, t2, t3, half_zero, sign * phi_sign(q, phi) if t3 else 0, text)[i]
         if mult or include_zeros:

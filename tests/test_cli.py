@@ -193,11 +193,10 @@ def test_cross_check(capsys):
     code, out, _ = run(capsys, "cross-check", "--q", "3", "--n", "2")
     assert code == 0
     assert "agree" in out
-    # n = 4 requires the slow tier
-    code, _, err = run(capsys, "cross-check", "--q", "3", "--n", "4")
-    assert code == 3
+    # n = 4 runs the same three routes with or without --tier
     code, out, _ = run(capsys, "cross-check", "--q", "3", "--n", "4", "--tier", "slow")
     assert code == 0
+    assert run(capsys, "cross-check", "--q", "3", "--n", "4") == (0, out, "")
 
 
 def test_orders_command(capsys):
@@ -527,7 +526,7 @@ def test_single_label_decompose_goes_through_formulas(capsys, monkeypatch):
             "sum_m2": row["mult"] ** 2,
         }
     # The PGSp {0,1} check now covers a single label as well.
-    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho: 2)
+    monkeypatch.setattr(formulas, "_pgsp_step", lambda d, m, part: (2,))
     code, out, err = run(
         capsys, "decompose", "--q", "3", "--n", "2", "--subgroup", "pgsp", "--label", "0/1:[2]"
     )

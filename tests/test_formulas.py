@@ -442,11 +442,11 @@ def test_integer_formulas_match_fraction_reference(q, n):
         assert mult == _ref_mult_pgsp_irr(label), label
         sp += mult
         if all(data.m * part.size() % 2 == 0 for data, part in label.entries):
-            for j in (0, 1):
-                exponent = (q + 1) // 2 + j * (q + 1)
-                expected = _ref_phi(ctx, _block_sizes(label), exponent)
-                assert dualgroup.phi(ctx, _block_sizes(label), exponent) == expected
-            assert params.phi(label) == _ref_phi(ctx, _block_sizes(label), (q + 1) // 2)
+            # Phi takes sqrt(beta) = g_2^((q+1)/2); a shift by q + 1 is another root.
+            expected = _ref_phi(ctx, _block_sizes(label), (q + 1) // 2)
+            assert _ref_phi(ctx, _block_sizes(label), (q + 1) // 2 + (q + 1)) == expected
+            assert dualgroup.phi(ctx, _block_sizes(label)) == expected
+            assert params.phi(label) == expected
             phis += 1
     assert phis > 0 and sp > 0
 
@@ -454,7 +454,7 @@ def test_integer_formulas_match_fraction_reference(q, n):
 @pytest.mark.parametrize("q", [3, 5])
 def test_unipotent_formulas_match_fraction_reference(q):
     ctx = q_context(q)
-    for n in (2, 4, 6):
+    for n in (2, 4, 6, 8, 10):
         for rho in partitions_of(n):
             for eps in (1, -1):
                 gl = Fraction(_ref_prod_mult_plus_one(rho), 2)
@@ -567,25 +567,37 @@ def test_a_negative_irreducible_multiplicity_is_refused(monkeypatch, fresh_route
         formulas.mults_via_transition(label)
 
 
-def test_given_labels_match_the_rows_of_decompose():
+@pytest.mark.parametrize("q,n", [(5, 2), (3, 4), (5, 4), (3, 6)])
+@pytest.mark.parametrize("with_degrees", [True, False], ids=["degrees", "no-degrees"])
+def test_given_labels_match_the_rows_of_decompose(q, n, with_degrees):
+    ctx = q_context(q)
     for sg in Subgroup:
-        full = decompose(Q5, 2, sg, include_zeros=True, with_degrees=True)
+        full = decompose(ctx, n, sg, include_zeros=True, with_degrees=with_degrees)
         for row in full.rows:
+            texts = []
             single = formulas.decompose(
-                Q5, 2, sg, labels=[row.label], include_zeros=True, with_degrees=True
+                ctx, n, sg, labels=[row.label], include_zeros=True, with_degrees=with_degrees,
+                texts=texts,
             )
             assert single.rows == (row,)
-            assert single.sum_mult_times_degree == row.mult * row.degree
+            assert texts == [row.label.text()]
+            if with_degrees:
+                assert single.sum_mult_times_degree == row.mult * row.degree
             assert single.sum_mult_squared == row.mult * row.mult
         rows = formulas.decompose(
-            Q5, 2, sg, labels=[r.label for r in full.rows], include_zeros=True, with_degrees=True
+            ctx, n, sg, labels=[r.label for r in full.rows], include_zeros=True,
+            with_degrees=with_degrees,
         )
         assert rows == full
+        kept = formulas.decompose(
+            ctx, n, sg, labels=[r.label for r in full.rows], with_degrees=with_degrees
+        )
+        assert kept.rows == tuple(row for row in full.rows if row.mult)
 
 
 def test_given_labels_check_the_pgsp_invariant(monkeypatch):
     label = unipotent(Q3, [2])
-    monkeypatch.setattr(formulas, "_pgsp_irr", lambda rho: 2)
+    monkeypatch.setattr(formulas, "_pgsp_step", lambda d, m, part: (2,))
     with pytest.raises(InvariantViolation, match="outside"):
         formulas.decompose(Q3, 2, Subgroup.PGSP, labels=[label], include_zeros=True)
 
@@ -674,19 +686,25 @@ def _counting(monkeypatch, name):
 def test_a_single_subgroup_decomposition_computes_only_its_own_subgroup(monkeypatch):
     # mult_irr and the two selectors stay separate: computing all three
     # subgroups per call, then selecting one, measured 40-60% slower on the
-    # in-process multiplicity layer.  A full decompose folds its subgroup's
-    # step down the search and calls no per-label function.
+    # in-process multiplicity layer.  decompose folds its subgroup's step
+    # down the search, or over each given label, and calls no per-label
+    # function, nor oracle.degree.
     pgo_step = _counting(monkeypatch, "_pgo_step")
     pgsp_step = _counting(monkeypatch, "_pgsp_step")
     per_label = [_counting(monkeypatch, name) for name in ("_pgo_irr", "_pgsp_irr")]
-    for include_zeros in (False, True):
-        decompose(Q3, 4, Subgroup.PGSP, include_zeros=include_zeros, with_degrees=True)
-        assert pgsp_step and not pgo_step
-        pgsp_step.clear()
-        decompose(Q3, 4, Subgroup.PGO_PLUS, include_zeros=include_zeros, with_degrees=True)
-        assert pgo_step and not pgsp_step
-        pgo_step.clear()
-    assert per_label == [[], []]
+    degrees = []
+    monkeypatch.setattr(oracle, "degree", lambda *args: degrees.append(args))
+    labels = enumerate_labels(Q3, 4)
+    for given in ({}, {"labels": labels}, {"unipotent_only": True}):
+        for include_zeros in (False, True):
+            decompose(Q3, 4, Subgroup.PGSP, include_zeros=include_zeros, with_degrees=True, **given)
+            assert pgsp_step and not pgo_step
+            pgsp_step.clear()
+            decompose(Q3, 4, Subgroup.PGO_PLUS, include_zeros=include_zeros, with_degrees=True,
+                      **given)
+            assert pgo_step and not pgsp_step
+            pgo_step.clear()
+    assert per_label == [[], []] and degrees == []
 
 
 # A full decompose streams the label search; decompose over the labels of

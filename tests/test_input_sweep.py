@@ -106,7 +106,7 @@ def _argv_grid():
         yield argv
     yield ["decompose", "--q", "3", "--n", "100", "--subgroup", "pgsp", "--no-degrees"]
     yield ["cross-check", "--q", "3", "--n", "4", "--tier", "slow"]
-    yield ["cross-check", "--q", "3", "--n", "4", "--tier", "fast"]  # FAST_TIER_N_BOUND
+    yield ["cross-check", "--q", "3", "--n", "4", "--tier", "fast"]
     yield ["cross-check", "--q", "3", "--n", "10", "--tier", "slow"]
     for q, n in (("3", "2"), ("9", "2"), ("5", "4"), ("1099511627689", "2")):
         yield ["forms", "--q", q, "--n", n]
@@ -170,11 +170,22 @@ def test_a_malformed_number_exits_2_with_one_message(capsys):
         assert capsys.readouterr().out == expected
 
 
-def test_the_fast_tier_limit_is_a_capacity_refusal(capsys):
-    assert _run(["cross-check", "--q", "3", "--n", "4"]) == 3
-    assert capsys.readouterr().err == (
-        "capacity error: n at --tier fast (use --tier slow): 4 exceeds FAST_TIER_N_BOUND = 2\n"
-    )
+def test_the_tier_changes_nothing(capsys):
+    # --tier is accepted and read by nothing: cross-check answers, or refuses
+    # past ZINV_SIZE_BOUND, in the same bytes with either tier or none.
+    for q, n, code in (("3", "4", 0), ("5", "4", 0), ("3", "10", 3)):
+        for fmt in ("table", "json", "csv"):
+            outcomes = set()
+            for tier in ([], ["--tier", "fast"], ["--tier", "slow"]):
+                got = _run(["cross-check", "--q", q, "--n", n, *tier, "--format", fmt])
+                outcomes.add((got, *capsys.readouterr()))
+            assert len(outcomes) == 1
+            (got, out, err), = outcomes
+            assert got == code
+            if code:
+                assert out == "" and "exceeds ZINV_SIZE_BOUND = 9" in err
+            else:
+                assert out and err == ""
 
 
 def test_past_the_orbit_budget_the_order_of_outcomes_holds(capsys):

@@ -1,5 +1,5 @@
 """The README's table of capacity limits against errors.LIMITS, the one home,
-and the message of a refusal."""
+the readers of each limit, and the message of a refusal."""
 
 import re
 from pathlib import Path
@@ -9,7 +9,10 @@ import pytest
 from pglchar.errors import LIMITS, CapacityError, check_limit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "pglchar"
 ROW = re.compile(r"^\| `([A-Z_]+)` \| ([^|]+) \|")
+# A limit is read by name: check_limit("NAME", ...) or LIMITS["NAME"].
+READ = re.compile(r'(?:check_limit\(|LIMITS\[)\s*"([A-Z_]+)"')
 
 
 def _value(text):
@@ -38,6 +41,15 @@ def test_value_parsing():
 
 def test_readme_limits_table_matches_limits():
     assert _readme_limits() == LIMITS
+
+
+def test_every_limit_is_read_by_the_package():
+    # A limit whose last reader is gone bounds nothing: it leaves LIMITS too.
+    read = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        read.update(READ.findall(path.read_text(encoding="utf-8")))
+    assert sorted(set(LIMITS) - read) == []
+    assert sorted(read - set(LIMITS)) == []
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,16 @@ every rho-label, and reads Pi, the half-norm and Phi from the label's
 entries itself, not from its shape.
 """
 
+from collections import Counter
 from itertools import product
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 
 from pglchar import cli, dualgroup, errors, formulas, involutions, symchar
 from pglchar.dualgroup import q_context
-from pglchar.formulas import Subgroup, _block_stats
+from pglchar.formulas import Subgroup
 from pglchar.params import MultiPartition, enumerate_labels
 from pglchar.partitions import partitions_of
 
@@ -53,9 +55,21 @@ def _ref_mult_pgsp_irr(rho):
     return 1 if _ref_half_is_trivial(rho) else 0
 
 
+def _ref_stats(part):
+    """What the orthogonal reference reads of a partition, counted here from its parts."""
+    mults = Counter(part)  # part -> multiplicity
+    return SimpleNamespace(
+        transpose_even=all(mult % 2 == 0 for mult in mults.values()),
+        prod_mult_plus_one=prod(mult + 1 for mult in mults.values()),
+        odd_mults_even=all(mult % 2 == 0 for i, mult in mults.items() if i % 2),
+        prod_even_mult_plus_one=prod(mult + 1 for i, mult in mults.items() if i % 2 == 0),
+        ell2_sign=(-1) ** sum(mult for i, mult in mults.items() if i % 4 == 2),
+    )
+
+
 def _ref_mult_pgo_irr(rho, eps):
     assert _ref_pi(rho) == 0
-    blocks = [(data, _block_stats(part)) for data, part in rho.entries]
+    blocks = [(data, _ref_stats(part)) for data, part in rho.entries]
     total = 0
     if all(data.d == 1 or stats.transpose_even for data, stats in blocks):
         prod = 1
