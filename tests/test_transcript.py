@@ -5,7 +5,8 @@ help at 80 columns.  transcript.json maps each command line to the sha256 of
 json.dumps([stdout, stderr, exit code]).  The cases are --help for the top
 level and each command, argparse's errors, the refusals (exit 2 and 3),
 small answers in the three formats and a grid of decompositions, given
-labels, cross-checks and identities; each runs in well under 50 ms.
+labels, cross-checks, identities, orders, forms and double cosets.  Each runs
+in well under 50 ms, except forms and dcosets at (3,4), which are marked slow.
 
 argparse's help and error text can change between Python versions; the
 digests were written with Python 3.11.  A change that means to alter the
@@ -96,12 +97,23 @@ ANSWERS = [
 ANSWERS.append(["cross-check", "--q", "3", "--n", "4"])
 
 # The byte-identity grid: every subgroup, format and row option of decompose at
-# seven sizes, each label at (3,4) given alone, three-route cross-checks and
-# the identities; cases already listed above are not repeated.
+# seven sizes, each label at (3,4) given alone, three-route cross-checks, the
+# identities, orders, forms and every subgroup pair of dcosets; cases already
+# listed above are not repeated.
 GRID_SIZES = ((3, 2), (5, 2), (3, 4), (5, 4), (9, 4), (3, 6), (27, 2))
 GRID_OPTIONS = ([], ["--include-zeros"], ["--no-degrees"], ["--unipotent-only"],
                 ["--unipotent-only", "--include-zeros", "--no-degrees"])
 SUBGROUPS = ("pgsp", "pgo+", "pgo-")
+ORDERS_SIZES = (("3", "4"), ("5", "6"), ("9", "8"), ("27", "6"))
+FORMS_SIZES = (("5", "2"), ("7", "2"), ("3", "4"))
+DCOSETS = tuple(
+    (q, n, h1, h2)
+    for q, n in (("3", "2"), ("5", "2"))
+    for i, h1 in enumerate(SUBGROUPS)
+    for h2 in SUBGROUPS[i:]
+) + (("3", "4", "pgo+", "pgo-"),)
+# The commands that take over 0.1 s: the PGL action on forms at (3,4).
+SLOW = (["forms", "--q", "3", "--n", "4"], ["dcosets", "--q", "3", "--n", "4"])
 
 
 def _grid() -> list[list[str]]:
@@ -126,6 +138,9 @@ def _grid() -> list[list[str]]:
             *(["cross-check", "--q", q, "--n", n, "--tier", "slow"]
               for q, n in (("3", "4"), ("5", "4"), ("3", "6"))),
             ["verify-identities", "--max-size", "5"],
+            *(["orders", "--q", q, "--n", n] for q, n in ORDERS_SIZES),
+            *(["forms", "--q", q, "--n", n] for q, n in FORMS_SIZES),
+            *(["dcosets", "--q", q, "--n", n, "--h1", h1, "--h2", h2] for q, n, h1, h2 in DCOSETS),
         )
         for fmt in FORMATS
     ]
@@ -138,6 +153,12 @@ def key(argv: list[str]) -> str:
 
 
 CASES = HELP + ARGPARSE_ERRORS + REFUSALS + ANSWERS + _grid()
+
+
+def case(argv: list[str]):
+    """argv as a pytest parameter, marked slow if it starts as a SLOW command does."""
+    slow = any(argv[: len(prefix)] == prefix for prefix in SLOW)
+    return pytest.param(argv, id=key(argv), marks=pytest.mark.slow if slow else ())
 
 
 def digest(argv: list[str]) -> str:
@@ -164,7 +185,7 @@ def test_the_transcript_covers_every_case_once(pinned):
     assert sorted(pinned) == sorted(keys)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=key)
+@pytest.mark.parametrize("argv", [case(argv) for argv in CASES])
 def test_the_output_is_byte_identical(pinned, argv):
     assert digest(argv) == pinned[key(argv)]
 
