@@ -5,6 +5,12 @@ forms.  Exit codes: 0 success, 2 argument error, 3 capacity error, 4 internal
 invariant violation (including a failed identity or route mismatch, which
 signals a bug and must be loud), 141 stdout closed before all was written.
 
+main(argv) returns the exit code and never ends the process.  run(), the
+process entry of ``python -m pglchar.cli`` and of the ``pglchar`` script,
+flushes stdout and stderr after main and ends the process with os._exit, so
+the interpreter's teardown, which frees every module and object one by one,
+is skipped and nothing registered with atexit runs.
+
 Each cmd_* function imports the modules it runs, so a process loads only
 those; their functions are looked up on the modules at call time.  A
 refusal that needs only the arguments comes before that import, in the
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from functools import cache
 
@@ -278,6 +285,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)  # print every answer that is computed
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # started with stdout closed: nothing can be written
+        return 141
     # A command leaves at most a few hundred objects in reference cycles, and
     # reference counting frees what it builds when it returns, so the cyclic
     # collector, which would walk every row and memo it holds again and
@@ -289,7 +298,6 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
     except BrokenPipeError:  # the reader left (`| head`): no traceback, 128 + SIGPIPE
-        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except ValueError as exc:
@@ -306,5 +314,15 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """End the process at main's code once stdout and stderr are flushed.  An exception
+    from main (argparse's SystemExit among them) or from a flush propagates."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

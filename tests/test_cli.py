@@ -754,6 +754,42 @@ def test_a_reader_that_closes_early_gets_no_traceback(fmt):
         assert err == b"", unbuffered
 
 
+def test_a_stdout_closed_at_start_exits_141_without_a_traceback():
+    # The child's fd 1 is closed, so its sys.stdout is None.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "pglchar.cli",
+         "orders", "--q", "3", "--n", "2"],
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
+def test_the_pglchar_script_runs_what_python_m_runs():
+    # An installed pglchar must end the process as `python -m pglchar.cli` does.
+    import ast
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.findall(r'^pglchar = "pglchar\.cli:(\w+)"$', pyproject, re.MULTILINE)
+    tree = ast.parse((root / "src" / "pglchar" / "cli.py").read_text(encoding="utf-8"))
+    blocks = [
+        node.body for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert len(scripts) == 1
+    assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [[f"{scripts[0]}()"]]
+
+
 # Each command's own options in declaration order; -h comes before them, --format after.
 OPTIONS = {
     "decompose": ["--q", "--n", "--subgroup", "--label", "--unipotent-only", "--include-zeros",

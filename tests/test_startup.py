@@ -6,7 +6,7 @@ orbit loads pglchar.dualgroup, and verify-identities loads no label code.
 
 Every command runs as ``python -m pglchar.cli`` does, in a fresh interpreter
 started with -S (so no site-packages hook loads anything), and reports the
-modules loaded when it ends.
+modules loaded when it ends, by os._exit or by SystemExit.
 """
 
 import os
@@ -18,16 +18,23 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs the CLI as `-m` does, then writes sys.modules as the last line of stderr.
+# Runs the CLI as `-m` does.  When it ends, by os._exit or by SystemExit, it
+# writes "modules: " and sys.modules as the last line of stderr.
 CHILD = """\
-import runpy, sys
+import os, runpy, sys
+def report():
+    sys.stderr.write("\\nmodules: " + " ".join(sorted(sys.modules)) + "\\n")
+    sys.stderr.flush()
+def exit_after_report(code, exit=os._exit):
+    report()
+    exit(code)
+os._exit = exit_after_report
 sys.argv[0] = "pglchar"
 try:
     runpy.run_module("pglchar.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-sys.stderr.write("\\n" + " ".join(sorted(sys.modules)) + "\\n")
-sys.exit(code)
+except SystemExit:
+    report()
+    raise
 """
 
 
@@ -39,7 +46,9 @@ def loaded_modules(*argv: str, code: int = 0) -> set[str]:
         text=True,
     )
     assert result.returncode == code, result.stderr
-    return set(result.stderr.splitlines()[-1].split())
+    last = result.stderr.splitlines()[-1]
+    assert last.startswith("modules: "), result.stderr
+    return set(last.removeprefix("modules: ").split())
 
 
 NEVER = {"dataclasses", "inspect"}

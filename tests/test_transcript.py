@@ -2,7 +2,9 @@
 
 Every case runs cli.main in-process with COLUMNS=80, so argparse wraps its
 help at 80 columns.  transcript.json maps each command line to the sha256 of
-json.dumps([stdout, stderr, exit code]).  The cases are --help for the top
+json.dumps([stdout, stderr, exit code]).  The hand-listed cases also run as
+``python -m pglchar.cli`` processes, which end by os._exit once main returns,
+and must give the same digests.  The cases are --help for the top
 level and each command, argparse's errors, the refusals (exit 2 and 3),
 small answers in the three formats and a grid of decompositions, given
 labels, cross-checks, identities, orders, forms and double cosets.  Each runs
@@ -20,6 +22,7 @@ import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -29,6 +32,7 @@ import pytest
 from pglchar.cli import main
 
 TRANSCRIPT = Path(__file__).resolve().parent / "transcript.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 COMMANDS = ("decompose", "verify-identities", "cross-check", "orders", "dcosets", "forms")
 FORMATS = ("table", "csv", "json")
@@ -161,8 +165,8 @@ def case(argv: list[str]):
     return pytest.param(argv, id=key(argv), marks=pytest.mark.slow if slow else ())
 
 
-def digest(argv: list[str]) -> str:
-    """sha256 of json.dumps([stdout, stderr, exit code]) of main(argv) at COLUMNS=80."""
+def in_process(argv: list[str]) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of main(argv) at COLUMNS=80."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -170,8 +174,26 @@ def digest(argv: list[str]) -> str:
             code = main(list(argv))
         except SystemExit as exc:  # argparse's help and its errors
             code = exc.code
-    text = json.dumps([out.getvalue(), err.getvalue(), code])
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return out.getvalue(), err.getvalue(), code
+
+
+def digest(argv: list[str]) -> str:
+    """sha256 of json.dumps([stdout, stderr, exit code]) of main(argv) at COLUMNS=80."""
+    return hashlib.sha256(json.dumps(in_process(argv)).encode("utf-8")).hexdigest()
+
+
+def python(*args: str, stdout=subprocess.PIPE, **env: str) -> tuple[str, str, int]:
+    """stdout ("" if not captured), stderr and exit code of python args in a fresh
+    interpreter with src on the path, COLUMNS=80, buffered stdout (PYTHONUNBUFFERED
+    empty) and env."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80", "PYTHONUNBUFFERED": "", **env},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+    )
+    return (result.stdout or b"").decode(), result.stderr.decode(), result.returncode
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +210,77 @@ def test_the_transcript_covers_every_case_once(pinned):
 @pytest.mark.parametrize("argv", [case(argv) for argv in CASES])
 def test_the_output_is_byte_identical(pinned, argv):
     assert digest(argv) == pinned[key(argv)]
+
+
+# The hand-listed cases as processes: one per exit code (0, 2, 3) and --help
+# in the fast tier, the rest slow.
+PROCESS_CASES = HELP + ARGPARSE_ERRORS + REFUSALS + ANSWERS
+FAST_PROCESSES = (
+    ["--help"],
+    ["orders", "--q", "3", "--n", "2", "--format", "json"],
+    ["orders", "--q", "4", "--n", "2"],
+    ["decompose", "--q", "5", "--n", "10", "--subgroup", "pgsp", "--format", "json"],
+)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=key(argv), marks=() if argv in FAST_PROCESSES else pytest.mark.slow)
+    for argv in PROCESS_CASES
+])
+def test_a_process_gives_the_pinned_bytes(pinned, argv):
+    text = json.dumps(python("-m", "pglchar.cli", *argv))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pinned[key(argv)]
+
+
+# 391 kB of json, more than a pipe holds: the flush before os._exit must write it all.
+LARGE = ["decompose", "--q", "5", "--n", "6", "--subgroup", "pgo+", "--include-zeros",
+         "--format", "json"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["pipe", "file"])
+def test_a_large_answer_is_written_whole_before_the_process_ends(tmp_path, to_file, unbuffered):
+    if to_file:
+        with open(tmp_path / "out", "wb") as sink:
+            _, err, code = python("-m", "pglchar.cli", *LARGE, stdout=sink,
+                                  PYTHONUNBUFFERED=unbuffered)
+        out = (tmp_path / "out").read_text(encoding="utf-8")
+    else:
+        out, err, code = python("-m", "pglchar.cli", *LARGE, PYTHONUNBUFFERED=unbuffered)
+    expected = in_process(LARGE)
+    assert len(expected[0]) > 300_000
+    assert (out, err, code) == expected
+
+
+# Runs the CLI as `-m` does, with each PGO step's factors replaced by FAULT,
+# an expression in d, m, part and real, the true step.
+FAULTY_CHILD = """\
+import runpy, sys
+from pglchar import formulas
+real = formulas._pgo_step
+formulas._pgo_step = lambda d, m, part: {fault}
+runpy.run_module("pglchar.cli", run_name="__main__", alter_sys=True)
+"""
+# (argv, fault, stderr): decompose refuses before it writes; cross-check writes
+# its table first, which the flush before os._exit must not lose.
+FAULTS = [
+    (["decompose", "--q", "3", "--n", "4", "--subgroup", "pgo+"], "(-4, 2, 0)",
+     "invariant violation: negative mult_pgo_irr(0/1:[4], -1) = -2\n"),
+    (["cross-check", "--q", "3", "--n", "4"], "tuple(2 * x for x in real(d, m, part))",
+     "invariant violation: 43 route mismatches\n"),
+]
+
+
+@pytest.mark.parametrize("argv,fault,err", FAULTS, ids=[argv[0] for argv, _, _ in FAULTS])
+def test_an_invariant_violation_exits_4_from_a_process(monkeypatch, fresh_route_tables,
+                                                       argv, fault, err):
+    from pglchar import formulas
+    child = python("-c", FAULTY_CHILD.format(fault=fault), *argv)
+    monkeypatch.setattr(formulas, "_pgo_step",
+                        eval(f"lambda d, m, part: {fault}", {"real": formulas._pgo_step}))
+    expected = in_process(argv)
+    assert expected[1:] == (err, 4)
+    assert child == expected
 
 
 if __name__ == "__main__":
