@@ -6,9 +6,10 @@ json.dumps([stdout, stderr, exit code]).  The hand-listed cases also run as
 ``python -m pglchar.cli`` processes, which end by os._exit once main returns,
 and must give the same digests.  The cases are --help for the top
 level and each command, argparse's errors, the refusals (exit 2 and 3),
-small answers in the three formats and a grid of decompositions, given
-labels, cross-checks, identities, orders, forms and double cosets.  Each runs
-in well under 50 ms, except forms and dcosets at (3,4), which are marked slow.
+small answers in the three formats, a grid of decompositions, given
+labels, cross-checks, identities, orders, forms and double cosets, and the
+benchmark's json answers.  Each runs in under 0.1 s, except forms and
+dcosets at (3,4), which are marked slow.
 
 argparse's help and error text can change between Python versions; the
 digests were written with Python 3.11.  A change that means to alter the
@@ -102,8 +103,8 @@ ANSWERS.append(["cross-check", "--q", "3", "--n", "4"])
 
 # The byte-identity grid: every subgroup, format and row option of decompose at
 # seven sizes, each label at (3,4) given alone, three-route cross-checks, the
-# identities, orders, forms and every subgroup pair of dcosets; cases already
-# listed above are not repeated.
+# identities, orders, forms and every subgroup pair of dcosets; a case already
+# listed is not repeated.
 GRID_SIZES = ((3, 2), (5, 2), (3, 4), (5, 4), (9, 4), (3, 6), (27, 2))
 GRID_OPTIONS = ([], ["--include-zeros"], ["--no-degrees"], ["--unipotent-only"],
                 ["--unipotent-only", "--include-zeros", "--no-degrees"])
@@ -116,7 +117,21 @@ DCOSETS = tuple(
     for i, h1 in enumerate(SUBGROUPS)
     for h2 in SUBGROUPS[i:]
 ) + (("3", "4", "pgo+", "pgo-"),)
-# The commands that take over 0.1 s: the PGL action on forms at (3,4).
+# The benchmark's answers in json: every identity size up to the bound (9 in
+# every format), the larger cross-checks and the decompositions at (5,6),
+# (3,8) and (7,6).
+LARGE_GRID = [
+    *(["verify-identities", "--max-size", str(size), "--format", "json"] for size in range(1, 10)),
+    *(["verify-identities", "--max-size", "9", "--format", fmt] for fmt in ("table", "csv")),
+    *(["cross-check", "--q", q, "--n", n, "--format", "json"]
+      for q, n in (("3", "8"), ("5", "6"), ("7", "4"), ("9", "4"), ("27", "2"))),
+    ["decompose", "--q", "7", "--n", "6", "--subgroup", "pgo+", "--format", "json"],
+    *(["decompose", "--q", q, "--n", n, "--subgroup", subgroup, "--format", "json"]
+      for q, n in (("5", "6"), ("3", "8"))
+      for subgroup in SUBGROUPS),
+]
+# The commands that take over 0.1 s: the PGL action on forms at (3,4).  Each
+# LARGE_GRID case takes under 0.08 s in-process.
 SLOW = (["forms", "--q", "3", "--n", "4"], ["dcosets", "--q", "3", "--n", "4"])
 
 
@@ -148,8 +163,14 @@ def _grid() -> list[list[str]]:
         )
         for fmt in FORMATS
     ]
+    grid += LARGE_GRID
     listed = {key(argv) for argv in HELP + ARGPARSE_ERRORS + REFUSALS + ANSWERS}
-    return [argv for argv in grid if key(argv) not in listed]
+    unique = []
+    for argv in grid:
+        if key(argv) not in listed:
+            listed.add(key(argv))
+            unique.append(argv)
+    return unique
 
 
 def key(argv: list[str]) -> str:
