@@ -3,13 +3,15 @@
 Subcommands: decompose, verify-identities, cross-check, orders, dcosets,
 forms.  Exit codes: 0 success, 2 argument error, 3 capacity error, 4 internal
 invariant violation (including a failed identity or route mismatch, which
-signals a bug and must be loud), 141 stdout closed before all was written.
+signals a bug and must be loud), 74 stdout could not be written (EX_IOERR),
+141 stdout closed before all was written.  A stderr that cannot be written
+drops the message, never the code.
 
-main(argv) returns the exit code and never ends the process.  run(), the
-process entry of ``python -m pglchar.cli`` and of the ``pglchar`` script,
-flushes stdout and stderr after main and ends the process with os._exit, so
-the interpreter's teardown, which frees every module and object one by one,
-is skipped and nothing registered with atexit runs.
+main(argv) returns the exit code, once stdout and stderr are flushed, and
+never ends the process.  run(), the process entry of ``python -m pglchar.cli``
+and of the ``pglchar`` script, then ends the process with os._exit, so the
+interpreter's teardown, which frees every module and object one by one, is
+skipped and nothing registered with atexit runs.
 
 Each cmd_* function imports the modules it runs, so a process loads only
 those; their functions are looked up on the modules at call time.  A
@@ -294,34 +296,41 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        try:
+            code = args.func(args)
+        except ValueError as exc:
+            code = _complain(f"error: {exc}", 2)
+        except CapacityError as exc:
+            code = _complain(f"capacity error: {exc}", 3)
+        except InvariantViolation as exc:
+            code = _complain(f"invariant violation: {exc}", 4)
+        sys.stdout.flush()  # a closed or full stdout shows here, not at exit
         return code
-    except BrokenPipeError:  # the reader left (`| head`): no traceback, 128 + SIGPIPE
+    except OSError as exc:  # stdout cannot take the answer: drop what it still holds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return 3
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, BrokenPipeError):  # the reader left (`| head`): 128 + SIGPIPE
+            return 141
+        return _complain(f"error: cannot write the output: {exc.strerror or exc}", 74)
     finally:
         if collecting:
             gc.enable()
 
 
+def _complain(line: str, code: int) -> int:
+    """Write line on stderr and return code.  A stderr that is closed (None) or
+    cannot be written drops the line; the code is the same."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr, flush=True)
+        except OSError:  # drop the line it still holds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
+
+
 def run() -> None:
-    """End the process at main's code once stdout and stderr are flushed.  An exception
-    from main (argparse's SystemExit among them) or from a flush propagates."""
-    code = main()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            stream.flush()
-    os._exit(code)
+    """End the process at main's code: main returns with stdout and stderr flushed or
+    dropped.  An exception from main (argparse's SystemExit among them) propagates."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ never a rounding issue.  Each route folds per-block tables over a label's
 blocks (lru_caches keyed by value, never by label, for the life of the
 process; cache_clear empties one): route 1 and every decompose row fold
 _pgsp_step or _pgo_step and finish in _pgo_finish, the closed forms fold
-_basic_step and the transition route _transition_column, which
-symchar.clear_memo() leaves as they are.
+_basic_step (one symchar.chi_sums per block) and the transition route
+_transition_column (one symchar.chi_column per block); symchar.clear_memo()
+empties neither.
 """
 
 from __future__ import annotations
@@ -194,19 +195,19 @@ def mult_unipotent_gl_o(rho: Partition, eps: int) -> int:
 
 @lru_cache(maxsize=None)
 def _basic_step(d: int, m: int, part: Partition) -> tuple[int, int, int, int]:
-    """The closed forms' factors of a block from symchar's four sums: PGSp's,
-    then those of T1, T2 and T3 (0 where m * size is odd, as T3 is then 0)."""
+    """The closed forms' factors of a block from symchar's four sums, read once:
+    PGSp's, then those of T1, T2 and T3 (0 where m * size is odd, as T3 is then 0)."""
     from . import symchar  # loaded on use: decompose reads neither table
     size = part.size()
-    even = symchar.sum_chi_transpose_even(part)
-    t1 = (-1) ** size * symchar.sum_chi_weighted(part) if d == 1 else even
+    sp, even, weighted, signed = symchar.chi_sums(part)
+    t1 = (-1) ** size * weighted if d == 1 else even
     if m * size % 2:
         t3 = 0
     elif d == 1 and m % 2:
-        t3 = symchar.sum_chi_signed_even(part)
+        t3 = signed
     else:
-        t3 = (-1) ** (m * size // 2) * (t1 if d == 1 else even)
-    return symchar.sum_chi_even(part), t1, even, t3
+        t3 = (-1) ** (m * size // 2) * t1
+    return sp, t1, even, t3
 
 
 def _basic_terms(nu: MultiPartition) -> tuple[int, int, int, int]:

@@ -151,7 +151,7 @@ def _left_sides(nu: Partition) -> tuple[int, int, int, int]:
 def check_identities(max_size: int) -> list[IdentityCheckResult]:
     """Run all four identities for every nu of size 1..max_size.
 
-    Each compares a sum over Z_inv(nu) with a character sum of symchar.
+    Each compares a sum over Z_inv(nu) with one of symchar.chi_sums(nu).
     """
     if int_arg("max_size", max_size) < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
@@ -159,12 +159,8 @@ def check_identities(max_size: int) -> list[IdentityCheckResult]:
     out = []
     for m in range(1, max_size + 1):
         for nu in partitions_of(m):
-            rhs = (
-                symchar.sum_chi_even(nu),
-                (-1) ** m * symchar.sum_chi_weighted(nu),
-                symchar.sum_chi_transpose_even(nu),
-                symchar.sum_chi_signed_even(nu),
-            )
+            even, transpose_even, weighted, signed = symchar.chi_sums(nu)
+            rhs = (even, (-1) ** m * weighted, transpose_even, signed)
             for name, lhs, right in zip(_IDENTITY_NAMES, _left_sides(nu), rhs):
                 out.append(IdentityCheckResult(name, nu, lhs, right))
     return out

@@ -5,11 +5,12 @@ at a permutation of cycle type mu, normalised so that chi((m), mu) = 1 and
 chi(rho', mu) = sign(mu) * chi(rho, mu).  The recursion removes one border
 strip per part of mu, working on first-column hook lengths (beta-sets).
 
-Values are memoised by _chi's lru_cache, and the nonzero column chi_column
-and each of the four weighted sums sum_chi_* are memoised per partition
-(memo_per_partition).  Writes are idempotent, so concurrent use from several
-threads can at worst duplicate work; clear_memo() empties the chi memo and
-the five per-partition memos together.
+Values are memoised by _chi's lru_cache.  Per partition nu, the nonzero
+column chi_column(nu) and the four weighted sums of chi_sums(nu), filled in
+one pass over that column, are memoised (memo_per_partition), as are each
+rho's four weights (_weights); sum_chi_* each read one of the four sums.
+Writes are idempotent, so concurrent use from several threads can at worst
+duplicate work; clear_memo() empties the four memos together.
 """
 
 from __future__ import annotations
@@ -70,11 +71,8 @@ def character_table(m: int) -> list[list[int]]:
 
 
 def clear_memo() -> None:
-    """Empty the chi memo, the chi_column memo and the memos of the four sums.
-
-    The tables formulas builds from these values (_basic_step and
-    _transition_column) keep theirs; each one's cache_clear empties it.
-    """
+    """Empty the memos of _chi, chi_column, chi_sums and _weights.  The tables formulas
+    builds from them (_basic_step, _transition_column) keep theirs."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -87,59 +85,54 @@ def chi_column(mu: Partition) -> tuple[tuple[Partition, int], ...]:
     )
 
 
-# Weighted chi-sums shared by the closed formulas and the identity checks.
+@lru_cache(maxsize=None)
+def _weights(rho: Partition) -> tuple[int, int, int, int]:
+    """rho's weights in the four sums of chi_sums, as the sum_chi_* below give them."""
+    weighted = signed = 1
+    for part, mult in rho.multiplicities().items():
+        weighted *= mult + 1
+        if part % 2 == 0:
+            signed *= mult + 1
+        elif mult % 2:
+            signed = 0
+    signed *= (-1) ** (rho.size() // 2 + rho.length_stats().ell2mod4)
+    return int(rho.is_even()), int(rho.transpose().is_even()), weighted, signed
 
 
 @memo_per_partition
-def sum_chi_even(nu: Partition) -> int:
+def chi_sums(nu: Partition) -> tuple[int, int, int, int]:
+    """The weighted chi-sums that the closed formulas and the identity checks read,
+    (even, transpose_even, weighted, signed_even): the sums over rho of
+    _weights(rho) times chi(rho, nu), in one pass over chi_column(nu)."""
+    even = transpose_even = weighted = signed = 0
+    for rho, value in chi_column(nu):
+        w_even, w_transpose, w_weighted, w_signed = _weights(rho)
+        even += w_even * value
+        transpose_even += w_transpose * value
+        weighted += w_weighted * value
+        signed += w_signed * value
+    return even, transpose_even, weighted, signed
+
+
+def sum_chi_even(nu) -> int:
     """Sum of chi(rho, nu) over even rho (all parts even)."""
-    return sum(chi(rho, nu) for rho in partitions_of(nu.size()) if rho.is_even())
+    return chi_sums(nu)[0]
 
 
-@memo_per_partition
-def sum_chi_transpose_even(nu: Partition) -> int:
+def sum_chi_transpose_even(nu) -> int:
     """Sum of chi(rho, nu) over rho with even transpose (all multiplicities even)."""
-    return sum(chi(rho, nu) for rho in partitions_of(nu.size()) if rho.transpose().is_even())
+    return chi_sums(nu)[1]
 
 
-@memo_per_partition
-def sum_chi_weighted(nu: Partition) -> int:
+def sum_chi_weighted(nu) -> int:
     """Sum over all rho of prod_i (m_i(rho)+1) times chi(rho, nu)."""
-    total = 0
-    for rho in partitions_of(nu.size()):
-        weight = 1
-        for mult in rho.multiplicities().values():
-            weight *= mult + 1
-        total += weight * chi(rho, nu)
-    return total
+    return chi_sums(nu)[2]
 
 
-@memo_per_partition
-def sum_chi_signed_even(nu: Partition) -> int:
-    """Signed sum over rho whose odd parts all have even multiplicity.
-
-    Each such rho contributes
-    (-1)^(|rho|/2 + #parts congruent to 2 mod 4) * prod_i (m_2i(rho)+1) * chi(rho, nu).
-    """
-    total = 0
-    for rho in partitions_of(nu.size()):
-        mults = rho.multiplicities()
-        if any(part % 2 and mult % 2 for part, mult in mults.items()):
-            continue
-        weight = 1
-        for part, mult in mults.items():
-            if part % 2 == 0:
-                weight *= mult + 1
-        sign = (-1) ** (rho.size() // 2 + rho.length_stats().ell2mod4)
-        total += sign * weight * chi(rho, nu)
-    return total
+def sum_chi_signed_even(nu) -> int:
+    """Sum of (-1)^(|rho|/2 + #parts congruent to 2 mod 4) prod_i (m_2i(rho)+1) chi(rho, nu)
+    over rho whose odd parts all have even multiplicity."""
+    return chi_sums(nu)[3]
 
 
-_MEMOS = (
-    _chi,
-    chi_column,
-    sum_chi_even,
-    sum_chi_transpose_even,
-    sum_chi_weighted,
-    sum_chi_signed_even,
-)
+_MEMOS = (_chi, chi_column, chi_sums, _weights)

@@ -506,7 +506,9 @@ def test_integer_basic_form_matches_fraction_reference(q):
 def test_basic_form_refuses_an_odd_quadruple(monkeypatch, fresh_route_tables):
     label = unipotent(Q3, [2])
     assert mult_pgo_basic(label, 1) == 0
-    monkeypatch.setattr(symchar, "sum_chi_weighted", lambda nu: 1)
+    real = symchar.chi_sums
+    # The weighted sum, which T1 reads on a sign-1 orbit, set to 1.
+    monkeypatch.setattr(symchar, "chi_sums", lambda nu: (*real(nu)[:2], 1, real(nu)[3]))
     formulas._basic_step.cache_clear()  # its table holds the true sum for [2]
     with pytest.raises(InvariantViolation, match="non-integral basic multiplicity"):
         mult_pgo_basic(label, 1)

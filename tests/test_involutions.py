@@ -416,7 +416,7 @@ def test_threeterm_reads_no_involution_sum(monkeypatch, q):
         raise AssertionError("the involution route read a character sum")
 
     for name in ("sum_chi_even", "sum_chi_transpose_even", "sum_chi_weighted",
-                 "sum_chi_signed_even", "chi_column"):
+                 "sum_chi_signed_even", "chi_sums", "chi_column"):
         monkeypatch.setattr(symchar, name, refuse)
     assert [involutions.threeterm_values(mp) for mp in labels] == expected
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 from fractions import Fraction
 
@@ -235,23 +236,139 @@ SUMS = (
 )
 
 
+# The four sums as separate passes over every rho of |nu|, each rho's weight
+# worked out again: the reference for chi_sums and the four names.
+
+
+def ref_sum_chi_even(nu):
+    return sum(chi(rho, nu) for rho in partitions_of(nu.size()) if rho.is_even())
+
+
+def ref_sum_chi_transpose_even(nu):
+    return sum(chi(rho, nu) for rho in partitions_of(nu.size()) if rho.transpose().is_even())
+
+
+def ref_sum_chi_weighted(nu):
+    total = 0
+    for rho in partitions_of(nu.size()):
+        weight = 1
+        for mult in rho.multiplicities().values():
+            weight *= mult + 1
+        total += weight * chi(rho, nu)
+    return total
+
+
+def ref_sum_chi_signed_even(nu):
+    total = 0
+    for rho in partitions_of(nu.size()):
+        mults = rho.multiplicities()
+        if any(part % 2 and mult % 2 for part, mult in mults.items()):
+            continue
+        weight = 1
+        for part, mult in mults.items():
+            if part % 2 == 0:
+                weight *= mult + 1
+        sign = (-1) ** (rho.size() // 2 + rho.length_stats().ell2mod4)
+        total += sign * weight * chi(rho, nu)
+    return total
+
+
+REF_SUMS = (ref_sum_chi_even, ref_sum_chi_transpose_even, ref_sum_chi_weighted,
+            ref_sum_chi_signed_even)
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_chi_sums_and_the_four_names_match_the_four_pass_reference(m):
+    for nu in partitions_of(m):
+        expected = tuple(ref(nu) for ref in REF_SUMS)
+        assert symchar.chi_sums(nu) == expected, nu
+        assert tuple(fn(nu) for fn in SUMS) == expected, nu
+        assert tuple(fn(list(nu)) for fn in SUMS) == expected, nu
+
+
+def test_chi_sums_walk_the_column_once_and_weigh_each_rho_once(monkeypatch):
+    symchar.clear_memo()  # and the memos' statistics
+    columns = []
+    real = symchar.chi_column
+    monkeypatch.setattr(symchar, "chi_column", lambda nu: columns.append(nu) or real(nu))
+    for m in range(8):
+        for nu in partitions_of(m):
+            for fn in SUMS:
+                fn(nu)
+    assert columns == [nu for m in range(8) for nu in partitions_of(m)]
+    # Every rho is in the column of (1^m), and its weights are worked out once.
+    assert symchar._weights.cache_info().misses == sum(len(partitions_of(m)) for m in range(8))
+    symchar.clear_memo()
+
+
 def test_clear_memo_empties_every_memo_and_cold_values_are_unchanged():
+    # The memos are found by introspection, so a table added later cannot be missed.
+    memos = [value for value in vars(symchar).values() if hasattr(value, "cache_info")]
+    assert set(memos) == set(symchar._MEMOS) and len(memos) <= 4
     tables = [character_table(m) for m in range(7)]
     sums = [[fn(nu) for nu in partitions_of(m)] for m in range(7) for fn in SUMS]
-    assert symchar._chi.cache_info().currsize
-    assert all(fn.cache_info().currsize for fn in SUMS)
+    assert all(memo.cache_info().currsize for memo in memos)
     symchar.clear_memo()
-    assert symchar._chi.cache_info().currsize == 0
-    assert all(fn.cache_info().currsize == 0 for fn in SUMS)
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
     assert [character_table(m) for m in range(7)] == tables
     assert [[fn(nu) for nu in partitions_of(m)] for m in range(7) for fn in SUMS] == sums
 
 
 def test_sums_accept_any_partition_form():
-    for fn in SUMS:
+    for fn in (*SUMS, symchar.chi_sums):
         assert fn([2, 1, 1]) == fn((2, 1, 1)) == fn(Partition([2, 1, 1]))
         with pytest.raises(ValueError):
             fn([1, 2])
+
+
+@pytest.fixture
+def fresh_sums(fresh_route_tables):
+    """Empty symchar's memos before the test and after it, with the route tables."""
+    symchar.clear_memo()
+    yield
+    symchar.clear_memo()
+
+
+def weighted_off_by_four(monkeypatch):
+    """Add 4 to [2,1,1]'s weight in the weighted sum: every quotient by 4 stays exact."""
+    real = symchar._weights
+
+    def wrong(rho):
+        even, transpose_even, weighted, signed = real(rho)
+        return even, transpose_even, weighted + 4 * (rho == Partition([2, 1, 1])), signed
+
+    monkeypatch.setattr(symchar, "_weights", wrong)
+
+
+def main_json(capsys, *argv):
+    from pglchar.cli import main
+    code = main([*argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    return code, json.loads(out), err
+
+
+def test_a_wrong_weight_fails_weight_all_in_the_identities(capsys, monkeypatch, fresh_sums):
+    weighted_off_by_four(monkeypatch)
+    code, report, err = main_json(capsys, "verify-identities", "--max-size", "4")
+    failed = [check for check in report["checks"] if check["status"] == "FAIL"]
+    assert code == 4
+    assert err == f"invariant violation: {len(failed)} identity checks failed\n"
+    assert failed and {check["identity"] for check in failed} == {"weight-all"}
+    assert {check["nu"] for check in failed} <= {str(nu) for nu in partitions_of(4)}
+
+
+def test_a_wrong_weight_is_a_closed_form_mismatch_in_the_cross_check(capsys, monkeypatch,
+                                                                        fresh_sums):
+    weighted_off_by_four(monkeypatch)
+    code, report, err = main_json(capsys, "cross-check", "--q", "3", "--n", "4")
+    mismatches = report["mismatches"]
+    assert code == 4
+    assert err == f"invariant violation: {len(mismatches)} route mismatches\n"
+    assert mismatches
+    for item in mismatches:
+        routes = dict(item["routes"])
+        closed = routes.pop("closed-form")
+        assert len(set(routes.values())) == 1 and closed not in routes.values(), item
 
 
 def test_chi_column_lists_the_nonzero_values_and_is_cleared_with_the_memo():

@@ -203,13 +203,15 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(json.dumps(in_process(argv)).encode("utf-8")).hexdigest()
 
 
-def python(*args: str, stdout=subprocess.PIPE, **env: str) -> tuple[str, str, int]:
+def python(*args: str, stdout=subprocess.PIPE, shell=None, **env: str) -> tuple[str, str, int]:
     """stdout ("" if not captured), stderr and exit code of python args in a fresh
     interpreter with src on the path, COLUMNS=80, buffered stdout (PYTHONUNBUFFERED
-    empty) and env."""
+    empty) and env.  shell, if given, is an sh script that execs "$0" "$@", the
+    interpreter and args, with its redirections."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, *args]
     result = subprocess.run(
-        [sys.executable, *args],
+        command if shell is None else ["sh", "-c", shell, *command],
         env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80", "PYTHONUNBUFFERED": "", **env},
         stdout=stdout,
         stderr=subprocess.PIPE,
@@ -302,6 +304,40 @@ def test_an_invariant_violation_exits_4_from_a_process(monkeypatch, fresh_route_
     expected = in_process(argv)
     assert expected[1:] == (err, 4)
     assert child == expected
+
+
+# fd 2 closed at start, so sys.stderr is None, or open read-only, so a write
+# to it fails with EBADF: the message is dropped and the code stays.
+UNWRITABLE_STDERR = {"closed": 'exec "$0" "$@" 2>&-', "read-only": 'exec "$0" "$@" 2</dev/null'}
+REFUSED = [
+    (["orders", "--q", "4", "--n", "2"], None),  # exit 2
+    (["decompose", "--q", "5", "--n", "10", "--subgroup", "pgsp", "--format", "json"], None),  # 3
+    *((argv, fault) for argv, fault, _ in FAULTS),  # 4
+]
+
+
+@pytest.mark.parametrize("stderr", UNWRITABLE_STDERR)
+@pytest.mark.parametrize("argv,fault", REFUSED, ids=[key(argv) for argv, _ in REFUSED])
+def test_an_unwritable_stderr_drops_the_message_and_keeps_the_code(
+        monkeypatch, fresh_route_tables, stderr, argv, fault):
+    from pglchar import formulas
+    args = ["-m", "pglchar.cli"] if fault is None else ["-c", FAULTY_CHILD.format(fault=fault)]
+    child = python(*args, *argv, shell=UNWRITABLE_STDERR[stderr])
+    if fault is not None:
+        monkeypatch.setattr(formulas, "_pgo_step",
+                            eval(f"lambda d, m, part: {fault}", {"real": formulas._pgo_step}))
+    out, err, code = in_process(argv)
+    assert err and code in (2, 3, 4)
+    assert child == (out, "", code)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["orders", "--q", "3", "--n", "2"], LARGE], ids=["small", "large"])
+def test_a_full_stdout_exits_74_with_one_line(unbuffered, argv):
+    with open("/dev/full", "wb") as full:
+        result = python("-m", "pglchar.cli", *argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert result == ("", "error: cannot write the output: No space left on device\n", 74)
 
 
 if __name__ == "__main__":
